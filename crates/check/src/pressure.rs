@@ -21,6 +21,12 @@ pub struct Hotspot {
 }
 
 /// Per-cell write counts accumulated by a single program.
+///
+/// While a program is being recorded, each row of `writes` holds the
+/// row's counts in difference form (a drive of columns `a..b` adds 1 at
+/// `a` and subtracts 1 at `b`), so recording a span costs two updates
+/// whatever its width; [`WritePressure::finish`] turns every row into
+/// counts with one prefix sum. Only finished maps leave the crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WritePressure {
     rows: usize,
@@ -29,6 +35,7 @@ pub struct WritePressure {
 }
 
 impl WritePressure {
+    /// An empty map, ready to record.
     pub(crate) fn new(rows: usize, cols: usize) -> Self {
         WritePressure {
             rows,
@@ -37,8 +44,33 @@ impl WritePressure {
         }
     }
 
-    pub(crate) fn record(&mut self, row: usize, col: usize) {
-        self.writes[row * self.cols + col] += 1;
+    /// Records one drive of every cell of `row` over `cols`, which must
+    /// lie inside the array (an empty span records nothing). Entries
+    /// wrap: a −1 may land before the +1 that cancels it in the prefix
+    /// sum. The −1 of a span that reaches the last column falls off the
+    /// row and is skipped.
+    pub(crate) fn record_span(&mut self, row: usize, cols: &std::ops::Range<usize>) {
+        if cols.start >= cols.end {
+            return;
+        }
+        let base = row * self.cols;
+        let start = &mut self.writes[base + cols.start];
+        *start = start.wrapping_add(1);
+        if cols.end < self.cols {
+            let end = &mut self.writes[base + cols.end];
+            *end = end.wrapping_sub(1);
+        }
+    }
+
+    /// Turns the recorded differences into per-cell counts.
+    pub(crate) fn finish(&mut self) {
+        for row in self.writes.chunks_mut(self.cols.max(1)) {
+            let mut count = 0u64;
+            for w in row {
+                count = count.wrapping_add(*w);
+                *w = count;
+            }
+        }
     }
 
     /// Writes the program applies to the given cell.
@@ -120,11 +152,12 @@ mod tests {
     fn records_and_ranks_hotspots() {
         let mut p = WritePressure::new(2, 3);
         for _ in 0..5 {
-            p.record(1, 2);
+            p.record_span(1, &(2..3));
         }
-        p.record(0, 0);
-        p.record(0, 0);
-        p.record(1, 0);
+        p.record_span(0, &(0..1));
+        p.record_span(0, &(0..1));
+        p.record_span(1, &(0..1));
+        p.finish();
         assert_eq!(p.writes_at(1, 2), 5);
         assert_eq!(p.max_writes(), 5);
         assert_eq!(p.total_writes(), 8);
@@ -146,8 +179,9 @@ mod tests {
         let mut p = WritePressure::new(1, 1);
         assert_eq!(p.endurance_lifetime_runs(), None);
         for _ in 0..4 {
-            p.record(0, 0);
+            p.record_span(0, &(0..1));
         }
+        p.finish();
         assert_eq!(p.endurance_lifetime_runs(), Some(CELL_ENDURANCE_WRITES / 4));
     }
 

@@ -19,6 +19,7 @@ use crate::pressure::WritePressure;
 use cim_crossbar::{Axis, MicroOp, Region};
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Violations collected before verification gives up on a program.
 /// Keeps pathological inputs (e.g. fuzzer-mutated programs that are
@@ -222,36 +223,44 @@ impl AbstractState {
             cells: vec![CellState::Uninit; config.rows * config.cols],
         };
         for region in &config.preloaded {
-            for r in region.rows.clone() {
-                for c in region.cols.clone() {
-                    if r < state.rows && c < state.cols {
-                        state.cells[r * state.cols + c] = CellState::Defined;
-                    }
-                }
+            let cols = region.cols.start..region.cols.end.min(state.cols);
+            for r in region.rows.start..region.rows.end.min(state.rows) {
+                state.span_mut(r, &cols).fill(CellState::Defined);
             }
         }
         state
     }
 
-    fn get(&self, row: usize, col: usize) -> CellState {
-        self.cells[row * self.cols + col]
+    /// The cells of `row` over `cols` (empty when `cols` is); the span
+    /// must lie inside the array.
+    fn span(&self, row: usize, cols: &Range<usize>) -> &[CellState] {
+        if cols.start >= cols.end {
+            return &[];
+        }
+        let base = row * self.cols;
+        &self.cells[base + cols.start..base + cols.end]
     }
 
-    fn set(&mut self, row: usize, col: usize, s: CellState) {
-        self.cells[row * self.cols + col] = s;
+    fn span_mut(&mut self, row: usize, cols: &Range<usize>) -> &mut [CellState] {
+        if cols.start >= cols.end {
+            return &mut [];
+        }
+        let base = row * self.cols;
+        &mut self.cells[base + cols.start..base + cols.end]
     }
 
-    /// Drives a cell and records wear.
-    fn write(
+    /// Drives every cell of `row` over `cols` to `s` and records the
+    /// wear.
+    fn write_span(
         &mut self,
         row: usize,
-        col: usize,
+        cols: &Range<usize>,
         s: CellState,
         pressure: &mut Option<&mut WritePressure>,
     ) {
-        self.set(row, col, s);
+        self.span_mut(row, cols).fill(s);
         if let Some(p) = pressure {
-            p.record(row, col);
+            p.record_span(row, cols);
         }
     }
 
@@ -402,36 +411,43 @@ impl AbstractState {
             return;
         }
 
-        // Read-before-init over every sensed cell (one report per op).
-        let mut read_reported = false;
-        for region in &fp.reads {
-            for r in region.rows.clone() {
-                for c in region.cols.clone() {
-                    if !read_reported && self.get(r, c) == CellState::Uninit {
-                        violations.push(Violation::ReadBeforeInit {
-                            op: index,
-                            row: r,
-                            col: c,
-                        });
-                        read_reported = true;
-                    }
-                }
-            }
+        // Read-before-init over every sensed cell (one report per op,
+        // the first uninitialized cell in region, row, column order).
+        let first_uninit = fp.reads.iter().find_map(|region| {
+            region.rows.clone().find_map(|r| {
+                let span = self.span(r, &region.cols);
+                let p = span.iter().position(|&s| s == CellState::Uninit)?;
+                Some((r, region.cols.start + p))
+            })
+        });
+        if let Some((row, col)) = first_uninit {
+            violations.push(Violation::ReadBeforeInit {
+                op: index,
+                row,
+                col,
+            });
         }
 
-        // MAGIC output-init rule plus the transfer function.
+        // MAGIC output-init rule plus the transfer function: each span
+        // of output cells is checked, then driven.
         let mut init_reported = false;
         let mut magic_out =
-            |state: &mut Self, r: usize, c: usize, pressure: &mut Option<&mut WritePressure>| {
-                if !init_reported && state.get(r, c) != CellState::One {
-                    violations.push(Violation::OutputNotInitialized {
-                        op: index,
-                        row: r,
-                        col: c,
-                    });
-                    init_reported = true;
+            |state: &mut Self,
+             row: usize,
+             cols: &Range<usize>,
+             pressure: &mut Option<&mut WritePressure>| {
+                if !init_reported {
+                    let span = state.span(row, cols);
+                    if let Some(p) = span.iter().position(|&s| s != CellState::One) {
+                        violations.push(Violation::OutputNotInitialized {
+                            op: index,
+                            row,
+                            col: cols.start + p,
+                        });
+                        init_reported = true;
+                    }
                 }
-                state.write(r, c, CellState::Defined, pressure);
+                state.write_span(row, cols, CellState::Defined, pressure);
             };
         match op {
             MicroOp::WriteRow {
@@ -441,9 +457,16 @@ impl AbstractState {
             } => {
                 // Payload bits are program constants, so the lattice
                 // stays exact: a written 1 is a legal MAGIC output.
-                for (i, &b) in bits.iter().enumerate() {
-                    let s = if b { CellState::One } else { CellState::Defined };
-                    self.write(*row, col_offset + i, s, &mut pressure);
+                let cols = *col_offset..col_offset + bits.len();
+                for (cell, &b) in self.span_mut(*row, &cols).iter_mut().zip(bits) {
+                    *cell = if b {
+                        CellState::One
+                    } else {
+                        CellState::Defined
+                    };
+                }
+                if let Some(p) = &mut pressure {
+                    p.record_span(*row, &cols);
                 }
             }
             MicroOp::WriteRowLanes {
@@ -454,45 +477,40 @@ impl AbstractState {
                 // Lane words differ per lane; a cell is known-One for
                 // the MAGIC init rule only when *every* lane writes 1
                 // (sound for any active lane count), else just data.
-                for (i, &w) in lane_words.iter().enumerate() {
-                    let s = if w == u64::MAX {
+                let cols = *col_offset..col_offset + lane_words.len();
+                for (cell, &w) in self.span_mut(*row, &cols).iter_mut().zip(lane_words) {
+                    *cell = if w == u64::MAX {
                         CellState::One
                     } else {
                         CellState::Defined
                     };
-                    self.write(*row, col_offset + i, s, &mut pressure);
+                }
+                if let Some(p) = &mut pressure {
+                    p.record_span(*row, &cols);
                 }
             }
             MicroOp::ReadRow { .. } => {} // read-only; handled above
             MicroOp::InitRows { rows, cols } => {
                 for &r in rows {
-                    for c in cols.clone() {
-                        self.write(r, c, CellState::One, &mut pressure);
-                    }
+                    self.write_span(r, cols, CellState::One, &mut pressure);
                 }
             }
             MicroOp::ResetRegion(region) => {
                 for r in region.rows.clone() {
-                    for c in region.cols.clone() {
-                        self.write(r, c, CellState::Defined, &mut pressure);
-                    }
+                    self.write_span(r, &region.cols, CellState::Defined, &mut pressure);
                 }
             }
             MicroOp::ResetRows { rows, cols } => {
                 for &r in rows {
-                    for c in cols.clone() {
-                        self.write(r, c, CellState::Defined, &mut pressure);
-                    }
+                    self.write_span(r, cols, CellState::Defined, &mut pressure);
                 }
             }
             MicroOp::NorRows { out, cols, .. } => {
-                for c in cols.clone() {
-                    magic_out(self, *out, c, &mut pressure);
-                }
+                magic_out(self, *out, cols, &mut pressure);
             }
             MicroOp::NorCols { out_col, rows, .. } => {
                 for r in rows.clone() {
-                    magic_out(self, r, *out_col, &mut pressure);
+                    magic_out(self, r, &(*out_col..out_col + 1), &mut pressure);
                 }
             }
             MicroOp::NorColsPartitioned {
@@ -504,7 +522,8 @@ impl AbstractState {
             } => {
                 for r in rows.clone() {
                     for base in (cols.start..cols.end).step_by(*part_width) {
-                        magic_out(self, r, base + out_offset, &mut pressure);
+                        let col = base + out_offset..base + out_offset + 1;
+                        magic_out(self, r, &col, &mut pressure);
                     }
                 }
             }
@@ -512,9 +531,7 @@ impl AbstractState {
                 // The source window was checked as a read; every cell
                 // of the destination window becomes data (vacated
                 // positions take the constant fill, still Defined).
-                for c in cols.clone() {
-                    self.write(*dst, c, CellState::Defined, &mut pressure);
-                }
+                self.write_span(*dst, cols, CellState::Defined, &mut pressure);
             }
             MicroOp::Parallel(_) => unreachable!("bundles are intercepted at the top of apply"),
         }
@@ -552,6 +569,7 @@ pub fn verify(program: &[MicroOp], config: &VerifyConfig) -> Result<VerifyReport
         cycles += op.cycles();
     }
     if violations.is_empty() {
+        pressure.finish();
         Ok(VerifyReport {
             ops: program.len(),
             cycles,

@@ -254,7 +254,8 @@ impl PostcomputeStage {
     /// optimized adder body's cycle count.
     pub fn latency(&self) -> u64 {
         let adder = KoggeStoneAdder::new(self.adder_width());
-        11 * (3 + adder.latency_at(self.opt)) + 1
+        let body = crate::progcache::adder_program_opt(&adder, AddOp::Add, self.opt);
+        11 * (3 + cim_mir::program_cycles(&body)) + 1
     }
 
     /// The paper's closed-form latency:

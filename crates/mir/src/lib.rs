@@ -347,36 +347,147 @@ impl MirProgram {
 /// declared reads plus, for MAGIC ops, the written cells (the gate
 /// senses its output, so the init wave that preconditions it is a
 /// true dependence).
-fn effective_reads(op: &MicroOp, fp: &OpFootprint) -> Vec<Region> {
-    let mut reads = fp.reads.clone();
-    if op.is_magic() {
-        reads.extend(fp.writes.iter().cloned());
+fn effective_reads<'a>(op: &MicroOp, fp: &'a OpFootprint) -> impl Iterator<Item = &'a Region> {
+    let outputs: &[Region] = if op.is_magic() { &fp.writes } else { &[] };
+    fp.reads.iter().chain(outputs)
+}
+
+/// Hazard state of one column segment of a row band: the op that last
+/// wrote all of its cells and the ops that read all of them since.
+#[derive(Debug, Clone)]
+struct Segment {
+    start: usize,
+    end: usize,
+    writer: Option<usize>,
+    readers: Vec<usize>,
+}
+
+/// The dependence frontier of one row band: disjoint column segments
+/// sorted by start. Columns no op has touched have no segment.
+#[derive(Debug, Clone, Default)]
+struct Band {
+    segs: Vec<Segment>,
+}
+
+impl Band {
+    /// Splits and fills segments so that a run of them covers exactly
+    /// `lo..hi` (`lo < hi`), and returns the run's index range. A split
+    /// half inherits its parent's writer and readers.
+    fn cover(&mut self, lo: usize, hi: usize) -> std::ops::Range<usize> {
+        let mut i = self.segs.partition_point(|s| s.end <= lo);
+        if i < self.segs.len() && self.segs[i].start < lo {
+            let mut right = self.segs[i].clone();
+            right.start = lo;
+            self.segs[i].end = lo;
+            i += 1;
+            self.segs.insert(i, right);
+        }
+        let first = i;
+        let mut pos = lo;
+        while pos < hi {
+            if i < self.segs.len() && self.segs[i].start == pos {
+                if self.segs[i].end > hi {
+                    let mut right = self.segs[i].clone();
+                    right.start = hi;
+                    self.segs[i].end = hi;
+                    self.segs.insert(i + 1, right);
+                }
+            } else {
+                let end = self.segs.get(i).map_or(hi, |s| s.start.min(hi));
+                let fresh = Segment {
+                    start: pos,
+                    end,
+                    writer: None,
+                    readers: Vec::new(),
+                };
+                self.segs.insert(i, fresh);
+            }
+            pos = self.segs[i].end;
+            i += 1;
+        }
+        first..i
     }
-    reads
 }
 
-fn regions_intersect(a: &[Region], b: &[Region]) -> bool {
-    a.iter().any(|ra| b.iter().any(|rb| ra.intersects(rb)))
+/// The dependence frontier of a program: its rows cut into *bands* at
+/// every region's row bounds, so each region covers a band wholly or
+/// not at all, and one [`Band`] of column segments per band.
+struct Frontier {
+    cuts: Vec<usize>,
+    bands: Vec<Band>,
 }
 
-/// Predecessor lists of the program's dependence DAG: `deps[j]` holds
-/// every `i < j` with a RAW, WAR, or WAW hazard against `j`.
+impl Frontier {
+    fn new(fps: &[OpFootprint]) -> Self {
+        let mut cuts: Vec<usize> = fps
+            .iter()
+            .flat_map(|fp| fp.reads.iter().chain(&fp.writes))
+            .filter(|r| r.cells() > 0)
+            .flat_map(|r| [r.rows.start, r.rows.end])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let bands = vec![Band::default(); cuts.len().saturating_sub(1)];
+        Frontier { cuts, bands }
+    }
+
+    /// Calls `f` on every segment of `region`'s cells (none for an
+    /// empty region), splitting segments at the region's bounds.
+    fn for_each(&mut self, region: &Region, mut f: impl FnMut(&mut Segment)) {
+        if region.cells() == 0 {
+            return;
+        }
+        let band = |row: usize| self.cuts.binary_search(&row).expect("row bounds are cuts");
+        for b in band(region.rows.start)..band(region.rows.end) {
+            let run = self.bands[b].cover(region.cols.start, region.cols.end);
+            self.bands[b].segs[run].iter_mut().for_each(&mut f);
+        }
+    }
+}
+
+/// Predecessor sets of the program's dependence DAG, each ascending.
+///
+/// Every `i` in `deps[j]` is an earlier op with a RAW, WAR or WAW
+/// hazard against `j`, and the transitive closure of the sets contains
+/// every such hazard: `deps[j]` names, for each cell `j` touches, the
+/// cell's last writer and (when `j` writes it) the cell's readers
+/// since that write — not every earlier op that conflicts. An op placed
+/// strictly after all its predecessors is therefore placed after every
+/// op it conflicts with.
+///
+/// The frontier is kept per row band as sorted column segments, which
+/// makes the pass linear in the program's regions times the segments
+/// they cover.
 pub fn dependence_preds(ops: &[MicroOp]) -> Vec<Vec<usize>> {
     let fps: Vec<OpFootprint> = ops.iter().map(MicroOp::footprint).collect();
-    let reads: Vec<Vec<Region>> = ops
-        .iter()
-        .zip(&fps)
-        .map(|(op, fp)| effective_reads(op, fp))
-        .collect();
-    let mut deps = vec![Vec::new(); ops.len()];
-    for j in 0..ops.len() {
-        for i in 0..j {
-            let raw_or_waw = regions_intersect(&fps[i].writes, &reads[j])
-                || regions_intersect(&fps[i].writes, &fps[j].writes);
-            let war = regions_intersect(&reads[i], &fps[j].writes);
-            if raw_or_waw || war {
-                deps[j].push(i);
-            }
+    let mut frontier = Frontier::new(&fps);
+    let mut deps = Vec::with_capacity(ops.len());
+    for (j, (op, fp)) in ops.iter().zip(&fps).enumerate() {
+        let mut preds = Vec::new();
+        for region in effective_reads(op, fp) {
+            frontier.for_each(region, |seg| preds.extend(seg.writer));
+        }
+        for region in &fp.writes {
+            frontier.for_each(region, |seg| {
+                preds.extend(seg.writer);
+                preds.extend_from_slice(&seg.readers);
+            });
+        }
+        preds.sort_unstable();
+        preds.dedup();
+        deps.push(preds);
+        for region in effective_reads(op, fp) {
+            frontier.for_each(region, |seg| {
+                if seg.readers.last() != Some(&j) {
+                    seg.readers.push(j);
+                }
+            });
+        }
+        for region in &fp.writes {
+            frontier.for_each(region, |seg| {
+                seg.writer = Some(j);
+                seg.readers.clear();
+            });
         }
     }
     deps
@@ -391,17 +502,14 @@ pub fn dependence_preds(ops: &[MicroOp]) -> Vec<Vec<usize>> {
 /// live-out. Exposed separately so callers that track op provenance
 /// (e.g. the precompute suffix's per-addition boundaries) can re-slice
 /// after elimination.
+///
+/// The backward `needed` set is one `u64` word per 64 columns of each
+/// row, so testing, clearing and setting a region costs one masked
+/// word operation per row and word of its column span.
 pub fn dead_write_mask(prog: &MirProgram) -> Vec<bool> {
-    let cell = |r: usize, c: usize| r * prog.cols + c;
-    let mut needed = vec![false; prog.rows * prog.cols];
+    let mut needed = CellSet::new(prog.rows, prog.cols);
     for region in &prog.live_out {
-        for r in region.rows.clone() {
-            for c in region.cols.clone() {
-                if r < prog.rows && c < prog.cols {
-                    needed[cell(r, c)] = true;
-                }
-            }
-        }
+        needed.set(region);
     }
     let mut keep = vec![true; prog.insts.len()];
     for (i, op) in prog.insts.iter().enumerate().rev() {
@@ -409,38 +517,83 @@ pub fn dead_write_mask(prog: &MirProgram) -> Vec<bool> {
         // Removable candidates: ops with no observable effect beyond
         // their writes. Reads (sensing) and bundles are kept as units.
         let removable = !matches!(op, MicroOp::ReadRow { .. } | MicroOp::Parallel(_));
-        let any_needed = fp.writes.iter().any(|w| {
-            w.rows.clone().any(|r| {
-                w.cols
-                    .clone()
-                    .any(|c| r < prog.rows && c < prog.cols && needed[cell(r, c)])
-            })
-        });
-        if removable && !fp.writes.is_empty() && !any_needed {
+        if removable && !fp.writes.is_empty() && !fp.writes.iter().any(|w| needed.any(w)) {
             keep[i] = false;
             continue;
         }
         // needed = (needed − defs) ∪ uses.
         for w in &fp.writes {
-            for r in w.rows.clone() {
-                for c in w.cols.clone() {
-                    if r < prog.rows && c < prog.cols {
-                        needed[cell(r, c)] = false;
-                    }
-                }
-            }
+            needed.clear(w);
         }
         for u in effective_reads(op, &fp) {
-            for r in u.rows.clone() {
-                for c in u.cols.clone() {
-                    if r < prog.rows && c < prog.cols {
-                        needed[cell(r, c)] = true;
-                    }
-                }
-            }
+            needed.set(u);
         }
     }
     keep
+}
+
+/// A set of cells of a `rows × cols` array, one bit per cell, stored
+/// as `u64` words per row. Every operation clamps its region to the
+/// array.
+struct CellSet {
+    rows: usize,
+    cols: usize,
+    words_per_row: usize,
+    words: Vec<u64>,
+}
+
+impl CellSet {
+    fn new(rows: usize, cols: usize) -> Self {
+        let words_per_row = cols.div_ceil(64);
+        CellSet {
+            rows,
+            cols,
+            words_per_row,
+            words: vec![0; rows * words_per_row],
+        }
+    }
+
+    /// `(word index, bit mask)` for every word the clamped region
+    /// covers.
+    fn spans(&self, region: &Region) -> impl Iterator<Item = (usize, u64)> {
+        let rows = region.rows.start..region.rows.end.min(self.rows);
+        let (lo, hi) = (region.cols.start, region.cols.end.min(self.cols));
+        let words = if lo < hi {
+            lo / 64..(hi - 1) / 64 + 1
+        } else {
+            0..0
+        };
+        let words_per_row = self.words_per_row;
+        rows.flat_map(move |r| {
+            words.clone().map(move |w| {
+                let mut mask = u64::MAX;
+                if w == lo / 64 {
+                    mask &= u64::MAX << (lo % 64);
+                }
+                if w == (hi - 1) / 64 {
+                    mask &= u64::MAX >> (63 - (hi - 1) % 64);
+                }
+                (r * words_per_row + w, mask)
+            })
+        })
+    }
+
+    fn any(&self, region: &Region) -> bool {
+        self.spans(region)
+            .any(|(i, mask)| self.words[i] & mask != 0)
+    }
+
+    fn set(&mut self, region: &Region) {
+        for (i, mask) in self.spans(region) {
+            self.words[i] |= mask;
+        }
+    }
+
+    fn clear(&mut self, region: &Region) {
+        for (i, mask) in self.spans(region) {
+            self.words[i] &= !mask;
+        }
+    }
 }
 
 /// Removes dead writes and dead MAGIC ops (see [`dead_write_mask`]).
@@ -476,6 +629,9 @@ pub fn parallel_pack(prog: &MirProgram, limits: &TileLimits) -> Vec<MicroOp> {
     let mut slots: Vec<Vec<MicroOp>> = Vec::new();
     let mut slot_of = vec![0usize; prog.insts.len()];
     for (i, op) in prog.insts.iter().enumerate() {
+        // Slots rise strictly along every predecessor edge, so a hazard
+        // that `deps` implies only transitively never sets the maximum:
+        // the schedule is the one the full pairwise hazard set gives.
         let earliest = deps[i]
             .iter()
             .map(|&p| slot_of[p] + 1)
