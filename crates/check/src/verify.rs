@@ -206,6 +206,27 @@ enum CellState {
     Defined,
 }
 
+/// Index of the first cell of `span` in state `s` (`want`) or not in
+/// it (`!want`). The span is scanned 32 cells per step with a
+/// branch-free fold, which the compiler vectorizes, and the hit is
+/// then located within its chunk. These scans are most of a
+/// verification's time; a cell-at-a-time loop ran about half as fast,
+/// and its speed swung with where the code landed in the binary.
+fn first_cell(span: &[CellState], s: CellState, want: bool) -> Option<usize> {
+    const CHUNK: usize = 32;
+    let hit = |c: &CellState| (*c == s) == want;
+    let chunks = span.chunks_exact(CHUNK);
+    let tail = chunks.remainder();
+    for (k, chunk) in chunks.enumerate() {
+        if chunk.iter().fold(false, |any, c| any | hit(c)) {
+            return chunk.iter().position(hit).map(|p| k * CHUNK + p);
+        }
+    }
+    tail.iter()
+        .position(hit)
+        .map(|p| span.len() - tail.len() + p)
+}
+
 /// The per-cell lattice the verifier (and the well-formed-program
 /// generator) steps over a program.
 #[derive(Debug, Clone)]
@@ -416,7 +437,7 @@ impl AbstractState {
         let first_uninit = fp.reads.iter().find_map(|region| {
             region.rows.clone().find_map(|r| {
                 let span = self.span(r, &region.cols);
-                let p = span.iter().position(|&s| s == CellState::Uninit)?;
+                let p = first_cell(span, CellState::Uninit, true)?;
                 Some((r, region.cols.start + p))
             })
         });
@@ -438,7 +459,7 @@ impl AbstractState {
              pressure: &mut Option<&mut WritePressure>| {
                 if !init_reported {
                     let span = state.span(row, cols);
-                    if let Some(p) = span.iter().position(|&s| s != CellState::One) {
+                    if let Some(p) = first_cell(span, CellState::One, false) {
                         violations.push(Violation::OutputNotInitialized {
                             op: index,
                             row,

@@ -347,6 +347,37 @@ impl Crossbar {
         Ok(())
     }
 
+    /// Stores `len` bits from little-endian `words` into `row` at
+    /// `col_offset` without recording any wear — the value half of
+    /// [`Crossbar::write_row_words`] (see [`Crossbar::wear_region`]).
+    /// Fault cells keep their value. On the sliced backend every lane
+    /// takes the bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the span exceeds the array.
+    pub fn store_row_words(
+        &mut self,
+        row: usize,
+        col_offset: usize,
+        words: &[u64],
+        len: usize,
+    ) -> Result<(), CrossbarError> {
+        self.check_row(row)?;
+        self.check_cols(&(col_offset..col_offset + len))?;
+        match &mut self.state {
+            Backing::Scalar(cells) => {
+                for j in 0..len {
+                    let bit = (words.get(j / 64).copied().unwrap_or(0) >> (j % 64)) & 1 == 1;
+                    cells[row * self.cols + col_offset + j].store(bit);
+                }
+            }
+            Backing::Packed(p) => p.store_words(row, col_offset, words, len),
+            Backing::Sliced(p) => p.store_words(row, col_offset, words, len),
+        }
+        Ok(())
+    }
+
     /// Writes one *lane word* per column into `row` starting at
     /// `col_offset` — the lane-transposed counterpart of
     /// [`Crossbar::write_row`]: bit `l` of `lane_words[j]` is the bit
@@ -408,12 +439,13 @@ impl Crossbar {
     /// Adds `pulses` write pulses of wear to every cell (every lane)
     /// of `region` without changing values — the wear half of a write.
     ///
-    /// Batch fast paths that compute final cell values in the
-    /// controller use this (plus [`Crossbar::store_row_lane_words`])
-    /// to account a sequence of writes pulse for pulse while issuing
-    /// the value changes only once; composing the two halves in the
-    /// same spans as the writes they replace keeps every per-cell
-    /// observable identical to executing the writes one by one.
+    /// Fast paths that compute final cell values in the controller
+    /// use this (plus [`Crossbar::store_row_words`] or
+    /// [`Crossbar::store_row_lane_words`]) to account a sequence of
+    /// writes pulse for pulse while issuing the value changes only
+    /// once; composing the two halves in the same spans as the writes
+    /// they replace keeps every per-cell observable identical to
+    /// executing the writes one by one.
     ///
     /// # Errors
     ///
@@ -1524,6 +1556,26 @@ mod tests {
             assert_eq!(x.cell(1, 17).unwrap().writes(), 1);
             assert_eq!(x.cell(1, 117).unwrap().writes(), 1);
             assert_eq!(x.cell(1, 16).unwrap().writes(), 0);
+        }
+    }
+
+    /// The value half (`store_row_words`) plus the wear half
+    /// (`wear_region`) over the same span leave exactly what one
+    /// `write_row_words` leaves, fault cells included.
+    #[test]
+    fn word_store_plus_wear_equals_word_write_on_all_backends() {
+        let words = [0xAAAA_5555_F0F0_0F0Fu64, 0x1234_5678_9ABC_DEF0];
+        for kind in [BackendKind::Scalar, BackendKind::Packed, BackendKind::Sliced] {
+            let mut split = Crossbar::with_backend(2, 150, kind).unwrap();
+            split.inject_fault(1, 20, Some(Fault::StuckAt0)).unwrap();
+            let mut whole = split.clone();
+            split.store_row_words(1, 17, &words, 101).unwrap();
+            assert_eq!(split.cell(1, 17).unwrap().writes(), 0, "{kind:?}");
+            split.wear_region(&Region::new(1..2, 17..118), 1).unwrap();
+            whole.write_row_words(1, 17, &words, 101).unwrap();
+            assert_eq!(split, whole, "{kind:?}");
+            assert!(!split.read_cell(1, 20).unwrap(), "{kind:?}: fault kept");
+            assert!(split.store_row_words(1, 100, &words, 51).is_err());
         }
     }
 

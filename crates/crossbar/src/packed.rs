@@ -186,8 +186,15 @@ impl PackedPlanes {
     /// their value (but still wear) — exactly [`Cell::write`] applied
     /// across the range.
     pub(crate) fn write_words(&mut self, row: usize, col_offset: usize, words: &[u64], len: usize) {
-        let range = col_offset..col_offset + len;
-        for (w, mask, lo) in word_spans(range.clone()) {
+        self.store_words(row, col_offset, words, len);
+        self.wear.add(row, col_offset..col_offset + len, 1);
+    }
+
+    /// The value half of [`PackedPlanes::write_words`]: stores the bits
+    /// word by word without recording wear. Fault cells keep their
+    /// value, as under a real write.
+    pub(crate) fn store_words(&mut self, row: usize, col_offset: usize, words: &[u64], len: usize) {
+        for (w, mask, lo) in word_spans(col_offset..col_offset + len) {
             let src_bit = w * WORD_BITS + lo - col_offset;
             let (si, sh) = (src_bit / WORD_BITS, src_bit % WORD_BITS);
             let bits = (words.get(si).copied().unwrap_or(0) >> sh)
@@ -200,7 +207,6 @@ impl PackedPlanes {
             let i = self.idx(row, w);
             self.value[i] = (self.value[i] & !m) | ((bits << lo) & m);
         }
-        self.wear.add(row, range, 1);
     }
 
     /// Sets one cell's raw value without wear — the value half of a

@@ -386,6 +386,13 @@ impl SlicedPlanes {
     }
 
     pub(crate) fn write_words(&mut self, row: usize, col_offset: usize, words: &[u64], len: usize) {
+        self.store_words(row, col_offset, words, len);
+        self.uniform.add(row, col_offset..col_offset + len, 1);
+    }
+
+    /// The value half of [`SlicedPlanes::write_words`]: broadcasts the
+    /// bits to every lane without recording wear.
+    pub(crate) fn store_words(&mut self, row: usize, col_offset: usize, words: &[u64], len: usize) {
         for j in 0..len {
             let bit = (words.get(j / 64).copied().unwrap_or(0) >> (j % 64)) & 1 == 1;
             let col = col_offset + j;
@@ -394,7 +401,6 @@ impl SlicedPlanes {
             let i = self.idx(row, col);
             self.value[i] = (self.value[i] & keep) | (word & !keep);
         }
-        self.uniform.add(row, col_offset..col_offset + len, 1);
     }
 
     /// Parallel set/reset wave: every lane of every cell in the region

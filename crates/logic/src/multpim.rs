@@ -22,19 +22,27 @@
 //!
 //! The original MultPIM NOR-level microcode is not published in enough
 //! detail to reconstruct cycle-exactly, and the paper itself uses it as
-//! a black box with the latency formula above. This implementation is
-//! *functionally* executed in the row — operands, per-iteration
-//! partial sums and carries are real cells with real wear — while
-//! cycles are charged by the formula (see DESIGN.md §1/§4).
+//! a black box with the latency formula above. This implementation
+//! keeps the row's *state* exact — operands, product, carry and
+//! scratch cells hold the values and per-cell wear of `w` cell-serial
+//! shift-add iterations — while cycles are charged by the formula (see
+//! DESIGN.md §1/§4). On a fault-free row the shift-add is evaluated in
+//! closed form: each iteration's writes are recorded as wear only, and
+//! the final values (the product `a·b` and the last active
+//! iteration's carries) are stored once. A row with a stuck-at fault
+//! runs the cell-serial reference loop instead, so pinned reads feed
+//! back into the sums.
 
 use cim_bigint::Uint;
-use cim_crossbar::{Crossbar, CrossbarError, EnduranceReport, Executor, MicroOp, Region};
+use cim_crossbar::{
+    BackendKind, Crossbar, CrossbarError, EnduranceReport, Executor, MicroOp, Region,
+};
 
-/// Little-endian word-vector helpers for the word-parallel shift-add
-/// fast path. All vectors are LSB-aligned `u64` words with an explicit
-/// bit length; bits past the length are kept zero.
+/// Little-endian word-vector helpers for the closed-form shift-add.
+/// All vectors are LSB-aligned `u64` words with an explicit bit
+/// length; bits past the length are kept zero.
 mod wordvec {
-    pub(super) fn words_for(bits: usize) -> usize {
+    fn words_for(bits: usize) -> usize {
         bits.div_ceil(64)
     }
 
@@ -50,7 +58,7 @@ mod wordvec {
         }
     }
 
-    pub(super) fn mask_tail(words: &mut [u64], bits: usize) {
+    fn mask_tail(words: &mut [u64], bits: usize) {
         let tail = bits % 64;
         if tail != 0 {
             if let Some(last) = words.get_mut(bits / 64) {
@@ -117,27 +125,6 @@ mod wordvec {
         }
         mask_tail(&mut out, len);
         out
-    }
-
-    /// Overwrites `len` bits of `dst` at bit `start` with bits of `src`.
-    pub(super) fn insert(dst: &mut [u64], start: usize, len: usize, src: &[u64]) {
-        let mut remaining = len;
-        let mut k = 0;
-        while remaining > 0 {
-            let take = remaining.min(64);
-            let mask = if take == 64 { u64::MAX } else { (1u64 << take) - 1 };
-            let chunk = src.get(k).copied().unwrap_or(0) & mask;
-            let pos = start + k * 64;
-            let (wi, off) = (pos / 64, pos % 64);
-            dst[wi] = (dst[wi] & !(mask << off)) | (chunk << off);
-            if off != 0 && off + take > 64 {
-                let spill = off + take - 64;
-                let spill_mask = (1u64 << spill) - 1;
-                dst[wi + 1] = (dst[wi + 1] & !spill_mask) | (chunk >> (64 - off));
-            }
-            remaining -= take;
-            k += 1;
-        }
     }
 }
 
@@ -263,9 +250,13 @@ impl RowMultiplier {
 
     /// Runs the multiplication inside row `row` of `array`, columns
     /// `col_base..col_base + 12·w`. Operands are loaded via
-    /// [`RowMultiplier::load_program`], the shift-add iterations update
-    /// accumulator/carry/scratch cells in place, and the `2w`-bit
-    /// product is read back from the shared product region.
+    /// [`RowMultiplier::load_program`], the shift-add leaves the
+    /// accumulator, carry and scratch cells with the values and wear
+    /// of the `w` cell-serial iterations (computed in closed form on a
+    /// fault-free region, iterated cell by cell otherwise), and the
+    /// `2w`-bit product is read back from the shared product region.
+    /// On a sliced array the prologue broadcasts the operands, so
+    /// every lane computes the same product.
     ///
     /// # Errors
     ///
@@ -290,22 +281,12 @@ impl RowMultiplier {
         // temporary executor's stats are discarded).
         let mut loader = Executor::new(&mut *array);
         loader.run(&self.load_program(row, col_base, a, b))?;
+        self.shift_add(array, row, col_base, array.lanes())?;
 
-        // The word-parallel fast path mirrors the accumulator in
-        // software, which is only valid while no cell in the row
-        // region can pin a read; with faults present, fall back to the
-        // cell-by-cell reference loop (identical final state and wear).
-        let region = col_base..col_base + self.required_cols();
-        if array.row_region_fault_free(row, region)? {
-            self.shift_add_packed(array, row, col_base)?;
-        } else {
-            self.shift_add_reference(array, row, col_base)?;
-        }
-
-        // Read the product from the shared region.
-        let bits = array.read_row_bits(row, at(P_OFF)..at(P_OFF) + 2 * w)?;
+        let mut p_words = Vec::new();
+        array.read_row_words(row, at(P_OFF)..at(P_OFF) + 2 * w, &mut p_words)?;
         Ok((
-            Uint::from_bits(&bits),
+            Uint::from_limbs(p_words),
             RowMultStats {
                 cycles: self.latency(),
                 iterations: w,
@@ -386,18 +367,7 @@ impl RowMultiplier {
         }
         let mut loader = Executor::new(&mut *array);
         loader.run(&self.load_batch_program(row, col_base, pairs))?;
-
-        // Same split as the solo path: the lane-parallel fast path
-        // mirrors the accumulator planes in software, which requires a
-        // fault-free region (in every active lane); otherwise fall
-        // back to the live-read reference loop, which feeds pinned
-        // lane bits back through the per-lane sums.
-        let region = col_base..col_base + self.required_cols();
-        if array.row_region_fault_free(row, region)? {
-            self.batch_shift_add_packed(array, row, col_base, pairs.len())?;
-        } else {
-            self.batch_shift_add_reference(array, row, col_base, pairs.len())?;
-        }
+        self.shift_add(array, row, col_base, pairs.len())?;
 
         let mut p_cols = Vec::new();
         array.read_row_lane_words(row, at(P_OFF)..at(P_OFF) + 2 * w, &mut p_cols)?;
@@ -414,105 +384,39 @@ impl RowMultiplier {
         ))
     }
 
-    /// Lane-parallel shift-add: the transposed counterpart of
-    /// [`RowMultiplier::shift_add_packed`], with the write bookkeeping
-    /// split into its two halves (see [`Crossbar::wear_region`]).
-    ///
-    /// Wear is accounted iteration for iteration exactly like the
-    /// reference loop: the broadcast scratch reset pulses every
-    /// iteration, and each iteration whose multiplier bit is set in
-    /// any lane records the reference's three masked write pulses
-    /// (`C[0]`, the `C` span, the product window) for exactly those
-    /// lanes. Values, however, are data-oblivious to *when* they were
-    /// written — a cell's final value is the last write it took — so
-    /// the fast path stores them once, per lane, in closed form: the
-    /// product region takes `a·b`, and the carry-staging cells take the
-    /// ripple carries of the lane's last executed iteration, recovered
-    /// as `s ^ a ^ window` exactly like the solo fast path. Lanes whose
-    /// multiplier is zero never write, so their `C` cells keep their
-    /// prior values and their product region stays at the prologue's
-    /// reset zeros (= their product).
-    fn batch_shift_add_packed(
+    /// The shift-add pass over the first `lanes` lanes of a loaded
+    /// row. The closed form computes values in the controller, which
+    /// is only valid while no cell in the row region can pin a read;
+    /// with a fault in any of those lanes it falls back to the
+    /// reference loop, whose live reads feed pinned bits back through
+    /// the sums (identical final state and wear on a fault-free
+    /// region).
+    fn shift_add(
         &self,
         array: &mut Crossbar,
         row: usize,
         col_base: usize,
         lanes: usize,
     ) -> Result<(), CrossbarError> {
-        use cim_bigint::mul::schoolbook;
-        use cim_crossbar::lanes as xl;
-        use wordvec as wv;
-        let w = self.width;
-        let at = |off: usize| col_base + off * w;
-        let active = if lanes == 64 { u64::MAX } else { (1u64 << lanes) - 1 };
-
-        let mut a_cols = Vec::new();
-        array.read_row_lane_words(row, at(A_OFF)..at(A_OFF) + w, &mut a_cols)?;
-        let mut b_cols = Vec::new();
-        array.read_row_lane_words(row, at(B_OFF)..at(B_OFF) + w, &mut b_cols)?;
-
-        // Wear, iteration for iteration: the scratch reset is broadcast
-        // (the reference resets before testing `b_i`, so skipped
-        // iterations pulse too — `w` pulses per scratch cell in total),
-        // and active iterations pulse C[0], the C span and the product
-        // window for exactly the lanes whose multiplier bit is set.
-        let scratch = at(S_OFF)..at(S_OFF) + w;
-        array.store_row_lane_words(row, scratch.start, &vec![0u64; w], u64::MAX)?;
-        array.wear_region(&Region::new(row..row + 1, scratch), w as u64)?;
-        let mut written = 0u64;
-        for (i, &b_word) in b_cols.iter().enumerate() {
-            let m = b_word & active;
-            if m == 0 {
-                continue;
-            }
-            array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + 1, m)?;
-            array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + w, m)?;
-            array.wear_row_lanes_masked(row, at(P_OFF) + i..at(P_OFF) + i + w + 1, m)?;
-            written |= m;
+        let region = col_base..col_base + self.required_cols();
+        if array.row_region_fault_free(row, region)? {
+            self.shift_add_closed_form(array, row, col_base, lanes)
+        } else {
+            self.shift_add_reference(array, row, col_base, lanes)
         }
-
-        // Final values, lane by lane in the controller.
-        let a_lanes = xl::lane_limbs(&a_cols, lanes);
-        let b_lanes = xl::lane_limbs(&b_cols, lanes);
-        let mut p_lanes = vec![Vec::new(); lanes];
-        let mut c_lanes = vec![Vec::new(); lanes];
-        for l in 0..lanes {
-            if written >> l & 1 == 0 {
-                continue;
-            }
-            let a = Uint::from_limbs(a_lanes[l].clone());
-            let b = Uint::from_limbs(b_lanes[l].clone());
-            p_lanes[l] = schoolbook::mul(&a, &b).limbs().to_vec();
-            // The lane's last executed iteration is its top multiplier
-            // bit; its carries are those of adding `a` into the window
-            // `[i_last, i_last + w + 1)` of the accumulator *before*
-            // that iteration, i.e. of `a · (b mod 2^i_last)`.
-            let i_last = b.bit_len() - 1;
-            let before = schoolbook::mul(&a, &b.low_bits(i_last));
-            let win = wv::window(before.limbs(), i_last, w + 1);
-            let sum = wv::add(&a_lanes[l], &win, w + 2);
-            let carries = wv::xor3(&sum, &a_lanes[l], &win, w + 2);
-            // Reference C layout: C[k] ← carry out of bit k for
-            // k = 1..w, with j = w wrapping its carry onto C[0].
-            let mut c_words = wv::shr1(&carries);
-            wv::set_bit(&mut c_words, 0, wv::bit(&carries, w + 1));
-            c_lanes[l] = c_words;
-        }
-        let p_refs: Vec<&[u64]> = p_lanes.iter().map(|v| v.as_slice()).collect();
-        let c_refs: Vec<&[u64]> = c_lanes.iter().map(|v| v.as_slice()).collect();
-        array.store_row_lane_words(row, at(P_OFF), &xl::transpose_lanes(&p_refs, 2 * w), active)?;
-        array.store_row_lane_words(row, at(C_OFF), &xl::transpose_lanes(&c_refs, w), written)?;
-        Ok(())
     }
 
-    /// Lane-word reference shift-add for regions with faults: live
-    /// fault-adjusted lane reads with immediate masked write-back,
-    /// step for step the solo reference loop run in every lane at
-    /// once. Within an iteration the reference never reads a cell it
-    /// has already written (A/B are read-only, `P[i+j]` is read at
-    /// step j and written at step j, C is write-only), so pinned lane
-    /// bits feed back into later iterations exactly as they do solo.
-    fn batch_shift_add_reference(
+    /// Reference shift-add: iteration `i` adds `(a·b_i) << i` into the
+    /// accumulator cell by cell, in every lane whose multiplier bit
+    /// `b_i` is set (masked lane writes; the scalar and packed
+    /// backends have the one lane), so accumulator, carry and scratch
+    /// cells see realistic traffic. This is the behavioural gold the
+    /// closed form must match write for write; it also handles faulty
+    /// cells. Within an iteration it never reads a cell it has already
+    /// written (A/B are read-only, `P[i+j]` is read and written at
+    /// step `j`, C is write-only), so pinned lane bits feed back into
+    /// later iterations lane by lane.
+    fn shift_add_reference(
         &self,
         array: &mut Crossbar,
         row: usize,
@@ -524,6 +428,9 @@ impl RowMultiplier {
         let active = if lanes == 64 { u64::MAX } else { (1u64 << lanes) - 1 };
         for i in 0..w {
             let m = array.read_cell_lanes(row, at(B_OFF) + i)? & active;
+            // Partition-parallel p/g staging writes (scratch region is
+            // reused every iteration — this is what bounds MultPIM's
+            // per-cell wear at O(w)).
             let scratch_cols = at(S_OFF)..at(S_OFF) + w;
             array.reset_region(&Region::new(row..row + 1, scratch_cols))?;
             if m == 0 {
@@ -541,6 +448,7 @@ impl RowMultiplier {
                 let t = a ^ p;
                 let sum = t ^ carry;
                 carry = (a & p) | (t & carry);
+                // Carry staging cell then accumulator write-back.
                 array.write_row_lanes_masked(row, at(C_OFF) + j % w, &[carry], m)?;
                 array.write_row_lanes_masked(row, p_col, &[sum], m)?;
             }
@@ -548,109 +456,91 @@ impl RowMultiplier {
         Ok(())
     }
 
-    /// Reference shift-add: iteration i adds (a·b_i) << i into the
-    /// accumulator cell by cell, so accumulator, carry and scratch
-    /// cells see realistic traffic. This is the behavioural gold the
-    /// fast path must match write-for-write; it also handles faulty
-    /// cells (whose pinned reads feed back into the sums).
-    fn shift_add_reference(
-        &self,
-        array: &mut Crossbar,
-        row: usize,
-        col_base: usize,
-    ) -> Result<(), CrossbarError> {
-        let w = self.width;
-        let at = |off: usize| col_base + off * w;
-        for i in 0..w {
-            let b_i = array.read_cell(row, at(B_OFF) + i)?;
-            // Partition-parallel p/g staging writes (scratch region is
-            // reused every iteration — this is what bounds MultPIM's
-            // per-cell wear at O(w)).
-            let scratch_cols = at(S_OFF)..at(S_OFF) + w;
-            array.reset_region(&Region::new(row..row + 1, scratch_cols))?;
-            if !b_i {
-                continue;
-            }
-            let mut carry = false;
-            for j in 0..=w {
-                let p_col = at(P_OFF) + i + j;
-                let a_bit = if j < w {
-                    array.read_cell(row, at(A_OFF) + j)?
-                } else {
-                    false
-                };
-                let p_bit = array.read_cell(row, p_col)?;
-                let total = a_bit as u8 + p_bit as u8 + carry as u8;
-                // Carry staging cell then accumulator write-back.
-                array.write_row(row, at(C_OFF) + j % w, &[total >= 2])?;
-                array.write_row(row, p_col, &[total & 1 == 1])?;
-                carry = total >= 2;
-            }
-        }
-        Ok(())
-    }
-
-    /// Word-parallel shift-add, observationally identical to
+    /// Closed-form shift-add, observationally identical to
     /// [`RowMultiplier::shift_add_reference`] on a fault-free region.
+    /// Each of the reference's writes is split into its two halves
+    /// (see [`Crossbar::wear_region`]):
     ///
-    /// Per active iteration the reference loop's `w + 1` cell-serial
-    /// full adds collapse into three bulk row writes derived from a
-    /// software mirror of the accumulator:
+    /// * **Wear**, pulse for pulse: the scratch reset pulses every
+    ///   iteration (the reference resets before testing `b_i`), so the
+    ///   scratch region takes one reset plus `w − 1` extra pulses; each
+    ///   iteration `i` whose multiplier bit is set in any lane records
+    ///   the reference's three write spans — `C[0]` (written at
+    ///   `j = 0` and again at `j = w`), the `C` span and the product
+    ///   window `[i, i + w + 1)` — for exactly the lanes with that bit
+    ///   set.
+    /// * **Values**, stored once per lane: a cell's final value is the
+    ///   last write it took, so the product region takes `a·b` and the
+    ///   carry-staging cells take the ripple carries of the lane's last
+    ///   active iteration, recovered as `s ^ a ^ window` (for a sum
+    ///   `s = a + window`, bit `k` of that xor is the carry *into* bit
+    ///   `k`). Lanes whose multiplier is zero never write: their `C`
+    ///   cells keep their prior values and their product region the
+    ///   prologue's reset zeros (= their product).
     ///
-    /// * the ripple carries are recovered in one shot as
-    ///   `s ^ a ^ window` (carry *into* bit `k` is bit `k` of that
-    ///   xor), so the carry-staging cells `C[j % w]` receive their
-    ///   exact reference values — including `C[0]`, which the
-    ///   reference writes twice (at `j = 0` and `j = w`) and therefore
-    ///   gets an extra single-cell write here to keep wear identical;
-    /// * the product window `[i, i + w + 1)` takes the low `w + 1`
-    ///   sum bits in one word write (the reference drops the top carry
-    ///   from the window too — it lands in `C[0]`);
-    /// * the scratch reset is already a bulk region fill.
-    ///
-    /// Each cell thus sees the same number of write pulses with the
-    /// same final values as the reference loop; reads carry no wear or
-    /// cycle cost, so reading operands once instead of per iteration
-    /// is unobservable.
-    fn shift_add_packed(
+    /// Reads carry no wear or cycle cost, so reading the operands once
+    /// instead of per iteration is unobservable. Operands and values
+    /// move as one word vector per lane ([`read_lanes`],
+    /// [`store_lanes`]), so the backend picks the bulk transfer.
+    fn shift_add_closed_form(
         &self,
         array: &mut Crossbar,
         row: usize,
         col_base: usize,
+        lanes: usize,
     ) -> Result<(), CrossbarError> {
+        use cim_bigint::mul::schoolbook;
         use wordvec as wv;
         let w = self.width;
         let at = |off: usize| col_base + off * w;
+        let a_lanes = read_lanes(array, row, at(A_OFF)..at(A_OFF) + w, lanes)?;
+        let b_lanes = read_lanes(array, row, at(B_OFF)..at(B_OFF) + w, lanes)?;
 
-        let mut a_words = Vec::new();
-        array.read_row_words(row, at(A_OFF)..at(A_OFF) + w, &mut a_words)?;
-        let mut b_words = Vec::new();
-        array.read_row_words(row, at(B_OFF)..at(B_OFF) + w, &mut b_words)?;
-
-        // Software mirror of the 2w-bit product accumulator (the
-        // prologue just reset it to zero).
-        let mut acc = vec![0u64; wv::words_for(2 * w)];
-        let scratch = at(S_OFF)..at(S_OFF) + w;
-        for i in 0..w {
-            array.reset_region(&Region::new(row..row + 1, scratch.clone()))?;
-            if !wv::bit(&b_words, i) {
-                continue;
+        let scratch = Region::new(row..row + 1, at(S_OFF)..at(S_OFF) + w);
+        array.reset_region(&scratch)?;
+        array.wear_region(&scratch, w as u64 - 1)?;
+        let b_refs: Vec<&[u64]> = b_lanes.iter().map(Vec::as_slice).collect();
+        let active: Vec<(usize, u64)> = cim_crossbar::lanes::transpose_lanes(&b_refs, w)
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, m)| m != 0)
+            .collect();
+        // Wear counts are order-insensitive, so the pulses are issued
+        // span by span: on the packed backend the repeats of one span
+        // coalesce into a single wear entry.
+        for span in [at(C_OFF)..at(C_OFF) + 1, at(C_OFF)..at(C_OFF) + w] {
+            for &(_, m) in &active {
+                array.wear_row_lanes_masked(row, span.clone(), m)?;
             }
-            let win = wv::window(&acc, i, w + 1);
-            let sum = wv::add(&a_words, &win, w + 2);
-            let carries = wv::xor3(&sum, &a_words, &win, w + 2);
-            // Reference j = 0: C[0] ← carry out of bit 0.
-            array.write_row(row, at(C_OFF), &[wv::bit(&carries, 1)])?;
-            // Reference j = 1..=w: C[k] ← carry out of bit k, with
-            // j = w wrapping onto C[0].
+        }
+        for &(i, m) in &active {
+            array.wear_row_lanes_masked(row, at(P_OFF) + i..at(P_OFF) + i + w + 1, m)?;
+        }
+        let written = active.iter().fold(0, |any, &(_, m)| any | m);
+
+        let mut p_lanes = vec![Vec::new(); lanes];
+        let mut c_lanes = vec![Vec::new(); lanes];
+        for l in (0..lanes).filter(|l| written >> l & 1 == 1) {
+            let a = Uint::from_limbs(a_lanes[l].clone());
+            let b = Uint::from_limbs(b_lanes[l].clone());
+            p_lanes[l] = schoolbook::mul(&a, &b).limbs().to_vec();
+            // The last active iteration is the top multiplier bit; its
+            // carries are those of adding `a` into the window
+            // `[i_last, i_last + w + 1)` of the accumulator *before*
+            // that iteration, i.e. of `a · (b mod 2^i_last)`.
+            let i_last = b.bit_len() - 1;
+            let before = schoolbook::mul(&a, &b.low_bits(i_last));
+            let win = wv::window(before.limbs(), i_last, w + 1);
+            let sum = wv::add(&a_lanes[l], &win, w + 2);
+            let carries = wv::xor3(&sum, &a_lanes[l], &win, w + 2);
+            // Reference C layout: C[k] ← carry out of bit k for
+            // k = 1..w, with j = w wrapping its carry onto C[0].
             let mut c_words = wv::shr1(&carries);
             wv::set_bit(&mut c_words, 0, wv::bit(&carries, w + 1));
-            array.write_row_words(row, at(C_OFF), &c_words, w)?;
-            // Accumulator window write-back (low w + 1 sum bits).
-            array.write_row_words(row, at(P_OFF) + i, &sum, w + 1)?;
-            wv::insert(&mut acc, i, w + 1, &sum);
+            c_lanes[l] = c_words;
         }
-        Ok(())
+        store_lanes(array, row, at(P_OFF), &p_lanes, 2 * w, written)?;
+        store_lanes(array, row, at(C_OFF), &c_lanes, w, written)
     }
 
     /// Convenience: standalone multiplication on a fresh 1-row array.
@@ -681,6 +571,49 @@ impl RowMultiplier {
         let mut array = Crossbar::new(1, self.required_cols())?;
         let (product, stats) = self.run_in(&mut array, 0, 0, a, b)?;
         Ok((product, stats, EnduranceReport::from_array(&array)))
+    }
+}
+
+/// Reads `cols` of `row` as one little-endian word vector per lane for
+/// the first `lanes` lanes: through lane words on the sliced backend,
+/// as the row's own words on the scalar and packed backends (whose one
+/// lane is lane 0).
+fn read_lanes(
+    array: &Crossbar,
+    row: usize,
+    cols: std::ops::Range<usize>,
+    lanes: usize,
+) -> Result<Vec<Vec<u64>>, CrossbarError> {
+    let mut words = Vec::new();
+    if array.backend_kind() == BackendKind::Sliced {
+        array.read_row_lane_words(row, cols, &mut words)?;
+        Ok(cim_crossbar::lanes::lane_limbs(&words, lanes))
+    } else {
+        array.read_row_words(row, cols, &mut words)?;
+        Ok(vec![words])
+    }
+}
+
+/// Stores `len` bits of each lane's word vector into `row` at `col`
+/// for the lanes in `mask`, values only (no wear): one lane-word store
+/// on the sliced backend, one word store of lane 0 on the scalar and
+/// packed backends.
+fn store_lanes(
+    array: &mut Crossbar,
+    row: usize,
+    col: usize,
+    per_lane: &[Vec<u64>],
+    len: usize,
+    mask: u64,
+) -> Result<(), CrossbarError> {
+    if array.backend_kind() == BackendKind::Sliced {
+        let refs: Vec<&[u64]> = per_lane.iter().map(Vec::as_slice).collect();
+        let words = cim_crossbar::lanes::transpose_lanes(&refs, len);
+        array.store_row_lane_words(row, col, &words, mask)
+    } else if mask & 1 == 1 {
+        array.store_row_words(row, col, &per_lane[0], len)
+    } else {
+        Ok(())
     }
 }
 
@@ -776,33 +709,85 @@ mod tests {
         assert!(report.max_writes >= 16, "max {}", report.max_writes);
     }
 
-    /// The word-parallel fast path must leave exactly the state and
-    /// wear the cell-serial reference loop leaves — on both crossbar
-    /// backends.
+    /// Operand pairs that stress the closed form's edges at width `w`:
+    /// random, `b = 0` (no iteration writes), `b = 1` (only the
+    /// first), `b = 2^(w−1)` (only the last, at the top of the
+    /// product region), all-ones (every iteration, longest carry
+    /// chains) and `a = 0`.
+    fn edge_pairs(rng: &mut UintRng, w: usize) -> Vec<(Uint, Uint)> {
+        let ones = Uint::pow2(w).sub(&Uint::one());
+        vec![
+            (rng.uniform(w), rng.uniform(w)),
+            (rng.uniform(w), Uint::zero()),
+            (rng.uniform(w), Uint::one()),
+            (rng.uniform(w), Uint::pow2(w - 1)),
+            (ones.clone(), ones),
+            (Uint::zero(), rng.uniform(w)),
+        ]
+    }
+
+    /// Asserts that every cell of row 0 holds the same value and wear
+    /// in both arrays (lane 0 on the sliced backend).
+    fn assert_same_cells(x: &Crossbar, y: &Crossbar, cols: usize, what: &str) {
+        for c in 0..cols {
+            assert_eq!(x.cell(0, c).unwrap(), y.cell(0, c).unwrap(), "cell {c}, {what}");
+        }
+    }
+
+    /// Multiplies `first` and then `(a, b)` in row 0 of a fresh
+    /// one-row array of `kind` (one lane when sliced), running each
+    /// shift-add with the closed form or the reference loop. The first
+    /// multiply leaves stale carry and scratch values behind, which a
+    /// zero multiplier must keep.
+    fn twice(
+        m: &RowMultiplier,
+        kind: cim_crossbar::BackendKind,
+        first: &(Uint, Uint),
+        (a, b): (&Uint, &Uint),
+        closed_form: bool,
+    ) -> Crossbar {
+        let cols = m.required_cols();
+        let mut x = match kind {
+            cim_crossbar::BackendKind::Sliced => Crossbar::new_sliced(1, cols, 1).unwrap(),
+            _ => Crossbar::with_backend(1, cols, kind).unwrap(),
+        };
+        for (a, b) in [(&first.0, &first.1), (a, b)] {
+            Executor::new(&mut x).run(&m.load_program(0, 0, a, b)).unwrap();
+            if closed_form {
+                m.shift_add_closed_form(&mut x, 0, 0, 1).unwrap();
+            } else {
+                m.shift_add_reference(&mut x, 0, 0, 1).unwrap();
+            }
+        }
+        x
+    }
+
+    /// The closed-form shift-add must leave exactly the state and wear
+    /// the cell-serial reference loop leaves on the scalar backend (the
+    /// per-cell gold) — on every backend, at the stage widths of 384-
+    /// and 2048-bit multiplies, on edge operands, in a row that held an
+    /// earlier product. The reference loop itself is compared across
+    /// backends up to `w = 98`: on the sliced backend each of its
+    /// masked writes adds a wear entry that every per-cell query scans,
+    /// which makes it too slow to check at 514.
     #[test]
     fn packed_shift_add_matches_reference_state_and_wear() {
         use cim_crossbar::BackendKind;
         let mut rng = UintRng::seeded(991);
-        for w in [4usize, 8, 17, 63, 64, 65, 70] {
+        for w in [1usize, 4, 8, 17, 63, 64, 65, 70, 98, 514] {
             let m = RowMultiplier::new(w);
-            let a = rng.uniform(w);
-            let b = rng.uniform(w);
-            for kind in [BackendKind::Scalar, BackendKind::Packed] {
-                let mut fast = Crossbar::with_backend(1, m.required_cols(), kind).unwrap();
-                let mut gold = Crossbar::with_backend(1, m.required_cols(), kind).unwrap();
-                let mut loader = Executor::new(&mut fast);
-                loader.run(&m.load_program(0, 0, &a, &b)).unwrap();
-                m.shift_add_packed(&mut fast, 0, 0).unwrap();
-                let mut loader = Executor::new(&mut gold);
-                loader.run(&m.load_program(0, 0, &a, &b)).unwrap();
-                m.shift_add_reference(&mut gold, 0, 0).unwrap();
-                assert_eq!(fast, gold, "w = {w}, {kind:?}");
-                for c in 0..m.required_cols() {
-                    assert_eq!(
-                        fast.cell(0, c).unwrap(),
-                        gold.cell(0, c).unwrap(),
-                        "cell {c}, w = {w}, {kind:?}"
-                    );
+            let cols = m.required_cols();
+            let first = (rng.uniform(w), rng.uniform(w));
+            for (a, b) in edge_pairs(&mut rng, w) {
+                let gold = twice(&m, BackendKind::Scalar, &first, (&a, &b), false);
+                for kind in [BackendKind::Scalar, BackendKind::Packed, BackendKind::Sliced] {
+                    let what = format!("w = {w}, b bits = {}, {kind:?}", b.bit_len());
+                    let fast = twice(&m, kind, &first, (&a, &b), true);
+                    assert_same_cells(&fast, &gold, cols, &what);
+                    if w <= 98 {
+                        let slow = twice(&m, kind, &first, (&a, &b), false);
+                        assert_same_cells(&slow, &gold, cols, &format!("reference, {what}"));
+                    }
                 }
             }
         }
@@ -824,9 +809,46 @@ mod tests {
         assert_eq!(p, Uint::from_u64(8), "stuck-at-1 bit 3 shows in 0·0");
     }
 
-    /// Every lane of a batch run must leave exactly the per-lane cell
-    /// state and wear a solo run with the same operands leaves — the
-    /// lane-isolation contract the whole batching layer rests on.
+    /// Runs `pairs` as one batch and each pair solo (on the scalar and
+    /// packed backends), and asserts that every lane leaves exactly
+    /// the per-cell values and wear of its solo run, with the same
+    /// product and stats — the lane-isolation contract the whole
+    /// batching layer rests on. Each run follows a first multiply in
+    /// the same row (lane `l` takes lane `len − 1 − l`'s operands), so
+    /// the carry cells hold stale values that a lane with a zero
+    /// multiplier must keep.
+    fn assert_batch_matches_solo(m: &RowMultiplier, pairs: &[(Uint, Uint)]) {
+        use cim_crossbar::BackendKind;
+        let w = m.width();
+        let cols = m.required_cols();
+        let first: Vec<(Uint, Uint)> = pairs.iter().rev().cloned().collect();
+        let mut batch = Crossbar::new_sliced(1, cols, pairs.len()).unwrap();
+        m.run_batch_in(&mut batch, 0, 0, &first).unwrap();
+        let (products, stats) = m.run_batch_in(&mut batch, 0, 0, pairs).unwrap();
+        assert_eq!(stats.cycles, m.latency());
+        for (lane, (a, b)) in pairs.iter().enumerate() {
+            for kind in [BackendKind::Scalar, BackendKind::Packed] {
+                let mut solo = Crossbar::with_backend(1, cols, kind).unwrap();
+                m.run_in(&mut solo, 0, 0, &first[lane].0, &first[lane].1).unwrap();
+                let (p, solo_stats) = m.run_in(&mut solo, 0, 0, a, b).unwrap();
+                assert_eq!(products[lane], p, "lane {lane}, w = {w}, {kind:?}");
+                assert_eq!(stats, solo_stats);
+                for c in 0..cols {
+                    assert_eq!(
+                        batch.lane_cell(lane, 0, c).unwrap(),
+                        solo.cell(0, c).unwrap(),
+                        "cell {c}, lane {lane}, w = {w}, {kind:?}"
+                    );
+                }
+            }
+            assert_eq!(
+                products[lane],
+                cim_bigint::mul::schoolbook::mul(a, b),
+                "lane {lane}, w = {w}"
+            );
+        }
+    }
+
     #[test]
     fn batch_lanes_match_solo_state_wear_and_products() {
         let mut rng = UintRng::seeded(4242);
@@ -834,27 +856,27 @@ mod tests {
             let m = RowMultiplier::new(w);
             let pairs: Vec<(Uint, Uint)> =
                 (0..lanes).map(|_| (rng.uniform(w), rng.uniform(w))).collect();
-            let mut batch = Crossbar::new_sliced(1, m.required_cols(), lanes).unwrap();
-            let (products, stats) = m.run_batch_in(&mut batch, 0, 0, &pairs).unwrap();
-            assert_eq!(stats.cycles, m.latency());
-            for (lane, (a, b)) in pairs.iter().enumerate() {
-                let mut solo = Crossbar::new(1, m.required_cols()).unwrap();
-                let (p, solo_stats) = m.run_in(&mut solo, 0, 0, a, b).unwrap();
-                assert_eq!(products[lane], p, "lane {lane}, w = {w}");
-                assert_eq!(
-                    products[lane],
-                    cim_bigint::mul::schoolbook::mul(a, b),
-                    "lane {lane}, w = {w}"
-                );
-                assert_eq!(stats, solo_stats);
-                for c in 0..m.required_cols() {
-                    assert_eq!(
-                        batch.lane_cell(lane, 0, c).unwrap(),
-                        solo.cell(0, c).unwrap(),
-                        "cell {c}, lane {lane}, w = {w}"
-                    );
-                }
-            }
+            assert_batch_matches_solo(&m, &pairs);
+        }
+    }
+
+    /// Lanes whose multiplier is zero never write, so the batch's
+    /// `written` lane mask is partial: the value stores must skip
+    /// those lanes while the others take their products and carries.
+    #[test]
+    fn batch_with_idle_lanes_matches_solo() {
+        let mut rng = UintRng::seeded(4243);
+        for w in [17usize, 98] {
+            let m = RowMultiplier::new(w);
+            let mut pairs = edge_pairs(&mut rng, w);
+            pairs.push((rng.uniform(w), Uint::zero()));
+            pairs.push((rng.uniform(w), rng.uniform(w)));
+            assert_batch_matches_solo(&m, &pairs);
+            // Only the top lane active, and no lane active at all.
+            let mut top = vec![(rng.uniform(w), Uint::zero()); 5];
+            top.push((rng.uniform(w), rng.uniform(w)));
+            assert_batch_matches_solo(&m, &top);
+            assert_batch_matches_solo(&m, &vec![(rng.uniform(w), Uint::zero()); 3]);
         }
     }
 
