@@ -3,16 +3,18 @@
 //!
 //! The two backends are cycle/wear/state bit-identical (asserted by
 //! the cim-check differential suite); this bench tracks the *wall
-//! clock* gap the bit-packed planes buy. The row multiplier runs the
-//! multiply stage; with its closed-form shift-add it is no longer the
-//! largest host-time layer of a multiply (the postcompute adders are).
-//! Its arrays are caller-provided, so both backends run in one process
-//! regardless of the `CIM_XBAR_BACKEND` default. The end-to-end group
-//! runs the full three-stage multiplier on the process default (packed
-//! unless overridden).
+//! clock* gap the bit-packed planes buy. The kernel group times the
+//! single row ops every stage is built from (set/reset wave, MAGIC
+//! NOR, periphery shift, word read and write) on the 3073-column row
+//! of a 2048-bit multiply's postcompute adder. The row multiplier runs
+//! the multiply stage with its closed-form shift-add. Their arrays are
+//! caller-provided, so both backends run in one process regardless of
+//! the `CIM_XBAR_BACKEND` default. The end-to-end group runs the full
+//! three-stage multiplier on the process default (packed unless
+//! overridden).
 
 use cim_bigint::rng::UintRng;
-use cim_crossbar::{BackendKind, Crossbar};
+use cim_crossbar::{BackendKind, Crossbar, Region};
 use cim_logic::multpim::RowMultiplier;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use karatsuba_cim::multiplier::KaratsubaCimMultiplier;
@@ -22,6 +24,50 @@ const WIDTHS: [usize; 3] = [512, 1024, 2048];
 /// Row-multiplier widths: the end-to-end widths plus 514, the stage
 /// width (`n/4 + 2`) a 2048-bit multiply actually runs.
 const ROW_WIDTHS: [usize; 4] = [512, 2048 / 4 + 2, 1024, 2048];
+
+/// Columns of the postcompute adder row of a 2048-bit multiply:
+/// `6 · 2048/4 + 1`.
+const KERNEL_COLS: usize = 3073;
+
+fn bench_row_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("backend_row_kernels");
+    let cols = KERNEL_COLS;
+    let words: Vec<u64> = (0..cols.div_ceil(64) as u64)
+        .map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    let out = Region::new(2..3, 0..cols);
+    for (label, kind) in [
+        ("packed", BackendKind::Packed),
+        ("scalar", BackendKind::Scalar),
+    ] {
+        let mut array = Crossbar::with_backend(4, cols, kind).expect("array");
+        array.write_row_words(0, 0, &words, cols).expect("write");
+        array
+            .write_row_words(1, 0, &words[1..], cols)
+            .expect("write");
+        let mut buf = Vec::new();
+        group.bench_function(BenchmarkId::new("fill", label), |b| {
+            b.iter(|| array.init_region(&out).expect("fill"))
+        });
+        // The adder's gate pair: output init, then a strict 2-input NOR.
+        group.bench_function(BenchmarkId::new("init_nor_rows", label), |b| {
+            b.iter(|| {
+                array.init_region(&out).expect("init");
+                array.nor_rows(&[0, 1], 2, 0..cols, true).expect("nor")
+            })
+        });
+        group.bench_function(BenchmarkId::new("shift_row_to", label), |b| {
+            b.iter(|| array.shift_row_to(0, 3, 0..cols, 1, true).expect("shift"))
+        });
+        group.bench_function(BenchmarkId::new("read_row_words", label), |b| {
+            b.iter(|| array.read_row_words(0, 0..cols, &mut buf).expect("read"))
+        });
+        group.bench_function(BenchmarkId::new("write_row_words", label), |b| {
+            b.iter(|| array.write_row_words(3, 0, &words, cols).expect("write"))
+        });
+    }
+    group.finish();
+}
 
 fn bench_row_multiply_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend_row_multiply");
@@ -62,5 +108,10 @@ fn bench_end_to_end_large(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_row_multiply_backends, bench_end_to_end_large);
+criterion_group!(
+    benches,
+    bench_row_kernels,
+    bench_row_multiply_backends,
+    bench_end_to_end_large
+);
 criterion_main!(benches);

@@ -209,7 +209,13 @@ impl Uint {
             self.bit_len(),
             width
         );
-        (0..width).map(|i| self.bit(i)).collect()
+        let mut bits = Vec::with_capacity(width);
+        for k in 0..width.div_ceil(LIMB_BITS) {
+            let limb = self.limbs.get(k).copied().unwrap_or(0);
+            let take = (width - k * LIMB_BITS).min(LIMB_BITS);
+            bits.extend((0..take).map(|b| (limb >> b) & 1 == 1));
+        }
+        bits
     }
 
     /// Builds a `Uint` from bits, LSB first.
@@ -219,13 +225,11 @@ impl Uint {
     /// assert_eq!(Uint::from_bits(&[false, true, true]), Uint::from_u64(6));
     /// ```
     pub fn from_bits(bits: &[bool]) -> Uint {
-        let mut limbs = vec![0u64; bits.len().div_ceil(LIMB_BITS)];
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                limbs[i / LIMB_BITS] |= 1 << (i % LIMB_BITS);
-            }
-        }
-        Uint::from_limbs(limbs)
+        Uint::from_limbs(
+            bits.chunks(LIMB_BITS)
+                .map(|chunk| chunk.iter().rev().fold(0, |acc, &b| (acc << 1) | b as Limb))
+                .collect(),
+        )
     }
 
     /// Converts to `u64` if the value fits.
@@ -319,6 +323,37 @@ mod tests {
         let bits = x.to_bits(48);
         assert_eq!(bits.len(), 48);
         assert_eq!(Uint::from_bits(&bits), x);
+        // Limb edges, and the 3073-bit postcompute adder row: all-ones
+        // and a patterned value per width, each bit checked in place.
+        for width in [0, 1, 63, 64, 65, 3073] {
+            let ones = Uint::pow2(width).sub(&Uint::one());
+            let pattern = Uint::from_limbs(
+                (0..width.div_ceil(LIMB_BITS))
+                    .map(|k| 0x9E37_79B9_7F4A_7C15u64.rotate_left(k as u32))
+                    .collect(),
+            )
+            .low_bits(width);
+            for v in [Uint::zero(), ones, pattern] {
+                let bits = v.to_bits(width);
+                assert_eq!(bits.len(), width);
+                assert!(
+                    bits.iter().enumerate().all(|(i, &b)| b == v.bit(i)),
+                    "width {width}"
+                );
+                assert_eq!(Uint::from_bits(&bits), v, "width {width}");
+            }
+        }
+        assert_eq!(
+            Uint::from_bits(&[false; 130]),
+            Uint::zero(),
+            "normalizes high zeros"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "value of 65 bits does not fit in width 64")]
+    fn to_bits_rejects_values_wider_than_width() {
+        Uint::pow2(64).to_bits(64);
     }
 
     #[test]

@@ -90,10 +90,19 @@ mod tests {
         debug_assert_verified(&program, &VerifyConfig::new(1, 1), "test");
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "read before initialization")]
     fn debug_assert_panics_with_context() {
         let program = vec![MicroOp::read_row(0, 0..1)];
+        debug_assert_verified(&program, &VerifyConfig::new(1, 1), "test-builder");
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn debug_assert_is_a_no_op_in_release() {
+        let program = vec![MicroOp::read_row(0, 0..1)];
+        assert!(verify(&program, &VerifyConfig::new(1, 1)).is_err());
         debug_assert_verified(&program, &VerifyConfig::new(1, 1), "test-builder");
     }
 }

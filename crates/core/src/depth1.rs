@@ -16,6 +16,7 @@ use cim_bigint::Uint;
 use cim_crossbar::{Crossbar, CrossbarError, Executor, MicroOp};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
 use cim_logic::multpim::RowMultiplier;
+use cim_logic::read_row_uint;
 use cim_trace::{Args, ProcessId, Tracer};
 
 /// Report of one depth-1 multiplication.
@@ -159,8 +160,8 @@ impl KaratsubaDepth1Multiplier {
             "KaratsubaDepth1Multiplier stage 1",
         );
         exec.run(&stage1)?;
-        let a_m = Uint::from_bits(&exec.array().read_row_bits(4, 0..pre_cols)?);
-        let b_m = Uint::from_bits(&exec.array().read_row_bits(5, 0..pre_cols)?);
+        let a_m = read_row_uint(exec.array(), 4, 0..pre_cols)?;
+        let b_m = read_row_uint(exec.array(), 5, 0..pre_cols)?;
         exec.step(&MicroOp::reset_region(0..6, 0..pre_cols))?;
         let pre_cycles = exec.stats().cycles;
         pre_span.end(pre_cycles);
@@ -211,8 +212,7 @@ impl KaratsubaDepth1Multiplier {
             let span = tracer.span_at(post_track, name, post_start + exec.stats().cycles);
             crate::postcompute::run_pass(exec, &adder, op, cim_mir::OptLevel::O0, x, y)?;
             span.end(post_start + exec.stats().cycles);
-            let bits = exec.array().read_row_bits(2, 0..w + 1)?;
-            let full = Uint::from_bits(&bits);
+            let full = read_row_uint(exec.array(), 2, 0..w + 1)?;
             Ok(match op {
                 AddOp::Add => full,
                 AddOp::Sub => full.low_bits(w),

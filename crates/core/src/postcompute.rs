@@ -40,6 +40,7 @@ use crate::chunks::LEAVES;
 use cim_bigint::Uint;
 use cim_crossbar::{Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
+use cim_logic::read_row_uint;
 use cim_mir::OptLevel;
 use cim_trace::{TrackId, Tracer};
 
@@ -483,8 +484,7 @@ impl PostcomputeStage {
             let span = tracer.span_at(track, name, start_cycle + exec.stats().cycles);
             run_pass(exec, &adder, op, self.opt, x, y)?;
             span.end(start_cycle + exec.stats().cycles);
-            let bits = exec.array().read_row_bits(2, 0..w + 1)?;
-            let full = Uint::from_bits(&bits);
+            let full = read_row_uint(exec.array(), 2, 0..w + 1)?;
             Ok(match op {
                 AddOp::Add => full,
                 AddOp::Sub => full.low_bits(w),

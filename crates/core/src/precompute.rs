@@ -21,6 +21,7 @@ use crate::progcache::SuffixProgram;
 use cim_bigint::Uint;
 use cim_crossbar::{Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp, Region};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
+use cim_logic::read_row_uint;
 use cim_mir::{MirProgram, OptLevel, TileLimits};
 use cim_trace::{TrackId, Tracer};
 
@@ -482,7 +483,7 @@ impl PrecomputeStage {
         // additions — all one verified program.
         exec.run(&self.square_program(a))?;
         let read_leaf = |exec: &Executor<'_>, row: usize| -> Result<Uint, CrossbarError> {
-            Ok(Uint::from_bits(&exec.array().read_row_bits(row, 0..cols)?))
+            read_row_uint(exec.array(), row, 0..cols)
         };
         let mut a_leaves: [Uint; LEAVES] = Default::default();
         for i in 0..LEAVES {
@@ -581,7 +582,7 @@ impl PrecomputeStage {
 
         // Read the 18 leaves (handoff — charged at the pipeline level).
         let read_leaf = |exec: &Executor<'_>, row: usize| -> Result<Uint, CrossbarError> {
-            Ok(Uint::from_bits(&exec.array().read_row_bits(row, 0..cols)?))
+            read_row_uint(exec.array(), row, 0..cols)
         };
         let mut a_leaves: [Uint; LEAVES] = Default::default();
         let mut b_leaves: [Uint; LEAVES] = Default::default();

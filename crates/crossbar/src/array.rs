@@ -871,17 +871,18 @@ impl Crossbar {
         self.check_row(src)?;
         self.check_row(dst)?;
         self.check_cols(&cols)?;
-        // The sliced backend moves whole lane words per column; the
-        // packed/scalar path goes through the bit-plane word form.
-        if let Backing::Sliced(p) = &mut self.state {
-            p.shift(src, dst, cols, offset, fill);
-            return Ok(());
+        match &mut self.state {
+            Backing::Sliced(p) => p.shift(src, dst, cols, offset, fill),
+            Backing::Packed(p) => p.shift(src, dst, cols, offset, fill),
+            Backing::Scalar(_) => {
+                let w = cols.len();
+                let mut words = Vec::new();
+                self.read_row_words(src, cols.clone(), &mut words)?;
+                crate::packed::shift_words(&mut words, w, offset, fill);
+                self.write_row_words(dst, cols.start, &words, w)?;
+            }
         }
-        let w = cols.len();
-        let mut words = Vec::new();
-        self.read_row_words(src, cols.clone(), &mut words)?;
-        let shifted = crate::packed::shift_words(&words, w, offset, fill);
-        self.write_row_words(dst, cols.start, &shifted, w)
+        Ok(())
     }
 
     /// In-place periphery shift with zero fill; see

@@ -309,7 +309,8 @@ impl MicroOp {
     /// co-issue class, and pairwise independent (no op's writes
     /// intersect another op's reads or writes). Shared read regions
     /// are allowed. Used by the executor at issue time and by the
-    /// `cim-mir` scheduler when packing; the static verifier in
+    /// `cim-mir` scheduler when packing, so it allocates nothing: it
+    /// compares the ops' spans in place. The static verifier in
     /// `cim-check` re-implements the same rules independently.
     pub fn bundle_conflict(ops: &[MicroOp]) -> Option<String> {
         if ops.is_empty() {
@@ -323,21 +324,76 @@ impl MicroOp {
                 return Some(format!("op {i}: serial-only op cannot co-issue"));
             }
         }
-        let fps: Vec<OpFootprint> = ops.iter().map(MicroOp::footprint).collect();
-        for (i, a) in fps.iter().enumerate() {
-            for (j, b) in fps.iter().enumerate() {
+        for (i, a) in ops.iter().enumerate() {
+            for (j, b) in ops.iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                let hits_write = |w: &Region| {
-                    b.writes.iter().chain(b.reads.iter()).any(|r| w.intersects(r))
+                let hits_b = &mut |w: Region| {
+                    b.any_co_issue_region(true, &mut |r| w.intersects(&r))
+                        || b.any_co_issue_region(false, &mut |r| w.intersects(&r))
                 };
-                if a.writes.iter().any(hits_write) {
+                if a.any_co_issue_region(true, hits_b) {
                     return Some(format!("ops {i} and {j} touch the same cells"));
                 }
             }
         }
         None
+    }
+
+    /// Visits the regions [`MicroOp::footprint`] lists for a co-issue
+    /// class op — the written ones if `writes`, else the read ones —
+    /// in order and without allocating, until `f` returns `true`.
+    /// Returns whether it did.
+    fn any_co_issue_region<F: FnMut(Region) -> bool>(&self, writes: bool, f: &mut F) -> bool {
+        match self {
+            MicroOp::InitRows { rows, cols } | MicroOp::ResetRows { rows, cols } => {
+                writes && rows.iter().any(|&r| f(Region::new(r..r + 1, cols.clone())))
+            }
+            MicroOp::ResetRegion(region) => writes && f(region.clone()),
+            MicroOp::NorRows { inputs, out, cols } => {
+                let row = |r: usize| Region::new(r..r + 1, cols.clone());
+                if writes {
+                    f(row(*out))
+                } else {
+                    inputs.iter().any(|&r| f(row(r)))
+                }
+            }
+            MicroOp::NorCols {
+                in_cols,
+                out_col,
+                rows,
+            } => {
+                let col = |c: usize| Region::new(rows.clone(), c..c + 1);
+                if writes {
+                    f(col(*out_col))
+                } else {
+                    in_cols.iter().any(|&c| f(col(c)))
+                }
+            }
+            MicroOp::NorColsPartitioned {
+                rows,
+                cols,
+                part_width,
+                in_offsets,
+                out_offset,
+            } => {
+                if !partition_geometry_ok(cols, *part_width, in_offsets, *out_offset) {
+                    return f(Region::new(rows.clone(), cols.clone()));
+                }
+                let offsets = if writes {
+                    std::slice::from_ref(out_offset)
+                } else {
+                    in_offsets
+                };
+                (cols.start..cols.end).step_by(*part_width).any(|base| {
+                    offsets
+                        .iter()
+                        .any(|&off| f(Region::new(rows.clone(), base + off..base + off + 1)))
+                })
+            }
+            _ => unreachable!("serial-only ops are rejected before the pairwise check"),
+        }
     }
 
     /// The cells this op senses (reads) and drives (writes), as
@@ -401,13 +457,7 @@ impl MicroOp {
                 in_offsets,
                 out_offset,
             } => {
-                let geometry_ok = *part_width > 0
-                    && cols.len() % part_width == 0
-                    && in_offsets
-                        .iter()
-                        .chain(std::iter::once(out_offset))
-                        .all(|&off| off < *part_width);
-                if !geometry_ok {
+                if !partition_geometry_ok(cols, *part_width, in_offsets, *out_offset) {
                     let whole = Region::new(rows.clone(), cols.clone());
                     return OpFootprint {
                         reads: vec![whole.clone()],
@@ -448,6 +498,22 @@ impl MicroOp {
             }
         }
     }
+}
+
+/// Whether a partitioned NOR's geometry is consistent: a non-zero
+/// partition width dividing the span, every offset inside a partition.
+fn partition_geometry_ok(
+    cols: &ColRange,
+    part_width: usize,
+    in_offsets: &[usize],
+    out_offset: usize,
+) -> bool {
+    part_width > 0
+        && cols.len().is_multiple_of(part_width)
+        && in_offsets
+            .iter()
+            .chain(std::iter::once(&out_offset))
+            .all(|&off| off < part_width)
 }
 
 /// The cells a [`MicroOp`] reads and writes, as rectangular regions.

@@ -7,6 +7,11 @@
 //! `O(k/64)` word ops plus one wear push, instead of `O(k)` per-cell
 //! scalar updates — with read/write/drive semantics, error ordering
 //! and wear counts bit-identical to the scalar [`crate::Cell`] loops.
+//!
+//! Every row kernel is one word-slice loop over a [`WordSpan`], generic
+//! over a [`FaultView`] chosen once per op: a fault-free array runs
+//! the same source as a faulted one, with every fault term folded
+//! away.
 
 use crate::cell::{Cell, Fault};
 use crate::geometry::ColRange;
@@ -14,28 +19,151 @@ use crate::wear::WearPlane;
 
 const WORD_BITS: usize = 64;
 
-/// Iterates the words a column range touches as `(word, mask, lo)`:
-/// `mask` selects the range's bits within the word, `lo` is the first
-/// selected bit position.
-fn word_spans(cols: ColRange) -> impl Iterator<Item = (usize, u64, usize)> {
-    let (start, end) = (cols.start, cols.end);
-    let first = start / WORD_BITS;
-    let count = if start >= end {
+/// A non-empty column span as the words `first..=last` of a row, with
+/// the masks selecting the span's bits in its edge words (`head` in
+/// `first`, `tail` in `last`; both apply when the two coincide).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WordSpan {
+    first: usize,
+    last: usize,
+    head: u64,
+    tail: u64,
+}
+
+impl WordSpan {
+    /// The span of `cols`; `None` when it is empty.
+    fn new(cols: &ColRange) -> Option<Self> {
+        (cols.start < cols.end).then(|| WordSpan {
+            first: cols.start / WORD_BITS,
+            last: (cols.end - 1) / WORD_BITS,
+            head: u64::MAX << (cols.start % WORD_BITS),
+            tail: u64::MAX >> (WORD_BITS - 1 - (cols.end - 1) % WORD_BITS),
+        })
+    }
+
+    fn words(&self) -> std::ops::Range<usize> {
+        self.first..self.last + 1
+    }
+
+    /// The span's bits in its `k`-th word, counted from `first`.
+    fn mask(&self, k: usize) -> u64 {
+        let mut m = u64::MAX;
+        if k == 0 {
+            m &= self.head;
+        }
+        if k == self.last - self.first {
+            m &= self.tail;
+        }
+        m
+    }
+}
+
+/// How a kernel sees stuck-at faults. Indices are plane word indices
+/// (`row * wpr + word`).
+trait FaultView: Copy {
+    /// Bits of word `i` pinned by a fault: writes and MAGIC drives
+    /// leave them untouched, like [`Cell::write`].
+    fn pinned(self, i: usize) -> u64;
+
+    /// Sense-amplifier view of word `i` holding raw bits `v`:
+    /// stuck-at-1 forces 1, stuck-at-0 forces 0, like [`Cell::read`].
+    fn sense(self, i: usize, v: u64) -> u64;
+}
+
+/// The view of an array with no fault planes.
+#[derive(Clone, Copy)]
+struct NoFaults;
+
+impl FaultView for NoFaults {
+    #[inline(always)]
+    fn pinned(self, _: usize) -> u64 {
         0
-    } else {
-        (end - 1) / WORD_BITS + 1 - first
-    };
-    (0..count).map(move |k| {
-        let w = first + k;
-        let lo = start.max(w * WORD_BITS) - w * WORD_BITS;
-        let hi = end.min(w * WORD_BITS + WORD_BITS) - w * WORD_BITS;
-        let mask = if hi - lo == WORD_BITS {
-            u64::MAX
+    }
+
+    #[inline(always)]
+    fn sense(self, _: usize, v: u64) -> u64 {
+        v
+    }
+}
+
+/// The view of an array with materialized `sa0`/`sa1` planes.
+#[derive(Clone, Copy)]
+struct Stuck<'a> {
+    sa0: &'a [u64],
+    sa1: &'a [u64],
+}
+
+impl FaultView for Stuck<'_> {
+    #[inline(always)]
+    fn pinned(self, i: usize) -> u64 {
+        self.sa0[i] | self.sa1[i]
+    }
+
+    #[inline(always)]
+    fn sense(self, i: usize, v: u64) -> u64 {
+        (v | self.sa1[i]) & !self.sa0[i]
+    }
+}
+
+/// Evaluates `$body` with `$f` bound to the planes' [`FaultView`],
+/// chosen once: [`NoFaults`] until a fault is injected, [`Stuck`]
+/// after. Both arms expand the same source.
+macro_rules! with_faults {
+    ($planes:expr, $f:ident => $body:expr) => {
+        if $planes.sa0.is_empty() {
+            let $f = NoFaults;
+            $body
         } else {
-            ((1u64 << (hi - lo)) - 1) << lo
-        };
-        (w, mask, lo)
-    })
+            let $f = Stuck {
+                sa0: &$planes.sa0[..],
+                sa1: &$planes.sa1[..],
+            };
+            $body
+        }
+    };
+}
+
+/// Rewrites the span's words of `row` with `f`, which treats every
+/// word as full width, then restores the edge-word bits outside the
+/// span: the head-word/full-words/tail-word loop of every kernel that
+/// changes a row.
+#[inline(always)]
+fn rewrite(row: &mut [u64], span: WordSpan, f: impl FnOnce(&mut [u64])) {
+    let words = &mut row[span.words()];
+    let last = words.len() - 1;
+    let (head, tail) = (words[0], words[last]);
+    f(words);
+    let keep = |new: u64, old: u64, mask: u64| (new & mask) | (old & !mask);
+    words[0] = keep(words[0], head, span.mask(0));
+    words[last] = keep(words[last], tail, span.mask(last));
+}
+
+/// Bits `shift..shift + 64` of the 128-bit word `hi:lo`
+/// (`shift` in `0..=64`).
+#[inline(always)]
+fn funnel(hi: u64, lo: u64, shift: usize) -> u64 {
+    match shift {
+        0 => lo,
+        WORD_BITS => hi,
+        _ => (lo >> shift) | (hi << (WORD_BITS - shift)),
+    }
+}
+
+/// Row `out` mutably and row `src` shared, from one plane of
+/// `wpr`-word rows (`out != src`).
+fn row_pair(value: &mut [u64], wpr: usize, out: usize, src: usize) -> (&mut [u64], &[u64]) {
+    if src < out {
+        let (lo, hi) = value.split_at_mut(out * wpr);
+        (&mut hi[..wpr], &lo[src * wpr..][..wpr])
+    } else {
+        let (lo, hi) = value.split_at_mut(src * wpr);
+        (&mut lo[out * wpr..][..wpr], &hi[..wpr])
+    }
+}
+
+/// Packs up to 64 bits, LSB first, into one word.
+fn pack_word(bits: &[bool]) -> u64 {
+    bits.iter().rev().fold(0, |acc, &b| (acc << 1) | b as u64)
 }
 
 /// The packed backend's planes for a rows × cols array.
@@ -52,6 +180,8 @@ pub(crate) struct PackedPlanes {
     sa1: Vec<u64>,
     /// Lazily materialized per-cell write counters.
     pub(crate) wear: WearPlane,
+    /// Word buffer reused by bit writes and periphery shifts.
+    scratch: Vec<u64>,
 }
 
 impl PackedPlanes {
@@ -63,37 +193,14 @@ impl PackedPlanes {
             sa0: Vec::new(),
             sa1: Vec::new(),
             wear: WearPlane::new(rows, cols),
+            scratch: Vec::new(),
         }
     }
 
-    #[inline]
-    fn idx(&self, row: usize, word: usize) -> usize {
-        row * self.wpr + word
-    }
-
-    /// Sense-amplifier view of one word: stuck-at-1 forces 1, stuck-at-0
-    /// forces 0 (mirrors [`Cell::read`]).
-    #[inline]
+    /// Sense-amplifier view of one word.
     fn read_word(&self, row: usize, word: usize) -> u64 {
-        let i = self.idx(row, word);
-        let v = self.value[i];
-        if self.sa0.is_empty() {
-            v
-        } else {
-            (v | self.sa1[i]) & !self.sa0[i]
-        }
-    }
-
-    /// Bits of `(row, word)` that host any stuck-at fault (writes and
-    /// MAGIC drives leave them untouched, like [`Cell::write`]).
-    #[inline]
-    fn fault_word(&self, row: usize, word: usize) -> u64 {
-        if self.sa0.is_empty() {
-            0
-        } else {
-            let i = self.idx(row, word);
-            self.sa0[i] | self.sa1[i]
-        }
+        let i = row * self.wpr + word;
+        with_faults!(self, f => f.sense(i, self.value[i]))
     }
 
     pub(crate) fn read_bit(&self, row: usize, col: usize) -> bool {
@@ -104,7 +211,7 @@ impl PackedPlanes {
         if self.sa0.is_empty() {
             return None;
         }
-        let (i, bit) = (self.idx(row, col / WORD_BITS), col % WORD_BITS);
+        let (i, bit) = (row * self.wpr + col / WORD_BITS, col % WORD_BITS);
         if (self.sa0[i] >> bit) & 1 == 1 {
             Some(Fault::StuckAt0)
         } else if (self.sa1[i] >> bit) & 1 == 1 {
@@ -122,7 +229,7 @@ impl PackedPlanes {
             self.sa0 = vec![0; self.value.len()];
             self.sa1 = vec![0; self.value.len()];
         }
-        let (i, bit) = (self.idx(row, col / WORD_BITS), col % WORD_BITS);
+        let (i, bit) = (row * self.wpr + col / WORD_BITS, col % WORD_BITS);
         self.sa0[i] &= !(1 << bit);
         self.sa1[i] &= !(1 << bit);
         match fault {
@@ -136,49 +243,47 @@ impl PackedPlanes {
     /// exact wear, fault) — identical to what the scalar backend
     /// stores.
     pub(crate) fn cell(&self, row: usize, col: usize) -> Cell {
-        let raw = (self.value[self.idx(row, col / WORD_BITS)] >> (col % WORD_BITS)) & 1 == 1;
+        let raw = (self.value[row * self.wpr + col / WORD_BITS] >> (col % WORD_BITS)) & 1 == 1;
         Cell::from_parts(raw, self.wear.writes_at(row, col), self.fault_at(row, col))
     }
 
-    pub(crate) fn read_into(&self, row: usize, cols: ColRange, out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(cols.len());
-        for (w, mask, lo) in word_spans(cols) {
-            let bits = self.read_word(row, w);
-            let hi = WORD_BITS - mask.leading_zeros() as usize;
-            for b in lo..hi {
-                out.push((bits >> b) & 1 == 1);
-            }
+    /// Calls `emit` with the sensed words of `row` over `cols`, aligned
+    /// to `cols.start` (bit 0 of the first word = column `cols.start`).
+    /// Bits of the last word past the span are unspecified.
+    fn sensed_words(&self, row: usize, cols: &ColRange, mut emit: impl FnMut(u64)) {
+        let n = cols.len().div_ceil(WORD_BITS);
+        if n == 0 {
+            return;
         }
+        let (first, shift) = (cols.start / WORD_BITS, cols.start % WORD_BITS);
+        let base = row * self.wpr + first;
+        let words = &self.value[base..(row + 1) * self.wpr];
+        with_faults!(self, f => {
+            let mut lo = f.sense(base, words[0]);
+            for k in 1..=n {
+                let hi = words.get(k).map_or(0, |&v| f.sense(base + k, v));
+                emit(funnel(hi, lo, shift));
+                lo = hi;
+            }
+        })
+    }
+
+    pub(crate) fn read_into(&self, row: usize, cols: ColRange, out: &mut Vec<bool>) {
+        let len = cols.len();
+        out.clear();
+        out.reserve(len);
+        self.sensed_words(row, &cols, |w| {
+            let take = (len - out.len()).min(WORD_BITS);
+            out.extend((0..take).map(|b| (w >> b) & 1 == 1));
+        });
     }
 
     /// Reads `cols` as little-endian words aligned to `cols.start`
     /// (bit 0 of `out[0]` = column `cols.start`), fault-adjusted.
     pub(crate) fn read_words_into(&self, row: usize, cols: ColRange, out: &mut Vec<u64>) {
-        let len = cols.len();
         out.clear();
-        out.resize(len.div_ceil(WORD_BITS), 0);
-        let base = cols.start / WORD_BITS;
-        let shift = cols.start % WORD_BITS;
-        for (k, slot) in out.iter_mut().enumerate() {
-            let lo = self.read_word_or_zero(row, base + k) >> shift;
-            let hi = if shift == 0 {
-                0
-            } else {
-                self.read_word_or_zero(row, base + k + 1) << (WORD_BITS - shift)
-            };
-            *slot = lo | hi;
-        }
-        mask_tail(out, len);
-    }
-
-    #[inline]
-    fn read_word_or_zero(&self, row: usize, word: usize) -> u64 {
-        if word < self.wpr {
-            self.read_word(row, word)
-        } else {
-            0
-        }
+        self.sensed_words(row, &cols, |w| out.push(w));
+        mask_tail(out, cols.len());
     }
 
     /// Writes `len` bits from little-endian `words` into `row` at
@@ -191,87 +296,72 @@ impl PackedPlanes {
     }
 
     /// The value half of [`PackedPlanes::write_words`]: stores the bits
-    /// word by word without recording wear. Fault cells keep their
-    /// value, as under a real write.
+    /// without recording wear. Missing words of `words` read as 0.
+    /// Fault cells keep their value, as under a real write.
     pub(crate) fn store_words(&mut self, row: usize, col_offset: usize, words: &[u64], len: usize) {
-        for (w, mask, lo) in word_spans(col_offset..col_offset + len) {
-            let src_bit = w * WORD_BITS + lo - col_offset;
-            let (si, sh) = (src_bit / WORD_BITS, src_bit % WORD_BITS);
-            let bits = (words.get(si).copied().unwrap_or(0) >> sh)
-                | if sh == 0 {
-                    0
-                } else {
-                    words.get(si + 1).copied().unwrap_or(0) << (WORD_BITS - sh)
-                };
-            let m = mask & !self.fault_word(row, w);
-            let i = self.idx(row, w);
-            self.value[i] = (self.value[i] & !m) | ((bits << lo) & m);
-        }
+        let Some(span) = WordSpan::new(&(col_offset..col_offset + len)) else {
+            return;
+        };
+        let (base, lo) = (row * self.wpr, col_offset % WORD_BITS);
+        with_faults!(self, f => rewrite(&mut self.value[base..base + self.wpr], span, |ws| {
+            let mut prev = 0;
+            for (k, w) in ws.iter_mut().enumerate() {
+                let cur = words.get(k).copied().unwrap_or(0);
+                let bits = funnel(cur, prev, WORD_BITS - lo);
+                prev = cur;
+                let keep = f.pinned(base + span.first + k);
+                *w = (*w & keep) | (bits & !keep);
+            }
+        }))
     }
 
     /// Sets one cell's raw value without wear — the value half of a
     /// write. A fault cell keeps its value, as under a real write.
     pub(crate) fn store_bit(&mut self, row: usize, col: usize, value: bool) {
-        if self.fault_at(row, col).is_some() {
-            return;
-        }
-        let i = self.idx(row, col / WORD_BITS);
-        let bit = 1u64 << (col % WORD_BITS);
-        if value {
-            self.value[i] |= bit;
-        } else {
-            self.value[i] &= !bit;
-        }
+        self.store_words(row, col, &[value as u64], 1);
     }
 
     pub(crate) fn write_bits(&mut self, row: usize, col_offset: usize, bits: &[bool]) {
-        let mut words = [0u64; 4];
-        if bits.len() <= words.len() * WORD_BITS {
-            for (j, &b) in bits.iter().enumerate() {
-                if b {
-                    words[j / WORD_BITS] |= 1 << (j % WORD_BITS);
-                }
-            }
-            self.write_words(row, col_offset, &words, bits.len());
-        } else {
-            let mut words = vec![0u64; bits.len().div_ceil(WORD_BITS)];
-            for (j, &b) in bits.iter().enumerate() {
-                if b {
-                    words[j / WORD_BITS] |= 1 << (j % WORD_BITS);
-                }
-            }
-            self.write_words(row, col_offset, &words, bits.len());
-        }
+        let mut words = std::mem::take(&mut self.scratch);
+        words.clear();
+        words.extend(bits.chunks(WORD_BITS).map(pack_word));
+        self.write_words(row, col_offset, &words, bits.len());
+        self.scratch = words;
     }
 
     /// Parallel set/reset wave over the span of each row in `rows`.
     pub(crate) fn fill(&mut self, rows: std::ops::Range<usize>, cols: ColRange, value: bool) {
-        let fill = if value { u64::MAX } else { 0 };
-        for row in rows {
-            for (w, mask, _) in word_spans(cols.clone()) {
-                let m = mask & !self.fault_word(row, w);
-                let i = self.idx(row, w);
-                self.value[i] = (self.value[i] & !m) | (fill & m);
-            }
+        let Some(span) = WordSpan::new(&cols) else {
+            return;
+        };
+        let (wpr, word) = (self.wpr, if value { u64::MAX } else { 0 });
+        with_faults!(self, f => for row in rows {
+            let base = row * wpr;
+            rewrite(&mut self.value[base..base + wpr], span, |ws| {
+                for (k, w) in ws.iter_mut().enumerate() {
+                    let keep = f.pinned(base + span.first + k);
+                    *w = (*w & keep) | (word & !keep);
+                }
+            });
             self.wear.add(row, cols.clone(), 1);
-        }
+        })
     }
 
-    /// First column in `cols` whose fault-adjusted read of `row` is 0
-    /// — the strict-init scan for MAGIC outputs.
-    fn first_zero(&self, row: usize, cols: &ColRange) -> Option<usize> {
-        for (w, mask, _) in word_spans(cols.clone()) {
-            let fail = mask & !self.read_word(row, w);
-            if fail != 0 {
-                return Some(w * WORD_BITS + fail.trailing_zeros() as usize);
-            }
-        }
-        None
+    /// First column of `span` whose sensed read of `row` is 0 — the
+    /// strict-init scan for MAGIC outputs.
+    fn first_zero(&self, row: usize, span: WordSpan) -> Option<usize> {
+        let base = row * self.wpr + span.first;
+        let words = &self.value[base..base + span.words().len()];
+        with_faults!(self, f => words.iter().enumerate().find_map(|(k, &v)| {
+            let zeros = span.mask(k) & !f.sense(base + k, v);
+            (zeros != 0).then(|| (span.first + k) * WORD_BITS + zeros.trailing_zeros() as usize)
+        }))
     }
 
-    /// MAGIC NOR across rows. On a strict-init failure the columns
-    /// *before* the failing one are driven and worn (the scalar loop
-    /// processes columns left to right), and `Err(col)` is returned.
+    /// MAGIC NOR across rows (`out` not among `inputs`). On a
+    /// strict-init failure the columns *before* the failing one are
+    /// driven and worn (the scalar loop processes columns left to
+    /// right), and `Err(col)` is returned.
     pub(crate) fn nor_rows(
         &mut self,
         inputs: &[usize],
@@ -279,30 +369,54 @@ impl PackedPlanes {
         cols: ColRange,
         strict: bool,
     ) -> Result<(), usize> {
+        let Some(span) = WordSpan::new(&cols) else {
+            return Ok(());
+        };
         let fail_col = if strict {
-            self.first_zero(out, &cols)
+            self.first_zero(out, span)
         } else {
             None
         };
         let drive = cols.start..fail_col.unwrap_or(cols.end);
-        if drive.start < drive.end {
-            for (w, mask, _) in word_spans(drive.clone()) {
-                let mut any = 0u64;
-                for &r in inputs {
-                    any |= self.read_word(r, w);
-                }
-                // magic_drive(!any): non-fault cells are pulled down
-                // where the gate result is 0 (any input read 1).
-                let pulldown = any & mask & !self.fault_word(out, w);
-                let i = self.idx(out, w);
-                self.value[i] &= !pulldown;
-            }
+        if let Some(span) = WordSpan::new(&drive) {
+            let wpr = self.wpr;
+            let (ob, words) = (out * wpr + span.first, span.words());
+            // magic_drive(!any) is an AND of one pull-down per input:
+            // non-fault output cells fall to 0 where the input reads 1.
+            with_faults!(self, f => for &r in inputs {
+                let (out_row, in_row) = row_pair(&mut self.value, wpr, out, r);
+                let (ib, ins) = (r * wpr + span.first, &in_row[words.clone()]);
+                rewrite(out_row, span, |ws| {
+                    for (k, (o, &v)) in ws.iter_mut().zip(ins).enumerate() {
+                        *o &= !(f.sense(ib + k, v) & !f.pinned(ob + k));
+                    }
+                });
+            });
             self.wear.add(out, drive, 1);
         }
         match fail_col {
             Some(col) => Err(col),
             None => Ok(()),
         }
+    }
+
+    /// Periphery shift: senses `src[cols]`, shifts it by `offset`
+    /// columns with `fill` in the vacated positions, and writes the
+    /// span into `dst` (which may equal `src`), through the reused
+    /// scratch buffer.
+    pub(crate) fn shift(
+        &mut self,
+        src: usize,
+        dst: usize,
+        cols: ColRange,
+        offset: isize,
+        fill: bool,
+    ) {
+        let mut words = std::mem::take(&mut self.scratch);
+        self.read_words_into(src, cols.clone(), &mut words);
+        shift_words(&mut words, cols.len(), offset, fill);
+        self.write_words(dst, cols.start, &words, cols.len());
+        self.scratch = words;
     }
 
     /// MAGIC NOR along rows (column-oriented): one output bit per row,
@@ -351,20 +465,23 @@ impl PackedPlanes {
 
     /// [`Cell::magic_drive`] on a single coordinate.
     fn drive_bit(&mut self, row: usize, col: usize, gate_result: bool) {
-        let (w, bit) = (col / WORD_BITS, col % WORD_BITS);
-        if !gate_result && self.fault_word(row, w) & (1 << bit) == 0 {
-            let i = self.idx(row, w);
-            self.value[i] &= !(1 << bit);
+        if !gate_result {
+            let (i, bit) = (row * self.wpr + col / WORD_BITS, 1u64 << (col % WORD_BITS));
+            let pinned = with_faults!(self, f => f.pinned(i));
+            self.value[i] &= !(bit & !pinned);
         }
         self.wear.add(row, col..col + 1, 1);
     }
 
     /// `true` when no cell of `row` in `cols` has a stuck-at fault.
     pub(crate) fn region_fault_free(&self, row: usize, cols: ColRange) -> bool {
-        if self.sa0.is_empty() {
+        let Some(span) = WordSpan::new(&cols) else {
             return true;
-        }
-        word_spans(cols).all(|(w, mask, _)| self.fault_word(row, w) & mask == 0)
+        };
+        let base = row * self.wpr + span.first;
+        with_faults!(self, f => {
+            (0..span.words().len()).all(|k| f.pinned(base + k) & span.mask(k) == 0)
+        })
     }
 }
 
@@ -378,49 +495,41 @@ pub(crate) fn mask_tail(words: &mut [u64], len: usize) {
     }
 }
 
-/// Shifts a `len`-bit LSB-aligned word vector by `offset` bit
+/// Shifts, in place, a `len`-bit LSB-aligned word vector (exactly
+/// `len.div_ceil(64)` words, bits past `len` clear) by `offset` bit
 /// positions (positive = towards higher indices), filling vacated
 /// positions with `fill` — the word-parallel core of the periphery
 /// shift ([`crate::Crossbar::shift_row_to`]).
-pub(crate) fn shift_words(words: &[u64], len: usize, offset: isize, fill: bool) -> Vec<u64> {
-    let n = len.div_ceil(WORD_BITS);
-    let mut out = vec![0u64; n];
+pub(crate) fn shift_words(words: &mut [u64], len: usize, offset: isize, fill: bool) {
     let k = offset.unsigned_abs();
-    let (fill_lo, fill_hi);
-    if k >= len {
-        (fill_lo, fill_hi) = (0, len);
+    let (ws, bs) = (k / WORD_BITS, k % WORD_BITS);
+    let n = words.len();
+    let vacated = if k >= len {
+        words.fill(0);
+        0..len
     } else if offset >= 0 {
-        let (ws, bs) = (k / WORD_BITS, k % WORD_BITS);
-        for i in (ws..n).rev() {
-            let lo = words.get(i - ws).copied().unwrap_or(0) << bs;
-            let hi = if bs > 0 && i > ws {
-                words.get(i - ws - 1).copied().unwrap_or(0) >> (WORD_BITS - bs)
-            } else {
-                0
-            };
-            out[i] = lo | hi;
+        // Descending, so every source word is read before it is
+        // overwritten.
+        for i in (ws + 1..n).rev() {
+            words[i] = funnel(words[i - ws], words[i - ws - 1], WORD_BITS - bs);
         }
-        (fill_lo, fill_hi) = (0, k);
+        words[ws] = funnel(words[0], 0, WORD_BITS - bs);
+        words[..ws].fill(0);
+        0..k
     } else {
-        let (ws, bs) = (k / WORD_BITS, k % WORD_BITS);
-        for (i, slot) in out.iter_mut().enumerate() {
-            let lo = words.get(i + ws).copied().unwrap_or(0) >> bs;
-            let hi = if bs > 0 {
-                words.get(i + ws + 1).copied().unwrap_or(0) << (WORD_BITS - bs)
-            } else {
-                0
-            };
-            *slot = lo | hi;
+        for i in 0..n - ws - 1 {
+            words[i] = funnel(words[i + ws + 1], words[i + ws], bs);
         }
-        (fill_lo, fill_hi) = (len - k, len);
-    }
+        words[n - ws - 1] = funnel(0, words[n - 1], bs);
+        words[n - ws..].fill(0);
+        len - k..len
+    };
     if fill {
-        for (w, mask, _) in word_spans(fill_lo..fill_hi) {
-            out[w] |= mask;
+        if let Some(span) = WordSpan::new(&vacated) {
+            rewrite(words, span, |span_words| span_words.fill(u64::MAX));
         }
     }
-    mask_tail(&mut out, len);
-    out
+    mask_tail(words, len);
 }
 
 #[cfg(test)]
@@ -428,13 +537,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn word_spans_cover_range_exactly() {
-        let spans: Vec<_> = word_spans(60..70).collect();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0], (0, 0xF000_0000_0000_0000, 60));
-        assert_eq!(spans[1], (1, 0x3F, 0));
-        assert_eq!(word_spans(8..8).count(), 0);
-        assert_eq!(word_spans(0..64).next().unwrap().1, u64::MAX);
+    fn word_span_masks_cover_range_exactly() {
+        let span = WordSpan::new(&(60..70)).unwrap();
+        assert_eq!(span.words(), 0..2);
+        assert_eq!(span.mask(0), 0xF000_0000_0000_0000);
+        assert_eq!(span.mask(1), 0x3F);
+        assert_eq!(WordSpan::new(&(8..8)), None);
+        assert_eq!(WordSpan::new(&(0..64)).unwrap().mask(0), u64::MAX);
+        let single = WordSpan::new(&(65..67)).unwrap();
+        assert_eq!((single.words(), single.mask(0)), (1..2, 0b110));
+    }
+
+    #[test]
+    fn shift_words_in_place_matches_bitwise_shift() {
+        let len = 150;
+        let bits: Vec<bool> = (0..len).map(|i| (i * 7 + i / 5) % 3 == 0).collect();
+        let words: Vec<u64> = bits.chunks(WORD_BITS).map(pack_word).collect();
+        for offset in [
+            -151isize, -150, -70, -64, -3, 0, 1, 63, 64, 65, 149, 150, 400,
+        ] {
+            for fill in [false, true] {
+                let mut got = words.clone();
+                shift_words(&mut got, len, offset, fill);
+                let expect: Vec<bool> = (0..len as isize)
+                    .map(|i| {
+                        let from = i - offset;
+                        if (0..len as isize).contains(&from) {
+                            bits[from as usize]
+                        } else {
+                            fill
+                        }
+                    })
+                    .collect();
+                let expect: Vec<u64> = expect.chunks(WORD_BITS).map(pack_word).collect();
+                assert_eq!(got, expect, "offset {offset} fill {fill}");
+            }
+        }
     }
 
     #[test]
@@ -465,7 +603,10 @@ mod tests {
         p.set_fault(0, 2, None);
         assert!(!p.read_bit(0, 2), "write was blocked while faulty");
         p.set_fault(0, 65, None);
-        assert!(!p.read_bit(0, 65), "underlying value never changed while faulty");
+        assert!(
+            !p.read_bit(0, 65),
+            "underlying value never changed while faulty"
+        );
     }
 
     #[test]

@@ -161,8 +161,7 @@ impl ConditionalSubtractor {
         let src = if subtracted { DIFF_ROW } else { S_ROW };
         exec.step(&MicroOp::shift_to(src, RESULT_ROW, 0..w, 0, false))?;
 
-        let bits = exec.array().read_row_bits(RESULT_ROW, 0..w)?;
-        let result = Uint::from_bits(&bits).low_bits(self.width);
+        let result = crate::read_row_uint(exec.array(), RESULT_ROW, 0..w)?.low_bits(self.width);
         Ok(CondSubOutput {
             result,
             subtracted,

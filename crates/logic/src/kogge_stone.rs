@@ -466,10 +466,7 @@ impl KoggeStoneAdder {
         exec.array_mut()
             .write_row(self.layout.y_row, self.layout.col_base, &y.to_bits(self.width + 1))?;
         exec.run(&self.program(op))?;
-        let bits = exec
-            .array()
-            .read_row_bits(self.layout.sum_row, self.cols())?;
-        let full = Uint::from_bits(&bits);
+        let full = crate::read_row_uint(exec.array(), self.layout.sum_row, self.cols())?;
         let result = match op {
             AddOp::Add => full,
             AddOp::Sub => full.low_bits(self.width),
@@ -546,7 +543,7 @@ impl AdderUnit {
         let mut exec = Executor::new(&mut self.array);
         exec.run(&program)?;
         self.cycles += exec.stats().cycles;
-        let bits = self.array.read_row_bits(layout.sum_row, cols)?;
+        let sum = crate::read_row_uint(&self.array, layout.sum_row, cols)?;
         // Clear the operand/result rows so the next (possibly rotated)
         // round starts from a clean array; this reset rides the same
         // wave the program already pays for, so no extra cycles.
@@ -558,7 +555,7 @@ impl AdderUnit {
         if self.wear_leveling {
             self.rotation = (self.rotation + 1) % UNIT_ROWS;
         }
-        Ok(Uint::from_bits(&bits))
+        Ok(sum)
     }
 
     /// Operations performed so far.

@@ -44,3 +44,59 @@ pub mod multpim;
 pub mod program;
 pub mod ripple;
 pub mod tmr;
+
+use cim_bigint::Uint;
+use cim_crossbar::{Crossbar, CrossbarError};
+
+/// Senses `cols` of `row` as an unsigned integer (bit 0 = column
+/// `cols.start`) with one word-wide read: the readback of every stage
+/// that hands a row back to the host.
+///
+/// # Errors
+///
+/// Returns an error if the coordinates are out of range.
+pub fn read_row_uint(
+    array: &Crossbar,
+    row: usize,
+    cols: std::ops::Range<usize>,
+) -> Result<Uint, CrossbarError> {
+    let mut words = Vec::new();
+    array.read_row_words(row, cols, &mut words)?;
+    Ok(Uint::from_limbs(words))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cim_crossbar::BackendKind;
+
+    #[test]
+    fn read_row_uint_round_trips_unaligned_spans() {
+        let cols = 3200;
+        for kind in [
+            BackendKind::Packed,
+            BackendKind::Scalar,
+            BackendKind::Sliced,
+        ] {
+            let mut array = Crossbar::with_backend(2, cols, kind).unwrap();
+            array.write_row(1, 0, &[true; 3200]).unwrap();
+            let spans = [
+                (0, 0),
+                (0, 1),
+                (1, 63),
+                (63, 64),
+                (64, 65),
+                (37, 3073),
+                (127, 3073),
+            ];
+            for (start, width) in spans {
+                let v = Uint::from_limbs(vec![0x9E37_79B9_7F4A_7C15; 49]).low_bits(width);
+                array.write_row(0, start, &v.to_bits(width)).unwrap();
+                let got = read_row_uint(&array, 0, start..start + width).unwrap();
+                assert_eq!(got, v, "{kind:?} at {start}, width {width}");
+                let ones = read_row_uint(&array, 1, start..start + width).unwrap();
+                assert_eq!(ones, Uint::pow2(width).sub(&Uint::one()), "{kind:?} ones");
+            }
+        }
+    }
+}

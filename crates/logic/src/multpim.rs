@@ -283,10 +283,8 @@ impl RowMultiplier {
         loader.run(&self.load_program(row, col_base, a, b))?;
         self.shift_add(array, row, col_base, array.lanes())?;
 
-        let mut p_words = Vec::new();
-        array.read_row_words(row, at(P_OFF)..at(P_OFF) + 2 * w, &mut p_words)?;
         Ok((
-            Uint::from_limbs(p_words),
+            crate::read_row_uint(array, row, at(P_OFF)..at(P_OFF) + 2 * w)?,
             RowMultStats {
                 cycles: self.latency(),
                 iterations: w,
