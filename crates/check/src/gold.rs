@@ -107,7 +107,7 @@ impl GoldMatrix {
                 col_offset,
                 bits,
             } => {
-                for (i, &b) in bits.iter().enumerate() {
+                for (i, b) in bits.iter().enumerate() {
                     self.set(*row, col_offset + i, b);
                 }
                 None

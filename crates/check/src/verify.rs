@@ -479,7 +479,7 @@ impl AbstractState {
                 // Payload bits are program constants, so the lattice
                 // stays exact: a written 1 is a legal MAGIC output.
                 let cols = *col_offset..col_offset + bits.len();
-                for (cell, &b) in self.span_mut(*row, &cols).iter_mut().zip(bits) {
+                for (cell, b) in self.span_mut(*row, &cols).iter_mut().zip(bits.iter()) {
                     *cell = if b {
                         CellState::One
                     } else {

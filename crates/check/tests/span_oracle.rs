@@ -193,7 +193,7 @@ impl Reference {
                 col_offset,
                 bits,
             } => {
-                for (i, &b) in bits.iter().enumerate() {
+                for (i, b) in bits.iter().enumerate() {
                     self.write(
                         *row,
                         col_offset + i,

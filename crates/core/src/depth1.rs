@@ -138,7 +138,7 @@ impl KaratsubaDepth1Multiplier {
         // Operand writes + both additions as one verified program.
         let mut stage1 = Vec::new();
         for (i, v) in [&a_l, &a_h, &b_l, &b_h].iter().enumerate() {
-            stage1.push(MicroOp::write_row(i, &v.to_bits(pre_cols)));
+            stage1.push(cim_logic::write_row_uint(i, 0, v, pre_cols));
         }
         let scratch: [usize; SCRATCH_ROWS] = std::array::from_fn(|i| 6 + i);
         for (x, y, sum) in [(1usize, 0usize, 4usize), (3, 2, 5)] {

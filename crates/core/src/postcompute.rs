@@ -79,8 +79,8 @@ fn pass_staging(adder: &KoggeStoneAdder, x: &Uint, y: &Uint) -> [MicroOp; 3] {
     let cols = layout.col_base..layout.col_base + w + 1;
     [
         MicroOp::reset_rows(&[layout.x_row, layout.y_row, layout.sum_row], cols),
-        MicroOp::write_row_at(layout.x_row, layout.col_base, &x.to_bits(w + 1)),
-        MicroOp::write_row_at(layout.y_row, layout.col_base, &y.to_bits(w + 1)),
+        cim_logic::write_row_uint(layout.x_row, layout.col_base, x, w + 1),
+        cim_logic::write_row_uint(layout.y_row, layout.col_base, y, w + 1),
     ]
 }
 

@@ -215,7 +215,7 @@ impl PrecomputeStage {
         chunks
             .iter()
             .enumerate()
-            .map(|(i, chunk)| MicroOp::write_row(INPUT_BASE + i, &chunk.to_bits(cols)))
+            .map(|(i, chunk)| cim_logic::write_row_uint(INPUT_BASE + i, 0, chunk, cols))
             .collect()
     }
 

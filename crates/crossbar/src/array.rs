@@ -15,6 +15,7 @@ use crate::error::{Axis, CrossbarError};
 use crate::geometry::{ColRange, Region};
 use crate::packed::PackedPlanes;
 use crate::sliced::{SlicedPlanes, MAX_LANES};
+use crate::wear::WearStats;
 use crate::PRACTICAL_LINE_LIMIT;
 use std::sync::OnceLock;
 
@@ -476,6 +477,36 @@ impl Crossbar {
                     p.wear_uniform(row, region.cols.clone(), pulses);
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Adds `pulses[j]` write pulses of wear to cell `col_offset + j`
+    /// of `row` (every lane) without changing values — the wear half of
+    /// a sequence of writes whose per-cell pulse counts the controller
+    /// already knows. The packed backend adds them as one dense block
+    /// of its lazy wear plane instead of one range entry per write.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the span exceeds the array.
+    pub fn wear_row_dense(
+        &mut self,
+        row: usize,
+        col_offset: usize,
+        pulses: &[u64],
+    ) -> Result<(), CrossbarError> {
+        self.check_row(row)?;
+        self.check_cols(&(col_offset..col_offset + pulses.len()))?;
+        match &mut self.state {
+            Backing::Scalar(cells) => {
+                let start = row * self.cols + col_offset;
+                for (cell, &p) in cells[start..start + pulses.len()].iter_mut().zip(pulses) {
+                    cell.add_wear(p);
+                }
+            }
+            Backing::Packed(p) => p.wear.add_dense(row, col_offset, pulses),
+            Backing::Sliced(p) => p.wear_uniform_dense(row, col_offset, pulses),
         }
         Ok(())
     }
@@ -962,7 +993,7 @@ impl Crossbar {
     }
 
     /// `(max, total, touched)` per-cell write statistics of one lane.
-    pub(crate) fn lane_wear_stats(&self, lane: usize) -> (u64, u64, usize) {
+    pub(crate) fn lane_wear_stats(&self, lane: usize) -> WearStats {
         match &self.state {
             Backing::Sliced(p) => p.lane_wear_stats(lane),
             _ => self.wear_stats(),
@@ -972,7 +1003,7 @@ impl Crossbar {
     /// Per-lane `(max, total, touched)` wear statistics for all 64
     /// lane slots in one sweep (only the active lanes are meaningful);
     /// on the scalar/packed backends a single-entry vector.
-    pub(crate) fn lane_wear_stats_all(&self) -> Vec<(u64, u64, usize)> {
+    pub(crate) fn lane_wear_stats_all(&self) -> Vec<WearStats> {
         match &self.state {
             Backing::Sliced(p) => p.lane_wear_stats_all(),
             _ => vec![self.wear_stats()],
@@ -1034,35 +1065,22 @@ impl Crossbar {
     /// without materializing the packed backend's lazy wear plane into
     /// per-cell counters — the fast path behind
     /// [`crate::EnduranceReport::from_array`].
-    pub(crate) fn wear_stats(&self) -> (u64, u64, usize) {
+    pub(crate) fn wear_stats(&self) -> WearStats {
+        let mut stats = WearStats::default();
         match &self.state {
             Backing::Scalar(cells) => {
-                let (mut max, mut total, mut touched) = (0u64, 0u64, 0usize);
                 for cell in cells {
-                    let w = cell.writes();
-                    max = max.max(w);
-                    total += w;
-                    if w > 0 {
-                        touched += 1;
-                    }
+                    stats.add_run(cell.writes(), 1);
                 }
-                (max, total, touched)
             }
             Backing::Packed(p) => {
-                let (mut max, mut total, mut touched) = (0u64, 0u64, 0usize);
                 for row in 0..self.rows {
-                    p.wear.for_each_segment(row, |w, n| {
-                        if w > 0 {
-                            max = max.max(w);
-                            total += w * n as u64;
-                            touched += n;
-                        }
-                    });
+                    stats.merge(p.wear.row_stats(row));
                 }
-                (max, total, touched)
             }
-            Backing::Sliced(p) => p.wear_stats(),
+            Backing::Sliced(p) => return p.lane_wear_stats(0),
         }
+        stats
     }
 
     /// `(max, mean)` per-cell write counts — the one-call wear summary
@@ -1091,12 +1109,8 @@ impl Crossbar {
                 .collect(),
             Backing::Packed(p) => (0..self.rows)
                 .map(|r| {
-                    let (mut max, mut total) = (0u64, 0u64);
-                    p.wear.for_each_segment(r, |w, n| {
-                        max = max.max(w);
-                        total += w * n as u64;
-                    });
-                    (max, total)
+                    let stats = p.wear.row_stats(r);
+                    (stats.max, stats.total)
                 })
                 .collect(),
             Backing::Sliced(_) => (0..self.rows)
@@ -1230,7 +1244,7 @@ mod tests {
                 assert_eq!(max, writes.iter().copied().max().unwrap(), "row {r}");
                 assert_eq!(total, writes.iter().sum::<u64>(), "row {r}");
             }
-            let (_, total_all, _) = x.wear_stats();
+            let total_all = x.wear_stats().total;
             assert_eq!(per_row.iter().map(|&(_, t)| t).sum::<u64>(), total_all);
         }
     }
@@ -1577,6 +1591,44 @@ mod tests {
             assert_eq!(split, whole, "{kind:?}");
             assert!(!split.read_cell(1, 20).unwrap(), "{kind:?}: fault kept");
             assert!(split.store_row_words(1, 100, &words, 51).is_err());
+        }
+    }
+
+    /// A dense wear add leaves each cell the pulses one `wear_region`
+    /// per cell would, after and before range writes, and the
+    /// endurance stats agree on every backend.
+    #[test]
+    fn dense_wear_equals_per_cell_wear_on_all_backends() {
+        let pulses: Vec<u64> = (0..130).map(|j| (j * 7 % 5) as u64).collect();
+        for kind in [
+            BackendKind::Scalar,
+            BackendKind::Packed,
+            BackendKind::Sliced,
+        ] {
+            let mut dense = Crossbar::with_backend(2, 200, kind).unwrap();
+            dense.write_row(1, 0, &[true; 40]).unwrap();
+            let mut cellwise = dense.clone();
+            dense.wear_row_dense(1, 30, &pulses).unwrap();
+            dense.write_row(1, 150, &[false; 50]).unwrap();
+            for (j, &p) in pulses.iter().enumerate() {
+                let region = Region::new(1..2, 30 + j..31 + j);
+                cellwise.wear_region(&region, p).unwrap();
+            }
+            cellwise.write_row(1, 150, &[false; 50]).unwrap();
+            for c in 0..200 {
+                assert_eq!(
+                    dense.cell(1, c).unwrap(),
+                    cellwise.cell(1, c).unwrap(),
+                    "{kind:?} {c}"
+                );
+            }
+            assert_eq!(dense.wear_stats(), cellwise.wear_stats(), "{kind:?}");
+            assert_eq!(
+                dense.row_wear_totals(),
+                cellwise.row_wear_totals(),
+                "{kind:?}"
+            );
+            assert!(dense.wear_row_dense(1, 100, &pulses).is_err());
         }
     }
 

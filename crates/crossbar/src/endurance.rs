@@ -5,6 +5,7 @@
 //! and spread them evenly (wear-leveling, paper Sec. IV-B).
 
 use crate::array::Crossbar;
+use crate::wear::WearStats;
 
 /// Conservative per-cell write endurance of a ReRAM cell (10^10).
 pub const CELL_ENDURANCE_WRITES: u64 = 10_000_000_000;
@@ -27,17 +28,11 @@ impl EnduranceReport {
     /// Computes the report for an array.
     ///
     /// Reads through the backend's wear representation directly — on
-    /// the packed backend this walks the lazy wear plane's constant
-    /// segments instead of materializing one [`crate::Cell`] per bit,
-    /// so per-multiply endurance reporting stays off the hot path.
+    /// the packed backend this folds the lazy wear plane's blocks and
+    /// pending ranges instead of materializing one [`crate::Cell`] per
+    /// bit, so per-multiply endurance reporting stays off the hot path.
     pub fn from_array(array: &Crossbar) -> Self {
-        let (max_writes, total_writes, cells_touched) = array.wear_stats();
-        EnduranceReport {
-            max_writes,
-            total_writes,
-            cells_touched,
-            cells_total: array.cell_count(),
-        }
+        Self::from_stats(array.wear_stats(), array)
     }
 
     /// Computes the report for one batch lane of a sliced array — the
@@ -45,13 +40,7 @@ impl EnduranceReport {
     /// array running the same program. On the scalar/packed backends
     /// lane 0 is the whole array.
     pub fn from_lane(array: &Crossbar, lane: usize) -> Self {
-        let (max_writes, total_writes, cells_touched) = array.lane_wear_stats(lane);
-        EnduranceReport {
-            max_writes,
-            total_writes,
-            cells_touched,
-            cells_total: array.cell_count(),
-        }
+        Self::from_stats(array.lane_wear_stats(lane), array)
     }
 
     /// Per-lane reports for every active lane of the array, computed
@@ -63,13 +52,17 @@ impl EnduranceReport {
             .lane_wear_stats_all()
             .into_iter()
             .take(lanes)
-            .map(|(max_writes, total_writes, cells_touched)| EnduranceReport {
-                max_writes,
-                total_writes,
-                cells_touched,
-                cells_total: array.cell_count(),
-            })
+            .map(|stats| Self::from_stats(stats, array))
             .collect()
+    }
+
+    fn from_stats(stats: WearStats, array: &Crossbar) -> Self {
+        EnduranceReport {
+            max_writes: stats.max,
+            total_writes: stats.total,
+            cells_touched: stats.touched,
+            cells_total: array.cell_count(),
+        }
     }
 
     /// `(max, mean)` per-cell write counts in one call — the summary
@@ -194,6 +187,43 @@ mod tests {
             .collect();
         assert_eq!(EnduranceReport::max_over(&reports), 7);
         assert_eq!(EnduranceReport::max_over(&[]), 0);
+    }
+
+    /// Sliced rows with only uniform wear are folded once for every
+    /// lane, rows with masked entries lane by lane. Either way each
+    /// lane's report must equal its own [`EnduranceReport::from_lane`]
+    /// and a walk over that lane's cells.
+    #[test]
+    fn per_lane_matches_from_lane_on_mixed_rows() {
+        let lanes = 5;
+        let mut x = Crossbar::new_sliced(4, 70, lanes).unwrap();
+        x.write_row(0, 0, &[true; 70]).unwrap();
+        x.init_region(&Region::new(1..3, 3..40)).unwrap();
+        x.write_row_lanes_masked(1, 10, &[0; 20], 0b10110).unwrap();
+        x.wear_row_lanes_masked(2, 30..70, 0b1).unwrap();
+        x.wear_region(&Region::new(3..4, 60..70), 4).unwrap();
+        x.wear_row_dense(3, 0, &[1, 0, 2]).unwrap();
+        let per_lane = EnduranceReport::per_lane(&x);
+        assert_eq!(per_lane.len(), lanes);
+        for (lane, report) in per_lane.iter().enumerate() {
+            let mut walk = WearStats::default();
+            for r in 0..4 {
+                for c in 0..70 {
+                    walk.add_run(x.lane_cell(lane, r, c).unwrap().writes(), 1);
+                }
+            }
+            assert_eq!(*report, EnduranceReport::from_lane(&x, lane), "lane {lane}");
+            assert_eq!(
+                *report,
+                EnduranceReport::from_stats(walk, &x),
+                "lane {lane}"
+            );
+        }
+        assert_ne!(
+            per_lane[0], per_lane[1],
+            "masked rows wear lanes differently"
+        );
+        assert_eq!(EnduranceReport::from_array(&x), per_lane[0]);
     }
 
     #[test]

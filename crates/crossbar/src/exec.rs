@@ -540,7 +540,8 @@ impl<'a> Executor<'a> {
                 col_offset,
                 bits,
             } => {
-                self.array.write_row(*row, *col_offset, bits)?;
+                self.array
+                    .write_row_words(*row, *col_offset, bits.words(), bits.len())?;
                 OpClass::Write
             }
             MicroOp::WriteRowLanes {

@@ -25,8 +25,8 @@ pub enum MicroOp {
         row: usize,
         /// First column written.
         col_offset: usize,
-        /// Bit payload.
-        bits: Vec<bool>,
+        /// Bit payload, packed into words.
+        bits: RowBits,
     },
     /// Write one *lane word* per column into `row` starting at
     /// `col_offset` (1 cc): bit `l` of `lane_words[j]` is the bit for
@@ -135,14 +135,71 @@ pub enum MicroOp {
     Parallel(Vec<MicroOp>),
 }
 
+/// The payload of a [`MicroOp::WriteRow`]: `len` bits packed
+/// little-endian into `u64` words (bit `j` is bit `j % 64` of word
+/// `j / 64`), with every bit past `len` zero — the form the backends
+/// write, so executing a write repacks nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowBits {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl RowBits {
+    /// Packs one `bool` per bit.
+    pub fn from_bools(bits: &[bool]) -> Self {
+        let words = bits
+            .chunks(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .rev()
+                    .fold(0, |acc, &b| (acc << 1) | u64::from(b))
+            })
+            .collect();
+        RowBits {
+            words,
+            len: bits.len(),
+        }
+    }
+
+    /// The first `len` bits of little-endian `words`; missing words
+    /// read as 0 and bits past `len` are dropped.
+    pub fn from_words(words: &[u64], len: usize) -> Self {
+        let mut packed = vec![0; len.div_ceil(64)];
+        let n = packed.len().min(words.len());
+        packed[..n].copy_from_slice(&words[..n]);
+        if let (Some(last), tail @ 1..) = (packed.last_mut(), len % 64) {
+            *last &= (1 << tail) - 1;
+        }
+        RowBits { words: packed, len }
+    }
+
+    /// Number of bits.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the payload holds no bits.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The packed words, `len.div_ceil(64)` of them.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// The bits in order.
+    pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
+        (0..self.len).map(|j| (self.words[j / 64] >> (j % 64)) & 1 == 1)
+    }
+}
+
 impl MicroOp {
     /// Writes `bits` into `row` starting at column 0.
     pub fn write_row(row: usize, bits: &[bool]) -> Self {
-        MicroOp::WriteRow {
-            row,
-            col_offset: 0,
-            bits: bits.to_vec(),
-        }
+        Self::write_row_at(row, 0, bits)
     }
 
     /// Writes `bits` into `row` starting at `col_offset`.
@@ -150,7 +207,17 @@ impl MicroOp {
         MicroOp::WriteRow {
             row,
             col_offset,
-            bits: bits.to_vec(),
+            bits: RowBits::from_bools(bits),
+        }
+    }
+
+    /// Writes the first `len` bits of little-endian `words` into `row`
+    /// starting at `col_offset` (see [`RowBits::from_words`]).
+    pub fn write_row_words(row: usize, col_offset: usize, words: &[u64], len: usize) -> Self {
+        MicroOp::WriteRow {
+            row,
+            col_offset,
+            bits: RowBits::from_words(words, len),
         }
     }
 
@@ -574,6 +641,26 @@ mod tests {
         assert_eq!(MicroOp::nor_rows(&[0, 1], 2, 0..4).cycles(), 1);
         assert_eq!(MicroOp::nor_cols(&[0, 1], 2, 0..4).cycles(), 1);
         assert_eq!(MicroOp::shift(0, 0..4, 1).cycles(), 2);
+    }
+
+    #[test]
+    fn row_bits_pack_bools_and_words_alike() {
+        let bools: Vec<bool> = (0..130).map(|j| j % 3 == 0 || j == 129).collect();
+        let packed = RowBits::from_bools(&bools);
+        assert_eq!(packed.len(), 130);
+        assert_eq!(packed.words().len(), 3);
+        assert!(packed.iter().eq(bools.iter().copied()));
+        // Extra words and bits past `len` are dropped, missing words
+        // read as zero.
+        let from_words = RowBits::from_words(&[packed.words(), &[u64::MAX]].concat(), 130);
+        assert_eq!(from_words, packed);
+        assert_eq!(RowBits::from_words(&[u64::MAX], 3).words(), &[0b111]);
+        assert_eq!(RowBits::from_words(&[1], 70).words(), &[1, 0]);
+        assert!(RowBits::from_bools(&[]).is_empty());
+        assert_eq!(
+            MicroOp::write_row_at(2, 5, &bools),
+            MicroOp::write_row_words(2, 5, packed.words(), 130)
+        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use energy::{EnergyParams, EnergyReport};
 pub use error::{Axis, CrossbarError};
 pub use exec::{ExecConfig, Executor, OpTrace, TraceEntry};
 pub use geometry::{ColRange, Region};
-pub use isa::{MicroOp, OpFootprint};
+pub use isa::{MicroOp, OpFootprint, RowBits};
 pub use meter::MeterSpec;
 pub use stats::{CycleStats, OpClass};
 

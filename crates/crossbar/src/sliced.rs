@@ -33,7 +33,7 @@
 
 use crate::cell::{Cell, Fault};
 use crate::geometry::ColRange;
-use crate::wear::WearPlane;
+use crate::wear::{WearPlane, WearStats};
 
 /// Maximum batch lanes a sliced array carries: the word width.
 pub(crate) const MAX_LANES: usize = 64;
@@ -329,6 +329,12 @@ impl SlicedPlanes {
     /// in the span, leaving values untouched.
     pub(crate) fn wear_uniform(&mut self, row: usize, cols: ColRange, pulses: u64) {
         self.uniform.add(row, cols, pulses);
+    }
+
+    /// Adds `pulses[j]` write pulses of wear to every lane of cell
+    /// `col_offset + j`, leaving values untouched.
+    pub(crate) fn wear_uniform_dense(&mut self, row: usize, col_offset: usize, pulses: &[u64]) {
+        self.uniform.add_dense(row, col_offset, pulses);
     }
 
     /// Records one masked wear pulse over the span — the wear half of
@@ -680,29 +686,23 @@ impl SlicedPlanes {
 
     /// `(max, total, touched)` per-cell write statistics of **all**
     /// lanes in one sweep — `out` must hold `MAX_LANES` slots (only
-    /// the active ones are meaningful). Uniform wear contributes to
-    /// every lane; masked entries through an event sweep over entry
-    /// boundaries, so each row costs O(entries · (log entries + lanes))
-    /// instead of O(lanes · cols): per-lane wear is constant between
-    /// boundaries, letting whole segments fold into the statistics at
-    /// once.
-    pub(crate) fn lane_wear_stats_all(&self) -> Vec<(u64, u64, usize)> {
-        let mut out = vec![(0u64, 0u64, 0usize); MAX_LANES];
+    /// the active ones are meaningful). Wear that every lane shares —
+    /// rows with only uniform wear, and the spans of other rows no
+    /// masked entry covers — is folded once and added to every lane at
+    /// the end. Masked entries go through an event sweep over entry
+    /// boundaries, so each such row costs O(entries · (log entries +
+    /// lanes)) instead of O(lanes · cols): per-lane wear is constant
+    /// between boundaries, letting whole segments fold into the
+    /// statistics at once.
+    pub(crate) fn lane_wear_stats_all(&self) -> Vec<WearStats> {
+        let mut out = vec![WearStats::default(); MAX_LANES];
+        let mut shared = WearStats::default();
         let mut events: Vec<(u32, u64, i32)> = Vec::new();
         let mut uni_segs: Vec<(usize, u64)> = Vec::new();
         for row in 0..self.rows {
             let entries = &self.masked[row];
             if entries.is_empty() {
-                // Uniform-only rows wear every lane identically.
-                self.uniform.for_each_segment(row, |w, n| {
-                    if w > 0 {
-                        for s in out.iter_mut() {
-                            s.0 = s.0.max(w);
-                            s.1 += w * n as u64;
-                            s.2 += n;
-                        }
-                    }
-                });
+                shared.merge(self.uniform.row_stats(row));
                 continue;
             }
             uni_segs.clear();
@@ -748,53 +748,26 @@ impl SlicedPlanes {
                 let len = next - col;
                 if covered == 0 {
                     // Purely uniform span — every lane moves in lockstep.
-                    if u > 0 {
-                        for s in out.iter_mut() {
-                            s.0 = s.0.max(u);
-                            s.1 += u * len as u64;
-                            s.2 += len;
-                        }
-                    }
+                    shared.add_run(u, len);
                 } else {
                     for (lane, s) in out.iter_mut().enumerate() {
-                        let w = u + count[lane] as u64;
-                        if w > 0 {
-                            s.0 = s.0.max(w);
-                            s.1 += w * len as u64;
-                            s.2 += len;
-                        }
+                        s.add_run(u + count[lane] as u64, len);
                     }
                 }
                 col = next;
             }
         }
+        for s in &mut out {
+            s.merge(shared);
+        }
         out
     }
 
-    /// `(max, total, touched)` of one lane.
-    pub(crate) fn lane_wear_stats(&self, lane: usize) -> (u64, u64, usize) {
-        self.lane_wear_stats_all()[lane]
-    }
-
-    /// Lane-0 wear statistics — what the generic
+    /// `(max, total, touched)` of one lane; lane 0 is what the generic
     /// [`crate::EnduranceReport::from_array`] observes on a sliced
     /// array.
-    pub(crate) fn wear_stats(&self) -> (u64, u64, usize) {
-        if self.masked.iter().all(Vec::is_empty) {
-            let (mut max, mut total, mut touched) = (0u64, 0u64, 0usize);
-            for row in 0..self.rows {
-                self.uniform.for_each_segment(row, |w, n| {
-                    if w > 0 {
-                        max = max.max(w);
-                        total += w * n as u64;
-                        touched += n;
-                    }
-                });
-            }
-            (max, total, touched)
-        } else {
-            self.lane_wear_stats(0)
-        }
+    pub(crate) fn lane_wear_stats(&self, lane: usize) -> WearStats {
+        self.lane_wear_stats_all()[lane]
     }
 
     pub(crate) fn reset_wear(&mut self) {
@@ -912,10 +885,15 @@ mod tests {
         p.write_lanes_masked(0, 0, &[0, 0], 0b1); // lane 0, cols 0..2
         p.write_lanes_masked(0, 1, &[0], 0b1); // lane 0, col 1
         let all = p.lane_wear_stats_all();
+        let stats = |max, total, touched| WearStats {
+            max,
+            total,
+            touched,
+        };
         // Lane 0 per column: uniform 1 everywhere, +1 on cols 0..2,
         // +1 more on col 1 ⇒ [2, 3, 1, 1].
-        assert_eq!(all[0], (3, 2 + 3 + 1 + 1, 4));
-        assert_eq!(all[1], (1, 4, 4));
+        assert_eq!(all[0], stats(3, 2 + 3 + 1 + 1, 4));
+        assert_eq!(all[1], stats(1, 4, 4));
         assert_eq!(p.lane_writes_at(0, 0, 1), 3);
         assert_eq!(p.lane_writes_at(1, 0, 1), 1);
     }

@@ -46,7 +46,24 @@ pub mod ripple;
 pub mod tmr;
 
 use cim_bigint::Uint;
-use cim_crossbar::{Crossbar, CrossbarError};
+use cim_crossbar::{Crossbar, CrossbarError, MicroOp};
+
+/// A row write of `v` into `width` columns of `row` from `col_offset`
+/// (bit 0 at `col_offset`), with `v`'s limbs as the payload words: the
+/// operand staging of every stage that loads a row from the host.
+///
+/// # Panics
+///
+/// Panics if `v` does not fit in `width` bits.
+pub fn write_row_uint(row: usize, col_offset: usize, v: &Uint, width: usize) -> MicroOp {
+    assert!(
+        v.bit_len() <= width,
+        "value of {} bits does not fit in width {}",
+        v.bit_len(),
+        width
+    );
+    MicroOp::write_row_words(row, col_offset, v.limbs(), width)
+}
 
 /// Senses `cols` of `row` as an unsigned integer (bit 0 = column
 /// `cols.start`) with one word-wide read: the readback of every stage
@@ -69,6 +86,24 @@ pub fn read_row_uint(
 mod tests {
     use super::*;
     use cim_crossbar::BackendKind;
+
+    #[test]
+    fn write_row_uint_matches_the_bit_payload() {
+        let v = Uint::from_limbs(vec![0x9E37_79B9_7F4A_7C15; 3]).low_bits(150);
+        for width in [150, 151, 200] {
+            assert_eq!(
+                write_row_uint(3, 7, &v, width),
+                MicroOp::write_row_at(3, 7, &v.to_bits(width))
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "value of 150 bits does not fit in width 149")]
+    fn write_row_uint_rejects_values_wider_than_width() {
+        let v = Uint::pow2(149);
+        write_row_uint(0, 0, &v, 149);
+    }
 
     #[test]
     fn read_row_uint_round_trips_unaligned_spans() {

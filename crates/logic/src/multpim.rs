@@ -27,11 +27,11 @@
 //! scratch cells hold the values and per-cell wear of `w` cell-serial
 //! shift-add iterations — while cycles are charged by the formula (see
 //! DESIGN.md §1/§4). On a fault-free row the shift-add is evaluated in
-//! closed form: each iteration's writes are recorded as wear only, and
-//! the final values (the product `a·b` and the last active
-//! iteration's carries) are stored once. A row with a stuck-at fault
-//! runs the cell-serial reference loop instead, so pinned reads feed
-//! back into the sums.
+//! closed form: the iterations' writes are recorded as wear only (on a
+//! one-lane row as one dense per-cell block), and the final values
+//! (the product `a·b` and the last active iteration's carries) are
+//! stored once. A row with a stuck-at fault runs the cell-serial
+//! reference loop instead, so pinned reads feed back into the sums.
 
 use cim_bigint::Uint;
 use cim_crossbar::{
@@ -236,8 +236,8 @@ impl RowMultiplier {
         let w = self.width;
         let at = |off: usize| col_base + off * w;
         let prog = vec![
-            MicroOp::write_row_at(row, at(A_OFF), &a.to_bits(w)),
-            MicroOp::write_row_at(row, at(B_OFF), &b.to_bits(w)),
+            crate::write_row_uint(row, at(A_OFF), a, w),
+            crate::write_row_uint(row, at(B_OFF), b, w),
             MicroOp::reset_region(row..row + 1, at(P_OFF)..at(P_OFF) + 2 * w),
         ];
         cim_check::debug_assert_verified(
@@ -461,12 +461,14 @@ impl RowMultiplier {
     ///
     /// * **Wear**, pulse for pulse: the scratch reset pulses every
     ///   iteration (the reference resets before testing `b_i`), so the
-    ///   scratch region takes one reset plus `w − 1` extra pulses; each
-    ///   iteration `i` whose multiplier bit is set in any lane records
-    ///   the reference's three write spans — `C[0]` (written at
+    ///   scratch region takes one reset plus `w − 1` extra pulses. Each
+    ///   iteration `i` whose multiplier bit is set writes `C[0]` (at
     ///   `j = 0` and again at `j = w`), the `C` span and the product
-    ///   window `[i, i + w + 1)` — for exactly the lanes with that bit
-    ///   set.
+    ///   window `[i, i + w + 1)`. A one-lane row adds the per-cell sum
+    ///   of those writes as one dense block over `[P, C + w)`
+    ///   ([`Crossbar::wear_row_dense`], built by `one_lane_pulses`);
+    ///   with more lanes each iteration records its three spans for
+    ///   exactly the lanes with that bit set.
     /// * **Values**, stored once per lane: a cell's final value is the
     ///   last write it took, so the product region takes `a·b` and the
     ///   carry-staging cells take the ripple carries of the lane's last
@@ -497,24 +499,26 @@ impl RowMultiplier {
         let scratch = Region::new(row..row + 1, at(S_OFF)..at(S_OFF) + w);
         array.reset_region(&scratch)?;
         array.wear_region(&scratch, w as u64 - 1)?;
-        let b_refs: Vec<&[u64]> = b_lanes.iter().map(Vec::as_slice).collect();
-        let active: Vec<(usize, u64)> = cim_crossbar::lanes::transpose_lanes(&b_refs, w)
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, m)| m != 0)
-            .collect();
-        // Wear counts are order-insensitive, so the pulses are issued
-        // span by span: on the packed backend the repeats of one span
-        // coalesce into a single wear entry.
-        for span in [at(C_OFF)..at(C_OFF) + 1, at(C_OFF)..at(C_OFF) + w] {
-            for &(_, m) in &active {
-                array.wear_row_lanes_masked(row, span.clone(), m)?;
+        let written = if lanes == 1 {
+            let pulses = one_lane_pulses(&b_lanes[0], w);
+            if !pulses.is_empty() {
+                array.wear_row_dense(row, at(P_OFF), &pulses)?;
             }
-        }
-        for &(i, m) in &active {
-            array.wear_row_lanes_masked(row, at(P_OFF) + i..at(P_OFF) + i + w + 1, m)?;
-        }
-        let written = active.iter().fold(0, |any, &(_, m)| any | m);
+            u64::from(!pulses.is_empty())
+        } else {
+            let b_refs: Vec<&[u64]> = b_lanes.iter().map(Vec::as_slice).collect();
+            let active: Vec<(usize, u64)> = cim_crossbar::lanes::transpose_lanes(&b_refs, w)
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, m)| m != 0)
+                .collect();
+            for &(i, m) in &active {
+                array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + 1, m)?;
+                array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + w, m)?;
+                array.wear_row_lanes_masked(row, at(P_OFF) + i..at(P_OFF) + i + w + 1, m)?;
+            }
+            active.iter().fold(0, |any, &(_, m)| any | m)
+        };
 
         let mut p_lanes = vec![Vec::new(); lanes];
         let mut c_lanes = vec![Vec::new(); lanes];
@@ -570,6 +574,45 @@ impl RowMultiplier {
         let (product, stats) = self.run_in(&mut array, 0, 0, a, b)?;
         Ok((product, stats, EnduranceReport::from_array(&array)))
     }
+}
+
+/// The per-cell wear pulses the shift-add's iteration writes leave on
+/// `[P, C + w)` of a one-lane row whose `w`-bit multiplier is `b`:
+/// product cell `P + j` takes one pulse from every active iteration
+/// `i` whose window `[i, i + w]` holds `j`, every carry cell one per
+/// active iteration, and `C[0]` a second one (written at `j = 0` and
+/// again at `j = w`). Empty when `b = 0`: no iteration writes. The set
+/// bits of `b` are found word by word and the windows summed through a
+/// difference array, so this is `O(w + popcount b)`.
+fn one_lane_pulses(b: &[u64], w: usize) -> Vec<u64> {
+    let active: u64 = b.iter().map(|word| u64::from(word.count_ones())).sum();
+    if active == 0 {
+        return Vec::new();
+    }
+    let mut pulses = vec![0u64; 3 * w];
+    let (window, carry) = pulses.split_at_mut(2 * w);
+    // Window starts add one, ends subtract one; the prefix sums are
+    // the counts. Wrapping arithmetic lets an end entry dip below zero
+    // before the starts ahead of it are summed in.
+    for (k, &word) in b.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let i = k * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            window[i] = window[i].wrapping_add(1);
+            if let Some(end) = window.get_mut(i + w + 1) {
+                *end = end.wrapping_sub(1);
+            }
+        }
+    }
+    let mut level = 0u64;
+    for p in window.iter_mut() {
+        level = level.wrapping_add(*p);
+        *p = level;
+    }
+    carry.fill(active);
+    carry[0] += active;
+    pulses
 }
 
 /// Reads `cols` of `row` as one little-endian word vector per lane for
