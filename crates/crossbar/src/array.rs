@@ -511,10 +511,12 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Records one write pulse of wear over the span for the lanes in
-    /// `mask` — the wear half of [`Crossbar::write_row_lanes_masked`]
-    /// — without touching values. On the scalar/packed backends the
-    /// cells wear iff bit 0 of `mask` is set.
+    /// Records `pulses` write pulses of wear over the span for the
+    /// lanes in `mask` — the wear half of that many
+    /// [`Crossbar::write_row_lanes_masked`] calls — without touching
+    /// values. The sliced backend keeps them as one lane-masked entry.
+    /// On the scalar/packed backends the cells wear iff bit 0 of
+    /// `mask` is set.
     ///
     /// # Errors
     ///
@@ -524,20 +526,21 @@ impl Crossbar {
         row: usize,
         cols: ColRange,
         mask: u64,
+        pulses: u64,
     ) -> Result<(), CrossbarError> {
         self.check_row(row)?;
         self.check_cols(&cols)?;
         match &mut self.state {
-            Backing::Sliced(p) => p.wear_masked(row, cols, mask),
+            Backing::Sliced(p) => p.wear_masked(row, cols, mask, pulses),
             Backing::Packed(p) => {
                 if mask & 1 == 1 {
-                    p.wear.add(row, cols, 1);
+                    p.wear.add(row, cols, pulses);
                 }
             }
             Backing::Scalar(cells) => {
                 if mask & 1 == 1 {
                     for col in cols {
-                        cells[row * self.cols + col].add_wear(1);
+                        cells[row * self.cols + col].add_wear(pulses);
                     }
                 }
             }
