@@ -20,18 +20,32 @@ pub struct Hotspot {
     pub writes: u64,
 }
 
+/// A maximal run of cells in one row that the program writes equally
+/// often (at least once).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    row: usize,
+    start: usize,
+    end: usize,
+    writes: u64,
+}
+
 /// Per-cell write counts accumulated by a single program.
 ///
-/// While a program is being recorded, each row of `writes` holds the
-/// row's counts in difference form (a drive of columns `a..b` adds 1 at
-/// `a` and subtracts 1 at `b`), so recording a span costs two updates
-/// whatever its width; [`WritePressure::finish`] turns every row into
-/// counts with one prefix sum. Only finished maps leave the crate.
+/// While a program is being recorded, every drive of a row span is
+/// kept as one `(row, start, end)` entry, so recording costs O(1)
+/// whatever the span's width or the array's size.
+/// [`WritePressure::finish`] sorts the spans' boundaries and sweeps
+/// them into runs of equal count: the finished map is the sorted list
+/// of maximal runs of cells written equally often, untouched cells
+/// omitted, so two programs that drive every cell equally often give
+/// equal maps. Only finished maps leave the crate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WritePressure {
     rows: usize,
     cols: usize,
-    writes: Vec<u64>,
+    spans: Vec<(usize, usize, usize)>,
+    runs: Vec<Run>,
 }
 
 impl WritePressure {
@@ -40,57 +54,101 @@ impl WritePressure {
         WritePressure {
             rows,
             cols,
-            writes: vec![0; rows * cols],
+            spans: Vec::new(),
+            runs: Vec::new(),
         }
     }
 
     /// Records one drive of every cell of `row` over `cols`, which must
-    /// lie inside the array (an empty span records nothing). Entries
-    /// wrap: a −1 may land before the +1 that cancels it in the prefix
-    /// sum. The −1 of a span that reaches the last column falls off the
-    /// row and is skipped.
+    /// lie inside the array (an empty span records nothing).
     pub(crate) fn record_span(&mut self, row: usize, cols: &std::ops::Range<usize>) {
-        if cols.start >= cols.end {
-            return;
-        }
-        let base = row * self.cols;
-        let start = &mut self.writes[base + cols.start];
-        *start = start.wrapping_add(1);
-        if cols.end < self.cols {
-            let end = &mut self.writes[base + cols.end];
-            *end = end.wrapping_sub(1);
+        if cols.start < cols.end {
+            self.spans.push((row, cols.start, cols.end));
         }
     }
 
-    /// Turns the recorded differences into per-cell counts.
+    /// Turns the recorded spans into runs of equal count.
+    ///
+    /// Each boundary is keyed `row · (cols + 1) + col`, so the keys of
+    /// a row sort before the next row's and a span's end (at most
+    /// `cols`) never meets the next row's first start; between two
+    /// consecutive keys the count is constant.
     pub(crate) fn finish(&mut self) {
-        for row in self.writes.chunks_mut(self.cols.max(1)) {
-            let mut count = 0u64;
-            for w in row {
-                count = count.wrapping_add(*w);
-                *w = count;
+        let key = |row: usize, col: usize| row * (self.cols + 1) + col;
+        let mut starts: Vec<usize> = self.spans.iter().map(|&(r, s, _)| key(r, s)).collect();
+        let mut ends: Vec<usize> = self.spans.iter().map(|&(r, _, e)| key(r, e)).collect();
+        starts.sort_unstable();
+        ends.sort_unstable();
+        let (mut i, mut count, mut pos) = (0, 0u64, 0);
+        for &end in &ends {
+            // Every start at or before `end` opens before it closes.
+            while i < starts.len() && starts[i] <= end {
+                self.push_run(pos, starts[i], count);
+                (pos, count) = (starts[i], count + 1);
+                i += 1;
             }
+            self.push_run(pos, end, count);
+            (pos, count) = (end, count - 1);
+        }
+        self.spans = Vec::new();
+    }
+
+    /// Appends the cells between keys `from..to` (one row) written
+    /// `writes` times, extending the last run when it continues it.
+    fn push_run(&mut self, from: usize, to: usize, writes: u64) {
+        if writes == 0 || from == to {
+            return;
+        }
+        let row = from / (self.cols + 1);
+        let (start, end) = (from - row * (self.cols + 1), to - row * (self.cols + 1));
+        match self.runs.last_mut() {
+            Some(last) if last.row == row && last.end == start && last.writes == writes => {
+                last.end = end;
+            }
+            _ => self.runs.push(Run {
+                row,
+                start,
+                end,
+                writes,
+            }),
         }
     }
 
     /// Writes the program applies to the given cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell is outside the array.
     pub fn writes_at(&self, row: usize, col: usize) -> u64 {
-        self.writes[row * self.cols + col]
+        assert!(
+            row < self.rows && col < self.cols,
+            "cell ({row}, {col}) outside the {}×{} array",
+            self.rows,
+            self.cols
+        );
+        let i = self.runs.partition_point(|r| (r.row, r.end) <= (row, col));
+        match self.runs.get(i) {
+            Some(r) if r.row == row && r.start <= col => r.writes,
+            _ => 0,
+        }
     }
 
     /// Highest per-cell write count in the program.
     pub fn max_writes(&self) -> u64 {
-        self.writes.iter().copied().max().unwrap_or(0)
+        self.runs.iter().map(|r| r.writes).max().unwrap_or(0)
     }
 
     /// Total cell drives across the whole array.
     pub fn total_writes(&self) -> u64 {
-        self.writes.iter().sum()
+        self.runs
+            .iter()
+            .map(|r| r.writes * (r.end - r.start) as u64)
+            .sum()
     }
 
     /// Number of cells the program writes at least once.
     pub fn touched_cells(&self) -> usize {
-        self.writes.iter().filter(|&&w| w > 0).count()
+        self.runs.iter().map(|r| r.end - r.start).sum()
     }
 
     /// Mean writes over *touched* cells (0.0 if nothing is written) —
@@ -109,31 +167,28 @@ impl WritePressure {
     /// hottest-first (ties broken by row, then column, so the order is
     /// deterministic).
     pub fn hotspots(&self, threshold: u64) -> Vec<Hotspot> {
-        let mut spots: Vec<Hotspot> = self
-            .writes
-            .iter()
-            .enumerate()
-            .filter(|&(_, &w)| w >= threshold && w > 0)
-            .map(|(i, &w)| Hotspot {
-                row: i / self.cols,
-                col: i % self.cols,
-                writes: w,
-            })
-            .collect();
-        spots.sort_by(|a, b| {
-            b.writes
-                .cmp(&a.writes)
-                .then(a.row.cmp(&b.row))
-                .then(a.col.cmp(&b.col))
-        });
-        spots
+        self.ranked(threshold).collect()
     }
 
     /// The `k` hottest cells (fewer if the program touches fewer).
     pub fn hottest(&self, k: usize) -> Vec<Hotspot> {
-        let mut spots = self.hotspots(1);
-        spots.truncate(k);
-        spots
+        self.ranked(1).take(k).collect()
+    }
+
+    /// The cells of every run written at least `threshold` times, in
+    /// [`WritePressure::hotspots`] order: runs are disjoint, so ranking
+    /// them hottest-first by row and start, then listing each run's
+    /// columns in turn, ranks the cells.
+    fn ranked(&self, threshold: u64) -> impl Iterator<Item = Hotspot> + '_ {
+        let mut runs: Vec<&Run> = self.runs.iter().filter(|r| r.writes >= threshold).collect();
+        runs.sort_by_key(|r| (std::cmp::Reverse(r.writes), r.row, r.start));
+        runs.into_iter().flat_map(|r| {
+            (r.start..r.end).map(|col| Hotspot {
+                row: r.row,
+                col,
+                writes: r.writes,
+            })
+        })
     }
 
     /// How many times the program could run before its hottest cell
@@ -147,6 +202,7 @@ impl WritePressure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cim_crossbar::MicroOp;
 
     #[test]
     fn records_and_ranks_hotspots() {
@@ -183,6 +239,49 @@ mod tests {
         }
         p.finish();
         assert_eq!(p.endurance_lifetime_runs(), Some(CELL_ENDURANCE_WRITES / 4));
+    }
+
+    #[test]
+    fn split_drives_give_the_same_map_as_whole_ones() {
+        let drive = |spans: &[(usize, std::ops::Range<usize>)]| {
+            let mut p = WritePressure::new(2, 70);
+            for (row, cols) in spans {
+                p.record_span(*row, cols);
+            }
+            p.finish();
+            p
+        };
+        let whole = drive(&[(0, 0..4)]);
+        let split = drive(&[(0, 0..2), (0, 2..4)]);
+        assert_eq!(whole, split);
+        assert_eq!(whole, drive(&[(0, 2..4), (0, 0..2)]));
+        assert_eq!(whole.hotspots(1), split.hotspots(1));
+        assert_eq!(whole.hottest(3), split.hottest(3));
+        assert_eq!(whole.total_writes(), split.total_writes());
+        assert_eq!(whole.touched_cells(), split.touched_cells());
+        // Overlaps and word-boundary splits coalesce the same way.
+        assert_eq!(
+            drive(&[(1, 0..70), (1, 60..66), (0, 5..6)]),
+            drive(&[(0, 5..6), (1, 0..64), (1, 60..64), (1, 64..66), (1, 64..70)])
+        );
+        // One run when counts meet; two across an untouched gap or a
+        // row end, even with equal counts.
+        assert_eq!(split.runs.len(), 1);
+        assert_eq!(drive(&[(0, 0..2), (0, 3..5)]).runs.len(), 2);
+        assert_eq!(drive(&[(0, 68..70), (1, 0..2)]).runs.len(), 2);
+        // The same holds for the maps `verify` reports.
+        let verified = |program: &[MicroOp]| {
+            crate::verify(program, &crate::VerifyConfig::new(2, 70))
+                .expect("legal")
+                .pressure
+        };
+        assert_eq!(
+            verified(&[MicroOp::init_rows(&[0], 0..4)]),
+            verified(&[
+                MicroOp::init_rows(&[0], 0..2),
+                MicroOp::init_rows(&[0], 2..4)
+            ])
+        );
     }
 
     #[test]

@@ -14,9 +14,16 @@
 //! because the ISA's control parameters (rows, spans, write payloads)
 //! are compile-time constants of the program — only cell *values* are
 //! data-dependent, and the lattice never needs them.
+//!
+//! The lattice is stored as two bit planes, one `u64` word per 64
+//! cells of a row: `init` (the cell is not Uninit) and `one` (the cell
+//! is One, a subset of `init`). A read-before-init check is then a
+//! search for the first clear bit of `init` over a span, the MAGIC
+//! output check the same search over `one`, and every write a masked
+//! word store into both planes.
 
 use crate::pressure::WritePressure;
-use cim_crossbar::{Axis, MicroOp, Region};
+use cim_crossbar::{Axis, MicroOp, Region, WordSpan};
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
@@ -198,88 +205,108 @@ pub struct VerifyReport {
     pub pressure: WritePressure,
 }
 
-/// Abstract state of one cell during verification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CellState {
-    Uninit,
-    One,
-    Defined,
-}
-
-/// Index of the first cell of `span` in state `s` (`want`) or not in
-/// it (`!want`). The span is scanned 32 cells per step with a
-/// branch-free fold, which the compiler vectorizes, and the hit is
-/// then located within its chunk. These scans are most of a
-/// verification's time; a cell-at-a-time loop ran about half as fast,
-/// and its speed swung with where the code landed in the binary.
-fn first_cell(span: &[CellState], s: CellState, want: bool) -> Option<usize> {
-    const CHUNK: usize = 32;
-    let hit = |c: &CellState| (*c == s) == want;
-    let chunks = span.chunks_exact(CHUNK);
-    let tail = chunks.remainder();
-    for (k, chunk) in chunks.enumerate() {
-        if chunk.iter().fold(false, |any, c| any | hit(c)) {
-            return chunk.iter().position(hit).map(|p| k * CHUNK + p);
-        }
-    }
-    tail.iter()
-        .position(hit)
-        .map(|p| span.len() - tail.len() + p)
-}
-
 /// The per-cell lattice the verifier (and the well-formed-program
-/// generator) steps over a program.
+/// generator) steps over a program, as two bit planes of `wpr` words
+/// per row (see the module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct AbstractState {
     rows: usize,
     cols: usize,
-    cells: Vec<CellState>,
+    wpr: usize,
+    /// Set where the cell is not Uninit.
+    init: Vec<u64>,
+    /// Set where the cell is One.
+    one: Vec<u64>,
 }
 
 impl AbstractState {
     pub(crate) fn from_config(config: &VerifyConfig) -> Self {
+        let wpr = config.cols.div_ceil(64);
         let mut state = AbstractState {
             rows: config.rows,
             cols: config.cols,
-            cells: vec![CellState::Uninit; config.rows * config.cols],
+            wpr,
+            init: vec![0; config.rows * wpr],
+            one: vec![0; config.rows * wpr],
         };
         for region in &config.preloaded {
             let cols = region.cols.start..region.cols.end.min(state.cols);
-            for r in region.rows.start..region.rows.end.min(state.rows) {
-                state.span_mut(r, &cols).fill(CellState::Defined);
+            if let Some(span) = WordSpan::new(&cols) {
+                for r in region.rows.start..region.rows.end.min(state.rows) {
+                    state.store(r, span, false);
+                }
             }
         }
         state
     }
 
-    /// The cells of `row` over `cols` (empty when `cols` is); the span
-    /// must lie inside the array.
-    fn span(&self, row: usize, cols: &Range<usize>) -> &[CellState] {
-        if cols.start >= cols.end {
-            return &[];
-        }
-        let base = row * self.cols;
-        &self.cells[base + cols.start..base + cols.end]
+    /// The word indices of row `r` in either plane.
+    fn words(&self, r: usize) -> std::ops::Range<usize> {
+        r * self.wpr..(r + 1) * self.wpr
     }
 
-    fn span_mut(&mut self, row: usize, cols: &Range<usize>) -> &mut [CellState] {
-        if cols.start >= cols.end {
-            return &mut [];
-        }
-        let base = row * self.cols;
-        &mut self.cells[base + cols.start..base + cols.end]
+    /// First Uninit cell of `row` over `cols`.
+    fn first_uninit(&self, row: usize, cols: &Range<usize>) -> Option<usize> {
+        WordSpan::new(cols)?.first_clear(&self.init[self.words(row)])
     }
 
-    /// Drives every cell of `row` over `cols` to `s` and records the
+    /// First cell of `row` over `cols` that is not One.
+    fn first_not_one(&self, row: usize, cols: &Range<usize>) -> Option<usize> {
+        WordSpan::new(cols)?.first_clear(&self.one[self.words(row)])
+    }
+
+    /// Makes every cell of `span` in `row` One (`one`) or Defined.
+    fn store(&mut self, row: usize, span: WordSpan, one: bool) {
+        let words = self.words(row);
+        span.fill(&mut self.init[words.clone()], true);
+        span.fill(&mut self.one[words], one);
+    }
+
+    /// Writes the `len` cells of `row` from `col_offset` on, making
+    /// each Defined, or One where bit `j` of the little-endian `ones`
+    /// words is set (bits past `len` are ignored), and records the
     /// wear.
+    fn write_ones(
+        &mut self,
+        row: usize,
+        col_offset: usize,
+        ones: &[u64],
+        len: usize,
+        pressure: &mut Option<&mut WritePressure>,
+    ) {
+        let cols = col_offset..col_offset + len;
+        self.write_span(row, &cols, false, pressure);
+        let Some(span) = WordSpan::new(&cols) else {
+            return;
+        };
+        let lo = col_offset % 64;
+        let words = self.words(row);
+        span.rewrite(&mut self.one[words], |ws| {
+            let mut prev = 0;
+            for (k, w) in ws.iter_mut().enumerate() {
+                let cur = ones.get(k).copied().unwrap_or(0);
+                *w = if lo == 0 {
+                    cur
+                } else {
+                    (cur << lo) | (prev >> (64 - lo))
+                };
+                prev = cur;
+            }
+        });
+    }
+
+    /// Drives every cell of `row` over `cols` to One (`one`) or
+    /// Defined and records the wear.
     fn write_span(
         &mut self,
         row: usize,
         cols: &Range<usize>,
-        s: CellState,
+        one: bool,
         pressure: &mut Option<&mut WritePressure>,
     ) {
-        self.span_mut(row, cols).fill(s);
+        if let Some(span) = WordSpan::new(cols) {
+            self.store(row, span, one);
+        }
         if let Some(p) = pressure {
             p.record_span(row, cols);
         }
@@ -435,11 +462,10 @@ impl AbstractState {
         // Read-before-init over every sensed cell (one report per op,
         // the first uninitialized cell in region, row, column order).
         let first_uninit = fp.reads.iter().find_map(|region| {
-            region.rows.clone().find_map(|r| {
-                let span = self.span(r, &region.cols);
-                let p = first_cell(span, CellState::Uninit, true)?;
-                Some((r, region.cols.start + p))
-            })
+            region
+                .rows
+                .clone()
+                .find_map(|r| Some((r, self.first_uninit(r, &region.cols)?)))
         });
         if let Some((row, col)) = first_uninit {
             violations.push(Violation::ReadBeforeInit {
@@ -458,17 +484,16 @@ impl AbstractState {
              cols: &Range<usize>,
              pressure: &mut Option<&mut WritePressure>| {
                 if !init_reported {
-                    let span = state.span(row, cols);
-                    if let Some(p) = first_cell(span, CellState::One, false) {
+                    if let Some(col) = state.first_not_one(row, cols) {
                         violations.push(Violation::OutputNotInitialized {
                             op: index,
                             row,
-                            col: cols.start + p,
+                            col,
                         });
                         init_reported = true;
                     }
                 }
-                state.write_span(row, cols, CellState::Defined, pressure);
+                state.write_span(row, cols, false, pressure);
             };
         match op {
             MicroOp::WriteRow {
@@ -478,17 +503,7 @@ impl AbstractState {
             } => {
                 // Payload bits are program constants, so the lattice
                 // stays exact: a written 1 is a legal MAGIC output.
-                let cols = *col_offset..col_offset + bits.len();
-                for (cell, b) in self.span_mut(*row, &cols).iter_mut().zip(bits.iter()) {
-                    *cell = if b {
-                        CellState::One
-                    } else {
-                        CellState::Defined
-                    };
-                }
-                if let Some(p) = &mut pressure {
-                    p.record_span(*row, &cols);
-                }
+                self.write_ones(*row, *col_offset, bits.words(), bits.len(), &mut pressure);
             }
             MicroOp::WriteRowLanes {
                 row,
@@ -498,32 +513,26 @@ impl AbstractState {
                 // Lane words differ per lane; a cell is known-One for
                 // the MAGIC init rule only when *every* lane writes 1
                 // (sound for any active lane count), else just data.
-                let cols = *col_offset..col_offset + lane_words.len();
-                for (cell, &w) in self.span_mut(*row, &cols).iter_mut().zip(lane_words) {
-                    *cell = if w == u64::MAX {
-                        CellState::One
-                    } else {
-                        CellState::Defined
-                    };
+                let mut ones = vec![0u64; lane_words.len().div_ceil(64)];
+                for (j, &w) in lane_words.iter().enumerate() {
+                    ones[j / 64] |= u64::from(w == u64::MAX) << (j % 64);
                 }
-                if let Some(p) = &mut pressure {
-                    p.record_span(*row, &cols);
-                }
+                self.write_ones(*row, *col_offset, &ones, lane_words.len(), &mut pressure);
             }
             MicroOp::ReadRow { .. } => {} // read-only; handled above
             MicroOp::InitRows { rows, cols } => {
                 for &r in rows {
-                    self.write_span(r, cols, CellState::One, &mut pressure);
+                    self.write_span(r, cols, true, &mut pressure);
                 }
             }
             MicroOp::ResetRegion(region) => {
                 for r in region.rows.clone() {
-                    self.write_span(r, &region.cols, CellState::Defined, &mut pressure);
+                    self.write_span(r, &region.cols, false, &mut pressure);
                 }
             }
             MicroOp::ResetRows { rows, cols } => {
                 for &r in rows {
-                    self.write_span(r, cols, CellState::Defined, &mut pressure);
+                    self.write_span(r, cols, false, &mut pressure);
                 }
             }
             MicroOp::NorRows { out, cols, .. } => {
@@ -552,7 +561,7 @@ impl AbstractState {
                 // The source window was checked as a read; every cell
                 // of the destination window becomes data (vacated
                 // positions take the constant fill, still Defined).
-                self.write_span(*dst, cols, CellState::Defined, &mut pressure);
+                self.write_span(*dst, cols, false, &mut pressure);
             }
             MicroOp::Parallel(_) => unreachable!("bundles are intercepted at the top of apply"),
         }

@@ -1,15 +1,17 @@
 //! `verify` against a per-cell reference lattice.
 //!
-//! The verifier applies row-wave ops to whole column spans and keeps
-//! write pressure in difference form. The reference below steps every
+//! The verifier keeps its lattice as bit planes, searched and stored a
+//! word at a time through `cim_crossbar::WordSpan`, and its write
+//! pressure as runs of equal count. The reference below steps every
 //! cell one at a time, as the verifier's rules read; on every program
-//! both must return the same `Ok` report (cycles and every cell's
-//! writes) or the same `Err` violation list.
+//! both must return the same `Ok` report (cycles, every cell's writes
+//! and the hotspot ranking) or the same `Err` violation list. Arrays
+//! and spans run past several 64-column word boundaries.
 
 #[path = "support/wild.rs"]
 mod wild;
 
-use cim_check::{verify, ProgramGen, VerifyConfig, Violation, MAX_VIOLATIONS};
+use cim_check::{verify, Hotspot, ProgramGen, VerifyConfig, Violation, MAX_VIOLATIONS};
 use cim_crossbar::{Axis, MicroOp, Region};
 use wild::{Rng, Wild};
 
@@ -310,14 +312,40 @@ fn assert_agrees(program: &[MicroOp], rows: usize, cols: usize, preloaded: &[Reg
         (Ok(report), Ok((cycles, writes))) => {
             assert_eq!(report.ops, program.len());
             assert_eq!(report.cycles, cycles, "cycles of {program:?}");
+            let pressure = &report.pressure;
             for r in 0..rows {
                 for c in 0..cols {
                     assert_eq!(
-                        report.pressure.writes_at(r, c),
+                        pressure.writes_at(r, c),
                         writes[r * cols + c],
                         "writes at ({r}, {c}) of {program:?}"
                     );
                 }
+            }
+            let mut ranked: Vec<Hotspot> = (0..rows * cols)
+                .filter(|&i| writes[i] > 0)
+                .map(|i| Hotspot {
+                    row: i / cols,
+                    col: i % cols,
+                    writes: writes[i],
+                })
+                .collect();
+            ranked.sort_by_key(|h| (std::cmp::Reverse(h.writes), h.row, h.col));
+            let max = writes.iter().copied().max().unwrap_or(0);
+            assert_eq!(pressure.max_writes(), max);
+            assert_eq!(pressure.total_writes(), writes.iter().sum::<u64>());
+            assert_eq!(pressure.touched_cells(), ranked.len());
+            assert_eq!(pressure.hotspots(0), ranked, "hotspots of {program:?}");
+            for threshold in [2, max] {
+                let hot: Vec<Hotspot> = ranked
+                    .iter()
+                    .copied()
+                    .filter(|h| h.writes >= threshold)
+                    .collect();
+                assert_eq!(pressure.hotspots(threshold), hot);
+            }
+            for k in [0, 1, 5] {
+                assert_eq!(pressure.hottest(k), ranked[..k.min(ranked.len())]);
             }
             true
         }
@@ -334,7 +362,7 @@ fn generated_programs_and_their_mutants_agree() {
     let mut rejected = 0;
     for seed in 0..200u64 {
         let mut rng = Rng::new(seed);
-        let (rows, cols) = (1 + rng.below(6), 1 + rng.below(70));
+        let (rows, cols) = (1 + rng.below(6), 1 + rng.below(200));
         let program = ProgramGen::new(rows, cols, seed).generate(20 + rng.below(40));
         assert!(assert_agrees(&program, rows, cols, &[]), "seed {seed}");
         // Drop an op, shrink the array, splice in wild ops.
@@ -361,10 +389,15 @@ fn generated_programs_and_their_mutants_agree() {
 fn wild_programs_agree() {
     for seed in 0..300u64 {
         let mut rng = Rng::new(seed);
-        let (rows, cols) = (1 + rng.below(5), 1 + rng.below(12));
+        let (rows, cols) = (1 + rng.below(5), 1 + rng.below(140));
+        // Preloads starting and ending on and beside word boundaries.
+        let edges = [63, 64, 65, 128];
+        let first = rng.below(edges.len());
+        let last = first + rng.below(edges.len() - first);
         let preloaded = [
             Region::new(0..rng.below(rows + 3), 0..rng.below(cols + 3)),
             Region::new(rng.below(rows + 2)..rows + 2, rng.below(cols)..cols + 2),
+            Region::new(rng.below(rows)..rows, edges[first]..edges[last]),
         ];
         let program = Wild::new(rows, cols, seed).program(1 + rng.below(40));
         assert_agrees(&program, rows, cols, &preloaded);
@@ -472,6 +505,48 @@ fn hand_built_edge_cases_agree() {
     for program in &cases {
         for preloaded in [&full[..], &[]] {
             assert_agrees(program, 4, 6, preloaded);
+        }
+    }
+    // Word boundaries on a 193-column array (193 % 64 == 1): a write
+    // from column 60 across column 64, all-ones lane words straddling
+    // it, and spans ending on the last column, alone in its word.
+    let ones: Vec<bool> = (0..70).map(|i| i % 5 != 3 && i != 4).collect();
+    let mut lanes = vec![u64::MAX; 9];
+    lanes[2] = 7;
+    lanes[7] = 5;
+    let wide: Vec<Vec<MicroOp>> = vec![
+        vec![
+            MicroOp::write_row_at(1, 60, &[true; 70]),
+            MicroOp::nor_rows(&[0], 1, 60..130),
+            MicroOp::write_row_at(2, 60, &ones),
+            MicroOp::nor_rows(&[0], 2, 63..66),
+            MicroOp::nor_rows(&[0], 2, 64..130),
+            MicroOp::read_row(1, 0..193),
+        ],
+        vec![
+            MicroOp::write_row_lanes(2, 60, &lanes),
+            MicroOp::nor_rows(&[0], 2, 63..67),
+            MicroOp::write_row_lanes(3, 60, &lanes),
+            MicroOp::nor_rows(&[0], 3, 60..69),
+            MicroOp::read_row(2, 58..70),
+        ],
+        vec![
+            MicroOp::init_rows(&[2, 3], 100..193),
+            MicroOp::nor_rows(&[0, 1], 2, 100..193),
+            MicroOp::read_row(2, 128..193),
+            MicroOp::reset_rows(&[3], 192..193),
+            MicroOp::nor_rows(&[0], 3, 191..193),
+            MicroOp::ResetRegion(Region::new(0..4, 64..193)),
+            MicroOp::read_row(3, 192..193),
+        ],
+    ];
+    for program in &wide {
+        for preloaded in [
+            &[Region::new(0..4, 0..193)][..],
+            &[Region::new(0..2, 63..129)],
+            &[],
+        ] {
+            assert_agrees(program, 4, 193, preloaded);
         }
     }
     // More violations than the cap.

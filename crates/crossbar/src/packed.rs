@@ -14,49 +14,10 @@
 //! away.
 
 use crate::cell::{Cell, Fault};
-use crate::geometry::ColRange;
+use crate::geometry::{ColRange, WordSpan};
 use crate::wear::WearPlane;
 
 const WORD_BITS: usize = 64;
-
-/// A non-empty column span as the words `first..=last` of a row, with
-/// the masks selecting the span's bits in its edge words (`head` in
-/// `first`, `tail` in `last`; both apply when the two coincide).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WordSpan {
-    first: usize,
-    last: usize,
-    head: u64,
-    tail: u64,
-}
-
-impl WordSpan {
-    /// The span of `cols`; `None` when it is empty.
-    fn new(cols: &ColRange) -> Option<Self> {
-        (cols.start < cols.end).then(|| WordSpan {
-            first: cols.start / WORD_BITS,
-            last: (cols.end - 1) / WORD_BITS,
-            head: u64::MAX << (cols.start % WORD_BITS),
-            tail: u64::MAX >> (WORD_BITS - 1 - (cols.end - 1) % WORD_BITS),
-        })
-    }
-
-    fn words(&self) -> std::ops::Range<usize> {
-        self.first..self.last + 1
-    }
-
-    /// The span's bits in its `k`-th word, counted from `first`.
-    fn mask(&self, k: usize) -> u64 {
-        let mut m = u64::MAX;
-        if k == 0 {
-            m &= self.head;
-        }
-        if k == self.last - self.first {
-            m &= self.tail;
-        }
-        m
-    }
-}
 
 /// How a kernel sees stuck-at faults. Indices are plane word indices
 /// (`row * wpr + word`).
@@ -121,21 +82,6 @@ macro_rules! with_faults {
             $body
         }
     };
-}
-
-/// Rewrites the span's words of `row` with `f`, which treats every
-/// word as full width, then restores the edge-word bits outside the
-/// span: the head-word/full-words/tail-word loop of every kernel that
-/// changes a row.
-#[inline(always)]
-fn rewrite(row: &mut [u64], span: WordSpan, f: impl FnOnce(&mut [u64])) {
-    let words = &mut row[span.words()];
-    let last = words.len() - 1;
-    let (head, tail) = (words[0], words[last]);
-    f(words);
-    let keep = |new: u64, old: u64, mask: u64| (new & mask) | (old & !mask);
-    words[0] = keep(words[0], head, span.mask(0));
-    words[last] = keep(words[last], tail, span.mask(last));
 }
 
 /// Bits `shift..shift + 64` of the 128-bit word `hi:lo`
@@ -303,13 +249,13 @@ impl PackedPlanes {
             return;
         };
         let (base, lo) = (row * self.wpr, col_offset % WORD_BITS);
-        with_faults!(self, f => rewrite(&mut self.value[base..base + self.wpr], span, |ws| {
+        with_faults!(self, f => span.rewrite(&mut self.value[base..base + self.wpr], |ws| {
             let mut prev = 0;
             for (k, w) in ws.iter_mut().enumerate() {
                 let cur = words.get(k).copied().unwrap_or(0);
                 let bits = funnel(cur, prev, WORD_BITS - lo);
                 prev = cur;
-                let keep = f.pinned(base + span.first + k);
+                let keep = f.pinned(base + span.first() + k);
                 *w = (*w & keep) | (bits & !keep);
             }
         }))
@@ -337,9 +283,9 @@ impl PackedPlanes {
         let (wpr, word) = (self.wpr, if value { u64::MAX } else { 0 });
         with_faults!(self, f => for row in rows {
             let base = row * wpr;
-            rewrite(&mut self.value[base..base + wpr], span, |ws| {
+            span.rewrite(&mut self.value[base..base + wpr], |ws| {
                 for (k, w) in ws.iter_mut().enumerate() {
-                    let keep = f.pinned(base + span.first + k);
+                    let keep = f.pinned(base + span.first() + k);
                     *w = (*w & keep) | (word & !keep);
                 }
             });
@@ -350,12 +296,10 @@ impl PackedPlanes {
     /// First column of `span` whose sensed read of `row` is 0 — the
     /// strict-init scan for MAGIC outputs.
     fn first_zero(&self, row: usize, span: WordSpan) -> Option<usize> {
-        let base = row * self.wpr + span.first;
-        let words = &self.value[base..base + span.words().len()];
-        with_faults!(self, f => words.iter().enumerate().find_map(|(k, &v)| {
-            let zeros = span.mask(k) & !f.sense(base + k, v);
-            (zeros != 0).then(|| (span.first + k) * WORD_BITS + zeros.trailing_zeros() as usize)
-        }))
+        let base = row * self.wpr;
+        let words = &self.value[base..base + self.wpr];
+        let first = base + span.first();
+        with_faults!(self, f => span.find(words, |k, v| !f.sense(first + k, v)))
     }
 
     /// MAGIC NOR across rows (`out` not among `inputs`). On a
@@ -380,13 +324,13 @@ impl PackedPlanes {
         let drive = cols.start..fail_col.unwrap_or(cols.end);
         if let Some(span) = WordSpan::new(&drive) {
             let wpr = self.wpr;
-            let (ob, words) = (out * wpr + span.first, span.words());
+            let (ob, words) = (out * wpr + span.first(), span.words());
             // magic_drive(!any) is an AND of one pull-down per input:
             // non-fault output cells fall to 0 where the input reads 1.
             with_faults!(self, f => for &r in inputs {
                 let (out_row, in_row) = row_pair(&mut self.value, wpr, out, r);
-                let (ib, ins) = (r * wpr + span.first, &in_row[words.clone()]);
-                rewrite(out_row, span, |ws| {
+                let (ib, ins) = (r * wpr + span.first(), &in_row[words.clone()]);
+                span.rewrite(out_row, |ws| {
                     for (k, (o, &v)) in ws.iter_mut().zip(ins).enumerate() {
                         *o &= !(f.sense(ib + k, v) & !f.pinned(ob + k));
                     }
@@ -478,7 +422,7 @@ impl PackedPlanes {
         let Some(span) = WordSpan::new(&cols) else {
             return true;
         };
-        let base = row * self.wpr + span.first;
+        let base = row * self.wpr + span.first();
         with_faults!(self, f => {
             (0..span.words().len()).all(|k| f.pinned(base + k) & span.mask(k) == 0)
         })
@@ -526,7 +470,7 @@ pub(crate) fn shift_words(words: &mut [u64], len: usize, offset: isize, fill: bo
     };
     if fill {
         if let Some(span) = WordSpan::new(&vacated) {
-            rewrite(words, span, |span_words| span_words.fill(u64::MAX));
+            span.rewrite(words, |span_words| span_words.fill(u64::MAX));
         }
     }
     mask_tail(words, len);

@@ -38,7 +38,7 @@
 //! ignores conflicts, a placement that aliases rows) proving the
 //! oracle rejects every broken rewrite.
 
-use cim_crossbar::{MicroOp, OpFootprint, Region};
+use cim_crossbar::{MicroOp, OpFootprint, Region, WordSpan};
 use std::fmt;
 
 pub mod rowmul;
@@ -343,10 +343,9 @@ impl MirProgram {
 // Dependence analysis
 // ---------------------------------------------------------------------
 
-/// The regions an op *effectively* reads for scheduling purposes:
-/// declared reads plus, for MAGIC ops, the written cells (the gate
-/// senses its output, so the init wave that preconditions it is a
-/// true dependence).
+/// The regions an op *effectively* reads: declared reads plus, for
+/// MAGIC ops, the written cells (the gate senses its output, so the
+/// init wave that preconditions it is a true dependence).
 fn effective_reads<'a>(op: &MicroOp, fp: &'a OpFootprint) -> impl Iterator<Item = &'a Region> {
     let outputs: &[Region] = if op.is_magic() { &fp.writes } else { &[] };
     fp.reads.iter().chain(outputs)
@@ -438,7 +437,13 @@ impl Frontier {
             return;
         }
         let band = |row: usize| self.cuts.binary_search(&row).expect("row bounds are cuts");
-        for b in band(region.rows.start)..band(region.rows.end) {
+        let first = band(region.rows.start);
+        // Most regions are one band: its end is the next cut.
+        let last = match self.cuts.get(first + 1) {
+            Some(&cut) if cut == region.rows.end => first + 1,
+            _ => band(region.rows.end),
+        };
+        for b in first..last {
             let run = self.bands[b].cover(region.cols.start, region.cols.end);
             self.bands[b].segs[run].iter_mut().for_each(&mut f);
         }
@@ -462,9 +467,14 @@ pub fn dependence_preds(ops: &[MicroOp]) -> Vec<Vec<usize>> {
     let fps: Vec<OpFootprint> = ops.iter().map(MicroOp::footprint).collect();
     let mut frontier = Frontier::new(&fps);
     let mut deps = Vec::with_capacity(ops.len());
-    for (j, (op, fp)) in ops.iter().zip(&fps).enumerate() {
-        let mut preds = Vec::new();
-        for region in effective_reads(op, fp) {
+    let mut preds = Vec::new();
+    // A MAGIC op also senses its output cells (see `effective_reads`),
+    // but visiting them as writes already names their last writer and
+    // leaves no reader on them, so only declared reads are visited as
+    // reads.
+    for (j, fp) in fps.iter().enumerate() {
+        preds.clear();
+        for region in &fp.reads {
             frontier.for_each(region, |seg| preds.extend(seg.writer));
         }
         for region in &fp.writes {
@@ -475,8 +485,8 @@ pub fn dependence_preds(ops: &[MicroOp]) -> Vec<Vec<usize>> {
         }
         preds.sort_unstable();
         preds.dedup();
-        deps.push(preds);
-        for region in effective_reads(op, fp) {
+        deps.push(preds.clone());
+        for region in &fp.reads {
             frontier.for_each(region, |seg| {
                 if seg.readers.last() != Some(&j) {
                     seg.readers.push(j);
@@ -509,7 +519,7 @@ pub fn dependence_preds(ops: &[MicroOp]) -> Vec<Vec<usize>> {
 pub fn dead_write_mask(prog: &MirProgram) -> Vec<bool> {
     let mut needed = CellSet::new(prog.rows, prog.cols);
     for region in &prog.live_out {
-        needed.set(region);
+        needed.fill(region, true);
     }
     let mut keep = vec![true; prog.insts.len()];
     for (i, op) in prog.insts.iter().enumerate().rev() {
@@ -523,10 +533,10 @@ pub fn dead_write_mask(prog: &MirProgram) -> Vec<bool> {
         }
         // needed = (needed − defs) ∪ uses.
         for w in &fp.writes {
-            needed.clear(w);
+            needed.fill(w, false);
         }
         for u in effective_reads(op, &fp) {
-            needed.set(u);
+            needed.fill(u, true);
         }
     }
     keep
@@ -553,45 +563,31 @@ impl CellSet {
         }
     }
 
-    /// `(word index, bit mask)` for every word the clamped region
-    /// covers.
-    fn spans(&self, region: &Region) -> impl Iterator<Item = (usize, u64)> {
+    /// The clamped region's rows and column span (`None` when the
+    /// clamped region has no columns).
+    fn clamp(&self, region: &Region) -> Option<(std::ops::Range<usize>, WordSpan)> {
+        let span = WordSpan::new(&(region.cols.start..region.cols.end.min(self.cols)))?;
         let rows = region.rows.start..region.rows.end.min(self.rows);
-        let (lo, hi) = (region.cols.start, region.cols.end.min(self.cols));
-        let words = if lo < hi {
-            lo / 64..(hi - 1) / 64 + 1
-        } else {
-            0..0
-        };
-        let words_per_row = self.words_per_row;
-        rows.flat_map(move |r| {
-            words.clone().map(move |w| {
-                let mut mask = u64::MAX;
-                if w == lo / 64 {
-                    mask &= u64::MAX << (lo % 64);
-                }
-                if w == (hi - 1) / 64 {
-                    mask &= u64::MAX >> (63 - (hi - 1) % 64);
-                }
-                (r * words_per_row + w, mask)
-            })
-        })
+        Some((rows, span))
+    }
+
+    /// The word indices of row `r`.
+    fn row(&self, r: usize) -> std::ops::Range<usize> {
+        r * self.words_per_row..(r + 1) * self.words_per_row
     }
 
     fn any(&self, region: &Region) -> bool {
-        self.spans(region)
-            .any(|(i, mask)| self.words[i] & mask != 0)
+        self.clamp(region)
+            .is_some_and(|(mut rows, span)| rows.any(|r| span.any(&self.words[self.row(r)])))
     }
 
-    fn set(&mut self, region: &Region) {
-        for (i, mask) in self.spans(region) {
-            self.words[i] |= mask;
-        }
-    }
-
-    fn clear(&mut self, region: &Region) {
-        for (i, mask) in self.spans(region) {
-            self.words[i] &= !mask;
+    /// Sets (`value`) or clears every cell of the region.
+    fn fill(&mut self, region: &Region, value: bool) {
+        if let Some((rows, span)) = self.clamp(region) {
+            for r in rows {
+                let words = self.row(r);
+                span.fill(&mut self.words[words], value);
+            }
         }
     }
 }

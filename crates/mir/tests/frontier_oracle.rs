@@ -1,7 +1,9 @@
 //! The row-span analyses against per-cell and pairwise references.
 //!
-//! * [`dead_write_mask`] keeps its `needed` set as row words; the
-//!   reference keeps one flag per cell.
+//! * [`dead_write_mask`] keeps its `needed` set as row words, tested,
+//!   set and cleared through `cim_crossbar::WordSpan`; the reference
+//!   keeps one flag per cell. Arrays run to 200 columns, so spans cross
+//!   several word boundaries.
 //! * [`dependence_preds`] returns a last-writer/readers frontier; the
 //!   reference compares every pair of ops. The frontier must be a
 //!   subset of the pairwise hazards with the same transitive closure.
@@ -179,13 +181,21 @@ fn assert_agrees(prog: &MirProgram) {
     }
 }
 
-/// Live-out regions inside, across and past the array, some empty.
+/// Live-out regions inside, across and past the array, some empty,
+/// some starting and ending on and beside word boundaries.
 fn live_out(rng: &mut Rng, rows: usize, cols: usize) -> Vec<Region> {
+    const EDGES: [usize; 4] = [63, 64, 65, 128];
     (0..rng.below(4))
         .map(|_| {
             let r = rng.below(rows + 2);
+            let rows = r..r + rng.below(3);
+            if rng.below(3) == 0 {
+                let first = rng.below(EDGES.len());
+                let last = first + rng.below(EDGES.len() - first);
+                return Region::new(rows, EDGES[first]..EDGES[last]);
+            }
             let c = rng.below(cols + 2);
-            Region::new(r..r + rng.below(3), c..c + rng.below(cols + 2))
+            Region::new(rows, c..c + rng.below(cols + 2))
         })
         .collect()
 }
@@ -194,7 +204,7 @@ fn live_out(rng: &mut Rng, rows: usize, cols: usize) -> Vec<Region> {
 fn generated_programs_agree() {
     for seed in 0..120u64 {
         let mut rng = Rng::new(seed);
-        let (rows, cols) = (1 + rng.below(6), 1 + rng.below(70));
+        let (rows, cols) = (1 + rng.below(6), 1 + rng.below(200));
         let program = ProgramGen::new(rows, cols, seed).generate(10 + rng.below(50));
         // A prefix drops the final sensing reads, leaving dead writes.
         let prefix = program[..rng.below(program.len() + 1)].to_vec();
@@ -222,7 +232,7 @@ fn generated_programs_agree() {
 fn wild_programs_agree() {
     for seed in 0..300u64 {
         let mut rng = Rng::new(seed);
-        let (rows, cols) = (1 + rng.below(5), 1 + rng.below(12));
+        let (rows, cols) = (1 + rng.below(5), 1 + rng.below(140));
         let ops = Wild::new(rows, cols, seed).program(1 + rng.below(40));
         let live = live_out(&mut rng, rows, cols);
         assert_agrees(&MirProgram::from_ops(rows, cols, ops, live));
@@ -288,5 +298,30 @@ fn hand_built_edge_cases_agree() {
         ] {
             assert_agrees(&MirProgram::from_ops(4, 4, ops.clone(), live));
         }
+    }
+    // Word boundaries on a 193-column array (193 % 64 == 1): writes
+    // across column 64 and spans ending on the last column, alone in
+    // its word, partly overwritten before they are read.
+    let mut lanes = vec![u64::MAX; 9];
+    lanes[2] = 7;
+    let wide = vec![
+        MicroOp::write_row_at(1, 60, &[true; 70]),
+        MicroOp::write_row_lanes(2, 60, &lanes),
+        MicroOp::init_rows(&[2], 63..67),
+        MicroOp::nor_rows(&[0], 1, 64..130),
+        MicroOp::init_rows(&[3], 100..193),
+        MicroOp::reset_rows(&[3], 192..193),
+        MicroOp::nor_rows(&[1], 3, 128..193),
+        MicroOp::read_row(1, 62..66),
+        MicroOp::ResetRegion(Region::new(2..4, 64..129)),
+        MicroOp::read_row(3, 191..193),
+    ];
+    for live in [
+        vec![],
+        vec![Region::new(0..4, 63..65)],
+        vec![Region::new(1..4, 128..193)],
+        vec![Region::new(0..4, 192..193)],
+    ] {
+        assert_agrees(&MirProgram::from_ops(4, 193, wide.clone(), live));
     }
 }
