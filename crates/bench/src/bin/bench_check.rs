@@ -2,16 +2,15 @@
 //! `bench_snapshot` and exits nonzero when the current one regresses.
 //!
 //! ```text
-//! bench_check BASELINE CURRENT [--subset[=PATTERNS]] [--improved] [--wall-tol-x N] [--wall-tol-ms N]
+//! bench_check BASELINE CURRENT [--subset[=PATTERNS]] [--improved]
 //! bench_check --trajectory SNAPSHOT... [--out PATH]
 //! ```
 //!
-//! Every metric except `wall_ms` must match *exactly* (the snapshot is
-//! deterministic); `wall_ms` tolerates a slowdown up to the relative
-//! factor (`--wall-tol-x`, default 20) or the absolute slack
-//! (`--wall-tol-ms`, default 5000). Retired metrics a baseline still
-//! carries (`wall_speedup_x`, `meets_10x`; see
-//! `cim_bench::snapshot::RETIRED_METRICS`) are not gated. `--subset`
+//! Every metric must match *exactly* (the snapshot is deterministic).
+//! Retired host timings a baseline still carries (`wall_ms`,
+//! `wall_speedup_x`, …; see `cim_bench::snapshot::RETIRED_METRICS`)
+//! are not gated; host speed is the `perfbench` benchmark's job.
+//! `--subset`
 //! lets the current snapshot cover only part of the baseline's
 //! workloads — the mode CI uses to gate a `--quick` run against the
 //! committed full snapshot.
@@ -32,8 +31,10 @@
 //! In `--trajectory` mode the paths are an ordered lineage of
 //! committed snapshots (oldest first). The lineage invariants are
 //! verified — a workload or metric, once recorded, must appear in
-//! every later snapshot — and `--out PATH` refreshes the
-//! `BENCH_TRAJECTORY.json` artifact (omit `--out` to only verify).
+//! every later snapshot — the exact-metric deltas and the multiply
+//! matrix's per-stage cycle split are printed, and `--out PATH`
+//! writes the `BENCH_TRAJECTORY.json` artifact (omit `--out` to only
+//! verify).
 //!
 //! Exit codes: 0 pass, 1 regression/violation, 2 usage/parse errors.
 
@@ -66,16 +67,6 @@ fn main() -> ExitCode {
                         .filter(|p| !p.is_empty())
                         .map(str::to_string),
                 );
-            }
-            "--wall-tol-x" | "--wall-tol-ms" => {
-                let Some(v) = args.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    return usage(&format!("{arg} needs a numeric value"));
-                };
-                if arg == "--wall-tol-x" {
-                    opts.wall_rel_tol = v;
-                } else {
-                    opts.wall_abs_tol_ms = v;
-                }
             }
             other if other.starts_with("--") => {
                 return usage(&format!("unknown argument {other}"));
@@ -168,7 +159,7 @@ fn check_trajectory(
 fn usage(err: &str) -> ExitCode {
     eprintln!("bench_check: {err}");
     eprintln!(
-        "usage: bench_check BASELINE CURRENT [--subset[=PATTERNS]] [--improved] [--wall-tol-x N] [--wall-tol-ms N]\n\
+        "usage: bench_check BASELINE CURRENT [--subset[=PATTERNS]] [--improved]\n\
          \u{20}      bench_check --trajectory SNAPSHOT... [--out PATH]"
     );
     ExitCode::from(2)

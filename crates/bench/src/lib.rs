@@ -15,14 +15,16 @@
 //! | `algo_exploration` | Sec. III op-count comparison |
 //! | `simulate` | end-to-end simulated multiplication report |
 //!
-//! Perf gating (see [`snapshot`]): `bench_snapshot` records the fixed
-//! workload matrix as deterministic JSON (plus an optional Prometheus
+//! Exact-metric gating (see [`snapshot`]): `bench_snapshot` records
+//! the fixed workload matrix's cycles, writes, energy and serving
+//! decisions as deterministic JSON (plus an optional Prometheus
 //! exposition of the run's metrics), `bench_check` diffs two
 //! snapshots and exits nonzero on regression. Cross-snapshot history
-//! (see [`trajectory`]): `bench_diff` (or `bench_check --trajectory`)
-//! walks an ordered list of committed snapshots, verifies lineage
-//! monotonicity, attributes multiply deltas to pipeline stages, and
-//! writes `BENCH_TRAJECTORY.json`.
+//! (see [`trajectory`]): `bench_check --trajectory` walks an ordered
+//! list of committed snapshots, verifies lineage monotonicity, splits
+//! multiply cycle deltas by pipeline stage, and writes
+//! `BENCH_TRAJECTORY.json`. Host time is measured by the `perfbench`
+//! benchmark, not here.
 //!
 //! Criterion benches (`cargo bench`): `algos` (software multiplication
 //! crossover), `stages` (simulated stage latencies), `adders`

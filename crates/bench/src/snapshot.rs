@@ -2,22 +2,20 @@
 //!
 //! A [`BenchSnapshot`] is a deterministic record of a fixed workload
 //! matrix — simulated multiplications at 512/1024/2048 bits, the
-//! Fig. 5 pipeline at 2048×8 jobs, and a 4-tile wear-leveling farm —
-//! with one flat `name → value` metric map per workload (cycles,
-//! writes, energy in picojoules, utilization, wall time). Every metric
-//! except `wall_ms` is bit-deterministic: regenerating the snapshot on
-//! any machine reproduces the committed numbers exactly, so the gate
-//! can demand *exact* equality for counters and only tolerate drift on
-//! wall time.
+//! bit-sliced batch, the Fig. 5 pipeline at 2048×8 jobs, a 4-tile
+//! wear-leveling farm and the serving fleet with and without its
+//! observers — with one flat `name → value` metric map per workload
+//! (cycles, writes, energy in picojoules, utilization, decisions,
+//! served counts). Every metric is bit-deterministic: regenerating
+//! the snapshot on any machine reproduces the committed numbers
+//! exactly, so the gate demands *exact* equality. Host time is not
+//! recorded here; the `perfbench` benchmark measures it over repeated
+//! warm runs.
 //!
 //! [`diff`] compares two snapshots under [`DiffOptions`]:
 //!
-//! * counters/energy/utilization — exact (`f64` equality; the JSON
-//!   round-trip is lossless);
-//! * `wall_ms` and `*_wall_ms` — generous tolerance (relative factor
-//!   or absolute slack), and only a *slowdown* regresses;
-//! * `*_speedup_x` — wall-derived ratios, gated the opposite way:
-//!   only a collapse below `baseline / wall_rel_tol` regresses;
+//! * every metric — exact (`f64` equality; the JSON round-trip is
+//!   lossless);
 //! * [`RETIRED_METRICS`] that older baselines still carry are listed
 //!   as retired and not gated;
 //! * workloads missing from the current snapshot regress unless
@@ -42,7 +40,7 @@ use cim_obs::journal::{FlightRecorder, RecorderConfig};
 use cim_obs::slo::{SloEngine, SloRule};
 use cim_pulse::{PulseConfig, PulseHub};
 use cim_sched::{FarmConfig, JobMix, JobProfile, Policy, Scheduler};
-use cim_serve::loadgen::LoadgenConfig;
+use cim_serve::loadgen::{run, LoadgenConfig, Observers};
 use cim_serve::FleetConfig as ServeFleetConfig;
 use cim_mir::OptLevel;
 use cim_trace::json::JsonWriter;
@@ -53,21 +51,30 @@ use karatsuba_cim::pipeline::PipelineSchedule;
 use karatsuba_cim::postcompute::PostcomputeStage;
 use karatsuba_cim::precompute::PrecomputeStage;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Schema marker embedded in every snapshot file.
 pub const SNAPSHOT_SCHEMA: &str = "cim-bench-snapshot/1";
 
-/// The one metric allowed to drift between runs.
-pub const WALL_METRIC: &str = "wall_ms";
-
 /// Metrics that older snapshots carry but the gate no longer checks:
-/// the batch-vs-solo products-per-wall-ms ratio of the `batch64_*`
-/// workloads and its `> 10` bit. Both came from one cold wall sample
-/// per run, which cannot carry a speed claim; host speed is measured
-/// by the `perfbench` benchmark (`batch64_384` and `solo_2048`
-/// `goodput_per_s`) over repeated warm runs instead.
-pub const RETIRED_METRICS: [&str; 2] = ["wall_speedup_x", "meets_10x"];
+/// the host wall times of every workload and the ratios derived from
+/// them (the batch-vs-solo speedup and its `> 10` bit, the obs/pulse
+/// overhead ratios). Each came from one cold sample per run, which
+/// cannot carry a speed claim; host speed is measured by the
+/// `perfbench` benchmark over repeated warm runs instead. Lineage
+/// checks and trajectory deltas skip them too.
+pub const RETIRED_METRICS: [&str; 11] = [
+    "wall_ms",
+    "single_wall_ms",
+    "batch_wall_ms",
+    "obs_off_wall_ms",
+    "obs_on_wall_ms",
+    "obs_overhead_speedup_x",
+    "pulse_off_wall_ms",
+    "pulse_on_wall_ms",
+    "pulse_overhead_speedup_x",
+    "wall_speedup_x",
+    "meets_10x",
+];
 
 /// Operand widths of the full multiplication matrix.
 pub const FULL_WIDTHS: [usize; 3] = [512, 1024, 2048];
@@ -156,25 +163,20 @@ fn multiply_workload(n: usize, hub: &MetricsHub) -> WorkloadResult {
 }
 
 fn batch_workload(n: usize, lanes: usize) -> WorkloadResult {
-    // One solo multiply and one `lanes`-lane batch, each timed once.
-    // Operands are seeded per width.
+    // One solo multiply and one `lanes`-lane batch; operands are
+    // seeded per width.
     let mult = KaratsubaCimMultiplier::new(n).expect("paper widths are multiples of 4");
     let mut rng = UintRng::seeded(0x6b + n as u64);
     let pairs: Vec<_> = (0..lanes)
         .map(|_| (rng.uniform(n), rng.uniform(n)))
         .collect();
 
-    let solo_start = Instant::now();
     let solo = mult
         .multiply(&pairs[0].0, &pairs[0].1)
         .expect("simulated product is verified");
-    let solo_ms = solo_start.elapsed().as_secs_f64() * 1e3;
-
-    let batch_start = Instant::now();
     let out = mult
         .multiply_batch(&pairs)
         .expect("every batch lane is verified");
-    let batch_ms = batch_start.elapsed().as_secs_f64() * 1e3;
 
     let mut metrics = BTreeMap::new();
     metrics.insert("cycles".into(), out.total_latency as f64);
@@ -197,8 +199,6 @@ fn batch_workload(n: usize, lanes: usize) -> WorkloadResult {
         per_lane.map(|e| e.max_writes).max().unwrap_or(0) as f64,
     );
     metrics.insert("area_cells".into(), out.area_cells as f64);
-    metrics.insert("single_wall_ms".into(), solo_ms);
-    metrics.insert("batch_wall_ms".into(), batch_ms);
     WorkloadResult { name: format!("batch64_{n}"), metrics }
 }
 
@@ -225,12 +225,12 @@ fn pipeline_workload() -> WorkloadResult {
     WorkloadResult { name: format!("pipeline_{N}x{JOBS}"), metrics }
 }
 
-fn serve_workload(hub: &MetricsHub) -> WorkloadResult {
-    // A deterministic two-tenant serving run over the 4-farm fleet:
-    // the mixed zkEVM-style trace, admission, batching and dispatch
-    // all run on virtual cycle stamps, so every number below (incl.
-    // the throughput) gates exactly.
-    let config = LoadgenConfig {
+/// The two-tenant, 4-farm serving run shared by the serve, obs and
+/// pulse workloads: the mixed zkEVM-style trace, admission, batching
+/// and dispatch all run on virtual cycle stamps, so every number the
+/// workloads record (incl. the throughput) gates exactly.
+fn serve_config() -> LoadgenConfig {
+    LoadgenConfig {
         requests: 1_500,
         tenants: 2,
         rate: 300,
@@ -239,8 +239,11 @@ fn serve_workload(hub: &MetricsHub) -> WorkloadResult {
         scalar_bits: 6,
         fleet: ServeFleetConfig { farms: 4, tiles_per_farm: 4, ..ServeFleetConfig::default() },
         ..LoadgenConfig::default()
-    };
-    let report = cim_serve::loadgen::run(&config, hub);
+    }
+}
+
+fn serve_workload(hub: &MetricsHub) -> WorkloadResult {
+    let report = run(&serve_config(), hub, None);
     let mut metrics = BTreeMap::new();
     metrics.insert("served".into(), report.served as f64);
     metrics.insert("shed".into(), report.shed as f64);
@@ -267,27 +270,12 @@ fn serve_workload(hub: &MetricsHub) -> WorkloadResult {
 }
 
 fn obs_workload() -> WorkloadResult {
-    // The observability overhead gate: the serving workload runs once
-    // plain and once with the full cim-obs stack attached (flight
-    // recorder, SLO engine, journal/SLO gauges). The serving decisions
-    // must be identical — observation never moves a cycle — and the
-    // wall-time ratio is gated like a speedup so a pathological
-    // obs-on slowdown regresses while noise is tolerated.
-    let config = LoadgenConfig {
-        requests: 1_500,
-        tenants: 2,
-        rate: 300,
-        mean_gap: 1_500,
-        exp_bits: 6,
-        scalar_bits: 6,
-        fleet: ServeFleetConfig { farms: 4, tiles_per_farm: 4, ..ServeFleetConfig::default() },
-        ..LoadgenConfig::default()
-    };
-
-    let off_hub = MetricsHub::recording();
-    let off_start = Instant::now();
-    let plain = cim_serve::loadgen::run(&config, &off_hub);
-    let off_ms = off_start.elapsed().as_secs_f64() * 1e3;
+    // The serving run once plain and once with the full cim-obs stack
+    // attached (flight recorder, SLO engine, journal/SLO gauges). The
+    // serving decisions must be identical — observation never moves a
+    // cycle.
+    let config = serve_config();
+    let plain = run(&config, &MetricsHub::recording(), None);
 
     let on_hub = MetricsHub::recording();
     let recorder = FlightRecorder::new(RecorderConfig::default());
@@ -302,9 +290,8 @@ fn obs_workload() -> WorkloadResult {
         }
     }
     let mut slo = SloEngine::new(rules);
-    let on_start = Instant::now();
-    let observed = cim_serve::loadgen::run_observed(&config, &on_hub, &recorder, &mut slo);
-    let on_ms = on_start.elapsed().as_secs_f64() * 1e3;
+    let observers = Observers { recorder: &recorder, slo: &mut slo, pulse: None };
+    let observed = run(&config, &on_hub, Some(observers));
 
     let decisions_identical = plain.served == observed.served
         && plain.shed == observed.shed
@@ -326,39 +313,18 @@ fn obs_workload() -> WorkloadResult {
     metrics.insert("journal_dropped".into(), recorder.dropped() as f64);
     metrics.insert("slo_rules".into(), slo.verdicts().len() as f64);
     metrics.insert("slo_pages".into(), pages as f64);
-    metrics.insert("obs_off_wall_ms".into(), off_ms);
-    metrics.insert("obs_on_wall_ms".into(), on_ms);
-    // ≈1.0 when observation is free; gated as a speedup, so only a
-    // collapse (obs-on dramatically slower than obs-off) regresses.
-    metrics.insert("obs_overhead_speedup_x".into(), off_ms / on_ms);
     WorkloadResult { name: "obs_2tenant_4farm".into(), metrics }
 }
 
 fn pulse_workload() -> WorkloadResult {
-    // The telemetry-history overhead gate: the serving workload runs
-    // once plain and once with the full pulse stack scraping it
-    // (timeline, endurance forecaster, drift detectors) on top of the
-    // cim-obs recorder and SLO engine. Serving decisions must be
-    // identical — a scrape never moves a cycle — the steady trace must
-    // raise zero drift alerts, and the wear forecaster's totals must
-    // reproduce the engine's tile-wear counters exactly. The wall
-    // ratio is gated like a speedup so only a pathological slowdown
-    // regresses.
-    let config = LoadgenConfig {
-        requests: 1_500,
-        tenants: 2,
-        rate: 300,
-        mean_gap: 1_500,
-        exp_bits: 6,
-        scalar_bits: 6,
-        fleet: ServeFleetConfig { farms: 4, tiles_per_farm: 4, ..ServeFleetConfig::default() },
-        ..LoadgenConfig::default()
-    };
-
-    let off_hub = MetricsHub::recording();
-    let off_start = Instant::now();
-    let plain = cim_serve::loadgen::run(&config, &off_hub);
-    let off_ms = off_start.elapsed().as_secs_f64() * 1e3;
+    // The serving run once plain and once with the full pulse stack
+    // scraping it (timeline, endurance forecaster, drift detectors) on
+    // top of the cim-obs recorder and SLO engine. Serving decisions
+    // must be identical — a scrape never moves a cycle — the steady
+    // trace must raise zero drift alerts, and the wear forecaster's
+    // totals must reproduce the engine's tile-wear counters exactly.
+    let config = serve_config();
+    let plain = run(&config, &MetricsHub::recording(), None);
 
     let on_hub = MetricsHub::recording();
     let recorder = FlightRecorder::new(RecorderConfig::default());
@@ -367,10 +333,8 @@ fn pulse_workload() -> WorkloadResult {
         SloRule::parse("fleet.drift_alerts <= 0").expect("builtin rule parses"),
     ]);
     let mut pulse = PulseHub::new(PulseConfig::default());
-    let on_start = Instant::now();
-    let pulsed =
-        cim_serve::loadgen::run_pulsed(&config, &on_hub, &recorder, &mut slo, &mut pulse);
-    let on_ms = on_start.elapsed().as_secs_f64() * 1e3;
+    let observers = Observers { recorder: &recorder, slo: &mut slo, pulse: Some(&mut pulse) };
+    let pulsed = run(&config, &on_hub, Some(observers));
 
     let decisions_identical = plain.served == pulsed.served
         && plain.shed == pulsed.shed
@@ -398,11 +362,6 @@ fn pulse_workload() -> WorkloadResult {
     metrics.insert("forecast_exact".into(), f64::from(forecast_exact));
     metrics.insert("wear_total_writes".into(), pulse.forecaster().total_writes() as f64);
     metrics.insert("slo_pages".into(), pages as f64);
-    metrics.insert("pulse_off_wall_ms".into(), off_ms);
-    metrics.insert("pulse_on_wall_ms".into(), on_ms);
-    // ≈1.0 when scraping is free; gated as a speedup, so only a
-    // collapse (pulse-on dramatically slower) regresses.
-    metrics.insert("pulse_overhead_speedup_x".into(), off_ms / on_ms);
     WorkloadResult { name: "pulse_2tenant_4farm".into(), metrics }
 }
 
@@ -427,7 +386,7 @@ fn farm_workload(hub: &MetricsHub) -> WorkloadResult {
 impl BenchSnapshot {
     /// Runs the workload matrix (`quick` restricts the multiplication
     /// widths to [`QUICK_WIDTHS`]), publishing every layer's metrics
-    /// into `hub`, and stamps each workload's `wall_ms`.
+    /// into `hub`.
     pub fn collect(quick: bool, tag: &str, hub: &MetricsHub) -> Self {
         let widths: &[usize] = if quick { &QUICK_WIDTHS } else { &FULL_WIDTHS };
         Self::collect_widths(widths, quick, tag, hub)
@@ -436,28 +395,19 @@ impl BenchSnapshot {
     /// [`BenchSnapshot::collect`] with an explicit width list (tests
     /// use small widths to stay fast in debug builds).
     pub fn collect_widths(widths: &[usize], quick: bool, tag: &str, hub: &MetricsHub) -> Self {
-        let mut workloads = Vec::new();
-        let mut timed = |f: &dyn Fn(&MetricsHub) -> WorkloadResult| {
-            let start = Instant::now();
-            let mut w = f(hub);
-            w.metrics.insert(
-                WALL_METRIC.into(),
-                start.elapsed().as_secs_f64() * 1e3,
-            );
-            workloads.push(w);
-        };
-        for &n in widths {
-            timed(&|hub| multiply_workload(n, hub));
-        }
+        let mut workloads: Vec<WorkloadResult> =
+            widths.iter().map(|&n| multiply_workload(n, hub)).collect();
         // The bit-sliced batch runs at the largest width of the matrix
         // (2048 in the full run), 64 lanes per compiled program.
         let batch_n = widths.iter().copied().max().unwrap_or(2048);
-        timed(&|_| batch_workload(batch_n, 64));
-        timed(&|_| pipeline_workload());
-        timed(&farm_workload);
-        timed(&serve_workload);
-        timed(&|_| obs_workload());
-        timed(&|_| pulse_workload());
+        workloads.extend([
+            batch_workload(batch_n, 64),
+            pipeline_workload(),
+            farm_workload(hub),
+            serve_workload(hub),
+            obs_workload(),
+            pulse_workload(),
+        ]);
         BenchSnapshot { tag: tag.into(), quick, workloads }
     }
 
@@ -537,8 +487,8 @@ impl BenchSnapshot {
     }
 }
 
-/// Tolerances for [`diff`].
-#[derive(Debug, Clone, PartialEq)]
+/// Gating modes for [`diff`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DiffOptions {
     /// Allow the current snapshot to cover a subset of the baseline's
     /// workloads (gating a `--quick` run against the full snapshot).
@@ -550,10 +500,6 @@ pub struct DiffOptions {
     /// family of workloads (`batch64_*`) without enumerating it.
     /// Empty means every workload is skippable in subset mode.
     pub subset_patterns: Vec<String>,
-    /// `wall_ms` passes when `current ≤ relative · baseline` …
-    pub wall_rel_tol: f64,
-    /// … or when the absolute slowdown is below this many ms.
-    pub wall_abs_tol_ms: f64,
     /// Accept *decreases* of cost-like exact metrics (see
     /// [`is_improvable_metric`]) instead of demanding equality: fewer
     /// cycles/writes/picojoules passes (labeled `improved`), more
@@ -563,31 +509,6 @@ pub struct DiffOptions {
     /// optimization is supposed to move the numbers down but must
     /// never move them up.
     pub allow_improvement: bool,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions {
-            allow_subset: false,
-            subset_patterns: Vec::new(),
-            wall_rel_tol: 20.0,
-            wall_abs_tol_ms: 5_000.0,
-            allow_improvement: false,
-        }
-    }
-}
-
-/// Whether `name` is wall-derived timing (tolerated slowdown): the
-/// canonical [`WALL_METRIC`] plus any `*_wall_ms` sub-timing.
-pub fn is_wall_metric(name: &str) -> bool {
-    name == WALL_METRIC || name.ends_with("_wall_ms")
-}
-
-/// Whether `name` is a wall-derived speedup ratio (`*_speedup_x`):
-/// gated in the opposite direction of wall time — only a collapse
-/// below `baseline / wall_rel_tol` regresses, growth never does.
-pub fn is_speedup_metric(name: &str) -> bool {
-    name.ends_with("_speedup_x")
 }
 
 /// Whether `name` is an exact *cost* metric with a known good
@@ -675,8 +596,8 @@ fn rel_delta(want: f64, got: f64) -> String {
 }
 
 /// Compares `current` against `baseline`: exact equality for every
-/// metric except [`WALL_METRIC`], which only regresses on a slowdown
-/// beyond both tolerances. See [`DiffOptions`].
+/// metric the baseline carries, except the [`RETIRED_METRICS`]. See
+/// [`DiffOptions`].
 pub fn diff(baseline: &BenchSnapshot, current: &BenchSnapshot, opts: &DiffOptions) -> Diff {
     let mut d = Diff::default();
     let cur: BTreeMap<&str, &WorkloadResult> = current
@@ -708,32 +629,7 @@ pub fn diff(baseline: &BenchSnapshot, current: &BenchSnapshot, opts: &DiffOption
                 d.fail(format!("{name}: metric missing from current snapshot"));
                 continue;
             };
-            if is_wall_metric(metric) {
-                let slow = got - want;
-                if got <= want * opts.wall_rel_tol || slow <= opts.wall_abs_tol_ms {
-                    d.ok(format!("{name}: {want:.1} -> {got:.1} (tolerated)"));
-                } else {
-                    d.fail(format!(
-                        "{name}: expected <= {want:.1} ms, actual {got:.1} ms, \
-                         delta {slow:+.1} ms ({}) exceeds {}x/{} ms tolerance",
-                        rel_delta(want, got),
-                        opts.wall_rel_tol,
-                        opts.wall_abs_tol_ms
-                    ));
-                }
-            } else if is_speedup_metric(metric) {
-                if got * opts.wall_rel_tol >= want {
-                    d.ok(format!("{name}: {want:.1}x -> {got:.1}x (tolerated)"));
-                } else {
-                    d.fail(format!(
-                        "{name}: expected >= {:.1}x, actual {got:.1}x ({}) — \
-                         speedup collapsed past the {}x tolerance",
-                        want / opts.wall_rel_tol,
-                        rel_delta(want, got),
-                        opts.wall_rel_tol
-                    ));
-                }
-            } else if got == want {
+            if got == want {
                 d.ok(format!("{name}: {want}"));
             } else if opts.allow_improvement && is_improvable_metric(metric) && got < want {
                 d.ok(format!(
@@ -788,7 +684,7 @@ mod tests {
     fn json_round_trips_exactly() {
         let s = snap(&[
             ("multiply_64", &[("cycles", 123.0), ("energy_pj", 0.1 + 0.2)]),
-            ("farm", &[("wall_ms", 1.5)]),
+            ("farm", &[("utilization", 0.75)]),
         ]);
         let parsed = BenchSnapshot::parse(&s.to_json()).unwrap();
         assert_eq!(s, parsed);
@@ -804,7 +700,7 @@ mod tests {
 
     #[test]
     fn self_diff_passes_and_perturbation_fails() {
-        let a = snap(&[("w", &[("cycles", 10.0), ("wall_ms", 4.0)])]);
+        let a = snap(&[("w", &[("cycles", 10.0), ("writes", 4.0)])]);
         assert!(diff(&a, &a, &DiffOptions::default()).passed());
 
         let mut b = a.clone();
@@ -835,26 +731,6 @@ mod tests {
             .find(|l| l.contains("w/writes"))
             .expect("writes regression reported");
         assert!(writes.contains("n/a vs zero baseline"), "{writes}");
-
-        let wall_base = snap(&[("w", &[("wall_ms", 10.0)])]);
-        let wall_hung = snap(&[("w", &[("wall_ms", 1.0e6)])]);
-        let d = diff(&wall_base, &wall_hung, &DiffOptions::default());
-        assert!(!d.passed());
-        assert!(d.regressions[0].contains("expected <= 10.0 ms"), "{}", d.regressions[0]);
-        assert!(d.regressions[0].contains("actual 1000000.0 ms"), "{}", d.regressions[0]);
-        assert!(d.regressions[0].contains("delta +999990.0 ms"), "{}", d.regressions[0]);
-    }
-
-    #[test]
-    fn wall_time_is_tolerated_but_not_unbounded() {
-        let base = snap(&[("w", &[("wall_ms", 100.0)])]);
-        let slower = snap(&[("w", &[("wall_ms", 1_500.0)])]);
-        assert!(diff(&base, &slower, &DiffOptions::default()).passed());
-        let hung = snap(&[("w", &[("wall_ms", 1.0e7)])]);
-        assert!(!diff(&base, &hung, &DiffOptions::default()).passed());
-        // Faster never regresses.
-        let faster = snap(&[("w", &[("wall_ms", 0.5)])]);
-        assert!(diff(&base, &faster, &DiffOptions::default()).passed());
     }
 
     #[test]
@@ -869,54 +745,31 @@ mod tests {
         assert!(!diff(&full, &wrong, &opts).passed());
     }
 
-    #[test]
-    fn sub_timings_and_speedups_get_wall_style_tolerance() {
-        assert!(is_wall_metric("wall_ms"));
-        assert!(is_wall_metric("batch_wall_ms"));
-        assert!(!is_wall_metric("cycles"));
-        assert!(is_speedup_metric("obs_overhead_speedup_x"));
-        assert!(!is_speedup_metric("cycle_throughput_x"));
-
-        // A slower sub-timing inside tolerance passes; a hung one fails.
-        let x = "obs_overhead_speedup_x";
-        let base = snap(&[("b", &[("batch_wall_ms", 10.0), (x, 25.0)])]);
-        let drifted = snap(&[("b", &[("batch_wall_ms", 80.0), (x, 12.0)])]);
-        assert!(diff(&base, &drifted, &DiffOptions::default()).passed());
-        let hung = snap(&[("b", &[("batch_wall_ms", 1.0e7), (x, 25.0)])]);
-        assert!(!diff(&base, &hung, &DiffOptions::default()).passed());
-        // A speedup collapse past the relative tolerance regresses; a
-        // faster-than-baseline speedup never does.
-        let collapsed = snap(&[("b", &[("batch_wall_ms", 10.0), (x, 0.5)])]);
-        let d = diff(&base, &collapsed, &DiffOptions::default());
-        assert!(!d.passed());
-        assert!(d.regressions[0].contains("speedup collapsed"), "{:?}", d.regressions);
-        let faster = snap(&[("b", &[("batch_wall_ms", 1.0), (x, 60.0)])]);
-        assert!(diff(&base, &faster, &DiffOptions::default()).passed());
-    }
-
-    /// Baselines written before the batch wall ratio was retired still
-    /// hold it; a current snapshot without it passes, whatever value
-    /// the baseline recorded, and the other metrics still gate.
+    /// Baselines written before the host timings were retired still
+    /// hold them; a current snapshot without them passes, whatever
+    /// values the baseline recorded, the other metrics still gate, and
+    /// a trajectory into such a snapshot keeps its lineage.
     #[test]
     fn retired_metrics_are_not_gated() {
-        let base = snap(&[(
-            "batch64_2048",
-            &[
-                ("cycles", 5.0),
-                ("wall_speedup_x", 16.0),
-                ("meets_10x", 1.0),
-            ],
-        )]);
+        let mut old: Vec<(&str, f64)> = RETIRED_METRICS.iter().map(|&m| (m, 16.0)).collect();
+        old.push(("cycles", 5.0));
+        let base = snap(&[("batch64_2048", &old)]);
         let cur = snap(&[("batch64_2048", &[("cycles", 5.0)])]);
         let d = diff(&base, &cur, &DiffOptions::default());
         assert!(d.passed(), "{:?}", d.regressions);
-        assert!(
-            d.lines.iter().any(|l| l.contains("meets_10x: retired")),
-            "{:?}",
-            d.lines
-        );
+        for metric in RETIRED_METRICS {
+            assert!(
+                d.lines.iter().any(|l| l.contains(&format!("/{metric}: retired"))),
+                "{metric}: {:?}",
+                d.lines
+            );
+        }
         let slower = snap(&[("batch64_2048", &[("cycles", 6.0)])]);
         assert!(!diff(&base, &slower, &DiffOptions::default()).passed());
+
+        let t = crate::trajectory::build(&[("OLD".into(), base), ("NEW".into(), cur)]);
+        assert!(t.lineage_ok(), "{:?}", t.violations);
+        assert!(t.steps[0].changed.is_empty(), "{:?}", t.steps[0].changed);
     }
 
     #[test]
@@ -1076,18 +929,11 @@ mod tests {
     }
 
     #[test]
-    fn collect_is_deterministic_apart_from_wall_time() {
+    fn collect_is_deterministic() {
         let hub_a = MetricsHub::recording();
         let hub_b = MetricsHub::recording();
-        let mut a = BenchSnapshot::collect_widths(&[64], true, "a", &hub_a);
-        let mut b = BenchSnapshot::collect_widths(&[64], true, "a", &hub_b);
-        for s in [&mut a, &mut b] {
-            for w in &mut s.workloads {
-                // Wall-derived metrics are the only nondeterministic ones.
-                w.metrics
-                    .retain(|k, _| !is_wall_metric(k) && !is_speedup_metric(k));
-            }
-        }
+        let a = BenchSnapshot::collect_widths(&[64], true, "a", &hub_a);
+        let b = BenchSnapshot::collect_widths(&[64], true, "a", &hub_b);
         assert_eq!(a, b);
         // Every layer published into the hub.
         let names: Vec<String> = hub_a

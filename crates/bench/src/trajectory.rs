@@ -1,6 +1,6 @@
 //! Cross-snapshot trajectory analysis: lineage verification and
-//! regression attribution over an ordered list of `bench_snapshot`
-//! files (PR 4 → PR 9 → …).
+//! exact-metric deltas over an ordered list of `bench_snapshot` files
+//! (PR 4 → PR 9 → …).
 //!
 //! A trajectory treats each committed `BENCH_*.json` as one point in
 //! the repo's performance history and checks the **lineage
@@ -11,31 +11,29 @@
 //! * *metric-set monotonicity* — a metric, once recorded for a
 //!   workload, is recorded by every later snapshot of that workload.
 //!
-//! For each consecutive pair it then diffs every shared metric.
-//! Exact (cycle/write/energy) deltas are reported verbatim;
-//! wall-derived metrics are listed separately since they move with
-//! the machine, not the code. For the `multiply_*` workloads the
-//! cycle delta is **attributed to stages** using the same
-//! `precompute / multiply / postcompute / handoff` rows as
-//! [`cim_obs::AttributionReport`] (the snapshot records the first
-//! three stages' cycles; `handoff` is the remainder to
-//! `cycles`). Wall and energy deltas are apportioned across stages
-//! pro rata by each stage's share of the cycle delta — a first-order
-//! answer to "*which stage* made PR N slower?".
+//! For each consecutive pair it then diffs every shared metric and
+//! reports the exact (cycle/write/energy/decision) deltas verbatim.
+//! The [`RETIRED_METRICS`] older snapshots carry are skipped by both
+//! the lineage check and the deltas. For the `multiply_*` workloads
+//! the cycle delta is split into the same `precompute / multiply /
+//! postcompute / handoff` rows as [`cim_obs::AttributionReport`] (the
+//! snapshot records the first three stages' cycles; `handoff` is the
+//! remainder to `cycles`), answering "*which stage* moved PR N's
+//! cycles?".
 //!
 //! [`Trajectory::to_json`] is deterministic (inputs are committed
 //! files; the arithmetic is pure), so `BENCH_TRAJECTORY.json` is a
 //! reviewable artifact: regenerating it from the same snapshots is
 //! byte-identical.
 
-use crate::snapshot::{is_speedup_metric, is_wall_metric, BenchSnapshot};
+use crate::snapshot::{BenchSnapshot, WorkloadResult, RETIRED_METRICS};
 use crate::TextTable;
 use cim_obs::attribution::ATTRIBUTION_STAGES;
 use cim_trace::json::JsonWriter;
 use std::collections::BTreeSet;
 
 /// Schema marker embedded in every trajectory file.
-pub const TRAJECTORY_SCHEMA: &str = "cim-bench-trajectory/1";
+pub const TRAJECTORY_SCHEMA: &str = "cim-bench-trajectory/2";
 
 /// One snapshot's identity inside a trajectory.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +81,7 @@ impl MetricDelta {
     }
 }
 
-/// One stage's share of a `multiply_*` workload's step delta.
+/// One stage's part of a `multiply_*` workload's step delta.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageDeltaRow {
     /// Workload the row attributes (e.g. `multiply_2048`).
@@ -94,10 +92,6 @@ pub struct StageDeltaRow {
     pub cycles_from: f64,
     /// Stage cycles in the later snapshot.
     pub cycles_to: f64,
-    /// Apportioned share of the workload's wall-time delta (ms).
-    pub wall_ms_delta: f64,
-    /// Apportioned share of the workload's energy delta (pJ).
-    pub energy_pj_delta: f64,
 }
 
 impl StageDeltaRow {
@@ -116,11 +110,9 @@ pub struct TrajectoryStep {
     pub to: String,
     /// Workloads the later snapshot adds.
     pub added_workloads: Vec<String>,
-    /// Exact metrics whose value changed (wall/speedup excluded).
+    /// Exact metrics whose value changed (retired metrics excluded).
     pub changed: Vec<MetricDelta>,
-    /// Wall-derived metrics that changed (informational).
-    pub wall: Vec<MetricDelta>,
-    /// Per-stage attribution of the `multiply_*` deltas.
+    /// Per-stage split of the `multiply_*` cycle deltas.
     pub attribution: Vec<StageDeltaRow>,
 }
 
@@ -139,7 +131,7 @@ pub struct Trajectory {
 /// [`ATTRIBUTION_STAGES`] order (handoff is derived, not recorded).
 const STAGE_METRICS: [&str; 3] = ["precompute_cycles", "multiply_cycles", "postcompute_cycles"];
 
-fn stage_cycles(wl: &crate::snapshot::WorkloadResult) -> Option<[f64; 4]> {
+fn stage_cycles(wl: &WorkloadResult) -> Option<[f64; 4]> {
     let total = *wl.metrics.get("cycles")?;
     let mut out = [0.0; 4];
     for (slot, metric) in out.iter_mut().zip(STAGE_METRICS) {
@@ -149,38 +141,18 @@ fn stage_cycles(wl: &crate::snapshot::WorkloadResult) -> Option<[f64; 4]> {
     Some(out)
 }
 
-fn attribution_rows(
-    base: &crate::snapshot::WorkloadResult,
-    cur: &crate::snapshot::WorkloadResult,
-) -> Vec<StageDeltaRow> {
+fn attribution_rows(base: &WorkloadResult, cur: &WorkloadResult) -> Vec<StageDeltaRow> {
     let (Some(from), Some(to)) = (stage_cycles(base), stage_cycles(cur)) else {
         return Vec::new();
     };
-    let cycle_delta: f64 = (0..4).map(|i| to[i] - from[i]).sum();
-    let wall_delta = cur.metrics.get("wall_ms").copied().unwrap_or(0.0)
-        - base.metrics.get("wall_ms").copied().unwrap_or(0.0);
-    let energy_delta = cur.metrics.get("energy_pj").copied().unwrap_or(0.0)
-        - base.metrics.get("energy_pj").copied().unwrap_or(0.0);
     ATTRIBUTION_STAGES
         .iter()
         .enumerate()
-        .map(|(i, stage)| {
-            // Pro-rata apportionment by the stage's share of the cycle
-            // movement; with no cycle movement everything is machine
-            // noise and lands in no stage.
-            let share = if cycle_delta != 0.0 {
-                (to[i] - from[i]) / cycle_delta
-            } else {
-                0.0
-            };
-            StageDeltaRow {
-                workload: base.name.clone(),
-                stage,
-                cycles_from: from[i],
-                cycles_to: to[i],
-                wall_ms_delta: wall_delta * share,
-                energy_pj_delta: energy_delta * share,
-            }
+        .map(|(i, stage)| StageDeltaRow {
+            workload: base.name.clone(),
+            stage,
+            cycles_from: from[i],
+            cycles_to: to[i],
         })
         .collect()
 }
@@ -216,7 +188,6 @@ pub fn build(snapshots: &[(String, BenchSnapshot)]) -> Trajectory {
                 .map(|w| w.name.clone())
                 .collect(),
             changed: Vec::new(),
-            wall: Vec::new(),
             attribution: Vec::new(),
         };
         for base_wl in &base.workloads {
@@ -234,6 +205,9 @@ pub fn build(snapshots: &[(String, BenchSnapshot)]) -> Trajectory {
                 .find(|w| w.name == base_wl.name)
                 .expect("membership checked above");
             for (metric, &from) in &base_wl.metrics {
+                if RETIRED_METRICS.contains(&metric.as_str()) {
+                    continue;
+                }
                 let Some(&to) = cur_wl.metrics.get(metric) else {
                     violations.push(format!(
                         "{to_label}: metric {}/{metric} present in {from_label} but \
@@ -242,19 +216,13 @@ pub fn build(snapshots: &[(String, BenchSnapshot)]) -> Trajectory {
                     ));
                     continue;
                 };
-                if from == to {
-                    continue;
-                }
-                let d = MetricDelta {
-                    workload: base_wl.name.clone(),
-                    metric: metric.clone(),
-                    from,
-                    to,
-                };
-                if is_wall_metric(metric) || is_speedup_metric(metric) {
-                    step.wall.push(d);
-                } else {
-                    step.changed.push(d);
+                if from != to {
+                    step.changed.push(MetricDelta {
+                        workload: base_wl.name.clone(),
+                        metric: metric.clone(),
+                        from,
+                        to,
+                    });
                 }
             }
             if base_wl.name.starts_with("multiply_") {
@@ -305,20 +273,18 @@ impl Trajectory {
                 w.string(name);
             }
             w.close_array();
-            for (key, deltas) in [("changed", &step.changed), ("wall", &step.wall)] {
-                w.key(key).open_array();
-                for d in deltas {
-                    w.open_object()
-                        .field_str("workload", &d.workload)
-                        .field_str("metric", &d.metric)
-                        .field_float("from", d.from)
-                        .field_float("to", d.to)
-                        .field_float("delta", d.delta());
-                    w.key("improved").bool(d.is_improvement());
-                    w.close_object();
-                }
-                w.close_array();
+            w.key("changed").open_array();
+            for d in &step.changed {
+                w.open_object()
+                    .field_str("workload", &d.workload)
+                    .field_str("metric", &d.metric)
+                    .field_float("from", d.from)
+                    .field_float("to", d.to)
+                    .field_float("delta", d.delta());
+                w.key("improved").bool(d.is_improvement());
+                w.close_object();
             }
+            w.close_array();
             w.key("attribution").open_array();
             for row in &step.attribution {
                 w.open_object()
@@ -327,8 +293,6 @@ impl Trajectory {
                     .field_float("cycles_from", row.cycles_from)
                     .field_float("cycles_to", row.cycles_to)
                     .field_float("cycles_delta", row.cycles_delta())
-                    .field_float("wall_ms_delta", row.wall_ms_delta)
-                    .field_float("energy_pj_delta", row.energy_pj_delta)
                     .close_object();
             }
             w.close_array().close_object();
@@ -338,8 +302,8 @@ impl Trajectory {
     }
 
     /// Renders the human-facing summary: one lineage line, one table
-    /// of exact-metric movements per step, and the stage attribution
-    /// for the multiply matrix.
+    /// of exact-metric movements per step, and the per-stage cycle
+    /// split for the multiply matrix.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -384,16 +348,13 @@ impl Trajectory {
                 .filter(|r| r.cycles_delta() != 0.0)
                 .collect();
             if !moved.is_empty() {
-                out.push_str("  stage attribution of the multiply deltas:\n");
-                let mut t =
-                    TextTable::new(&["workload", "stage", "cycles", "wall ms", "energy pJ"]);
+                out.push_str("  stage attribution of the multiply cycle deltas:\n");
+                let mut t = TextTable::new(&["workload", "stage", "cycles"]);
                 for r in moved {
                     t.row(&[
                         r.workload.clone(),
                         r.stage.to_string(),
                         format!("{:+}", r.cycles_delta()),
-                        format!("{:+.3}", r.wall_ms_delta),
-                        format!("{:+.1}", r.energy_pj_delta),
                     ]);
                 }
                 out.push_str(&t.render());
@@ -416,7 +377,6 @@ pub fn path_label(path: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::WorkloadResult;
     use std::collections::BTreeMap;
 
     fn snap(entries: &[(&str, &[(&str, f64)])]) -> BenchSnapshot {
@@ -436,27 +396,26 @@ mod tests {
         }
     }
 
-    fn multiply(pre: f64, mul: f64, post: f64, handoff: f64, wall: f64, pj: f64) -> Vec<(String, f64)> {
+    fn multiply(pre: f64, mul: f64, post: f64, handoff: f64, pj: f64) -> Vec<(String, f64)> {
         vec![
             ("cycles".into(), pre + mul + post + handoff),
             ("precompute_cycles".into(), pre),
             ("multiply_cycles".into(), mul),
             ("postcompute_cycles".into(), post),
-            ("wall_ms".into(), wall),
             ("energy_pj".into(), pj),
         ]
     }
 
-    fn msnap(stages: &[(f64, f64, f64, f64, f64, f64)]) -> BenchSnapshot {
+    fn msnap(stages: &[(f64, f64, f64, f64, f64)]) -> BenchSnapshot {
         BenchSnapshot {
             tag: String::new(),
             quick: false,
             workloads: stages
                 .iter()
                 .enumerate()
-                .map(|(i, &(a, b, c, d, w, e))| WorkloadResult {
+                .map(|(i, &(a, b, c, d, e))| WorkloadResult {
                     name: format!("multiply_{}", 512 << i),
-                    metrics: multiply(a, b, c, d, w, e).into_iter().collect(),
+                    metrics: multiply(a, b, c, d, e).into_iter().collect(),
                 })
                 .collect(),
         }
@@ -474,12 +433,10 @@ mod tests {
         assert_eq!(t.steps.len(), 1);
         let step = &t.steps[0];
         assert_eq!(step.added_workloads, vec!["new_wl".to_string()]);
+        // The retired wall metric's movement is not a delta.
         assert_eq!(step.changed.len(), 1);
         assert_eq!(step.changed[0].metric, "cycles");
         assert_eq!(step.changed[0].delta(), 2.0);
-        // Wall movement is reported but kept out of the exact list.
-        assert_eq!(step.wall.len(), 1);
-        assert_eq!(step.wall[0].metric, "wall_ms");
     }
 
     #[test]
@@ -494,47 +451,45 @@ mod tests {
     }
 
     #[test]
-    fn stage_attribution_apportions_wall_and_energy_by_cycle_share() {
-        // multiply stage grows by 30, postcompute by 10: shares 3/4
-        // and 1/4 of the 8 ms / 400 pJ deltas.
-        let a = msnap(&[(100.0, 200.0, 50.0, 10.0, 2.0, 1_000.0)]);
-        let b = msnap(&[(100.0, 230.0, 60.0, 10.0, 10.0, 1_400.0)]);
+    fn stage_attribution_splits_the_cycle_delta_by_stage() {
+        // The multiply stage grows by 30 cycles and postcompute by 10;
+        // the energy delta stays one exact workload-level change.
+        let a = msnap(&[(100.0, 200.0, 50.0, 10.0, 1_000.0)]);
+        let b = msnap(&[(100.0, 230.0, 60.0, 10.0, 1_400.0)]);
         let t = build(&[("A".into(), a), ("B".into(), b)]);
         let rows = &t.steps[0].attribution;
         assert_eq!(rows.len(), 4);
         let by_stage = |s: &str| rows.iter().find(|r| r.stage == s).unwrap();
         assert_eq!(by_stage("multiply").cycles_delta(), 30.0);
-        assert_eq!(by_stage("multiply").wall_ms_delta, 6.0);
-        assert_eq!(by_stage("multiply").energy_pj_delta, 300.0);
-        assert_eq!(by_stage("postcompute").wall_ms_delta, 2.0);
+        assert_eq!(by_stage("postcompute").cycles_delta(), 10.0);
         assert_eq!(by_stage("precompute").cycles_delta(), 0.0);
         assert_eq!(by_stage("handoff").cycles_delta(), 0.0);
-        // The apportionment is conservative: stage rows sum to the
-        // workload deltas exactly.
-        assert_eq!(rows.iter().map(|r| r.wall_ms_delta).sum::<f64>(), 8.0);
-        assert_eq!(rows.iter().map(|r| r.energy_pj_delta).sum::<f64>(), 400.0);
+        // The stage rows sum to the workload's cycle delta exactly.
+        assert_eq!(rows.iter().map(StageDeltaRow::cycles_delta).sum::<f64>(), 40.0);
+        let energy = t.steps[0].changed.iter().find(|d| d.metric == "energy_pj").unwrap();
+        assert_eq!(energy.delta(), 400.0);
     }
 
     #[test]
     fn unchanged_cycles_attribute_nothing() {
-        let a = msnap(&[(1.0, 2.0, 3.0, 0.0, 5.0, 10.0)]);
-        let b = msnap(&[(1.0, 2.0, 3.0, 0.0, 9.0, 10.0)]);
+        let a = msnap(&[(1.0, 2.0, 3.0, 0.0, 10.0)]);
+        let b = msnap(&[(1.0, 2.0, 3.0, 0.0, 10.0)]);
         let t = build(&[("A".into(), a), ("B".into(), b)]);
         for row in &t.steps[0].attribution {
             assert_eq!(row.cycles_delta(), 0.0);
-            assert_eq!(row.wall_ms_delta, 0.0, "wall noise lands in no stage");
         }
+        assert!(!t.render().contains("stage attribution"), "{}", t.render());
     }
 
     #[test]
     fn json_is_deterministic_and_valid() {
-        let a = msnap(&[(1.0, 2.0, 3.0, 1.0, 5.0, 10.0)]);
-        let b = msnap(&[(1.0, 4.0, 3.0, 1.0, 6.0, 12.0)]);
+        let a = msnap(&[(1.0, 2.0, 3.0, 1.0, 10.0)]);
+        let b = msnap(&[(1.0, 4.0, 3.0, 1.0, 12.0)]);
         let make = || build(&[("A".into(), a.clone()), ("B".into(), b.clone())]);
         let t = make();
         assert_eq!(t.to_json(), make().to_json());
         cim_trace::json::check(&t.to_json()).unwrap();
-        assert!(t.to_json().contains("\"schema\":\"cim-bench-trajectory/1\""));
+        assert!(t.to_json().contains("\"schema\":\"cim-bench-trajectory/2\""));
         let rendered = t.render();
         assert!(rendered.contains("lineage OK"), "{rendered}");
         assert!(rendered.contains("multiply_512"), "{rendered}");
@@ -544,8 +499,8 @@ mod tests {
     fn improvements_are_labeled_in_render_and_json() {
         // multiply stage cycles drop (an optimization landing), the
         // paper-exact baseline metric is untouched.
-        let a = msnap(&[(100.0, 200.0, 50.0, 10.0, 2.0, 1_000.0)]);
-        let b = msnap(&[(100.0, 150.0, 50.0, 10.0, 2.0, 900.0)]);
+        let a = msnap(&[(100.0, 200.0, 50.0, 10.0, 1_000.0)]);
+        let b = msnap(&[(100.0, 150.0, 50.0, 10.0, 900.0)]);
         let t = build(&[("A".into(), a), ("B".into(), b)]);
         assert!(t.lineage_ok(), "a value decrease is not a lineage violation");
         let step = &t.steps[0];

@@ -19,7 +19,8 @@
 //! before it.
 //!
 //! [`PulseHub`] composes the three engines behind one `observe` call;
-//! the serve layer's `run_pulsed` drives it.
+//! the serve layer's `loadgen::run` drives it when the hub is among
+//! the run's `Observers`.
 
 pub mod drift;
 pub mod forecast;

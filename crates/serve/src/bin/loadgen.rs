@@ -35,7 +35,7 @@
 use cim_metrics::{prometheus, MetricsHub};
 use cim_obs::journal::{FlightRecorder, RecorderConfig};
 use cim_obs::slo::{SloEngine, SloRule};
-use cim_serve::loadgen::{run_observed, LoadgenConfig};
+use cim_serve::loadgen::{run, LoadgenConfig, Observers};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -162,7 +162,8 @@ fn main() -> ExitCode {
     let recorder = FlightRecorder::new(RecorderConfig::default());
 
     let hub = MetricsHub::recording();
-    let report = run_observed(&config, &hub, &recorder, &mut slo);
+    let observers = Observers { recorder: &recorder, slo: &mut slo, pulse: None };
+    let report = run(&config, &hub, Some(observers));
 
     println!(
         "loadgen: {} requests ({} tenants, {} farms x {} tiles, seed {}, {})",

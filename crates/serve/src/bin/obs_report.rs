@@ -38,7 +38,7 @@ use cim_metrics::{Labels, MetricsHub};
 use cim_obs::journal::{FlightRecorder, ObsEvent, ObsEventKind, RecorderConfig};
 use cim_obs::slo::{SloEngine, SloRule};
 use cim_obs::{AttributionReport, Depth1Column, WearHeatmap, WearPercentiles};
-use cim_serve::loadgen::{run_observed, LoadgenConfig};
+use cim_serve::loadgen::{run, LoadgenConfig, Observers};
 use cim_trace::json::JsonWriter;
 use karatsuba_cim::depth1::KaratsubaDepth1Multiplier;
 use karatsuba_cim::multiplier::KaratsubaCimMultiplier;
@@ -156,7 +156,8 @@ fn main() -> ExitCode {
     });
 
     let hub = MetricsHub::recording();
-    let report = run_observed(&config, &hub, &recorder, &mut slo);
+    let observers = Observers { recorder: &recorder, slo: &mut slo, pulse: None };
+    let report = run(&config, &hub, Some(observers));
     if report.incorrect > 0 {
         eprintln!("obs_report: FAIL — {} incorrect responses", report.incorrect);
         return ExitCode::from(1);

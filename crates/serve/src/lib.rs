@@ -60,6 +60,6 @@ pub use batcher::{width_class, BatchConfig, Batcher};
 pub use engine::{Disposition, Engine, EngineConfig, EngineStats};
 pub use exec::OpExecutor;
 pub use fleet::{FarmFleet, FleetConfig, RequestCompletion};
-pub use loadgen::{LoadReport, LoadgenConfig, MixWeights};
+pub use loadgen::{LoadReport, LoadgenConfig, MixWeights, Observers};
 pub use protocol::{Op, OpKind, Request, Response, ResponsePayload, ShedReason};
 pub use server::{CimServer, Connection, ServerConfig};

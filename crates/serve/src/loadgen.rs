@@ -363,133 +363,39 @@ fn blank_report(submitted: u64, threaded: bool, stats: EngineStats) -> LoadRepor
     }
 }
 
+/// The observation stack a [`run`] can carry: the engine journals
+/// into `recorder`, `slo` is evaluated over metrics snapshots as the
+/// run progresses, and `pulse`, when present, folds the engine's stats
+/// into its timeline, wear series and drift detectors at the same
+/// points. Observers only read state the engine already computed, so
+/// every serving decision is identical to an unobserved run.
+#[derive(Debug)]
+pub struct Observers<'a> {
+    /// Flight recorder the engine journals into.
+    pub recorder: &'a FlightRecorder,
+    /// SLO engine observed at each observation point.
+    pub slo: &'a mut SloEngine,
+    /// Telemetry history scraped before each SLO observation, so
+    /// `fleet.drift_alerts` rules see the current alert counts.
+    pub pulse: Option<&'a mut PulseHub>,
+}
+
 /// Runs the full load-generation cycle: generate the trace, serve it
 /// (sync engine or threaded server per `config.workers`), verify
 /// every `Ok` against the client-side gold, and report.
-pub fn run(config: &LoadgenConfig, hub: &MetricsHub) -> LoadReport {
-    let trace = generate_trace(config);
-    let ops: HashMap<u64, Op> = trace.iter().map(|r| (r.id, r.op.clone())).collect();
-    let exec = OpExecutor::new();
-    let start = std::time::Instant::now();
-
-    let (responses, stats, threaded) = if config.workers == 0 {
-        let mut engine = Engine::new(config.engine_config());
-        engine.attach_metrics(hub);
-        let mut responses = Vec::with_capacity(trace.len());
-        for request in trace {
-            responses.extend(engine.serve(request, &exec).expect("validated trace"));
-        }
-        responses.extend(engine.finish(&exec).expect("drain"));
-        let stats = engine.stats();
-        (responses, stats, false)
-    } else {
-        let server = CimServer::start(
-            ServerConfig { engine: config.engine_config(), workers: config.workers },
-            hub,
-        );
-        let conn = server.connect();
-        let n = trace.len();
-        for request in &trace {
-            conn.send(request);
-        }
-        conn.drain();
-        let responses: Vec<Response> = (0..n)
-            .map(|_| conn.recv().expect("server delivers every response"))
-            .collect();
-        let stats = server.stats();
-        server.shutdown();
-        (responses, stats, true)
-    };
-
-    let mut report = blank_report(responses.len() as u64, threaded, stats);
-    tally(&responses, &ops, &exec, &mut report);
-    report.wall_ms = start.elapsed().as_millis();
-    report
-}
-
-/// Runs the load-generation cycle with observability attached: the
-/// engine journals into `recorder`, the SLO engine is evaluated over
-/// metrics snapshots as the run progresses, and any client-side gold
-/// mismatch is journaled as an incorrect result (latching the
-/// recorder's auto-dump trigger).
 ///
-/// The sync path (`workers == 0`) observes the SLO engine at a fixed
-/// request cadence, so its burn-rate windows — and hence its verdicts
-/// — are a pure function of the trace. The threaded path observes
-/// once at the end (mid-run metric timing is not deterministic
-/// there). Every serving *decision* is identical to [`run`]: the
-/// recorder and SLO engine only read state the engine already
-/// computed.
-pub fn run_observed(
+/// With `observers`, the engine journals into the recorder and the
+/// observers are fed at a fixed request cadence on the sync path
+/// (`workers == 0`), so burn-rate windows, verdicts and timelines are
+/// a pure function of the trace; the threaded path observes once at
+/// the end (mid-run metric timing is not deterministic there). Any
+/// client-side gold mismatch is journaled as an incorrect result,
+/// latching the recorder's auto-dump trigger. Without observers the
+/// run attaches no recorder and publishes only the serving metrics.
+pub fn run(
     config: &LoadgenConfig,
     hub: &MetricsHub,
-    recorder: &FlightRecorder,
-    slo: &mut SloEngine,
-) -> LoadReport {
-    run_observed_inner(config, hub, recorder, slo, None)
-}
-
-/// [`run_observed`] plus pulse telemetry: at every observation point
-/// the engine's stats are folded into `pulse` (timeline scrape, wear
-/// series, drift detectors) and the hub's `cim_pulse_*` gauges are
-/// republished **before** the SLO engine observes, so
-/// `fleet.drift_alerts` rules see the current alert counts.
-///
-/// The pulse hub only reads state the engine already computed; every
-/// serving decision stays identical to [`run`] and [`run_observed`]
-/// (asserted by test and exact-gated in the bench snapshot).
-pub fn run_pulsed(
-    config: &LoadgenConfig,
-    hub: &MetricsHub,
-    recorder: &FlightRecorder,
-    slo: &mut SloEngine,
-    pulse: &mut PulseHub,
-) -> LoadReport {
-    run_observed_inner(config, hub, recorder, slo, Some(pulse))
-}
-
-/// Feeds one engine-stats reading into the pulse hub at `cycle`.
-fn pulse_observe(
-    stats: &EngineStats,
-    cycle: u64,
-    drain: bool,
-    pulse: &mut PulseHub,
-    hub: &MetricsHub,
-    recorder: &FlightRecorder,
-) {
-    let wear: Vec<(u32, u32, u64)> = stats
-        .tile_wear
-        .iter()
-        .map(|t| (t.farm, t.tile, t.max_cell_writes))
-        .collect();
-    let p99 = stats
-        .tenants
-        .iter()
-        .map(|t| t.p99_latency_cycles)
-        .max()
-        .unwrap_or(0);
-    pulse.observe(
-        &ServeObservation {
-            cycle,
-            submitted: stats.submitted,
-            served: stats.served,
-            shed: stats.shed,
-            p99_latency_cycles: p99,
-            tile_wear: &wear,
-            drain,
-        },
-        &hub.snapshot(),
-        recorder,
-    );
-    pulse.publish_metrics(hub);
-}
-
-fn run_observed_inner(
-    config: &LoadgenConfig,
-    hub: &MetricsHub,
-    recorder: &FlightRecorder,
-    slo: &mut SloEngine,
-    mut pulse: Option<&mut PulseHub>,
+    mut observers: Option<Observers<'_>>,
 ) -> LoadReport {
     let trace = generate_trace(config);
     let tenants: HashMap<u64, u16> = trace.iter().map(|r| (r.id, r.tenant)).collect();
@@ -500,7 +406,9 @@ fn run_observed_inner(
     let (responses, stats, threaded) = if config.workers == 0 {
         let mut engine = Engine::new(config.engine_config());
         engine.attach_metrics(hub);
-        engine.attach_recorder(recorder);
+        if let Some(o) = &observers {
+            engine.attach_recorder(o.recorder);
+        }
         let mut responses = Vec::with_capacity(trace.len());
         // Observe at a fixed request cadence so sync-mode burn-rate
         // windows are trace-deterministic.
@@ -508,21 +416,23 @@ fn run_observed_inner(
         for (i, request) in trace.into_iter().enumerate() {
             let cycle = request.arrival_cycle;
             responses.extend(engine.serve(request, &exec).expect("validated trace"));
-            if (i as u64 + 1).is_multiple_of(observe_every) {
-                if let Some(pulse) = pulse.as_deref_mut() {
-                    pulse_observe(&engine.stats(), cycle, false, pulse, hub, recorder);
+            if let Some(o) = observers.as_mut() {
+                if (i as u64 + 1).is_multiple_of(observe_every) {
+                    o.observe(&engine.stats(), cycle, 0, false, hub);
                 }
-                slo.observe(cycle, &hub.snapshot(), &SloInputs { incorrect: 0 }, recorder);
             }
         }
         responses.extend(engine.finish(&exec).expect("drain"));
         let stats = engine.stats();
         (responses, stats, false)
     } else {
+        let recorder = observers
+            .as_ref()
+            .map_or_else(FlightRecorder::disabled, |o| o.recorder.clone());
         let server = CimServer::start_observed(
             ServerConfig { engine: config.engine_config(), workers: config.workers },
             hub,
-            recorder.clone(),
+            recorder,
         );
         let conn = server.connect();
         let n = trace.len();
@@ -541,46 +451,75 @@ fn run_observed_inner(
     let mut report = blank_report(responses.len() as u64, threaded, stats);
     tally(&responses, &ops, &exec, &mut report);
 
-    // Journal client-side verification failures: each one latches the
-    // recorder's incorrect-result trigger.
-    if report.incorrect > 0 {
-        for resp in &responses {
-            if let Response::Ok { id, result, .. } = resp {
-                let op = ops.get(id).expect("response to a known request");
-                if !exec.verify(op, result) {
-                    recorder.note_incorrect(
-                        report.stats.drained_at,
-                        *id,
-                        tenants.get(id).copied().unwrap_or(0),
-                    );
+    if let Some(mut o) = observers {
+        // Journal client-side verification failures: each one latches
+        // the recorder's incorrect-result trigger.
+        if report.incorrect > 0 {
+            for resp in &responses {
+                if let Response::Ok { id, result, .. } = resp {
+                    let op = ops.get(id).expect("response to a known request");
+                    if !exec.verify(op, result) {
+                        o.recorder.note_incorrect(
+                            report.stats.drained_at,
+                            *id,
+                            tenants.get(id).copied().unwrap_or(0),
+                        );
+                    }
                 }
             }
         }
+        // The final observation carries the true correctness count;
+        // publish the verdicts and journal gauges for scraping.
+        o.observe(&report.stats, report.stats.drained_at, report.incorrect, true, hub);
+        o.slo.publish_metrics(hub);
+        cim_obs::metrics::publish_journal(hub, o.recorder);
     }
-
-    // Final observation carries the true correctness count; publish
-    // the verdicts and journal gauges for scraping.
-    if let Some(pulse) = pulse {
-        pulse_observe(
-            &report.stats,
-            report.stats.drained_at,
-            true,
-            pulse,
-            hub,
-            recorder,
-        );
-    }
-    slo.observe(
-        report.stats.drained_at,
-        &hub.snapshot(),
-        &SloInputs { incorrect: report.incorrect },
-        recorder,
-    );
-    slo.publish_metrics(hub);
-    cim_obs::metrics::publish_journal(hub, recorder);
 
     report.wall_ms = start.elapsed().as_millis();
     report
+}
+
+impl Observers<'_> {
+    /// One observation point at `cycle`: scrape `stats` into the pulse
+    /// hub (republishing its gauges), then evaluate the SLO engine.
+    fn observe(
+        &mut self,
+        stats: &EngineStats,
+        cycle: u64,
+        incorrect: u64,
+        drain: bool,
+        hub: &MetricsHub,
+    ) {
+        if let Some(pulse) = self.pulse.as_deref_mut() {
+            let wear: Vec<(u32, u32, u64)> = stats
+                .tile_wear
+                .iter()
+                .map(|t| (t.farm, t.tile, t.max_cell_writes))
+                .collect();
+            let p99 = stats
+                .tenants
+                .iter()
+                .map(|t| t.p99_latency_cycles)
+                .max()
+                .unwrap_or(0);
+            pulse.observe(
+                &ServeObservation {
+                    cycle,
+                    submitted: stats.submitted,
+                    served: stats.served,
+                    shed: stats.shed,
+                    p99_latency_cycles: p99,
+                    tile_wear: &wear,
+                    drain,
+                },
+                &hub.snapshot(),
+                self.recorder,
+            );
+            pulse.publish_metrics(hub);
+        }
+        let inputs = SloInputs { incorrect };
+        self.slo.observe(cycle, &hub.snapshot(), &inputs, self.recorder);
+    }
 }
 
 #[cfg(test)]
@@ -619,7 +558,7 @@ mod tests {
 
     #[test]
     fn sync_run_verifies_everything() {
-        let report = run(&small(), &MetricsHub::disabled());
+        let report = run(&small(), &MetricsHub::disabled(), None);
         assert_eq!(report.submitted, 300);
         assert_eq!(report.served + report.shed + report.errors, 300);
         assert!(report.served > 0);
@@ -630,10 +569,11 @@ mod tests {
 
     #[test]
     fn threaded_run_matches_sync_numbers() {
-        let sync = run(&small(), &MetricsHub::disabled());
+        let sync = run(&small(), &MetricsHub::disabled(), None);
         let threaded = run(
             &LoadgenConfig { workers: 3, ..small() },
             &MetricsHub::disabled(),
+            None,
         );
         assert_eq!(sync.served, threaded.served);
         assert_eq!(sync.shed, threaded.shed);
@@ -647,7 +587,7 @@ mod tests {
         use cim_obs::journal::RecorderConfig;
         use cim_obs::slo::SloRule;
 
-        let plain = run(&small(), &MetricsHub::disabled());
+        let plain = run(&small(), &MetricsHub::disabled(), None);
 
         let observed = || {
             let hub = MetricsHub::recording();
@@ -657,7 +597,8 @@ mod tests {
                 SloRule::parse("tenant0.correctness").unwrap(),
                 SloRule::parse("tenant1.shed_ratio <= 0.9").unwrap(),
             ]);
-            let report = run_observed(&small(), &hub, &recorder, &mut slo);
+            let observers = Observers { recorder: &recorder, slo: &mut slo, pulse: None };
+            let report = run(&small(), &hub, Some(observers));
             let verdicts = slo
                 .verdicts()
                 .iter()
@@ -688,6 +629,7 @@ mod tests {
         let report = run(
             &LoadgenConfig { requests: 50, ..small() },
             &MetricsHub::disabled(),
+            None,
         );
         let json = report.to_json();
         cim_trace::json::check(&json).expect("valid JSON");
@@ -703,7 +645,7 @@ mod tests {
             mean_gap: 500,
             ..small()
         };
-        let report = run(&config, &MetricsHub::disabled());
+        let report = run(&config, &MetricsHub::disabled(), None);
         assert!(report.shed > 0, "overload trace must shed");
         let t0 = &report.stats.tenants[0];
         let t1 = &report.stats.tenants[1];

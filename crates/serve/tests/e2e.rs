@@ -22,8 +22,8 @@ fn loadgen_config() -> LoadgenConfig {
 
 #[test]
 fn loadgen_replay_is_bit_identical() {
-    let a = run(&loadgen_config(), &MetricsHub::disabled());
-    let b = run(&loadgen_config(), &MetricsHub::disabled());
+    let a = run(&loadgen_config(), &MetricsHub::disabled(), None);
+    let b = run(&loadgen_config(), &MetricsHub::disabled(), None);
     assert_eq!(a.served, b.served);
     assert_eq!(a.shed, b.shed);
     assert_eq!(a.stats, b.stats);
@@ -47,6 +47,7 @@ fn threaded_fleet_serves_mixed_load_with_zero_incorrect() {
     let report = run(
         &LoadgenConfig { workers: 4, ..loadgen_config() },
         &hub,
+        None,
     );
     assert_eq!(report.incorrect, 0, "threaded run must verify everything");
     assert_eq!(report.verified, report.served);

@@ -11,7 +11,7 @@ use cim_serve::batcher::BatchConfig;
 use cim_serve::engine::Engine;
 use cim_serve::exec::OpExecutor;
 use cim_serve::fleet::FleetConfig;
-use cim_serve::loadgen::{generate_trace, run, run_pulsed, LoadgenConfig};
+use cim_serve::loadgen::{generate_trace, run, LoadgenConfig, Observers};
 
 fn small() -> LoadgenConfig {
     LoadgenConfig {
@@ -40,7 +40,9 @@ fn pulsed_run() -> (cim_serve::loadgen::LoadReport, PulseHub, String, String) {
     let recorder = FlightRecorder::new(RecorderConfig::default());
     let mut slo = SloEngine::new(rules());
     let mut pulse = PulseHub::new(PulseConfig::default());
-    let report = run_pulsed(&small(), &hub, &recorder, &mut slo, &mut pulse);
+    let observers =
+        Observers { recorder: &recorder, slo: &mut slo, pulse: Some(&mut pulse) };
+    let report = run(&small(), &hub, Some(observers));
     let timeline_json = pulse.timeline().to_json();
     let journal = recorder.dump_json();
     (report, pulse, timeline_json, journal)
@@ -60,7 +62,7 @@ fn two_identical_runs_produce_byte_identical_timeline_json() {
 
 #[test]
 fn pulsed_run_is_decision_identical_to_plain_run() {
-    let plain = run(&small(), &MetricsHub::disabled());
+    let plain = run(&small(), &MetricsHub::disabled(), None);
     let (report, pulse, _, _) = pulsed_run();
     assert_eq!(plain.served, report.served);
     assert_eq!(plain.shed, report.shed);
@@ -103,7 +105,9 @@ fn healthy_run_raises_no_drift_alerts_and_no_page() {
     let recorder = FlightRecorder::new(RecorderConfig::default());
     let mut slo = SloEngine::new(rules());
     let mut pulse = PulseHub::new(PulseConfig::default());
-    run_pulsed(&small(), &hub, &recorder, &mut slo, &mut pulse);
+    let observers =
+        Observers { recorder: &recorder, slo: &mut slo, pulse: Some(&mut pulse) };
+    run(&small(), &hub, Some(observers));
     assert_eq!(pulse.alerts_total(), 0, "steady trace must not alert");
     assert!(!slo.any_page(), "drift rule must not page on a healthy run");
     let snap = hub.snapshot();

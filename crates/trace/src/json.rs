@@ -79,7 +79,8 @@ impl JsonWriter {
 
     /// Closes the innermost object.
     pub fn close_object(&mut self) -> &mut Self {
-        debug_assert!(self.needs_comma.pop().is_some(), "unbalanced close_object");
+        let open = self.needs_comma.pop();
+        debug_assert!(open.is_some(), "unbalanced close_object");
         self.buf.push('}');
         self
     }
@@ -94,7 +95,8 @@ impl JsonWriter {
 
     /// Closes the innermost array.
     pub fn close_array(&mut self) -> &mut Self {
-        debug_assert!(self.needs_comma.pop().is_some(), "unbalanced close_array");
+        let open = self.needs_comma.pop();
+        debug_assert!(open.is_some(), "unbalanced close_array");
         self.buf.push(']');
         self
     }
@@ -396,6 +398,18 @@ mod tests {
             s,
             r#"{"name":"a \"b\"\n","values":[1,2.5,true],"count":3}"#
         );
+        assert!(check(&s).is_ok());
+    }
+
+    #[test]
+    fn empty_containers_are_followed_by_a_comma() {
+        let mut w = JsonWriter::new();
+        w.open_object();
+        w.key("a").open_array().close_array();
+        w.key("b").open_object().close_object();
+        w.field_uint("c", 1).close_object();
+        let s = w.finish();
+        assert_eq!(s, r#"{"a":[],"b":{},"c":1}"#);
         assert!(check(&s).is_ok());
     }
 
