@@ -52,12 +52,6 @@ impl ChunkOperand {
     pub fn value(&self) -> Uint {
         Uint::join_chunks(&self.chunks, self.chunk_bits)
     }
-
-    /// Widest chunk, in bits — determines the adder/multiplier width
-    /// the hardware must provision.
-    pub fn max_chunk_bits(&self) -> usize {
-        self.chunks.iter().map(Uint::bit_len).max().unwrap_or(0)
-    }
 }
 
 /// The full precomputation result for one operand: the `3^depth` leaf

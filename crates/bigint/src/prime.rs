@@ -1,7 +1,6 @@
 //! Primality testing (Miller–Rabin) and modular exponentiation.
 //!
-//! Used by the RNS layer to generate NTT-friendly prime bases and by
-//! tests to validate the cryptographic constants.
+//! Tests use the primality test to validate the cryptographic constants.
 
 use crate::rng::UintRng;
 use crate::uint::Uint;

@@ -94,23 +94,6 @@ impl AdderLayout {
         }
     }
 
-    /// A layout with operands/sum/scratch packed from `base_row`
-    /// upwards (operands at `base_row`, `base_row+1`, sum at
-    /// `base_row+2`, scratch following).
-    pub fn stacked_at(base_row: usize, col_base: usize) -> Self {
-        let mut scratch = [0; SCRATCH_ROWS];
-        for (i, s) in scratch.iter_mut().enumerate() {
-            *s = base_row + 3 + i;
-        }
-        AdderLayout {
-            x_row: base_row,
-            y_row: base_row + 1,
-            sum_row: base_row + 2,
-            scratch,
-            col_base,
-        }
-    }
-
     /// The same layout with every row index mapped through `f`
     /// (used by wear-leveling rotation).
     pub fn map_rows(&self, f: impl Fn(usize) -> usize) -> Self {

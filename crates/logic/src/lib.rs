@@ -39,9 +39,7 @@
 pub mod condsub;
 pub mod gates;
 pub mod kogge_stone;
-pub mod magic_schoolbook;
 pub mod multpim;
-pub mod program;
 pub mod ripple;
 pub mod tmr;
 

@@ -14,7 +14,7 @@
 //! Families follow Prometheus conventions, `cim_<layer>_<what>_<unit>`:
 //! `cim_xbar_cycles_total{op_class}`, `cim_core_stage_cycles{stage,
 //! width_bits}`, `cim_sched_job_latency_cycles{policy}`, … — see
-//! DESIGN.md §2.12 for the full catalogue.
+//! DESIGN.md §2.11 for the full catalogue.
 
 use crate::histogram::Histogram;
 use crate::labels::Labels;

@@ -24,13 +24,11 @@
 
 pub mod drift;
 pub mod forecast;
-pub mod rollup;
 pub mod series;
 pub mod store;
 
 pub use drift::{DriftAlert, DriftConfig, DriftDetector, DriftDirection};
 pub use forecast::{EnduranceForecaster, TileForecast, WRITE_BUDGET};
-pub use rollup::{Rollup, WindowStats};
 pub use series::{Series, SeriesPoint};
 pub use store::{SeriesKey, TimelineConfig, TimelineStore};
 

@@ -30,13 +30,10 @@ pub struct FarmConfig {
     pub policy: Policy,
     /// Bounded admission-queue depth (`None` = unbounded).
     pub queue_depth: Option<usize>,
-    /// Row-offset rotation slots per tile stage subarray.
-    pub rotation_slots: usize,
 }
 
 impl FarmConfig {
-    /// A farm of `tiles` tiles under `policy`, unbounded queue,
-    /// default rotation slots.
+    /// A farm of `tiles` tiles under `policy`, unbounded queue.
     ///
     /// # Panics
     ///
@@ -47,24 +44,12 @@ impl FarmConfig {
             tiles,
             policy,
             queue_depth: None,
-            rotation_slots: DEFAULT_ROTATION_SLOTS,
         }
     }
 
     /// Bounds the admission queue to `depth` waiting jobs.
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = Some(depth);
-        self
-    }
-
-    /// Overrides the per-tile rotation-slot count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots == 0`.
-    pub fn with_rotation_slots(mut self, slots: usize) -> Self {
-        assert!(slots > 0, "a tile needs at least one rotation slot");
-        self.rotation_slots = slots;
         self
     }
 }
@@ -223,7 +208,7 @@ impl Scheduler {
         };
 
         let mut tiles: Vec<Tile> = (0..self.config.tiles)
-            .map(|i| Tile::new(i, self.config.rotation_slots))
+            .map(|i| Tile::new(i, DEFAULT_ROTATION_SLOTS))
             .collect();
         // Per-tile job classes whose cost application is deferred to
         // the post-placement parallel phase (dispatch order per tile).

@@ -10,9 +10,9 @@
 //! schedule cycle for cycle.
 //!
 //! Wear is tracked with a **rotation ledger**: each stage subarray is
-//! provisioned with `rotation_slots` row offsets at which a job's hot
-//! rows can be placed. Serving a job at slot `r` adds the job's
-//! per-stage hot-cell writes to that slot only. Policies that never
+//! provisioned with [`DEFAULT_ROTATION_SLOTS`] row offsets at which a
+//! job's hot rows can be placed. Serving a job at slot `r` adds the
+//! job's per-stage hot-cell writes to that slot only. Policies that never
 //! rotate (FIFO, least-loaded) pin every job to slot 0 — all jobs
 //! hammer the same physical rows, as in the seed's single-pipeline
 //! batch model. The wear-leveling policy advances the slot per job,

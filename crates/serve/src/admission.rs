@@ -121,11 +121,6 @@ impl Admission {
         }
     }
 
-    /// Number of configured tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// The configuration of tenant `t`, if defined.
     pub fn config(&self, t: usize) -> Option<&TenantConfig> {
         self.tenants.get(t).map(|s| &s.config)

@@ -2,7 +2,7 @@
 //!
 //! Everything the serving layer exports lives in the workspace-wide
 //! [`cim_metrics`] registry under the `cim_serve_` prefix, following
-//! the `cim_<layer>_<what>_<unit>` convention (DESIGN.md §2.12):
+//! the `cim_<layer>_<what>_<unit>` convention (DESIGN.md §2.11):
 //!
 //! | family | kind | labels |
 //! |---|---|---|

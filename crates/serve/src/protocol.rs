@@ -781,6 +781,7 @@ pub fn deframe(bytes: &[u8]) -> Result<Framed<'_>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -828,17 +829,8 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn requests_round_trip() {
-        for req in sample_requests() {
-            let bytes = encode_request(&req);
-            assert_eq!(decode_request(&bytes).expect("round trip"), req);
-        }
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        let responses = vec![
+    fn sample_responses() -> Vec<Response> {
+        vec![
             Response::Ok {
                 id: 9,
                 result: ResponsePayload::Value(Uint::from_u64(81)),
@@ -856,8 +848,70 @@ mod tests {
             Response::Shed { id: 11, reason: ShedReason::RateLimited },
             Response::Shed { id: 12, reason: ShedReason::QueueFull },
             Response::Error { id: 13, message: "point not on curve".into() },
-        ];
-        for resp in responses {
+        ]
+    }
+
+    fn sample_control_responses() -> Vec<ControlResponse> {
+        vec![
+            ControlResponse::Health {
+                state: 2,
+                submitted: 100,
+                served: 80,
+                shed: 19,
+                errors: 1,
+                journal_events: 512,
+                journal_dropped: 12,
+            },
+            ControlResponse::Diagnostics { json: "{\"events\":[]}".to_string() },
+        ]
+    }
+
+    const CONTROL_REQUESTS: [ControlRequest; 2] =
+        [ControlRequest::HealthProbe, ControlRequest::DiagnosticsDump];
+
+    /// The payload of every sample message.
+    fn sample_payloads() -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = sample_requests().iter().map(encode_request).collect();
+        out.extend(sample_responses().iter().map(encode_response));
+        out.extend(CONTROL_REQUESTS.iter().map(encode_control_request));
+        out.extend(sample_control_responses().iter().map(encode_control_response));
+        out
+    }
+
+    /// Feeds `bytes` to every decoder and returns whether any accepted
+    /// it. Each must return an error or a value that survives its own
+    /// encode/decode round trip; a panic fails the test. The value
+    /// need not re-encode to `bytes`: non-canonical inputs (an
+    /// infinity flag other than 1, leading zero bytes in a `Uint`,
+    /// invalid UTF-8 in a message) decode to their canonical value.
+    fn decoders_are_total(bytes: &[u8]) -> bool {
+        fn round_trips<T: PartialEq + fmt::Debug>(
+            bytes: &[u8],
+            decode: fn(&[u8]) -> Result<T, WireError>,
+            encode: fn(&T) -> Vec<u8>,
+        ) -> bool {
+            let Ok(v) = decode(bytes) else { return false };
+            assert_eq!(decode(&encode(&v)).as_ref(), Ok(&v), "input {bytes:02x?}");
+            true
+        }
+        // `|` rather than `||`: every decoder sees every input.
+        round_trips(bytes, decode_request, encode_request)
+            | round_trips(bytes, decode_response, encode_response)
+            | round_trips(bytes, decode_control_request, encode_control_request)
+            | round_trips(bytes, decode_control_response, encode_control_response)
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for req in sample_requests() {
+            let bytes = encode_request(&req);
+            assert_eq!(decode_request(&bytes).expect("round trip"), req);
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in sample_responses() {
             let bytes = encode_response(&resp);
             assert_eq!(decode_response(&bytes).expect("round trip"), resp);
         }
@@ -902,34 +956,106 @@ mod tests {
         let mut bytes = encode_request(&sample_requests()[0]);
         bytes.push(0);
         assert_eq!(decode_request(&bytes), Err(WireError::TrailingBytes(1)));
-        // Truncating a valid request anywhere is Truncated or a
-        // declared-length error, never a panic.
-        let bytes = encode_request(&sample_requests()[1]);
-        for cut in 4..bytes.len() {
-            assert!(decode_request(&bytes[..cut]).is_err(), "cut at {cut}");
+    }
+
+    #[test]
+    fn every_truncation_of_every_sample_errors() {
+        for payload in sample_payloads() {
+            for cut in 0..payload.len() {
+                let prefix = &payload[..cut];
+                assert!(!decoders_are_total(prefix), "prefix {prefix:02x?} decodes");
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_every_sample_is_total() {
+        for payload in sample_payloads() {
+            for bit in 0..payload.len() * 8 {
+                let mut flipped = payload.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                decoders_are_total(&flipped);
+            }
+        }
+    }
+
+    #[test]
+    fn non_canonical_encodings_decode_to_canonical_values() {
+        // An `Ok` response up to its result tag.
+        let ok_with = |tag: u8| {
+            let mut w = Writer::new(KIND_OK);
+            w.u64(1);
+            w.u64(2);
+            w.u64(3);
+            w.u32(4);
+            w.u8(tag);
+            w
+        };
+        let ok = |result| Response::Ok {
+            id: 1,
+            result,
+            queue_cycles: 2,
+            service_cycles: 3,
+            farm: 4,
+        };
+        // Infinity flag 2 with non-zero coordinates is the identity.
+        let mut infinity = ok_with(1);
+        infinity.u8(2);
+        infinity.uint(&Uint::from_u64(5));
+        infinity.uint(&Uint::from_u64(6));
+        // A `Uint` with zero high bytes.
+        let mut padded = ok_with(0);
+        padded.u32(3);
+        padded.0.extend_from_slice(&[9, 0, 0]);
+        // A message that is not UTF-8.
+        let mut lossy = Writer::new(KIND_ERROR);
+        lossy.u64(7);
+        lossy.u32(2);
+        lossy.0.extend_from_slice(&[0xff, 0xfe]);
+        let cases = [
+            (infinity, ok(ResponsePayload::Point(EcPoint::infinity()))),
+            (padded, ok(ResponsePayload::Value(Uint::from_u64(9)))),
+            (lossy, Response::Error { id: 7, message: "\u{fffd}\u{fffd}".into() }),
+        ];
+        for (w, canonical) in cases {
+            assert_eq!(decode_response(&w.0), Ok(canonical));
+            assert!(decoders_are_total(&w.0));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn random_bytes_never_panic_a_decoder(
+            bytes in prop::collection::vec(any::<u8>(), 0..=64),
+        ) {
+            decoders_are_total(&bytes);
+        }
+
+        /// Random bodies behind a valid header reach every kind's body
+        /// parser instead of stopping at the magic check.
+        #[test]
+        fn random_bodies_never_panic_a_decoder(
+            kind in 0u8..9,
+            body in prop::collection::vec(any::<u8>(), 0..=60),
+        ) {
+            let mut bytes = vec![FRAME_MAGIC[0], FRAME_MAGIC[1], PROTOCOL_VERSION, kind];
+            bytes.extend_from_slice(&body);
+            decoders_are_total(&bytes);
         }
     }
 
     #[test]
     fn control_frames_round_trip() {
-        for req in [ControlRequest::HealthProbe, ControlRequest::DiagnosticsDump] {
+        for req in CONTROL_REQUESTS {
             let bytes = encode_control_request(&req);
             assert!(is_control_payload(&bytes));
             assert_eq!(decode_control_request(&bytes).unwrap(), req);
             // Control frames are not data requests and vice versa.
             assert!(matches!(decode_request(&bytes), Err(WireError::UnknownKind(_))));
         }
-        let health = ControlResponse::Health {
-            state: 2,
-            submitted: 100,
-            served: 80,
-            shed: 19,
-            errors: 1,
-            journal_events: 512,
-            journal_dropped: 12,
-        };
-        let diag = ControlResponse::Diagnostics { json: "{\"events\":[]}".to_string() };
-        for resp in [health, diag] {
+        for resp in sample_control_responses() {
             let bytes = encode_control_response(&resp);
             assert!(is_control_payload(&bytes));
             assert_eq!(decode_control_response(&bytes).unwrap(), resp);

@@ -11,5 +11,4 @@ pub use cim_bigint as bigint;
 pub use cim_crossbar as crossbar;
 pub use cim_logic as logic;
 pub use cim_modmul as modmul;
-pub use cim_ntt as ntt;
 pub use karatsuba_cim as karatsuba;

@@ -94,10 +94,3 @@ fn miller_rabin_verdicts_are_stable_for_large_candidates() {
     assert!(!composite.is_probable_prime(8));
     assert!(!composite.is_probable_prime(8));
 }
-
-#[test]
-fn rns_basis_generation_is_deterministic() {
-    let a = cim_ntt::rns::RnsBasis::generate(3, 28, 8).unwrap();
-    let b = cim_ntt::rns::RnsBasis::generate(3, 28, 8).unwrap();
-    assert_eq!(a.primes(), b.primes());
-}

@@ -5,36 +5,8 @@ use cim_bigint::rng::UintRng;
 use cim_bigint::Uint;
 use cim_modmul::ec::{Curve, Point};
 use cim_modmul::inmemory::{InMemoryBarrett, InMemoryMontgomery};
-use cim_ntt::rns::RnsBasis;
-use cim_ntt::rns_poly::RnsPolyContext;
 use karatsuba_cim::depth1::KaratsubaDepth1Multiplier;
 use karatsuba_cim::multiplier::KaratsubaCimMultiplier;
-
-/// FHE path: a two-limb RNS ciphertext polynomial product where one
-/// representative limb multiplication is re-verified on the simulated
-/// CIM hardware.
-#[test]
-fn fhe_rns_polynomial_product_with_hardware_spot_check() {
-    let basis = RnsBasis::generate(2, 28, 8).unwrap();
-    let ctx = RnsPolyContext::new(basis.clone(), 8).unwrap();
-    let mut rng = UintRng::seeded(2001);
-    let a: Vec<Uint> = (0..8).map(|_| rng.below(ctx.modulus())).collect();
-    let b: Vec<Uint> = (0..8).map(|_| rng.below(ctx.modulus())).collect();
-
-    let pa = ctx.encode(&a);
-    let pb = ctx.encode(&b);
-    let pc = ctx.mul(&pa, &pb).unwrap();
-    assert_eq!(ctx.decode(&pc).unwrap(), ctx.mul_reference(&a, &b));
-
-    // Hardware spot check: limb-0 coefficient products on the 28-bit
-    // class pipeline (rounded up to 32).
-    let q0 = &basis.primes()[0];
-    let hw = KaratsubaCimMultiplier::new(32).unwrap();
-    let x = a[0].rem(q0);
-    let y = b[0].rem(q0);
-    let product = hw.multiply(&x, &y).unwrap().product;
-    assert_eq!(product.rem(q0), (&x * &y).rem(q0));
-}
 
 /// ZKP path: a pairing-field scalar multiplication where the field
 /// multiplications of one group doubling run through the in-memory
