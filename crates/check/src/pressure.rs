@@ -35,7 +35,7 @@ struct Run {
 /// While a program is being recorded, every drive of a row span is
 /// kept as one `(row, start, end)` entry, so recording costs O(1)
 /// whatever the span's width or the array's size.
-/// [`WritePressure::finish`] sorts the spans' boundaries and sweeps
+/// `WritePressure::finish` sorts the spans' boundaries and sweeps
 /// them into runs of equal count: the finished map is the sorted list
 /// of maximal runs of cells written equally often, untouched cells
 /// omitted, so two programs that drive every cell equally often give

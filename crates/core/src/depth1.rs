@@ -135,13 +135,14 @@ impl KaratsubaDepth1Multiplier {
         let pre_track = tracer.track(pid, "stage 1 (precompute)");
         exec.attach_tracer_at(tracer, pre_track, 0);
         let pre_span = tracer.span_at(pre_track, "precompute", 0);
-        // Operand writes + both additions as one verified program.
-        let mut stage1 = Vec::new();
-        for (i, v) in [&a_l, &a_h, &b_l, &b_h].iter().enumerate() {
-            stage1.push(cim_logic::write_row_uint(i, 0, v, pre_cols));
-        }
+        // Operand writes + both compiled additions: one verified program.
+        let writes: Vec<MicroOp> = [&a_l, &a_h, &b_l, &b_h]
+            .iter()
+            .enumerate()
+            .map(|(i, v)| cim_logic::write_row_uint(i, 0, v, pre_cols))
+            .collect();
         let scratch: [usize; SCRATCH_ROWS] = std::array::from_fn(|i| 6 + i);
-        for (x, y, sum) in [(1usize, 0usize, 4usize), (3, 2, 5)] {
+        let additions = [(1usize, 0usize, 4usize), (3, 2, 5)].map(|(x, y, sum)| {
             let adder = KoggeStoneAdder::with_layout(
                 h,
                 AdderLayout {
@@ -152,14 +153,23 @@ impl KaratsubaDepth1Multiplier {
                     col_base: 0,
                 },
             );
-            stage1.extend_from_slice(&crate::progcache::adder_program(&adder, AddOp::Add));
+            crate::progcache::adder_compiled(&adder, AddOp::Add, cim_mir::OptLevel::O0)
+        });
+        if cfg!(debug_assertions) {
+            let mut stage1 = writes.clone();
+            for addition in &additions {
+                stage1.extend_from_slice(addition.ops());
+            }
+            cim_check::debug_assert_verified(
+                &stage1,
+                &cim_check::VerifyConfig::new(4 + 2 + SCRATCH_ROWS, pre_cols),
+                "KaratsubaDepth1Multiplier stage 1",
+            );
         }
-        cim_check::debug_assert_verified(
-            &stage1,
-            &cim_check::VerifyConfig::new(4 + 2 + SCRATCH_ROWS, pre_cols),
-            "KaratsubaDepth1Multiplier stage 1",
-        );
-        exec.run(&stage1)?;
+        exec.run(&writes)?;
+        for addition in &additions {
+            exec.run_compiled(addition)?;
+        }
         let a_m = read_row_uint(exec.array(), 4, 0..pre_cols)?;
         let b_m = read_row_uint(exec.array(), 5, 0..pre_cols)?;
         exec.step(&MicroOp::reset_region(0..6, 0..pre_cols))?;

@@ -84,8 +84,8 @@ fn pass_staging(adder: &KoggeStoneAdder, x: &Uint, y: &Uint) -> [MicroOp; 3] {
     ]
 }
 
-/// Executes one pass as the staging prefix plus the *cached* adder
-/// body ([`crate::progcache`]) — the op sequence is identical to
+/// Executes one pass as the staging prefix plus the *cached*, compiled
+/// adder body ([`crate::progcache`]) — the op sequence is identical to
 /// running [`pass_program`], without cloning the adder body per pass.
 pub(crate) fn run_pass(
     exec: &mut Executor<'_>,
@@ -95,19 +95,31 @@ pub(crate) fn run_pass(
     x: &Uint,
     y: &Uint,
 ) -> Result<(), CrossbarError> {
-    let staging = pass_staging(adder, x, y);
-    let body = crate::progcache::adder_program_opt(adder, op, opt);
+    run_staged(exec, adder, op, opt, &pass_staging(adder, x, y), "postcompute::pass_program")
+}
+
+/// Runs `staging`, then the compiled adder body, after checking
+/// (debug/test builds) that together they are a verified program.
+fn run_staged(
+    exec: &mut Executor<'_>,
+    adder: &KoggeStoneAdder,
+    op: AddOp,
+    opt: OptLevel,
+    staging: &[MicroOp],
+    what: &str,
+) -> Result<(), CrossbarError> {
+    let body = crate::progcache::adder_compiled(adder, op, opt);
     if cfg!(debug_assertions) {
         let mut full = staging.to_vec();
-        full.extend_from_slice(&body);
+        full.extend_from_slice(body.ops());
         cim_check::debug_assert_verified(
             &full,
             &cim_check::VerifyConfig::new(adder.required_rows(), adder.required_cols()),
-            "postcompute::pass_program",
+            what,
         );
     }
-    exec.run(&staging)?;
-    exec.run(&body)
+    exec.run(staging)?;
+    exec.run_compiled(&body)
 }
 
 /// The batch counterpart of [`pass_staging`]: the reset is unchanged
@@ -151,18 +163,7 @@ pub(crate) fn run_pass_batch(
     ys: &[Uint],
 ) -> Result<(), CrossbarError> {
     let staging = pass_staging_batch(adder, xs, ys);
-    let body = crate::progcache::adder_program_opt(adder, op, opt);
-    if cfg!(debug_assertions) {
-        let mut full = staging.to_vec();
-        full.extend_from_slice(&body);
-        cim_check::debug_assert_verified(
-            &full,
-            &cim_check::VerifyConfig::new(adder.required_rows(), adder.required_cols()),
-            "postcompute::batch_pass_program",
-        );
-    }
-    exec.run(&staging)?;
-    exec.run(&body)
+    run_staged(exec, adder, op, opt, &staging, "postcompute::batch_pass_program")
 }
 
 /// Output of one postcomputation run.
@@ -250,13 +251,27 @@ impl PostcomputeStage {
         (ROWS * self.adder_width()) as u64
     }
 
-    /// Measured (implementation-exact) latency. At `O0`:
-    /// `11·(20 + 11·⌈log2 1.5n⌉) + 1` cc; higher levels substitute the
-    /// optimized adder body's cycle count.
+    /// Measured (implementation-exact) latency: 11 passes of 3
+    /// staging cycles plus the compiled adder body's cycles, and 1
+    /// reset wave. At `O0`: `11·(20 + 11·⌈log2 1.5n⌉) + 1` cc.
     pub fn latency(&self) -> u64 {
-        let adder = KoggeStoneAdder::new(self.adder_width());
-        let body = crate::progcache::adder_program_opt(&adder, AddOp::Add, self.opt);
-        11 * (3 + cim_mir::program_cycles(&body)) + 1
+        let body = crate::progcache::adder_compiled(&self.adder(), AddOp::Add, self.opt);
+        11 * (3 + body.stats().cycles) + 1
+    }
+
+    /// The shared `1.5n`-bit adder every pass runs: operands in rows 0
+    /// and 1, the sum in row 2, scratch in rows 8–19.
+    pub fn adder(&self) -> KoggeStoneAdder {
+        KoggeStoneAdder::with_layout(
+            self.adder_width(),
+            AdderLayout {
+                x_row: 0,
+                y_row: 1,
+                sum_row: 2,
+                scratch: std::array::from_fn(|i| 8 + i),
+                col_base: 0,
+            },
+        )
     }
 
     /// The paper's closed-form latency:
@@ -319,16 +334,7 @@ impl PostcomputeStage {
 
         let mut array = Crossbar::new_sliced(ROWS, w + 1, lanes)?;
         let mut exec = Executor::new(&mut array);
-        let adder = KoggeStoneAdder::with_layout(
-            w,
-            AdderLayout {
-                x_row: 0,
-                y_row: 1,
-                sum_row: 2,
-                scratch: std::array::from_fn(|i| 8 + i),
-                col_base: 0,
-            },
-        );
+        let adder = self.adder();
 
         // One batched adder pass; returns the per-lane sums.
         let pass = |exec: &mut Executor<'_>,
@@ -461,16 +467,7 @@ impl PostcomputeStage {
         let mut exec = Executor::new(&mut array);
         exec.attach_tracer_at(tracer, track, start_cycle);
         let stage = tracer.span_at(track, "postcompute", start_cycle);
-        let adder = KoggeStoneAdder::with_layout(
-            w,
-            AdderLayout {
-                x_row: 0,
-                y_row: 1,
-                sum_row: 2,
-                scratch: std::array::from_fn(|i| 8 + i),
-                col_base: 0,
-            },
-        );
+        let adder = self.adder();
 
         // One adder pass: reset I/O rows, write packed operands, run
         // the cached adder body — op-identical to `pass_program`,

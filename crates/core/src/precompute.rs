@@ -19,11 +19,12 @@
 use crate::chunks::{decompose_operand, LEAVES};
 use crate::progcache::SuffixProgram;
 use cim_bigint::Uint;
-use cim_crossbar::{Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp, Region};
+use cim_crossbar::{CompiledProgram, Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp, Region};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
 use cim_logic::read_row_uint;
 use cim_mir::{MirProgram, OptLevel, TileLimits};
 use cim_trace::{TrackId, Tracer};
+use std::sync::Arc;
 
 /// Output of one precomputation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,17 +161,11 @@ impl PrecomputeStage {
         (ROWS * self.cols()) as u64
     }
 
-    /// Analytic latency. At `O0` this is the paper's
-    /// `8 + 10·(17 + 11·⌈log2(n/4+1)⌉) + 1`; at higher levels the
-    /// optimized suffix's exact cycle count replaces the `10·adder`
-    /// term.
+    /// Latency: 8 chunk writes, the compiled addition suffix's cycles
+    /// and 1 reset wave. At `O0` this is the paper's
+    /// `8 + 10·(17 + 11·⌈log2(n/4+1)⌉) + 1`.
     pub fn latency(&self) -> u64 {
-        if self.opt == OptLevel::O0 {
-            let adder = KoggeStoneAdder::new(self.adder_width());
-            8 + 10 * adder.latency() + 1
-        } else {
-            8 + cim_mir::program_cycles(&self.addition_suffix(ADDITIONS.len()).ops) + 1
-        }
+        8 + self.addition_suffix(ADDITIONS.len()).cycles() + 1
     }
 
     /// Rows of the stage array holding the 18 leaf operands after a
@@ -182,14 +177,18 @@ impl PrecomputeStage {
 
     /// Latency of the squaring variant (`a = b`): only the five
     /// `a`-side additions run — `8 + 5·(17 + 11·⌈log2(n/4+1)⌉) + 1`
-    /// at `O0`, the optimized five-addition suffix's count otherwise.
+    /// at `O0`.
     pub fn square_latency(&self) -> u64 {
-        if self.opt == OptLevel::O0 {
-            let adder = KoggeStoneAdder::new(self.adder_width());
-            8 + 5 * adder.latency() + 1
-        } else {
-            8 + cim_mir::program_cycles(&self.addition_suffix(5).ops) + 1
-        }
+        8 + self.addition_suffix(5).cycles() + 1
+    }
+
+    /// The compiled programs the stage runs for its tree additions, in
+    /// execution order, after the chunk writes: the ten of a multiply
+    /// or, with `square`, the five `a`-side additions
+    /// [`PrecomputeStage::run_square`] runs.
+    pub fn addition_programs(&self, square: bool) -> Arc<[CompiledProgram]> {
+        let additions = if square { 5 } else { ADDITIONS.len() };
+        self.addition_suffix(additions).additions
     }
 
     /// The layout of the addition with result row `sum` on the stage's
@@ -283,21 +282,13 @@ impl PrecomputeStage {
 
         let mut array = Crossbar::new_sliced(ROWS, cols, pairs.len())?;
         let mut exec = Executor::new(&mut array);
-        // The chunk writes and the cached suffix run back to back; the
-        // composed program is only built for the debug-build check.
+        // The chunk writes and the cached suffix run back to back.
         let writes = self.chunk_writes_batch(&chunk_rows);
-        let suffix = self.addition_suffix(ADDITIONS.len());
-        if cfg!(debug_assertions) {
-            let mut prog = writes.clone();
-            prog.extend_from_slice(&suffix.ops);
-            cim_check::debug_assert_verified(
-                &prog,
-                &cim_check::VerifyConfig::new(ROWS, cols),
-                "PrecomputeStage::batch_program",
-            );
-        }
+        let suffix = self.verified_suffix(&writes, ADDITIONS.len(), "PrecomputeStage::batch_program");
         exec.run(&writes)?;
-        exec.run(&suffix.ops)?;
+        for addition in suffix.additions.iter() {
+            exec.run_compiled(addition)?;
+        }
 
         // One word-level read per leaf row; `lane_limbs` fans the
         // column words back out into per-lane values.
@@ -369,15 +360,12 @@ impl PrecomputeStage {
                 .collect();
             if opt == OptLevel::O0 {
                 let mut ops = Vec::new();
-                let mut bounds = Vec::with_capacity(additions);
+                let mut ends = Vec::with_capacity(additions);
                 for part in &parts {
                     ops.extend_from_slice(part);
-                    bounds.push(ops.len());
+                    ends.push(ops.len());
                 }
-                return SuffixProgram {
-                    ops: ops.into(),
-                    bounds: bounds.into(),
-                };
+                return SuffixProgram::new(ops, &ends);
             }
             // Tag every op with its addition, fuse, and eliminate dead
             // writes across the whole suffix. Live-out: the ten result
@@ -401,7 +389,7 @@ impl PrecomputeStage {
             let keep = cim_mir::dead_write_mask(&whole);
             let limits = TileLimits::for_array(ROWS, cols);
             let mut ops: Vec<MicroOp> = Vec::new();
-            let mut bounds = Vec::with_capacity(additions);
+            let mut ends = Vec::with_capacity(additions);
             for i in 0..additions {
                 let kept: Vec<MicroOp> = (0..whole.len())
                     .filter(|&j| keep[j] && tags[j] == i)
@@ -413,13 +401,27 @@ impl PrecomputeStage {
                 } else {
                     ops.extend(kept);
                 }
-                bounds.push(ops.len());
+                ends.push(ops.len());
             }
-            SuffixProgram {
-                ops: ops.into(),
-                bounds: bounds.into(),
-            }
+            SuffixProgram::new(ops, &ends)
         })
+    }
+
+    /// The suffix of the first `additions` additions, after checking
+    /// (debug/test builds) that `writes` followed by it is a verified
+    /// program — the op sequence the stage runners execute.
+    fn verified_suffix(&self, writes: &[MicroOp], additions: usize, what: &str) -> SuffixProgram {
+        let suffix = self.addition_suffix(additions);
+        if cfg!(debug_assertions) {
+            let mut prog = writes.to_vec();
+            prog.extend(suffix.ops().cloned());
+            cim_check::debug_assert_verified(
+                &prog,
+                &cim_check::VerifyConfig::new(ROWS, self.cols()),
+                what,
+            );
+        }
+        suffix
     }
 
     /// Composes the chunk writes and the given additions into one
@@ -428,12 +430,8 @@ impl PrecomputeStage {
     /// writes define every operand the additions consume.
     fn compose_program(&self, chunks: &[&Uint], additions: usize) -> Vec<MicroOp> {
         let mut prog = self.chunk_writes(chunks);
-        prog.extend_from_slice(&self.addition_suffix(additions).ops);
-        cim_check::debug_assert_verified(
-            &prog,
-            &cim_check::VerifyConfig::new(ROWS, self.cols()),
-            "PrecomputeStage::program",
-        );
+        let suffix = self.verified_suffix(&prog, additions, "PrecomputeStage::program");
+        prog.extend(suffix.ops().cloned());
         prog
     }
 
@@ -486,8 +484,14 @@ impl PrecomputeStage {
         // write circuit can drive two word lines with the same word,
         // so this still charges 8 write cycles — kept identical to the
         // general case for a conservative count), then the five a-side
-        // additions — all one verified program.
-        exec.run(&self.square_program(a))?;
+        // additions — together one verified program.
+        let chunks: Vec<&Uint> = da.chunks.iter().chain(da.chunks.iter()).collect();
+        let writes = self.chunk_writes(&chunks);
+        let suffix = self.verified_suffix(&writes, 5, "PrecomputeStage::program");
+        exec.run(&writes)?;
+        for addition in suffix.additions.iter() {
+            exec.run_compiled(addition)?;
+        }
         let read_leaf = |exec: &Executor<'_>, row: usize| -> Result<Uint, CrossbarError> {
             read_row_uint(exec.array(), row, 0..cols)
         };
@@ -555,34 +559,20 @@ impl PrecomputeStage {
 
         // (i)+(ii) The 8 chunk writes and the ten tree additions —
         // 8 + 10·adder cc. The operand writes are rebuilt per call;
-        // the addition suffix comes from the program cache and is
-        // executed in per-addition slices so each addition's op events
+        // the addition suffix comes from the program cache as one
+        // compiled program per addition, so each addition's op events
         // nest under its own span. The op sequence is identical to
-        // [`PrecomputeStage::program`] (asserted below in debug/test
-        // builds via the same static verification).
+        // [`PrecomputeStage::program`] (checked in debug/test builds
+        // by the same static verification).
         let chunks: Vec<&Uint> = da.chunks.iter().chain(db.chunks.iter()).collect();
         let writes_prog = self.chunk_writes(&chunks);
-        let suffix = self.addition_suffix(ADDITIONS.len());
-        if cfg!(debug_assertions) {
-            let mut full = writes_prog.clone();
-            full.extend_from_slice(&suffix.ops);
-            cim_check::debug_assert_verified(
-                &full,
-                &cim_check::VerifyConfig::new(ROWS, cols),
-                "PrecomputeStage::program",
-            );
-        }
+        let suffix = self.verified_suffix(&writes_prog, ADDITIONS.len(), "PrecomputeStage::program");
         let writes = tracer.span_at(track, "write chunks", start_cycle);
         exec.run(&writes_prog)?;
         writes.end(start_cycle + exec.stats().cycles);
-        // Per-addition slices come from the suffix's bounds — after
-        // optimization the additions are no longer uniform in length.
-        let mut slice_start = 0;
-        for (i, name) in ADDITION_NAMES.iter().enumerate() {
-            let from = start_cycle + exec.stats().cycles;
-            let span = tracer.span_at(track, *name, from);
-            exec.run(&suffix.ops[slice_start..suffix.bounds[i]])?;
-            slice_start = suffix.bounds[i];
+        for (addition, name) in suffix.additions.iter().zip(ADDITION_NAMES) {
+            let span = tracer.span_at(track, name, start_cycle + exec.stats().cycles);
+            exec.run_compiled(addition)?;
             span.end(start_cycle + exec.stats().cycles);
         }
 

@@ -7,8 +7,11 @@
 //! identical across multiplications. Regenerating them per multiply
 //! costs allocation, network construction and (at `O1`+) a full
 //! optimizer pipeline run on every call; this module caches them
-//! process-wide as `Arc<[MicroOp]>` slices, the same way `cim-sched`'s
-//! profile table caches one `JobProfile` per job class.
+//! process-wide as [`CompiledProgram`]s — the ops behind an `Arc`,
+//! their bundles checked and their cycle statistics accumulated once —
+//! the same way `cim-sched`'s profile table caches one `JobProfile`
+//! per job class. The stages replay them with
+//! [`cim_crossbar::Executor::run_compiled`].
 //!
 //! Only operand-*independent* program parts are cached (adder bodies,
 //! the precompute addition tree). Operand writes are always rebuilt —
@@ -21,7 +24,7 @@
 //! `cim_core_progcache_*` counters by
 //! [`publish_metrics`].
 
-use cim_crossbar::MicroOp;
+use cim_crossbar::{CompiledProgram, MicroOp};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder};
 use cim_mir::OptLevel;
 use std::collections::HashMap;
@@ -48,18 +51,44 @@ struct SuffixKey {
     opt: OptLevel,
 }
 
-/// A cached, possibly optimized addition suffix. `bounds[i]` is one
-/// past the last op of addition `i`, so callers can attribute trace
+/// A cached, possibly optimized addition suffix: one compiled program
+/// per addition, in execution order, so callers can attribute trace
 /// spans per addition even when optimization leaves the additions with
 /// different lengths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SuffixProgram {
-    /// The concatenated per-addition programs.
-    pub ops: Arc<[MicroOp]>,
-    /// Cumulative per-addition end indices into `ops` (one per
-    /// addition; the last equals `ops.len()`).
-    pub bounds: Arc<[usize]>,
+    /// The per-addition programs, pieces of one op buffer.
+    pub additions: Arc<[CompiledProgram]>,
 }
+
+impl SuffixProgram {
+    /// Compiles the concatenated per-addition programs `ops`, where
+    /// `ends[i]` is one past the last op of addition `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` holds an illegal bundle: the stage caches only
+    /// verified programs, whose bundles are legal.
+    pub fn new(ops: Vec<MicroOp>, ends: &[usize]) -> Self {
+        let additions = CompiledProgram::split(ops, ends).expect(LEGAL_BUNDLES);
+        SuffixProgram {
+            additions: additions.into(),
+        }
+    }
+
+    /// The additions' ops, concatenated.
+    pub fn ops(&self) -> impl Iterator<Item = &MicroOp> {
+        self.additions.iter().flat_map(|p| p.ops().iter())
+    }
+
+    /// Cycles of the whole suffix.
+    pub fn cycles(&self) -> u64 {
+        self.additions.iter().map(|p| p.stats().cycles).sum()
+    }
+}
+
+/// Why compiling a cached program cannot fail.
+const LEGAL_BUNDLES: &str = "verified programs hold only legal bundles";
 
 /// One cache entry: a per-key [`OnceLock`] so construction runs
 /// *exactly once* per key process-wide. Racing first callers block on
@@ -70,7 +99,7 @@ type Slot<T> = Arc<OnceLock<T>>;
 
 #[derive(Default)]
 struct Caches {
-    adders: HashMap<AdderKey, Slot<Arc<[MicroOp]>>>,
+    adders: HashMap<AdderKey, Slot<CompiledProgram>>,
     suffixes: HashMap<SuffixKey, Slot<SuffixProgram>>,
 }
 
@@ -156,6 +185,13 @@ pub fn adder_program(adder: &KoggeStoneAdder, op: AddOp) -> Arc<[MicroOp]> {
 /// optimized and verified) once per `(width, op, layout, opt)` and
 /// shared afterwards.
 pub fn adder_program_opt(adder: &KoggeStoneAdder, op: AddOp, opt: OptLevel) -> Arc<[MicroOp]> {
+    adder_compiled(adder, op, opt).buffer().clone()
+}
+
+/// The adder's program lowered at `opt`, as the [`CompiledProgram`]
+/// the stages execute; cached under the same key as
+/// [`adder_program_opt`].
+pub fn adder_compiled(adder: &KoggeStoneAdder, op: AddOp, opt: OptLevel) -> CompiledProgram {
     let key = AdderKey {
         width: adder.width(),
         op,
@@ -167,14 +203,15 @@ pub fn adder_program_opt(adder: &KoggeStoneAdder, op: AddOp, opt: OptLevel) -> A
         let mut guard = caches().lock().expect("progcache poisoned");
         Arc::clone(guard.adders.entry(key).or_default())
     };
-    resolve(&slot, || adder.program_opt(op, opt).into())
+    resolve(&slot, || {
+        CompiledProgram::new(adder.program_opt(op, opt)).expect(LEGAL_BUNDLES)
+    })
 }
 
-/// An operand-independent addition suffix (a concatenation of
-/// per-addition adder programs plus their end indices), compiled once
-/// per key via `build` and shared afterwards. The caller keys by
-/// everything the suffix depends on; `cim-core` uses
-/// `(adder_width, additions, opt)` for the precompute tree.
+/// An operand-independent addition suffix (one compiled program per
+/// addition), compiled once per key via `build` and shared afterwards.
+/// The caller keys by everything the suffix depends on; `cim-core`
+/// uses `(adder_width, additions, opt)` for the precompute tree.
 pub(crate) fn precompute_suffix(
     adder_width: usize,
     additions: usize,
@@ -209,9 +246,7 @@ mod tests {
     }
 
     fn one_op_suffix(cols: usize) -> SuffixProgram {
-        let ops: Arc<[MicroOp]> = vec![MicroOp::reset_region(0..1, 0..cols)].into();
-        let bounds: Arc<[usize]> = vec![ops.len()].into();
-        SuffixProgram { ops, bounds }
+        SuffixProgram::new(vec![MicroOp::reset_region(0..1, 0..cols)], &[1])
     }
 
     #[test]
@@ -356,11 +391,11 @@ mod tests {
         };
         let a = precompute_suffix(909, 10, OptLevel::O0, build);
         let b = precompute_suffix(909, 10, OptLevel::O0, build);
-        assert!(Arc::ptr_eq(&a.ops, &b.ops));
+        assert!(Arc::ptr_eq(&a.additions, &b.additions));
         assert_eq!(BUILDS.load(Ordering::Relaxed), 1);
         // A different opt level is a different key.
         let c = precompute_suffix(909, 10, OptLevel::O3, build);
         assert_eq!(BUILDS.load(Ordering::Relaxed), 2);
-        assert!(!Arc::ptr_eq(&a.ops, &c.ops));
+        assert!(!Arc::ptr_eq(&a.additions, &c.additions));
     }
 }

@@ -1,6 +1,7 @@
 //! The micro-op executor: runs programs, charges cycles, latches reads.
 
 use crate::array::Crossbar;
+use crate::compiled::{charge, CompiledProgram};
 use crate::energy::EnergyReport;
 use crate::error::{Axis, CrossbarError};
 use crate::isa::MicroOp;
@@ -639,6 +640,55 @@ impl<'a> Executor<'a> {
         for op in program {
             self.step(op)?;
         }
+        Ok(())
+    }
+
+    /// Executes a [`CompiledProgram`]: the same array effects, reads
+    /// and statistics as [`run`](Self::run) on its ops, without
+    /// re-checking its bundles or accounting op by op — the statistics
+    /// computed at compile time are merged once at the end.
+    ///
+    /// An observed executor (trace recording, an enabled tracer or a
+    /// meter) runs the ops through [`run`](Self::run), which emits
+    /// every per-op observation.
+    ///
+    /// # Errors
+    ///
+    /// Stops and returns the first error, having charged exactly what
+    /// [`run`](Self::run) charges before the same error; preceding ops
+    /// stay applied.
+    pub fn run_compiled(&mut self, program: &CompiledProgram) -> Result<(), CrossbarError> {
+        let ops = program.ops();
+        let observed = self.config.record_trace
+            || (self.track.is_some() && self.tracer.is_enabled())
+            || self.meter.is_some();
+        if observed {
+            return self.run(ops);
+        }
+        for (i, op) in ops.iter().enumerate() {
+            let applied = match op {
+                MicroOp::Parallel(inner) => inner
+                    .iter()
+                    .enumerate()
+                    .try_for_each(|(j, op)| self.apply_effect(op).map(drop).map_err(|e| (j, e))),
+                _ => self.apply_effect(op).map(drop).map_err(|e| (0, e)),
+            };
+            if let Err((j, err)) = applied {
+                for op in &ops[..i] {
+                    charge(&mut self.stats, op);
+                }
+                // `step_bundle` records the inner ops applied before
+                // the failing one, but not the bundle's wall cycles.
+                if let MicroOp::Parallel(inner) = op {
+                    for op in &inner[..j] {
+                        self.stats
+                            .record_co_issued(OpTrace::of(op).class(), op.cycles());
+                    }
+                }
+                return Err(err);
+            }
+        }
+        self.stats.merge(program.stats());
         Ok(())
     }
 

@@ -346,8 +346,16 @@ impl PackedPlanes {
 
     /// Periphery shift: senses `src[cols]`, shifts it by `offset`
     /// columns with `fill` in the vacated positions, and writes the
-    /// span into `dst` (which may equal `src`), through the reused
-    /// scratch buffer.
+    /// span into `dst` (which may equal `src`), then adds one wear
+    /// pulse over the span. Pinned destination bits keep their value,
+    /// as under [`PackedPlanes::write_words`].
+    ///
+    /// The sensed source words are staged in the scratch buffer with
+    /// `fill` outside the span and `ws + 1` fill words on either side
+    /// (`ws` being the whole-word part of the distance), so destination
+    /// word `r` of the span is one funnel of staged words `r + c` and
+    /// `r + c + 1` for a fixed `c`: a single loop over the span, with
+    /// no edge or range cases inside it.
     pub(crate) fn shift(
         &mut self,
         src: usize,
@@ -356,11 +364,49 @@ impl PackedPlanes {
         offset: isize,
         fill: bool,
     ) {
-        let mut words = std::mem::take(&mut self.scratch);
-        self.read_words_into(src, cols.clone(), &mut words);
-        shift_words(&mut words, cols.len(), offset, fill);
-        self.write_words(dst, cols.start, &words, cols.len());
-        self.scratch = words;
+        let Some(span) = WordSpan::new(&cols) else {
+            return;
+        };
+        let (wpr, fill_word) = (self.wpr, if fill { u64::MAX } else { 0 });
+        let words = span.words();
+        let n = words.len();
+        // Past the span's last word every source column is outside it.
+        let k = offset.unsigned_abs().min(n * WORD_BITS);
+        let (ws, bs) = (k / WORD_BITS, k % WORD_BITS);
+        // Staged word `ws + 1 + i` is span word `i`; destination word
+        // `r` takes bits `sh..sh + 64` of staged words `r + c + 1 : r + c`.
+        let (c, sh) = if offset >= 0 {
+            (0, WORD_BITS - bs)
+        } else {
+            (2 * ws + 1, bs)
+        };
+        let mut staged = std::mem::take(&mut self.scratch);
+        staged.clear();
+        staged.resize(ws + 1, fill_word);
+        let sb = src * wpr + span.first();
+        with_faults!(self, f => {
+            staged.extend(
+                self.value[sb..sb + n]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &v)| f.sense(sb + k, v)),
+            );
+            for k in [0, n - 1] {
+                let (w, m) = (&mut staged[ws + 1 + k], span.mask(k));
+                *w = (*w & m) | (fill_word & !m);
+            }
+            staged.resize(n + 2 * (ws + 1), fill_word);
+            let db = dst * wpr + span.first();
+            let pairs = staged[c..].iter().zip(&staged[c + 1..]);
+            span.rewrite(&mut self.value[dst * wpr..(dst + 1) * wpr], |out| {
+                for (r, (w, (&lo, &hi))) in out.iter_mut().zip(pairs).enumerate() {
+                    let keep = f.pinned(db + r);
+                    *w = (*w & keep) | (funnel(hi, lo, sh) & !keep);
+                }
+            });
+        });
+        self.scratch = staged;
+        self.wear.add(dst, cols, 1);
     }
 
     /// MAGIC NOR along rows (column-oriented): one output bit per row,
@@ -442,8 +488,8 @@ pub(crate) fn mask_tail(words: &mut [u64], len: usize) {
 /// Shifts, in place, a `len`-bit LSB-aligned word vector (exactly
 /// `len.div_ceil(64)` words, bits past `len` clear) by `offset` bit
 /// positions (positive = towards higher indices), filling vacated
-/// positions with `fill` — the word-parallel core of the periphery
-/// shift ([`crate::Crossbar::shift_row_to`]).
+/// positions with `fill` — the scalar backend's periphery shift
+/// ([`crate::Crossbar::shift_row_to`]) runs its words through it.
 pub(crate) fn shift_words(words: &mut [u64], len: usize, offset: isize, fill: bool) {
     let k = offset.unsigned_abs();
     let (ws, bs) = (k / WORD_BITS, k % WORD_BITS);

@@ -1,7 +1,93 @@
 //! Property-based tests for the crossbar simulator.
 
-use cim_crossbar::{Crossbar, Executor, MicroOp, Region};
+use cim_crossbar::{BackendKind, Crossbar, Executor, Fault, MicroOp, Region};
 use proptest::prelude::*;
+
+/// A splitmix64 step: the next value of the stream seeded by `state`.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Runs one periphery shift on a packed and a scalar array holding the
+/// same random rows (and, if `faults`, the same random stuck-at
+/// cells), then compares every row's sensed bits and every cell's raw
+/// value, wear and fault.
+fn shift_matches_scalar(
+    cols: usize,
+    span: std::ops::Range<usize>,
+    (src, dst): (usize, usize),
+    offset: isize,
+    fill: bool,
+    faults: bool,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    const ROWS: usize = 3;
+    let mut state = seed;
+    let mut arrays = [BackendKind::Packed, BackendKind::Scalar]
+        .map(|kind| Crossbar::with_backend(ROWS, cols, kind).unwrap());
+    for row in 0..ROWS {
+        let bits: Vec<bool> = (0..cols).map(|_| mix(&mut state) & 1 == 1).collect();
+        for array in &mut arrays {
+            array.write_row(row, 0, &bits).unwrap();
+        }
+    }
+    if faults {
+        for _ in 0..1 + cols / 8 {
+            let (row, col) = (mix(&mut state) as usize % ROWS, mix(&mut state) as usize % cols);
+            let fault = if mix(&mut state) & 1 == 1 {
+                Fault::StuckAt1
+            } else {
+                Fault::StuckAt0
+            };
+            for array in &mut arrays {
+                array.inject_fault(row, col, Some(fault)).unwrap();
+            }
+        }
+    }
+    for array in &mut arrays {
+        array.shift_row_to(src, dst, span.clone(), offset, fill).unwrap();
+    }
+    let [packed, scalar] = &arrays;
+    let case = format!("cols {cols} span {span:?} {src}->{dst} by {offset} fill {fill} faults {faults}");
+    for row in 0..ROWS {
+        prop_assert_eq!(
+            packed.read_row_bits(row, 0..cols).unwrap(),
+            scalar.read_row_bits(row, 0..cols).unwrap(),
+            "{}: sensed row {}", case, row
+        );
+        for col in 0..cols {
+            prop_assert_eq!(
+                packed.cell(row, col).unwrap(),
+                scalar.cell(row, col).unwrap(),
+                "{}: cell ({}, {})", case, row, col
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Every distance in `[-len-1, len+1]` over spans with an unaligned
+/// head and tail, a word-aligned span and the full row.
+#[test]
+fn packed_shift_matches_scalar_at_every_distance() {
+    let cols = 130;
+    for span in [0..cols, 3..67, 64..128] {
+        let len = span.len() as isize;
+        for offset in -len - 1..=len + 1 {
+            for (fill, faults) in [(false, false), (true, false), (false, true), (true, true)] {
+                for rows in [(0, 1), (2, 2)] {
+                    let seed = offset as u64 ^ (span.start as u64) << 32;
+                    shift_matches_scalar(cols, span.clone(), rows, offset, fill, faults, seed)
+                        .unwrap();
+                }
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -68,6 +154,46 @@ proptest! {
         }
         for (i, &g) in got.iter().enumerate().skip(w - k) {
             prop_assert!(!g, "bit {} must be zero-filled", i);
+        }
+    }
+
+    /// The packed one-pass shift equals the scalar backend's sense,
+    /// shift and write on random spans — empty, word-aligned,
+    /// unaligned and the full row — at every distance in
+    /// `[-len-1, len+1]`, in place or between rows, with either fill,
+    /// on fault-free and stuck-at arrays: sensed rows, raw cells and
+    /// per-cell wear all match.
+    #[test]
+    fn packed_shift_matches_scalar(
+        cols in 1usize..200,
+        kind in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed;
+        let mut below = |n: usize| mix(&mut state) as usize % n;
+        let span = match kind {
+            0 => {
+                let at = below(cols + 1);
+                at..at
+            }
+            1 => {
+                let words = cols.div_ceil(64);
+                let start = 64 * below(words);
+                start..(start + 64 * (1 + below(words))).min(cols)
+            }
+            2 => {
+                let (a, b) = (below(cols + 1), below(cols + 1));
+                a.min(b)..a.max(b)
+            }
+            _ => 0..cols,
+        };
+        let len = span.len() as isize;
+        let offset = below(2 * span.len() + 3) as isize - len - 1;
+        let (src, dst) = (below(3), below(3));
+        let fill = below(2) == 1;
+        for faults in [false, true] {
+            shift_matches_scalar(cols, span.clone(), (src, dst), offset, fill, faults, seed)?;
+            shift_matches_scalar(cols, span.clone(), (src, src), offset, fill, faults, seed)?;
         }
     }
 

@@ -27,8 +27,8 @@
 //!    `ok`/`warn`/`page` states, published as `cim_obs_*` gauges.
 //! 4. [`attribution`] + [`wear`] — where the cycles, picojoules and
 //!    cell writes went: per-stage breakdowns that sum *exactly* to the
-//!    multiplier's [`karatsuba_cim::ExecutionReport::energy`] totals,
-//!    and per-tile crossbar wear heatmaps (top-K hottest rows,
+//!    multiplier's [`karatsuba_cim::multiplier::ExecutionReport::energy`]
+//!    totals, and per-tile crossbar wear heatmaps (top-K hottest rows,
 //!    endurance percentiles).
 //!
 //! The crate deliberately sits *below* `cim-serve` in the dependency

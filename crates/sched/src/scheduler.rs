@@ -132,7 +132,7 @@ impl Scheduler {
     ///    a full simulated multiplication, so a mixed-width stream
     ///    calibrates concurrently instead of serially on first use.
     /// 2. **Tile ledger application** — per-tile cycle/energy
-    ///    accounting ([`Tile::apply_cost`]) is deferred during the
+    ///    accounting (`Tile::apply_cost`) is deferred during the
     ///    placement pass and then applied with one scoped thread per
     ///    tile, so a 4-tile farm folds 4 ledgers concurrently.
     ///
