@@ -38,7 +38,6 @@ mod div;
 mod error;
 mod gcd;
 mod int;
-mod prime;
 pub mod mul;
 pub mod opcount;
 mod ops;

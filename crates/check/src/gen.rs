@@ -100,6 +100,38 @@ impl BatchGen {
             .collect();
         LaneBatch { width, lanes }
     }
+
+    /// Generates a batch of exactly `lanes` lanes of `width`-bit
+    /// operands, each a corner case — zero, all-ones, a single set bit,
+    /// or random with the top bit set (full width) — or, one operand in
+    /// three, random bits over a ragged width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0` or `lanes` is not in `1..=64`.
+    pub fn corner_batch(&mut self, width: usize, lanes: usize) -> LaneBatch {
+        assert!(width > 0, "width bucket must be non-empty");
+        assert!((1..=64).contains(&lanes), "batch must hold 1..=64 lanes");
+        let lanes = (0..lanes)
+            .map(|_| (self.corner_operand(width), self.corner_operand(width)))
+            .collect();
+        LaneBatch { width, lanes }
+    }
+
+    fn corner_operand(&mut self, width: usize) -> Vec<bool> {
+        match self.below(6) {
+            0 => vec![false; width],
+            1 => vec![true; width],
+            2 => {
+                let bit = self.below(width);
+                (0..width).map(|i| i == bit).collect()
+            }
+            3 => (0..width)
+                .map(|i| i + 1 == width || self.next_u64() & 1 == 1)
+                .collect(),
+            _ => self.operand(width),
+        }
+    }
 }
 
 /// Deterministic generator of verified micro-op programs.

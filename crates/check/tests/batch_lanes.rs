@@ -8,12 +8,23 @@
 //! the harness actually catches lane bleed, and a lane-isolation suite
 //! injects one adversarial lane into a full 64-lane batch and checks
 //! that every *other* lane stays bit-identical to a solo run.
+//!
+//! The whole multiplier is checked the same way: `multiply_batch`
+//! (which keeps the batch in lane words from the operand transposes to
+//! the product readout), the three stages chained through their `Uint`
+//! batch adapters, and one solo `multiply` per lane must agree on
+//! every product, the stage cycles and every lane's wear.
 
 use cim_bigint::mul::schoolbook;
 use cim_bigint::Uint;
 use cim_check::{BatchGen, LaneBatch};
 use cim_crossbar::{BackendKind, Crossbar, EnduranceReport, ExecConfig, Executor, TraceEntry};
 use cim_logic::multpim::{RowMultStats, RowMultiplier};
+use cim_mir::OptLevel;
+use karatsuba_cim::multiplier::KaratsubaCimMultiplier;
+use karatsuba_cim::multiply::MultiplyStage;
+use karatsuba_cim::postcompute::PostcomputeStage;
+use karatsuba_cim::precompute::PrecomputeStage;
 use proptest::prelude::*;
 
 /// Converts a generated batch into multiplier operand pairs.
@@ -231,4 +242,76 @@ fn batch_load_trace_matches_solo_load_trace() {
     assert_eq!(batch_prog.len(), solo_prog.len(), "same op count");
     assert_eq!(batch_cycles, solo_cycles, "same cycle cost");
     assert_eq!(batch_trace, solo_trace, "same trace records");
+}
+
+/// Runs one corner batch of `lanes` `n`-bit pairs at `opt` three ways
+/// — `multiply_batch`, the chained `Uint` stage adapters, and a solo
+/// `multiply` per lane — and checks that they agree on every product,
+/// the stage cycles and every lane's per-stage endurance.
+fn assert_batch_paths_agree(n: usize, lanes: usize, opt: OptLevel, seed: u64) {
+    let batch = BatchGen::new(seed).corner_batch(n, lanes);
+    let pairs = to_pairs(&batch);
+    let what = format!("n = {n}, {lanes} lanes, {opt:?}, seed {seed:#x}");
+    let mult = KaratsubaCimMultiplier::with_opt_level(n, opt).unwrap();
+    let whole = mult
+        .multiply_batch(&pairs)
+        .unwrap_or_else(|e| panic!("{what}: multiply_batch: {e}"));
+
+    let pre = PrecomputeStage::with_opt_level(n, opt).unwrap().run_batch(&pairs).unwrap();
+    let mid = MultiplyStage::with_opt_level(n, opt)
+        .unwrap()
+        .run_batch(&pre.a_leaves, &pre.b_leaves)
+        .unwrap();
+    let post = PostcomputeStage::with_opt_level(n, opt)
+        .unwrap()
+        .run_batch(&mid.products)
+        .unwrap();
+    assert_eq!(post.products, whole.products, "{what}: adapter products");
+    assert_eq!(
+        [pre.stats.cycles, mid.cycles, post.stats.cycles],
+        whole.stage_cycles,
+        "{what}: adapter cycles"
+    );
+    assert_eq!(
+        [pre.endurance, mid.endurance, post.endurance],
+        whole.lane_endurance,
+        "{what}: adapter wear"
+    );
+
+    for (lane, (a, b)) in pairs.iter().enumerate() {
+        let solo = mult.multiply(a, b).unwrap();
+        assert_eq!(whole.products[lane], solo.product, "{what}: lane {lane} product");
+        assert_eq!(whole.stage_cycles, solo.report.stage_cycles, "{what}: cycles");
+        for stage in 0..3 {
+            assert_eq!(
+                whole.lane_endurance[stage][lane], solo.report.endurance[stage],
+                "{what}: lane {lane}, stage {stage} wear"
+            );
+        }
+    }
+}
+
+/// Every lane count at every opt level for `n`-bit operands: a single
+/// lane, two, a ragged 37, one short of a full word and a full word.
+fn assert_batch_paths_agree_at(n: usize) {
+    for (i, lanes) in [1usize, 2, 37, 63, 64].into_iter().enumerate() {
+        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+            assert_batch_paths_agree(n, lanes, opt, (n * 8 + i) as u64);
+        }
+    }
+}
+
+#[test]
+fn multiply_batch_adapters_and_solo_runs_agree_at_16_bits() {
+    assert_batch_paths_agree_at(16);
+}
+
+#[test]
+fn multiply_batch_adapters_and_solo_runs_agree_at_64_bits() {
+    assert_batch_paths_agree_at(64);
+}
+
+#[test]
+fn multiply_batch_adapters_and_solo_runs_agree_at_384_bits() {
+    assert_batch_paths_agree_at(384);
 }

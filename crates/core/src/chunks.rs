@@ -108,6 +108,37 @@ pub fn leaf_widths(n: usize) -> [usize; LEAVES] {
     [q, q, q + 1, q, q, q + 1, q + 1, q + 1, q + 2]
 }
 
+/// Nine rows of a bit-sliced batch in leaf order — the leaf operands
+/// or the partial products of up to 64 multiplications — as lane
+/// words: bit `l` of `rows[i][j]` is bit `j` of lane `l`'s `i`-th
+/// value. The batch stages hand these to each other as they are.
+pub type LeafRows = [Vec<u64>; LEAVES];
+
+/// Per-lane leaf sets as [`LeafRows`] of `width` columns each.
+///
+/// # Panics
+///
+/// Panics if a value does not fit in `width` bits or more than 64 sets
+/// are given.
+pub(crate) fn leaf_rows(sets: &[[Uint; LEAVES]], width: usize) -> LeafRows {
+    std::array::from_fn(|i| cim_logic::uint_lanes(sets.iter().map(|set| &set[i]), width))
+}
+
+/// The leaf sets of the first `lanes` lanes of `rows`, the inverse of
+/// [`leaf_rows`].
+pub(crate) fn leaf_sets(rows: &LeafRows, lanes: usize) -> Vec<[Uint; LEAVES]> {
+    let mut by_row = rows
+        .each_ref()
+        .map(|row| cim_logic::lane_uints(row, lanes).into_iter());
+    (0..lanes)
+        .map(|_| {
+            by_row
+                .each_mut()
+                .map(|values| values.next().expect("one value per lane"))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -371,15 +371,24 @@ impl KaratsubaCimMultiplier {
         &self,
         pairs: &[(Uint, Uint)],
     ) -> Result<BatchMultiplyOutcome, MultiplyError> {
-        let pre = self.precompute.run_batch(pairs)?;
-        let mult = self.multiply.run_batch(&pre.a_leaves, &pre.b_leaves)?;
-        let post = self.postcompute.run_batch(&mult.products)?;
+        // The batch stays in lane words from the operand transposes to
+        // the product readout; `pair_lanes` refuses an operand wider
+        // than `n` bits instead of truncating it.
+        let lanes = pairs.len();
+        assert!((1..=64).contains(&lanes), "batch must hold 1..=64 lanes");
+        let (a, b) = cim_logic::pair_lanes(pairs, self.n);
+        let pre = self.precompute.run_batch_lanes(&a, &b, lanes)?;
+        let mult = self
+            .multiply
+            .run_batch_lanes(&pre.a_leaves, &pre.b_leaves, lanes)?;
+        let post = self.postcompute.run_batch_lanes(&mult.products, lanes)?;
+        let products = cim_logic::lane_uints(&post.products, lanes);
 
-        for (lane, (a, b)) in pairs.iter().enumerate() {
+        for ((a, b), product) in pairs.iter().zip(&products) {
             let expected = a * b;
-            if post.products[lane] != expected {
+            if *product != expected {
                 return Err(MultiplyError::VerificationFailed {
-                    got: Box::new(post.products[lane].clone()),
+                    got: Box::new(product.clone()),
                     expected: Box::new(expected),
                 });
             }
@@ -391,7 +400,7 @@ impl KaratsubaCimMultiplier {
             + self.multiply.area_cells()
             + self.postcompute.area_cells();
         Ok(BatchMultiplyOutcome {
-            products: post.products,
+            products,
             stage_cycles,
             total_latency,
             area_cells,
@@ -532,6 +541,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "value of 33 bits does not fit in width 32")]
+    fn batch_rejects_an_operand_wider_than_n() {
+        let mult = KaratsubaCimMultiplier::new(32).unwrap();
+        let pairs = vec![(Uint::one(), Uint::one()), (Uint::pow2(32), Uint::one())];
+        let _ = mult.multiply_batch(&pairs);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch must hold 1..=64 lanes")]
+    fn batch_rejects_65_pairs() {
+        let mult = KaratsubaCimMultiplier::new(16).unwrap();
+        let _ = mult.multiply_batch(&vec![(Uint::one(), Uint::one()); 65]);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch must hold 1..=64 lanes")]
+    fn batch_rejects_an_empty_batch() {
+        let mult = KaratsubaCimMultiplier::new(16).unwrap();
+        let _ = mult.multiply_batch(&[]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * latency: `(n/4+2)·(⌈log2(n/4+2)⌉ + 14) + 3` cc — one row's
 //!   latency, since all nine rows compute simultaneously.
 
-use crate::chunks::{LEAVES, PRODUCT_NAMES};
+use crate::chunks::{LeafRows, LEAVES, PRODUCT_NAMES};
 use cim_bigint::Uint;
 use cim_crossbar::{Crossbar, CrossbarError, EnduranceReport};
 use cim_logic::multpim::RowMultiplier;
@@ -29,11 +29,14 @@ pub struct MultiplyOutput {
     pub endurance: EnduranceReport,
 }
 
-/// Output of one bit-sliced batch multiplication-stage run.
+/// Output of one bit-sliced batch multiplication-stage run. `P` holds
+/// the partial products: per lane as `Uint`s from
+/// [`MultiplyStage::run_batch`], as [`LeafRows`] lane words from
+/// [`MultiplyStage::run_batch_lanes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchMultiplyOutput {
-    /// Per-lane partial products (leaf order within each lane).
-    pub products: Vec<[Uint; LEAVES]>,
+pub struct BatchMultiplyOutput<P = Vec<[Uint; LEAVES]>> {
+    /// The partial products (leaf order).
+    pub products: P,
     /// Stage latency — identical to a solo run.
     pub cycles: u64,
     /// Per-lane endurance reports of the stage array.
@@ -127,10 +130,9 @@ impl MultiplyStage {
     }
 
     /// Runs the nine partial multiplications for up to 64 instances at
-    /// once on a bit-sliced array: row `i` multiplies leaf `i` of every
-    /// lane in the same shift-add pass
-    /// ([`RowMultiplier::run_batch_in`]), so the stage latency equals
-    /// [`MultiplyStage::latency`] regardless of the lane count.
+    /// once on a bit-sliced array. This is
+    /// [`MultiplyStage::run_batch_lanes`] with the leaves transposed in
+    /// and the products transposed out.
     ///
     /// # Errors
     ///
@@ -150,16 +152,44 @@ impl MultiplyStage {
             lanes > 0 && lanes <= 64 && lanes == b_leaves.len(),
             "batch must hold 1..=64 lanes on both sides"
         );
+        let a = crate::chunks::leaf_rows(a_leaves, self.width());
+        let b = crate::chunks::leaf_rows(b_leaves, self.width());
+        let out = self.run_batch_lanes(&a, &b, lanes)?;
+        Ok(BatchMultiplyOutput {
+            products: crate::chunks::leaf_sets(&out.products, lanes),
+            cycles: out.cycles,
+            endurance: out.endurance,
+        })
+    }
+
+    /// [`MultiplyStage::run_batch`] on leaf rows in lane words
+    /// (`n/4 + 2` words each) for the first `lanes` lanes: row `i`
+    /// multiplies leaf `i` of every lane in the same shift-add pass
+    /// ([`RowMultiplier::run_lanes_in`]), so the stage latency equals
+    /// [`MultiplyStage::latency`] regardless of the lane count. The
+    /// products come back as each row's `2·(n/4 + 2)`-column product
+    /// region.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CrossbarError`] from execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is not in `1..=64` or a leaf row is not
+    /// `n/4 + 2` words long.
+    pub fn run_batch_lanes(
+        &self,
+        a_leaves: &LeafRows,
+        b_leaves: &LeafRows,
+        lanes: usize,
+    ) -> Result<BatchMultiplyOutput<LeafRows>, CrossbarError> {
+        assert!((1..=64).contains(&lanes), "batch must hold 1..=64 lanes");
         let mut array = Crossbar::new_sliced(LEAVES, self.multiplier.required_cols(), lanes)?;
-        let mut products: Vec<[Uint; LEAVES]> = vec![Default::default(); lanes];
-        for i in 0..LEAVES {
-            let pairs: Vec<(Uint, Uint)> = (0..lanes)
-                .map(|l| (a_leaves[l][i].clone(), b_leaves[l][i].clone()))
-                .collect();
-            let (lane_products, _) = self.multiplier.run_batch_in(&mut array, i, 0, &pairs)?;
-            for (l, p) in lane_products.into_iter().enumerate() {
-                products[l][i] = p;
-            }
+        let mut products = LeafRows::default();
+        for (i, product) in products.iter_mut().enumerate() {
+            let (a, b) = (&a_leaves[i], &b_leaves[i]);
+            (*product, _) = self.multiplier.run_lanes_in(&mut array, i, 0, a, b, lanes)?;
         }
         Ok(BatchMultiplyOutput {
             products,

@@ -36,7 +36,7 @@
 //! staging, which the paper accounts under reorder/handoff; see
 //! EXPERIMENTS.md).
 
-use crate::chunks::LEAVES;
+use crate::chunks::{LeafRows, LEAVES};
 use cim_bigint::Uint;
 use cim_crossbar::{Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
@@ -122,48 +122,54 @@ fn run_staged(
     exec.run_compiled(&body)
 }
 
-/// The batch counterpart of [`pass_staging`]: the reset is unchanged
-/// (it is lane-oblivious) and the two operand writes carry one lane
-/// word per column — same op count, same cycle cost.
-fn pass_staging_batch(adder: &KoggeStoneAdder, xs: &[Uint], ys: &[Uint]) -> [MicroOp; 3] {
-    let w = adder.width();
-    let layout = adder.layout();
-    let cols = layout.col_base..layout.col_base + w + 1;
-    let transpose = |ops: &[Uint]| -> Vec<u64> {
-        let refs: Vec<&[u64]> = ops
-            .iter()
-            .inspect(|op| {
-                assert!(
-                    op.bit_len() <= w + 1,
-                    "operand of {} bits does not fit in width {}",
-                    op.bit_len(),
-                    w + 1
-                );
-            })
-            .map(|op| op.limbs())
-            .collect();
-        cim_crossbar::lanes::transpose_lanes(&refs, w + 1)
-    };
-    [
-        MicroOp::reset_rows(&[layout.x_row, layout.y_row, layout.sum_row], cols),
-        MicroOp::write_row_lanes(layout.x_row, layout.col_base, &transpose(xs)),
-        MicroOp::write_row_lanes(layout.y_row, layout.col_base, &transpose(ys)),
-    ]
-}
-
-/// Executes one batched pass: lane-staged operands plus the cached
-/// adder body — op-for-op the shape of [`run_pass`], with every lane
-/// adding its own operands.
-pub(crate) fn run_pass_batch(
+/// Executes one batched pass: the staging of [`pass_staging`] with
+/// the two operand writes carrying one lane word per column, `x` and
+/// `y` as they are (the reset is lane-oblivious), plus the cached adder
+/// body — op-for-op the shape of [`run_pass`], with every lane adding
+/// its own operands.
+fn run_pass_lanes(
     exec: &mut Executor<'_>,
     adder: &KoggeStoneAdder,
     op: AddOp,
     opt: OptLevel,
-    xs: &[Uint],
-    ys: &[Uint],
+    x: Vec<u64>,
+    y: Vec<u64>,
 ) -> Result<(), CrossbarError> {
-    let staging = pass_staging_batch(adder, xs, ys);
+    let w = adder.width();
+    let layout = adder.layout();
+    debug_assert!(
+        x.len() == w + 1 && y.len() == w + 1,
+        "operand rows are {} lane words",
+        w + 1
+    );
+    let write = |row: usize, lane_words: Vec<u64>| MicroOp::WriteRowLanes {
+        row,
+        col_offset: layout.col_base,
+        lane_words,
+    };
+    let staging = [
+        MicroOp::reset_rows(
+            &[layout.x_row, layout.y_row, layout.sum_row],
+            layout.col_base..layout.col_base + w + 1,
+        ),
+        write(layout.x_row, x),
+        write(layout.y_row, y),
+    ];
     run_staged(exec, adder, op, opt, &staging, "postcompute::batch_pass_program")
+}
+
+/// The columns of `value` below `width`.
+///
+/// # Panics
+///
+/// Panics if a column of `value` at `width` or above holds a set bit.
+fn fit(value: &[u64], width: usize) -> &[u64] {
+    let (kept, rest) = value.split_at(width.min(value.len()));
+    assert!(
+        rest.iter().all(|&word| word == 0),
+        "lane words exceed {width} columns"
+    );
+    kept
 }
 
 /// Output of one postcomputation run.
@@ -177,11 +183,14 @@ pub struct PostcomputeOutput {
     pub endurance: EnduranceReport,
 }
 
-/// Output of one bit-sliced batch postcomputation run.
+/// Output of one bit-sliced batch postcomputation run. `P` holds the
+/// final `2n`-bit products: per lane as `Uint`s from
+/// [`PostcomputeStage::run_batch`], as `2n` lane words from
+/// [`PostcomputeStage::run_batch_lanes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchPostcomputeOutput {
-    /// Per-lane final `2n`-bit products.
-    pub products: Vec<Uint>,
+pub struct BatchPostcomputeOutput<P = Vec<Uint>> {
+    /// The final products.
+    pub products: P,
     /// Cycle statistics — identical to a solo run.
     pub stats: CycleStats,
     /// Per-lane endurance reports of the stage array.
@@ -297,11 +306,8 @@ impl PostcomputeStage {
     }
 
     /// Runs the stage for up to 64 product sets at once on a
-    /// bit-sliced array: every one of the 11 shared-adder passes stages
-    /// its operands lane-wise and runs the *same* cached adder body, so
-    /// the cycle count equals [`PostcomputeStage::latency`] regardless
-    /// of the lane count. The inter-pass recombination arithmetic runs
-    /// per lane in the controller, exactly as it does for one instance.
+    /// bit-sliced array. This is [`PostcomputeStage::run_batch_lanes`]
+    /// with the products transposed in and out.
     ///
     /// # Errors
     ///
@@ -310,129 +316,165 @@ impl PostcomputeStage {
     /// # Panics
     ///
     /// Panics if `product_sets` is empty, holds more than 64 entries,
-    /// or a product exceeds its maximal width (`n/2 + 4` bits).
+    /// or a product exceeds twice its leaf's width
+    /// ([`crate::chunks::leaf_widths`]; at most `n/2 + 4` bits).
     pub fn run_batch(
         &self,
         product_sets: &[[Uint; LEAVES]],
     ) -> Result<BatchPostcomputeOutput, CrossbarError> {
-        let n = self.n;
-        let q = n / 4;
-        let w = self.adder_width(); // 6q
-        let seg = w / 2; // 3q
-        let cap = 2 * q + 2; // max width of c_lm / c_hm
         let lanes = product_sets.len();
-        assert!(
-            lanes > 0 && lanes <= 64,
-            "batch must hold 1..=64 lanes"
-        );
+        assert!((1..=64).contains(&lanes), "batch must hold 1..=64 lanes");
+        let rows = crate::chunks::leaf_rows(product_sets, self.n / 2 + 4);
+        let out = self.run_batch_lanes(&rows, lanes)?;
+        Ok(BatchPostcomputeOutput {
+            products: cim_logic::lane_uints(&out.products, lanes),
+            stats: out.stats,
+            endurance: out.endurance,
+        })
+    }
 
-        let leaf = |i: usize| -> Vec<Uint> {
-            product_sets.iter().map(|p| p[i].clone()).collect()
-        };
-        let [c_ll, c_lh, c_lm, c_hl, c_hh, c_hm, c_ml, c_mh, c_mm] =
-            std::array::from_fn::<_, LEAVES, _>(leaf);
-
+    /// [`PostcomputeStage::run_batch`] on product rows in lane words
+    /// for the first `lanes` lanes: every one of the 11 shared-adder
+    /// passes stages lane-word operands and runs the *same* cached
+    /// adder body, so the cycle count equals
+    /// [`PostcomputeStage::latency`] regardless of the lane count.
+    /// Between passes the recombination is column placement on the
+    /// lane words; the result is the `2n`-column product row.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CrossbarError`] from execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is not in `1..=64` or a product exceeds twice
+    /// its leaf's width.
+    pub fn run_batch_lanes(
+        &self,
+        products: &LeafRows,
+        lanes: usize,
+    ) -> Result<BatchPostcomputeOutput<Vec<u64>>, CrossbarError> {
+        assert!((1..=64).contains(&lanes), "batch must hold 1..=64 lanes");
+        let w = self.adder_width();
         let mut array = Crossbar::new_sliced(ROWS, w + 1, lanes)?;
         let mut exec = Executor::new(&mut array);
         let adder = self.adder();
-
-        // One batched adder pass; returns the per-lane sums.
-        let pass = |exec: &mut Executor<'_>,
-                    op: AddOp,
-                    xs: &[Uint],
-                    ys: &[Uint]|
-         -> Result<Vec<Uint>, CrossbarError> {
-            run_pass_batch(exec, &adder, op, self.opt, xs, ys)?;
-            let mut sum_cols = Vec::new();
-            exec.array().read_row_lane_words(2, 0..w + 1, &mut sum_cols)?;
-            Ok(cim_crossbar::lanes::lane_limbs(&sum_cols, lanes)
-                .into_iter()
-                .map(|limbs| {
-                    let full = Uint::from_limbs(limbs);
-                    match op {
-                        AddOp::Add => full,
-                        AddOp::Sub => full.low_bits(w),
-                    }
-                })
-                .collect())
-        };
-        let map = |xs: &[Uint], f: &dyn Fn(&Uint) -> Uint| -> Vec<Uint> {
-            xs.iter().map(f).collect()
-        };
-        let zip = |xs: &[Uint], ys: &[Uint], f: &dyn Fn(&Uint, &Uint) -> Uint| -> Vec<Uint> {
-            xs.iter().zip(ys).map(|(x, y)| f(x, y)).collect()
-        };
-        let gap_ones = |from: usize, to: usize| Uint::pow2(to).sub(&Uint::pow2(from));
-
-        // Pass 1: t_l ‖ t_h (batched add).
-        let s1 = pass(
-            &mut exec,
-            AddOp::Add,
-            &zip(&c_ll, &c_hl, &|l, h| l.add(&h.shl(seg))),
-            &zip(&c_lh, &c_hh, &|l, h| l.add(&h.shl(seg))),
-        )?;
-        let t_l = map(&s1, &|s| s.low_bits(seg));
-        let t_h = map(&s1, &|s| s.shr(seg));
-
-        // Pass 2: c̃_lm ‖ c̃_hm (batched sub; minuend gap bits = 1).
-        let x2 = zip(&c_lm, &c_hm, &|lm, hm| {
-            lm.add(&gap_ones(cap, seg))
-                .add(&hm.shl(seg))
-                .add(&gap_ones(seg + cap, w))
-        });
-        let s2 = pass(
-            &mut exec,
-            AddOp::Sub,
-            &x2,
-            &zip(&t_l, &t_h, &|l, h| l.add(&h.shl(seg))),
-        )?;
-        let ct_lm = map(&s2, &|s| s.low_bits(cap));
-        let ct_hm = map(&s2, &|s| s.shr(seg).low_bits(cap));
-
-        // Pass 3: t_m = c_ml + c_mh.
-        let t_m = pass(&mut exec, AddOp::Add, &c_ml, &c_mh)?;
-
-        // Pass 4: c̃_mm = c_mm − t_m.
-        let ct_mm = pass(&mut exec, AddOp::Sub, &c_mm, &t_m)?;
-
-        // Pass 5: c_l = (c_lh ‖ c_ll) + c̃_lm·2^q.
-        let c_l = pass(
-            &mut exec,
-            AddOp::Add,
-            &zip(&c_ll, &c_lh, &|l, h| l.add(&h.shl(2 * q))),
-            &map(&ct_lm, &|x| x.shl(q)),
-        )?;
-
-        // Pass 6: c_h likewise.
-        let c_h = pass(
-            &mut exec,
-            AddOp::Add,
-            &zip(&c_hl, &c_hh, &|l, h| l.add(&h.shl(2 * q))),
-            &map(&ct_hm, &|x| x.shl(q)),
-        )?;
-
-        // Passes 7–8: c_m in two additions.
-        let u = pass(&mut exec, AddOp::Add, &c_ml, &map(&c_mh, &|x| x.shl(2 * q)))?;
-        let c_m = pass(&mut exec, AddOp::Add, &u, &map(&ct_mm, &|x| x.shl(q)))?;
-
-        // Passes 9–10: c̃_m = c_m − (c_h + c_l).
-        let v = pass(&mut exec, AddOp::Add, &c_h, &c_l)?;
-        let ct_m = pass(&mut exec, AddOp::Sub, &c_m, &v)?;
-
-        // Pass 11 (LSB optimization).
-        let base_top = zip(&c_l, &c_h, &|l, h| l.add(&h.shl(n)).shr(n / 2));
-        let c_top = pass(&mut exec, AddOp::Add, &base_top, &ct_m)?;
-        let products = zip(&c_top, &c_l, &|t, l| t.shl(n / 2).add(&l.low_bits(n / 2)));
+        let product = self.recombine_lanes(products, lanes, |op, x, y| {
+            run_pass_lanes(&mut exec, &adder, op, self.opt, x, y)?;
+            cim_logic::read_row_lanes(exec.array(), 2, 0..w + 1, lanes)
+        })?;
 
         // Reset the stage array for the next batch — 1 cc.
         exec.step(&MicroOp::reset_region(0..ROWS, 0..w + 1))?;
         let stats = *exec.stats();
         let endurance = EnduranceReport::per_lane(&array);
         Ok(BatchPostcomputeOutput {
-            products,
+            products: product,
             stats,
             endurance,
         })
+    }
+
+    /// The 11 passes of the module table on lane words. `pass(op, x,
+    /// y)` runs one shared-adder pass on two `1.5n + 1`-column operand
+    /// rows and returns its sum row. The operands are the paper's
+    /// concatenations and shifts (Fig. 7) as column placements into
+    /// zeroed rows: a shift is a column offset, a truncation a slice,
+    /// and an addition done outside the adder joins values in disjoint
+    /// columns, so it is an OR. The borrow-blocking gap bits
+    /// of pass 2 are set in the `lanes` active lanes only, so every
+    /// staged row is exactly the lane-wise transpose of the per-lane
+    /// operands. Returns the `2n`-column product row.
+    fn recombine_lanes(
+        &self,
+        c: &LeafRows,
+        lanes: usize,
+        mut pass: impl FnMut(AddOp, Vec<u64>, Vec<u64>) -> Result<Vec<u64>, CrossbarError>,
+    ) -> Result<Vec<u64>, CrossbarError> {
+        use cim_crossbar::lanes::place_cols;
+        let n = self.n;
+        let q = n / 4;
+        let w = self.adder_width(); // 6q
+        let seg = w / 2; // 3q
+        let cap = 2 * q + 2; // max width of c_lm / c_hm
+        let active = u64::MAX >> (64 - lanes);
+
+        // Each product in its own width, twice its leaf's.
+        let widths = crate::chunks::leaf_widths(n);
+        let [c_ll, c_lh, c_lm, c_hl, c_hh, c_hm, c_ml, c_mh, c_mm]: [&[u64]; LEAVES] =
+            std::array::from_fn(|i| fit(&c[i], 2 * widths[i]));
+        // An operand row holding `parts` (column offset, value).
+        let row = |parts: &[(usize, &[u64])]| -> Vec<u64> {
+            let mut words = vec![0u64; w + 1];
+            for &(at, value) in parts {
+                place_cols(&mut words, at, value);
+            }
+            words
+        };
+        // One pass; a difference keeps its low `w` columns.
+        let mut adder = |op: AddOp, x: Vec<u64>, y: Vec<u64>| -> Result<Vec<u64>, CrossbarError> {
+            let mut sum = pass(op, x, y)?;
+            if op == AddOp::Sub {
+                sum.truncate(w);
+            }
+            Ok(sum)
+        };
+
+        // Pass 1: t_l ‖ t_h (batched add).
+        let s1 = adder(
+            AddOp::Add,
+            row(&[(0, c_ll), (seg, c_hl)]),
+            row(&[(0, c_lh), (seg, c_hh)]),
+        )?;
+
+        // Pass 2: c̃_lm ‖ c̃_hm (batched sub; minuend gap bits = 1).
+        // The subtrahend t_l + t_h·2^seg is the pass-1 sum as it is.
+        let mut x2 = row(&[(0, c_lm), (seg, c_hm)]);
+        x2[cap..seg].fill(active);
+        x2[seg + cap..w].fill(active);
+        let s2 = adder(AddOp::Sub, x2, s1)?;
+        let (ct_lm, ct_hm) = (&s2[..cap], &s2[seg..seg + cap]);
+
+        // Pass 3: t_m = c_ml + c_mh.
+        let t_m = adder(AddOp::Add, row(&[(0, c_ml)]), row(&[(0, c_mh)]))?;
+
+        // Pass 4: c̃_mm = c_mm − t_m.
+        let ct_mm = adder(AddOp::Sub, row(&[(0, c_mm)]), t_m)?;
+
+        // Pass 5: c_l = (c_lh ‖ c_ll) + c̃_lm·2^q.
+        let c_l = adder(
+            AddOp::Add,
+            row(&[(0, c_ll), (2 * q, c_lh)]),
+            row(&[(q, ct_lm)]),
+        )?;
+
+        // Pass 6: c_h likewise.
+        let c_h = adder(
+            AddOp::Add,
+            row(&[(0, c_hl), (2 * q, c_hh)]),
+            row(&[(q, ct_hm)]),
+        )?;
+
+        // Passes 7–8: c_m in two additions.
+        let u = adder(AddOp::Add, row(&[(0, c_ml)]), row(&[(2 * q, c_mh)]))?;
+        let c_m = adder(AddOp::Add, u, row(&[(q, &ct_mm)]))?;
+
+        // Passes 9–10: c̃_m = c_m − (c_h + c_l).
+        let v = adder(AddOp::Add, row(&[(0, &c_h)]), row(&[(0, &c_l)]))?;
+        let ct_m = adder(AddOp::Sub, c_m, v)?;
+
+        // Pass 11 (LSB optimization): (c_h ‖ c_l) ≫ n/2, c_l being n
+        // bits wide.
+        let c_l = fit(&c_l, n);
+        let c_top = adder(
+            AddOp::Add,
+            row(&[(0, &c_l[n / 2..]), (n / 2, &c_h)]),
+            row(&[(0, &ct_m)]),
+        )?;
+        let mut product = vec![0u64; 2 * n];
+        place_cols(&mut product, 0, &c_l[..n / 2]);
+        place_cols(&mut product, n / 2, &c_top);
+        Ok(product)
     }
 
     /// [`PostcomputeStage::run`] with tracing: the stage is wrapped in
@@ -599,6 +641,102 @@ mod tests {
             assert_eq!(batch.products[lane], solo.product, "lane {lane}");
             assert_eq!(batch.stats, solo.stats, "lane {lane}");
             assert_eq!(batch.endurance[lane], solo.endurance, "lane {lane}");
+        }
+    }
+
+    /// The per-lane recombination of the 11 passes as `Uint`
+    /// arithmetic (the module table), with every sum computed in
+    /// software: each pass's `(op, x, y)` operands for one lane.
+    fn uint_pass_operands(products: &[Uint; LEAVES], n: usize) -> Vec<(AddOp, Uint, Uint)> {
+        let q = n / 4;
+        let w = 6 * q;
+        let seg = w / 2;
+        let cap = 2 * q + 2;
+        let [c_ll, c_lh, c_lm, c_hl, c_hh, c_hm, c_ml, c_mh, c_mm] = products.clone();
+        let gap_ones = |from: usize, to: usize| Uint::pow2(to).sub(&Uint::pow2(from));
+        let mut passes = Vec::new();
+        let mut pass = |op: AddOp, x: Uint, y: Uint| -> Uint {
+            let sum = match op {
+                AddOp::Add => x.add(&y),
+                AddOp::Sub => x.sub(&y).low_bits(w),
+            };
+            passes.push((op, x, y));
+            sum
+        };
+        let s1 = pass(
+            AddOp::Add,
+            c_ll.add(&c_hl.shl(seg)),
+            c_lh.add(&c_hh.shl(seg)),
+        );
+        let (t_l, t_h) = (s1.low_bits(seg), s1.shr(seg));
+        let x2 = c_lm
+            .add(&gap_ones(cap, seg))
+            .add(&c_hm.shl(seg))
+            .add(&gap_ones(seg + cap, w));
+        let s2 = pass(AddOp::Sub, x2, t_l.add(&t_h.shl(seg)));
+        let (ct_lm, ct_hm) = (s2.low_bits(cap), s2.shr(seg).low_bits(cap));
+        let t_m = pass(AddOp::Add, c_ml.clone(), c_mh.clone());
+        let ct_mm = pass(AddOp::Sub, c_mm, t_m);
+        let c_l = pass(AddOp::Add, c_ll.add(&c_lh.shl(2 * q)), ct_lm.shl(q));
+        let c_h = pass(AddOp::Add, c_hl.add(&c_hh.shl(2 * q)), ct_hm.shl(q));
+        let u = pass(AddOp::Add, c_ml, c_mh.shl(2 * q));
+        let c_m = pass(AddOp::Add, u, ct_mm.shl(q));
+        let v = pass(AddOp::Add, c_h.clone(), c_l.clone());
+        let ct_m = pass(AddOp::Sub, c_m, v);
+        pass(AddOp::Add, c_l.add(&c_h.shl(n)).shr(n / 2), ct_m);
+        passes
+    }
+
+    /// Every operand row the lane-word recombination stages is the
+    /// lane-wise transpose of the per-lane `Uint` operand — inactive
+    /// lane bits included, which must be zero (a gap filled with
+    /// `u64::MAX` would set them).
+    #[test]
+    fn staged_lane_payloads_are_the_transposed_uint_operands() {
+        let mut rng = UintRng::seeded(53);
+        for (n, lanes) in [(8usize, 1usize), (16, 37), (64, 63), (64, 64)] {
+            let stage = PostcomputeStage::new(n).unwrap();
+            let w = stage.adder_width();
+            let ones = Uint::pow2(n).sub(&Uint::one());
+            let sets: Vec<[Uint; LEAVES]> = (0..lanes)
+                .map(|lane| match lane % 3 {
+                    0 => products_of(&ones, &ones, n),
+                    1 => products_of(&rng.uniform(n), &Uint::zero(), n),
+                    _ => products_of(&rng.uniform(n), &rng.uniform(n), n),
+                })
+                .collect();
+            let rows = crate::chunks::leaf_rows(&sets, n / 2 + 4);
+            let mut array = Crossbar::new_sliced(ROWS, w + 1, lanes).unwrap();
+            let mut exec = Executor::new(&mut array);
+            let adder = stage.adder();
+            let mut staged = Vec::new();
+            let product = stage
+                .recombine_lanes(&rows, lanes, |op, x, y| {
+                    staged.push((op, x.clone(), y.clone()));
+                    run_pass_lanes(&mut exec, &adder, op, stage.opt, x, y)?;
+                    cim_logic::read_row_lanes(exec.array(), 2, 0..w + 1, lanes)
+                })
+                .unwrap();
+            let expected: Vec<_> = sets.iter().map(|set| uint_pass_operands(set, n)).collect();
+            let transposed = |k: usize, side: fn(&(AddOp, Uint, Uint)) -> &Uint| {
+                let refs: Vec<&[u64]> = expected.iter().map(|p| side(&p[k]).limbs()).collect();
+                cim_crossbar::lanes::transpose_lanes(&refs, w + 1)
+            };
+            assert_eq!(staged.len(), 11, "n = {n}");
+            for (k, (op, x, y)) in staged.iter().enumerate() {
+                let what = format!("n = {n}, {lanes} lanes, pass {}", k + 1);
+                assert!(expected.iter().all(|p| p[k].0 == *op), "{what}: op");
+                assert_eq!(*x, transposed(k, |p| &p.1), "{what}: x row");
+                assert_eq!(*y, transposed(k, |p| &p.2), "{what}: y row");
+                let inactive = !(u64::MAX >> (64 - lanes));
+                assert!(x.iter().chain(y).all(|word| word & inactive == 0), "{what}");
+            }
+            let golds: Vec<Uint> = sets
+                .iter()
+                .map(|set| crate::chunks::combine_products(set, n / 4))
+                .collect();
+            assert_eq!(cim_logic::lane_uints(&product, lanes), golds, "n = {n}");
+            assert_eq!(product.len(), 2 * n);
         }
     }
 

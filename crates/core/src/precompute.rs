@@ -16,7 +16,7 @@
 //!
 //! (8 input-row writes, 10 sequential additions, 1 reset wave.)
 
-use crate::chunks::{decompose_operand, LEAVES};
+use crate::chunks::{decompose_operand, LeafRows, LEAVES};
 use crate::progcache::SuffixProgram;
 use cim_bigint::Uint;
 use cim_crossbar::{CompiledProgram, Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp, Region};
@@ -39,15 +39,17 @@ pub struct PrecomputeOutput {
     pub endurance: EnduranceReport,
 }
 
-/// Output of one bit-sliced batch precomputation run: one leaf set
-/// per lane, one shared cycle count (the batch runs the *same*
-/// micro-op program a single instance runs).
+/// Output of one bit-sliced batch precomputation run: the leaves of
+/// every lane, one shared cycle count (the batch runs the *same*
+/// micro-op program a single instance runs). `L` holds one side's
+/// leaves: per lane as `Uint`s from [`PrecomputeStage::run_batch`], as
+/// [`LeafRows`] lane words from [`PrecomputeStage::run_batch_lanes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchPrecomputeOutput {
-    /// Per-lane `a`-side leaf operands.
-    pub a_leaves: Vec<[Uint; LEAVES]>,
-    /// Per-lane `b`-side leaf operands.
-    pub b_leaves: Vec<[Uint; LEAVES]>,
+pub struct BatchPrecomputeOutput<L = Vec<[Uint; LEAVES]>> {
+    /// The `a`-side leaf operands.
+    pub a_leaves: L,
+    /// The `b`-side leaf operands.
+    pub b_leaves: L,
     /// Cycle statistics — identical to a solo run.
     pub stats: CycleStats,
     /// Per-lane endurance reports of the stage array.
@@ -218,38 +220,31 @@ impl PrecomputeStage {
             .collect()
     }
 
-    /// The batch counterpart of [`PrecomputeStage::chunk_writes`]:
-    /// each input row's write carries one lane word per column, so the
-    /// whole batch loads in the same 8 cycles.
-    fn chunk_writes_batch(&self, chunk_rows: &[Vec<&Uint>]) -> Vec<MicroOp> {
-        let cols = self.cols();
-        chunk_rows
-            .iter()
+    /// The batch counterpart of [`PrecomputeStage::chunk_writes`]: the
+    /// chunk rows are column slices of the operands' lane words,
+    /// zero-padded to the row, so the whole batch loads in the same 8
+    /// cycles.
+    fn chunk_writes_lanes(&self, a: &[u64], b: &[u64]) -> Vec<MicroOp> {
+        let (q, cols) = (self.n / 4, self.cols());
+        a.chunks(q)
+            .chain(b.chunks(q))
             .enumerate()
-            .map(|(i, lanes)| {
-                let refs: Vec<&[u64]> = lanes
-                    .iter()
-                    .inspect(|chunk| {
-                        assert!(
-                            chunk.bit_len() <= cols,
-                            "chunk of {} bits does not fit in {} columns",
-                            chunk.bit_len(),
-                            cols
-                        );
-                    })
-                    .map(|chunk| chunk.limbs())
-                    .collect();
-                let words = cim_crossbar::lanes::transpose_lanes(&refs, cols);
-                MicroOp::write_row_lanes(INPUT_BASE + i, 0, &words)
+            .map(|(i, chunk)| {
+                let mut lane_words = vec![0u64; cols];
+                lane_words[..q].copy_from_slice(chunk);
+                MicroOp::WriteRowLanes {
+                    row: INPUT_BASE + i,
+                    col_offset: 0,
+                    lane_words,
+                }
             })
             .collect()
     }
 
     /// Runs the stage for up to 64 multiplications at once on a
     /// bit-sliced array: lane `l` computes the leaf operands of
-    /// `pairs[l]`. The micro-op program is the solo program with the
-    /// eight chunk writes staged lane-wise, so the cycle count equals
-    /// [`PrecomputeStage::latency`] regardless of the lane count.
+    /// `pairs[l]`. This is [`PrecomputeStage::run_batch_lanes`] with
+    /// the operands transposed in and the leaves transposed out.
     ///
     /// # Errors
     ///
@@ -260,65 +255,72 @@ impl PrecomputeStage {
     /// Panics if `pairs` is empty, holds more than 64 entries, or an
     /// operand does not fit in `n` bits.
     pub fn run_batch(&self, pairs: &[(Uint, Uint)]) -> Result<BatchPrecomputeOutput, CrossbarError> {
-        let cols = self.cols();
-        assert!(
-            !pairs.is_empty() && pairs.len() <= 64,
-            "batch must hold 1..=64 lanes"
-        );
-        let chunk_bits = self.n / 4;
-        let split: Vec<(Vec<Uint>, Vec<Uint>)> = pairs
-            .iter()
-            .map(|(a, b)| (a.split_chunks(chunk_bits, 4), b.split_chunks(chunk_bits, 4)))
-            .collect();
-        // Row-major chunk staging: row i holds chunk i of every lane.
-        let chunk_rows: Vec<Vec<&Uint>> = (0..8)
-            .map(|i| {
-                split
-                    .iter()
-                    .map(|(ca, cb)| if i < 4 { &ca[i] } else { &cb[i - 4] })
-                    .collect()
-            })
-            .collect();
+        let lanes = pairs.len();
+        assert!((1..=64).contains(&lanes), "batch must hold 1..=64 lanes");
+        let (a, b) = cim_logic::pair_lanes(pairs, self.n);
+        let out = self.run_batch_lanes(&a, &b, lanes)?;
+        let a_leaves = crate::chunks::leaf_sets(&out.a_leaves, lanes);
+        let b_leaves = crate::chunks::leaf_sets(&out.b_leaves, lanes);
+        #[cfg(debug_assertions)]
+        for (lane, (a, b)) in pairs.iter().enumerate() {
+            assert_eq!(a_leaves[lane], decompose_operand(a, self.n).leaves, "lane {lane}");
+            assert_eq!(b_leaves[lane], decompose_operand(b, self.n).leaves, "lane {lane}");
+        }
+        Ok(BatchPrecomputeOutput {
+            a_leaves,
+            b_leaves,
+            stats: out.stats,
+            endurance: out.endurance,
+        })
+    }
 
-        let mut array = Crossbar::new_sliced(ROWS, cols, pairs.len())?;
+    /// [`PrecomputeStage::run_batch`] on operands in lane words (`n`
+    /// words each, bit `l` of word `j` = bit `j` of lane `l`'s operand)
+    /// for the first `lanes` lanes. The micro-op program is the solo
+    /// program with the eight chunk writes staged lane-wise, so the
+    /// cycle count equals [`PrecomputeStage::latency`] regardless of
+    /// the lane count. The 18 leaf rows come back as read, `n/4 + 2`
+    /// lane words each — the row multipliers' operand width.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CrossbarError`] from execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is not in `1..=64` or an operand is not `n`
+    /// words long.
+    pub fn run_batch_lanes(
+        &self,
+        a: &[u64],
+        b: &[u64],
+        lanes: usize,
+    ) -> Result<BatchPrecomputeOutput<LeafRows>, CrossbarError> {
+        let cols = self.cols();
+        assert!((1..=64).contains(&lanes), "batch must hold 1..=64 lanes");
+        assert!(
+            a.len() == self.n && b.len() == self.n,
+            "operands must be {} lane words, got {} and {}",
+            self.n,
+            a.len(),
+            b.len()
+        );
+        let mut array = Crossbar::new_sliced(ROWS, cols, lanes)?;
         let mut exec = Executor::new(&mut array);
         // The chunk writes and the cached suffix run back to back.
-        let writes = self.chunk_writes_batch(&chunk_rows);
+        let writes = self.chunk_writes_lanes(a, b);
         let suffix = self.verified_suffix(&writes, ADDITIONS.len(), "PrecomputeStage::batch_program");
         exec.run(&writes)?;
         for addition in suffix.additions.iter() {
             exec.run_compiled(addition)?;
         }
 
-        // One word-level read per leaf row; `lane_limbs` fans the
-        // column words back out into per-lane values.
-        let read_leaf_row = |exec: &Executor<'_>, row: usize| -> Result<Vec<Uint>, CrossbarError> {
-            let mut row_cols = Vec::new();
-            exec.array().read_row_lane_words(row, 0..cols, &mut row_cols)?;
-            Ok(cim_crossbar::lanes::lane_limbs(&row_cols, pairs.len())
-                .into_iter()
-                .map(Uint::from_limbs)
-                .collect())
-        };
-        let mut a_rows: [Vec<Uint>; LEAVES] = Default::default();
-        let mut b_rows: [Vec<Uint>; LEAVES] = Default::default();
+        // One word-level read per leaf row hands it on as it is.
+        let mut a_leaves = LeafRows::default();
+        let mut b_leaves = LeafRows::default();
         for i in 0..LEAVES {
-            a_rows[i] = read_leaf_row(&exec, A_LEAF_ROWS[i])?;
-            b_rows[i] = read_leaf_row(&exec, B_LEAF_ROWS[i])?;
-        }
-        let mut a_leaves = Vec::with_capacity(pairs.len());
-        let mut b_leaves = Vec::with_capacity(pairs.len());
-        for lane in 0..pairs.len() {
-            let a_set: [Uint; LEAVES] = std::array::from_fn(|i| a_rows[i][lane].clone());
-            let b_set: [Uint; LEAVES] = std::array::from_fn(|i| b_rows[i][lane].clone());
-            #[cfg(debug_assertions)]
-            {
-                let (a, b) = &pairs[lane];
-                assert_eq!(a_set, decompose_operand(a, self.n).leaves, "lane {lane}");
-                assert_eq!(b_set, decompose_operand(b, self.n).leaves, "lane {lane}");
-            }
-            a_leaves.push(a_set);
-            b_leaves.push(b_set);
+            a_leaves[i] = cim_logic::read_row_lanes(exec.array(), A_LEAF_ROWS[i], 0..cols, lanes)?;
+            b_leaves[i] = cim_logic::read_row_lanes(exec.array(), B_LEAF_ROWS[i], 0..cols, lanes)?;
         }
 
         exec.step(&MicroOp::reset_region(0..RESULT_BASE + 10, 0..cols))?;
@@ -660,6 +662,60 @@ mod tests {
                 assert_eq!(
                     batch.endurance[lane], solo.endurance,
                     "lane {lane}, n = {n}"
+                );
+            }
+        }
+    }
+
+    /// The chunk writes stage each chunk row as the lane-wise
+    /// transpose of that chunk of every lane, and the leaf rows the
+    /// stage hands on are the transposed leaves — exactly the payloads
+    /// the row multipliers' `load_batch_program` builds from them.
+    #[test]
+    fn staged_lane_payloads_are_the_transposed_uint_operands() {
+        use cim_crossbar::lanes::transpose_lanes;
+        use cim_logic::multpim::RowMultiplier;
+        let mut rng = UintRng::seeded(59);
+        for (n, lanes) in [(16usize, 1usize), (64, 37), (384, 64)] {
+            let stage = PrecomputeStage::new(n).unwrap();
+            let cols = stage.cols();
+            let ones = Uint::pow2(n).sub(&Uint::one());
+            let pairs: Vec<(Uint, Uint)> = (0..lanes)
+                .map(|lane| match lane % 3 {
+                    0 => (ones.clone(), Uint::pow2(n - 1)),
+                    1 => (rng.uniform(n), Uint::zero()),
+                    _ => (rng.uniform(n), rng.uniform(n)),
+                })
+                .collect();
+            let (a, b) = cim_logic::pair_lanes(&pairs, n);
+            let da: Vec<_> = pairs.iter().map(|(a, _)| decompose_operand(a, n)).collect();
+            let db: Vec<_> = pairs.iter().map(|(_, b)| decompose_operand(b, n)).collect();
+
+            let writes = stage.chunk_writes_lanes(&a, &b);
+            assert_eq!(writes.len(), 8);
+            for (i, write) in writes.iter().enumerate() {
+                let side = if i < 4 { &da } else { &db };
+                let refs: Vec<&[u64]> = side.iter().map(|d| d.chunks[i % 4].limbs()).collect();
+                let expected = MicroOp::write_row_lanes(INPUT_BASE + i, 0, &transpose_lanes(&refs, cols));
+                assert_eq!(*write, expected, "n = {n}, chunk row {i}");
+            }
+
+            let out = stage.run_batch_lanes(&a, &b, lanes).unwrap();
+            let mult = RowMultiplier::new(n / 4 + 2);
+            for i in 0..LEAVES {
+                let a_refs: Vec<&[u64]> = da.iter().map(|d| d.leaves[i].limbs()).collect();
+                let b_refs: Vec<&[u64]> = db.iter().map(|d| d.leaves[i].limbs()).collect();
+                assert_eq!(out.a_leaves[i], transpose_lanes(&a_refs, cols), "n = {n}, leaf {i}");
+                assert_eq!(out.b_leaves[i], transpose_lanes(&b_refs, cols), "n = {n}, leaf {i}");
+                let leaf_pairs: Vec<(Uint, Uint)> = da
+                    .iter()
+                    .zip(&db)
+                    .map(|(x, y)| (x.leaves[i].clone(), y.leaves[i].clone()))
+                    .collect();
+                assert_eq!(
+                    mult.load_lanes_program(i, 0, &out.a_leaves[i], &out.b_leaves[i]),
+                    mult.load_batch_program(i, 0, &leaf_pairs),
+                    "n = {n}, leaf {i}"
                 );
             }
         }

@@ -1,14 +1,15 @@
-//! Lane-word transposition for the bit-sliced backend's controller
-//! paths.
+//! Lane words for the bit-sliced backend's controller paths.
 //!
 //! The sliced backend stores one `u64` per cell where bit `l` is lane
-//! `l`'s value, while controllers (the batch multiplier stages) hold
-//! each lane's operand as little-endian `u64` limbs where bit `j` is
-//! column `j`. Moving between the two representations bit by bit costs
-//! `lanes × cols` shift/or operations per staging or readout — the
-//! dominant controller cost of a 64-lane batch. These helpers do the
-//! same conversion as 64×64 bit-matrix transposes, `O(cols · log 64)`
-//! word operations total.
+//! `l`'s value. A batch controller that keeps its values in that
+//! layout — one *lane word* per column — moves a whole batch with word
+//! copies: the batch multiplier stages carry every intermediate row
+//! this way, so a shift is a column offset ([`place_cols`]) and a
+//! truncation a slice. Per-lane values (little-endian `u64` limbs
+//! where bit `j` is column `j`) exist only at a batch's edges, where
+//! [`transpose_lanes`] and [`lane_limbs`] convert with 64×64
+//! bit-matrix transposes, `O(cols · log 64)` word operations instead
+//! of `lanes × cols` bit moves.
 
 /// In-place 64×64 bit-matrix transpose: afterwards, bit `i` of
 /// `m[b]` equals what bit `b` of `m[i]` was (Hacker's Delight 7-3,
@@ -75,6 +76,32 @@ pub fn lane_limbs(col_words: &[u64], lanes: usize) -> Vec<Vec<u64>> {
     out
 }
 
+/// ORs the lane words `src` into `dst` from column `at` on: the
+/// lane-word form of `dst + src · 2^at` for values in disjoint columns
+/// (every column of `dst` the span covers must still be zero, checked
+/// in debug builds). Columns of `src` past the end of `dst` are
+/// dropped.
+///
+/// # Panics
+///
+/// Panics if a dropped column of `src` holds a set bit.
+pub fn place_cols(dst: &mut [u64], at: usize, src: &[u64]) {
+    let len = dst.len();
+    let keep = src.len().min(len.saturating_sub(at));
+    assert!(
+        src[keep..].iter().all(|&w| w == 0),
+        "lane words overflow {len} columns at offset {at}"
+    );
+    let span = &mut dst[at.min(len)..][..keep];
+    debug_assert!(
+        span.iter().all(|&w| w == 0),
+        "placed column spans overlap at offset {at}"
+    );
+    for (d, &s) in span.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,6 +152,35 @@ mod tests {
             expect[2] &= (1 << 2) - 1;
             assert_eq!(back[l], expect, "lane {l}");
         }
+    }
+
+    #[test]
+    fn placement_is_shifted_addition_of_disjoint_spans() {
+        let lanes: [&[u64]; 2] = [&[0b1011], &[0b0110]];
+        let hi: [&[u64]; 2] = [&[0b01], &[0b11]];
+        let mut dst = vec![0u64; 8];
+        place_cols(&mut dst, 0, &transpose_lanes(&lanes, 4));
+        place_cols(&mut dst, 5, &transpose_lanes(&hi, 2));
+        // Zero columns past the end are dropped silently.
+        place_cols(&mut dst, 7, &[0b11, 0, 0]);
+        let back = lane_limbs(&dst, 2);
+        assert_eq!(back[0], vec![0b1011 | 0b01 << 5 | 1 << 7]);
+        assert_eq!(back[1], vec![0b0110 | 0b11 << 5 | 1 << 7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn placement_refuses_to_drop_set_bits() {
+        place_cols(&mut [0u64; 4], 3, &[1, 1]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overlap")]
+    fn placement_refuses_overlapping_spans() {
+        let mut dst = vec![0u64; 4];
+        place_cols(&mut dst, 0, &[0, 0, 1]);
+        place_cols(&mut dst, 2, &[0]);
     }
 
     #[test]

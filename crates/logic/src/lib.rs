@@ -80,6 +80,82 @@ pub fn read_row_uint(
     Ok(Uint::from_limbs(words))
 }
 
+/// Senses `cols` of `row` of a bit-sliced array as lane words of its
+/// first `lanes` lanes (bits of higher lanes cleared): the readback of
+/// every batch stage row.
+///
+/// # Errors
+///
+/// Returns an error if the coordinates are out of range.
+///
+/// # Panics
+///
+/// Panics if `lanes` is not in `1..=64`.
+pub fn read_row_lanes(
+    array: &Crossbar,
+    row: usize,
+    cols: std::ops::Range<usize>,
+    lanes: usize,
+) -> Result<Vec<u64>, CrossbarError> {
+    assert!((1..=64).contains(&lanes), "batch must hold 1..=64 lanes");
+    let active = u64::MAX >> (64 - lanes);
+    let mut words = Vec::new();
+    array.read_row_lane_words(row, cols, &mut words)?;
+    words.iter_mut().for_each(|w| *w &= active);
+    Ok(words)
+}
+
+/// The lane words of a batch of values over `width` columns: bit `l`
+/// of word `j` is bit `j` of the `l`-th value, the layout a
+/// [`MicroOp::WriteRowLanes`] payload and every batch stage row use.
+///
+/// # Panics
+///
+/// Panics if a value does not fit in `width` bits or more than 64
+/// values are given.
+pub fn uint_lanes<'a>(values: impl IntoIterator<Item = &'a Uint>, width: usize) -> Vec<u64> {
+    let refs: Vec<&[u64]> = values
+        .into_iter()
+        .map(|v| {
+            assert!(
+                v.bit_len() <= width,
+                "value of {} bits does not fit in width {}",
+                v.bit_len(),
+                width
+            );
+            v.limbs()
+        })
+        .collect();
+    cim_crossbar::lanes::transpose_lanes(&refs, width)
+}
+
+/// The lane words of both operand sides of a batch of pairs over
+/// `width` columns each ([`uint_lanes`] of the `a`s and of the `b`s).
+///
+/// # Panics
+///
+/// Panics if an operand does not fit in `width` bits or more than 64
+/// pairs are given.
+pub fn pair_lanes(pairs: &[(Uint, Uint)], width: usize) -> (Vec<u64>, Vec<u64>) {
+    (
+        uint_lanes(pairs.iter().map(|(a, _)| a), width),
+        uint_lanes(pairs.iter().map(|(_, b)| b), width),
+    )
+}
+
+/// The values of the first `lanes` lanes of a batch row's lane words,
+/// the inverse of [`uint_lanes`].
+///
+/// # Panics
+///
+/// Panics if more than 64 lanes are requested.
+pub fn lane_uints(words: &[u64], lanes: usize) -> Vec<Uint> {
+    cim_crossbar::lanes::lane_limbs(words, lanes)
+        .into_iter()
+        .map(Uint::from_limbs)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,6 +177,31 @@ mod tests {
     fn write_row_uint_rejects_values_wider_than_width() {
         let v = Uint::pow2(149);
         write_row_uint(0, 0, &v, 149);
+    }
+
+    #[test]
+    fn lane_words_round_trip_through_a_sliced_row() {
+        let values: Vec<Uint> = (0..37u64)
+            .map(|l| Uint::from_limbs(vec![0x9E37_79B9_7F4A_7C15 ^ l, l]).low_bits(70 + l as usize % 3))
+            .collect();
+        let words = uint_lanes(&values, 72);
+        assert_eq!(words.len(), 72);
+        assert!(words.iter().all(|w| w >> 37 == 0), "inactive lanes stay clear");
+        assert_eq!(lane_uints(&words, 37), values);
+
+        // Set every lane's cells, then store the 37 lanes' values: the
+        // higher lanes keep their ones.
+        let mut array = Crossbar::new_sliced(1, 80, 37).unwrap();
+        array.init_region(&cim_crossbar::Region::new(0..1, 0..80)).unwrap();
+        array.store_row_lane_words(0, 4, &words, (1 << 37) - 1).unwrap();
+        let read = read_row_lanes(&array, 0, 4..76, 37).unwrap();
+        assert_eq!(read, words, "higher lanes' set bits are cleared on read");
+    }
+
+    #[test]
+    #[should_panic(expected = "value of 9 bits does not fit in width 8")]
+    fn uint_lanes_rejects_values_wider_than_width() {
+        uint_lanes(&[Uint::one(), Uint::pow2(8)], 8);
     }
 
     #[test]

@@ -280,33 +280,55 @@ impl RowMultiplier {
 
     /// The batch operand-loading prologue: each `(a, b)` pair is
     /// transposed into per-column lane words (bit `l` of the word for
-    /// column `j` = bit `j` of lane `l`'s operand), so the same three
-    /// micro-ops that load one instance load up to 64 — identical
-    /// cycle cost, identical trace shape, identical per-cell wear.
+    /// column `j` = bit `j` of lane `l`'s operand) and loaded by
+    /// [`RowMultiplier::load_lanes_program`] — the same three micro-ops
+    /// that load one instance load up to 64: identical cycle cost,
+    /// identical trace shape, identical per-cell wear.
     ///
     /// # Panics
     ///
-    /// Panics if an operand exceeds `width` bits or more than 64
-    /// pairs are given.
+    /// Panics if `pairs` is empty, an operand exceeds `width` bits or
+    /// more than 64 pairs are given.
     pub fn load_batch_program(
         &self,
         row: usize,
         col_base: usize,
         pairs: &[(Uint, Uint)],
     ) -> Vec<MicroOp> {
-        let w = self.width;
-        let at = |off: usize| col_base + off * w;
         assert!(
             !pairs.is_empty() && pairs.len() <= 64,
             "batch must hold 1..=64 lanes"
         );
-        let a_refs: Vec<&[u64]> = pairs.iter().map(|(a, _)| a.limbs()).collect();
-        let b_refs: Vec<&[u64]> = pairs.iter().map(|(_, b)| b.limbs()).collect();
-        let a_lanes = cim_crossbar::lanes::transpose_lanes(&a_refs, w);
-        let b_lanes = cim_crossbar::lanes::transpose_lanes(&b_refs, w);
+        let (a, b) = crate::pair_lanes(pairs, self.width);
+        self.load_lanes_program(row, col_base, &a, &b)
+    }
+
+    /// The batch operand-loading prologue on operands already in lane
+    /// words (`width` words each, bit `l` of word `j` = bit `j` of
+    /// lane `l`'s operand): both rows are written as they are, plus the
+    /// reset wave over the shared product region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand is not `width` words long.
+    pub fn load_lanes_program(
+        &self,
+        row: usize,
+        col_base: usize,
+        a: &[u64],
+        b: &[u64],
+    ) -> Vec<MicroOp> {
+        let w = self.width;
+        let at = |off: usize| col_base + off * w;
+        assert!(
+            a.len() == w && b.len() == w,
+            "operands must be {w} lane words, got {} and {}",
+            a.len(),
+            b.len()
+        );
         let prog = vec![
-            MicroOp::write_row_lanes(row, at(A_OFF), &a_lanes),
-            MicroOp::write_row_lanes(row, at(B_OFF), &b_lanes),
+            MicroOp::write_row_lanes(row, at(A_OFF), a),
+            MicroOp::write_row_lanes(row, at(B_OFF), b),
             MicroOp::reset_region(row..row + 1, at(P_OFF)..at(P_OFF) + 2 * w),
         ];
         cim_check::debug_assert_verified(
@@ -324,7 +346,9 @@ impl RowMultiplier {
     /// the analytic latency (and the trace shape) is identical to
     /// [`RowMultiplier::run_in`]; throughput scales with the lane
     /// count. Per lane, the final cell values and per-cell wear are
-    /// bit-identical to a solo run with the same operands.
+    /// bit-identical to a solo run with the same operands. This is
+    /// [`RowMultiplier::run_lanes_in`] with the operands transposed in
+    /// and the products transposed out.
     ///
     /// # Errors
     ///
@@ -341,26 +365,45 @@ impl RowMultiplier {
         col_base: usize,
         pairs: &[(Uint, Uint)],
     ) -> Result<(Vec<Uint>, RowMultStats), CrossbarError> {
+        // Refused before the transposes, which take at most 64 lanes.
+        check_lanes(array, pairs.len())?;
+        let (a, b) = crate::pair_lanes(pairs, self.width);
+        let (product, stats) = self.run_lanes_in(array, row, col_base, &a, &b, pairs.len())?;
+        Ok((crate::lane_uints(&product, pairs.len()), stats))
+    }
+
+    /// [`RowMultiplier::run_batch_in`] on operands in lane words
+    /// (`width` words each) for the first `lanes` lanes: returns the
+    /// `2·width`-column product region as lane words, bits of lanes at
+    /// `lanes` and above cleared.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrossbarError::LaneOutOfRange`] if `lanes` exceeds the
+    /// array's lanes, and propagates geometry errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero or an operand is not `width` words
+    /// long.
+    pub fn run_lanes_in(
+        &self,
+        array: &mut Crossbar,
+        row: usize,
+        col_base: usize,
+        a: &[u64],
+        b: &[u64],
+        lanes: usize,
+    ) -> Result<(Vec<u64>, RowMultStats), CrossbarError> {
         let w = self.width;
         let at = |off: usize| col_base + off * w;
-        if pairs.len() > array.lanes() {
-            return Err(CrossbarError::LaneOutOfRange {
-                lane: pairs.len() - 1,
-                lanes: array.lanes(),
-            });
-        }
+        check_lanes(array, lanes)?;
+        assert!(lanes > 0, "batch must hold 1..=64 lanes");
         let mut loader = Executor::new(&mut *array);
-        loader.run(&self.load_batch_program(row, col_base, pairs))?;
-        self.shift_add(array, row, col_base, pairs.len())?;
-
-        let mut p_cols = Vec::new();
-        array.read_row_lane_words(row, at(P_OFF)..at(P_OFF) + 2 * w, &mut p_cols)?;
-        let products = cim_crossbar::lanes::lane_limbs(&p_cols, pairs.len())
-            .into_iter()
-            .map(Uint::from_limbs)
-            .collect();
+        loader.run(&self.load_lanes_program(row, col_base, a, b))?;
+        self.shift_add(array, row, col_base, lanes)?;
         Ok((
-            products,
+            crate::read_row_lanes(array, row, at(P_OFF)..at(P_OFF) + 2 * w, lanes)?,
             RowMultStats {
                 cycles: self.latency(),
                 iterations: w,
@@ -607,6 +650,18 @@ fn one_lane_pulses(b: &[u64], w: usize) -> Vec<u64> {
     carry.fill(active);
     carry[0] += active;
     pulses
+}
+
+/// Refuses a batch of more lanes than `array` carries.
+fn check_lanes(array: &Crossbar, lanes: usize) -> Result<(), CrossbarError> {
+    if lanes > array.lanes() {
+        Err(CrossbarError::LaneOutOfRange {
+            lane: lanes - 1,
+            lanes: array.lanes(),
+        })
+    } else {
+        Ok(())
+    }
 }
 
 /// Reads `cols` of `row` as one little-endian word vector per lane for

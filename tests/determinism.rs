@@ -83,14 +83,3 @@ fn fuzzer_program_generation_is_deterministic() {
     let b = cim_check::ProgramGen::new(6, 10, 0xC0FFEE).generate(64);
     assert_eq!(a, b);
 }
-
-#[test]
-fn miller_rabin_verdicts_are_stable_for_large_candidates() {
-    // The >2^64 path uses seeded random bases — must be reproducible.
-    let candidate = Uint::pow2(127).sub(&Uint::one()); // Mersenne prime
-    assert!(candidate.is_probable_prime(8));
-    assert!(candidate.is_probable_prime(8));
-    let composite = Uint::pow2(128).sub(&Uint::one());
-    assert!(!composite.is_probable_prime(8));
-    assert!(!composite.is_probable_prime(8));
-}
