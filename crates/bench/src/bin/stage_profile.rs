@@ -23,7 +23,6 @@ use cim_trace::json::JsonWriter;
 use karatsuba_cim::multiplier::KaratsubaCimMultiplier;
 use karatsuba_cim::postcompute::PostcomputeStage;
 use karatsuba_cim::precompute::PrecomputeStage;
-use karatsuba_cim::progcache;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -82,12 +81,6 @@ fn main() -> ExitCode {
             r.report.total_latency
         );
     }
-    let (hits, misses) = progcache::stats();
-    println!(
-        "progcache: {hits} hits, {misses} misses, {} entries",
-        progcache::entries()
-    );
-
     // Per-pass virtual-cycle deltas: run the ladder O0..=max_opt once
     // each (cycle counts are exact and deterministic).
     let levels: Vec<OptLevel> = OptLevel::ALL

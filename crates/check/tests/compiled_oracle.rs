@@ -23,7 +23,6 @@ use cim_mir::OptLevel;
 use cim_trace::Tracer;
 use karatsuba_cim::postcompute::PostcomputeStage;
 use karatsuba_cim::precompute::{PrecomputeStage, ROWS as PRE_ROWS};
-use karatsuba_cim::progcache;
 
 /// Lanes of the sliced arrays.
 const LANES: usize = 3;
@@ -169,10 +168,11 @@ fn stage_programs_replay_exactly_as_run() {
         for opt in OptLevel::ALL {
             let post = PostcomputeStage::with_opt_level(n, opt).unwrap();
             for op in [AddOp::Add, AddOp::Sub] {
-                let body = progcache::adder_compiled(&post.adder(), op, opt);
+                let body = post.adder_program(op);
                 let what = format!("postcompute {op:?} body, n = {n}, {opt:?}");
                 let cols = post.adder_width() + 1;
-                failures += assert_equivalent(&what, &[body], 20, cols, 8, n as u64);
+                failures +=
+                    assert_equivalent(&what, std::slice::from_ref(body), 20, cols, 8, n as u64);
             }
             let pre = PrecomputeStage::with_opt_level(n, opt).unwrap();
             for square in [false, true] {
@@ -287,10 +287,10 @@ fn observed(program: &CompiledProgram, rows: usize, cols: usize, compiled: bool)
 #[test]
 fn observed_runs_emit_what_run_emits() {
     let post = PostcomputeStage::with_opt_level(64, OptLevel::MAX).unwrap();
-    let body = progcache::adder_compiled(&post.adder(), AddOp::Sub, OptLevel::MAX);
+    let body = post.adder_program(AddOp::Sub);
     let cols = post.adder_width() + 1;
-    let run = observed(&body, 20, cols, false);
-    let compiled = observed(&body, 20, cols, true);
+    let run = observed(body, 20, cols, false);
+    let compiled = observed(body, 20, cols, true);
     assert!(!run.0.events.is_empty() && !run.2.is_empty());
     assert_eq!(run.3, *body.stats());
     assert!(

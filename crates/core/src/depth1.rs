@@ -12,8 +12,9 @@
 //! * stage 3: three adder passes
 //!   (`v = c_h + c_l`, `c̃_m = c_m − v`, final LSB-optimized add).
 
+use crate::postcompute::AdderBodies;
 use cim_bigint::Uint;
-use cim_crossbar::{Crossbar, CrossbarError, Executor, MicroOp};
+use cim_crossbar::{CompiledProgram, Crossbar, CrossbarError, Executor, MicroOp};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
 use cim_logic::multpim::RowMultiplier;
 use cim_logic::read_row_uint;
@@ -47,23 +48,52 @@ pub struct Depth1Outcome {
 pub struct KaratsubaDepth1Multiplier {
     n: usize,
     multiplier: RowMultiplier,
+    /// Stage 1's two additions, `a_m` then `b_m`, compiled at
+    /// construction.
+    additions: [CompiledProgram; 2],
+    /// Stage 3's `1.5n`-bit adder.
+    adder: KoggeStoneAdder,
+    /// Its `Add` and `Sub` bodies, compiled at construction.
+    bodies: AdderBodies,
 }
 
+/// Rows of the stage-1 array: `a_l a_h b_l b_h` (0–3), `a_m b_m`
+/// (4–5), scratch (6–17).
+const PRE_ROWS: usize = 4 + 2 + SCRATCH_ROWS;
+
 impl KaratsubaDepth1Multiplier {
-    /// Creates an `n`-bit depth-1 multiplier (`n` even, ≥ 8).
+    /// Creates an `n`-bit depth-1 multiplier (`n` even, ≥ 8); its
+    /// paper-exact (`O0`) adder programs are compiled here.
     ///
     /// # Errors
     ///
-    /// Currently infallible; fallible for interface symmetry.
+    /// [`CrossbarError::InvalidBundle`] if a compiled program holds an
+    /// illegal co-issue bundle.
     ///
     /// # Panics
     ///
     /// Panics if `n` is odd or < 8.
     pub fn new(n: usize) -> Result<Self, CrossbarError> {
         assert!(n >= 8 && n.is_multiple_of(2), "width must be even, at least 8");
+        let scratch: [usize; SCRATCH_ROWS] = std::array::from_fn(|i| 6 + i);
+        let addition = |(x, y, sum): (usize, usize, usize)| {
+            let layout = AdderLayout {
+                x_row: x,
+                y_row: y,
+                sum_row: sum,
+                scratch,
+                col_base: 0,
+            };
+            let program = KoggeStoneAdder::with_layout(n / 2, layout).program(AddOp::Add);
+            crate::progcache::compile(program)
+        };
+        let adder = crate::postcompute::shared_adder(3 * n / 2);
         Ok(KaratsubaDepth1Multiplier {
             n,
             multiplier: RowMultiplier::new(n / 2 + 1),
+            additions: [addition((1, 0, 4))?, addition((3, 2, 5))?],
+            bodies: AdderBodies::new(&adder, cim_mir::OptLevel::O0)?,
+            adder,
         })
     }
 
@@ -124,9 +154,8 @@ impl KaratsubaDepth1Multiplier {
         };
 
         // ---- Stage 1: a_m, b_m on a shared (n/2)-bit adder ----
-        // Rows: a_l a_h b_l b_h (0–3), a_m b_m (4–5), scratch 6–17.
         let pre_cols = h + 2;
-        let mut pre = Crossbar::new(4 + 2 + SCRATCH_ROWS, pre_cols)?;
+        let mut pre = Crossbar::new(PRE_ROWS, pre_cols)?;
         let a_l = a.low_bits(h);
         let a_h = a.shr(h);
         let b_l = b.low_bits(h);
@@ -141,33 +170,19 @@ impl KaratsubaDepth1Multiplier {
             .enumerate()
             .map(|(i, v)| cim_logic::write_row_uint(i, 0, v, pre_cols))
             .collect();
-        let scratch: [usize; SCRATCH_ROWS] = std::array::from_fn(|i| 6 + i);
-        let additions = [(1usize, 0usize, 4usize), (3, 2, 5)].map(|(x, y, sum)| {
-            let adder = KoggeStoneAdder::with_layout(
-                h,
-                AdderLayout {
-                    x_row: x,
-                    y_row: y,
-                    sum_row: sum,
-                    scratch,
-                    col_base: 0,
-                },
-            );
-            crate::progcache::adder_compiled(&adder, AddOp::Add, cim_mir::OptLevel::O0)
-        });
         if cfg!(debug_assertions) {
             let mut stage1 = writes.clone();
-            for addition in &additions {
+            for addition in &self.additions {
                 stage1.extend_from_slice(addition.ops());
             }
             cim_check::debug_assert_verified(
                 &stage1,
-                &cim_check::VerifyConfig::new(4 + 2 + SCRATCH_ROWS, pre_cols),
+                &cim_check::VerifyConfig::new(PRE_ROWS, pre_cols),
                 "KaratsubaDepth1Multiplier stage 1",
             );
         }
         exec.run(&writes)?;
-        for addition in &additions {
+        for addition in &self.additions {
             exec.run_compiled(addition)?;
         }
         let a_m = read_row_uint(exec.array(), 4, 0..pre_cols)?;
@@ -198,16 +213,6 @@ impl KaratsubaDepth1Multiplier {
         // ---- Stage 3: three passes on a 1.5n-bit adder ----
         let w = 3 * n / 2;
         let mut post = Crossbar::new(8 + SCRATCH_ROWS, w + 1)?;
-        let adder = KoggeStoneAdder::with_layout(
-            w,
-            AdderLayout {
-                x_row: 0,
-                y_row: 1,
-                sum_row: 2,
-                scratch: std::array::from_fn(|i| 8 + i),
-                col_base: 0,
-            },
-        );
         let mut exec = Executor::new(&mut post);
         let post_track = tracer.track(pid, "stage 3 (postcompute)");
         let post_start = pre_cycles + mult_cycles;
@@ -220,7 +225,7 @@ impl KaratsubaDepth1Multiplier {
                         y: &Uint|
          -> Result<Uint, CrossbarError> {
             let span = tracer.span_at(post_track, name, post_start + exec.stats().cycles);
-            crate::postcompute::run_pass(exec, &adder, op, cim_mir::OptLevel::O0, x, y)?;
+            crate::postcompute::run_pass(exec, &self.adder, self.bodies.get(op), x, y)?;
             span.end(post_start + exec.stats().cycles);
             let full = read_row_uint(exec.array(), 2, 0..w + 1)?;
             Ok(match op {

@@ -15,8 +15,6 @@
 //!   [`crate::multiplier::ExecutionReport::energy`] model (all three
 //!   stages plus handoffs);
 //! * `cim_core_area_cells{width_bits}` — simulated geometry (gauge);
-//! * `cim_core_progcache_{hits,misses,entries}` — program-cache
-//!   health (gauges, process-wide; see [`crate::progcache`]);
 //! * plus the crossbar families (`cim_xbar_*`) re-published from the
 //!   stage-1/stage-3 [`cim_crossbar::CycleStats`] with
 //!   `stage`/`width_bits` labels. Note the crossbar energy family
@@ -109,11 +107,6 @@ impl ExecutionReport {
         let post = stage_meter("postcompute");
         post.publish_stats(&self.postcompute_stats);
         post.publish_energy(&self.postcompute_stats, 3 * n / 2 + 1);
-        // Program-cache health rides along with every report
-        // (`cim_core_progcache_*` gauges): stage programs are compiled
-        // once per (width, op, layout, opt-level) key, so hit rates
-        // near 1 confirm the optimizer's lowering cost is amortized.
-        crate::progcache::publish_metrics(hub);
     }
 }
 
@@ -192,13 +185,6 @@ mod tests {
             )
             .unwrap()
             > 0.0);
-        // Program-cache gauges ride along with the report.
-        assert!(
-            snap.number("cim_core_progcache_entries").unwrap() >= 1.0,
-            "progcache entry gauge must be published"
-        );
-        assert!(snap.number("cim_core_progcache_misses").unwrap() >= 1.0);
-        assert!(snap.number("cim_core_progcache_hits").is_some());
     }
 
     #[test]

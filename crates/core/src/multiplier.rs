@@ -3,9 +3,9 @@
 
 use crate::chunks::LEAVES;
 use crate::cost::{DesignPoint, HANDOFF_CYCLES};
-use crate::multiply::MultiplyStage;
-use crate::postcompute::PostcomputeStage;
-use crate::precompute::PrecomputeStage;
+use crate::multiply::{MultiplyOutput, MultiplyStage};
+use crate::postcompute::{PostcomputeOutput, PostcomputeStage};
+use crate::precompute::{PrecomputeOutput, PrecomputeStage};
 use cim_bigint::Uint;
 use cim_crossbar::{CrossbarError, CycleStats, EnduranceReport, EnergyParams};
 use cim_metrics::MetricsHub;
@@ -183,7 +183,8 @@ impl KaratsubaCimMultiplier {
     ///
     /// # Errors
     ///
-    /// Returns an error if a stage array cannot be constructed.
+    /// Returns [`MultiplyError::Crossbar`] if a stage program fails to
+    /// compile (an illegal co-issue bundle).
     ///
     /// # Panics
     ///
@@ -198,11 +199,14 @@ impl KaratsubaCimMultiplier {
     /// writes (`O1`), co-issue independent NOR partitions (`O2`), and
     /// add crossbar-constrained placement (`O3`). Every optimized
     /// program is verified by `cim-check` at build time and every
-    /// product is still checked against the software gold model.
+    /// product is still checked against the software gold model. The
+    /// stages compile the programs a multiply runs here; a square's
+    /// precompute suffix compiles on the first [`square`](Self::square).
     ///
     /// # Errors
     ///
-    /// Returns an error if a stage array cannot be constructed.
+    /// Returns [`MultiplyError::Crossbar`] if a stage program fails to
+    /// compile (an illegal co-issue bundle).
     ///
     /// # Panics
     ///
@@ -320,33 +324,7 @@ impl KaratsubaCimMultiplier {
             );
         }
         let post = self.postcompute.run_traced(&mult.products, tracer, post_track, post_start)?;
-
-        let expected = a * b;
-        if post.product != expected {
-            return Err(MultiplyError::VerificationFailed {
-                got: Box::new(post.product),
-                expected: Box::new(expected),
-            });
-        }
-
-        let stage_cycles = [pre.stats.cycles, mult.cycles, post.stats.cycles];
-        let total_latency = stage_cycles.iter().sum::<u64>() + 3 * HANDOFF_CYCLES;
-        let area_cells = self.precompute.area_cells()
-            + self.multiply.area_cells()
-            + self.postcompute.area_cells();
-        let report = ExecutionReport {
-            stage_cycles,
-            precompute_stats: pre.stats,
-            postcompute_stats: post.stats,
-            endurance: [pre.endurance, mult.endurance, post.endurance],
-            total_latency,
-            area_cells,
-        };
-        self.publish(&report);
-        Ok(MultiplyOutcome {
-            product: post.product,
-            report,
-        })
+        self.outcome(a * b, pre, mult, post)
     }
 
     /// Multiplies up to 64 pairs of `n`-bit integers in one bit-sliced
@@ -383,22 +361,10 @@ impl KaratsubaCimMultiplier {
             .run_batch_lanes(&pre.a_leaves, &pre.b_leaves, lanes)?;
         let post = self.postcompute.run_batch_lanes(&mult.products, lanes)?;
         let products = cim_logic::lane_uints(&post.products, lanes);
-
-        for ((a, b), product) in pairs.iter().zip(&products) {
-            let expected = a * b;
-            if *product != expected {
-                return Err(MultiplyError::VerificationFailed {
-                    got: Box::new(product.clone()),
-                    expected: Box::new(expected),
-                });
-            }
-        }
-
         let stage_cycles = [pre.stats.cycles, mult.cycles, post.stats.cycles];
-        let total_latency = stage_cycles.iter().sum::<u64>() + 3 * HANDOFF_CYCLES;
-        let area_cells = self.precompute.area_cells()
-            + self.multiply.area_cells()
-            + self.postcompute.area_cells();
+        let golds = pairs.iter().map(|(a, b)| a * b);
+        let (total_latency, area_cells) =
+            self.checked_totals(products.iter().zip(golds), stage_cycles)?;
         Ok(BatchMultiplyOutcome {
             products,
             stage_cycles,
@@ -423,18 +389,21 @@ impl KaratsubaCimMultiplier {
         let pre = self.precompute.run_square(a)?;
         let mult = self.multiply.run(&pre.a_leaves, &pre.b_leaves)?;
         let post = self.postcompute.run(&mult.products)?;
-        let expected = a * a;
-        if post.product != expected {
-            return Err(MultiplyError::VerificationFailed {
-                got: Box::new(post.product),
-                expected: Box::new(expected),
-            });
-        }
+        self.outcome(a * a, pre, mult, post)
+    }
+
+    /// The verified outcome of one solo run: the product checked
+    /// against `expected`, the report assembled and published.
+    fn outcome(
+        &self,
+        expected: Uint,
+        pre: PrecomputeOutput,
+        mult: MultiplyOutput,
+        post: PostcomputeOutput,
+    ) -> Result<MultiplyOutcome, MultiplyError> {
         let stage_cycles = [pre.stats.cycles, mult.cycles, post.stats.cycles];
-        let total_latency = stage_cycles.iter().sum::<u64>() + 3 * HANDOFF_CYCLES;
-        let area_cells = self.precompute.area_cells()
-            + self.multiply.area_cells()
-            + self.postcompute.area_cells();
+        let (total_latency, area_cells) =
+            self.checked_totals([(&post.product, expected)], stage_cycles)?;
         let report = ExecutionReport {
             stage_cycles,
             precompute_stats: pre.stats,
@@ -448,6 +417,29 @@ impl KaratsubaCimMultiplier {
             product: post.product,
             report,
         })
+    }
+
+    /// Checks every `(product, gold)` pair, failing on the first that
+    /// differs, then returns `(total_latency, area_cells)`: the stage
+    /// cycles plus the three handoffs, and the three stage arrays.
+    fn checked_totals<'a>(
+        &self,
+        checks: impl IntoIterator<Item = (&'a Uint, Uint)>,
+        stage_cycles: [u64; 3],
+    ) -> Result<(u64, u64), MultiplyError> {
+        for (product, expected) in checks {
+            if *product != expected {
+                return Err(MultiplyError::VerificationFailed {
+                    got: Box::new(product.clone()),
+                    expected: Box::new(expected),
+                });
+            }
+        }
+        let total_latency = stage_cycles.iter().sum::<u64>() + 3 * HANDOFF_CYCLES;
+        let area_cells = self.precompute.area_cells()
+            + self.multiply.area_cells()
+            + self.postcompute.area_cells();
+        Ok((total_latency, area_cells))
     }
 
     /// Measured per-multiplication maximum cell writes across the

@@ -38,7 +38,9 @@
 
 use crate::chunks::{LeafRows, LEAVES};
 use cim_bigint::Uint;
-use cim_crossbar::{Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp};
+use cim_crossbar::{
+    CompiledProgram, Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp,
+};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
 use cim_logic::read_row_uint;
 use cim_mir::OptLevel;
@@ -62,7 +64,7 @@ pub const ROWS: usize = 8 + SCRATCH_ROWS;
 /// (debug/test builds) if the composed program fails verification.
 pub fn pass_program(adder: &KoggeStoneAdder, op: AddOp, x: &Uint, y: &Uint) -> Vec<MicroOp> {
     let mut prog = pass_staging(adder, x, y).to_vec();
-    prog.extend_from_slice(&crate::progcache::adder_program(adder, op));
+    prog.extend(adder.program(op));
     cim_check::debug_assert_verified(
         &prog,
         &cim_check::VerifyConfig::new(adder.required_rows(), adder.required_cols()),
@@ -84,18 +86,62 @@ fn pass_staging(adder: &KoggeStoneAdder, x: &Uint, y: &Uint) -> [MicroOp; 3] {
     ]
 }
 
-/// Executes one pass as the staging prefix plus the *cached*, compiled
-/// adder body ([`crate::progcache`]) — the op sequence is identical to
-/// running [`pass_program`], without cloning the adder body per pass.
+/// The `1.5n`-bit adder of a postcompute array for an `n`-bit
+/// multiplication, `width = 1.5n`: operands in rows 0 and 1, the sum
+/// in row 2, scratch in rows 8–19.
+pub(crate) fn shared_adder(width: usize) -> KoggeStoneAdder {
+    KoggeStoneAdder::with_layout(
+        width,
+        AdderLayout {
+            x_row: 0,
+            y_row: 1,
+            sum_row: 2,
+            scratch: std::array::from_fn(|i| 8 + i),
+            col_base: 0,
+        },
+    )
+}
+
+/// The `Add` and `Sub` bodies of one adder, compiled.
+#[derive(Debug, Clone)]
+pub(crate) struct AdderBodies([CompiledProgram; 2]);
+
+impl AdderBodies {
+    /// Compiles both bodies of `adder` lowered at `opt`.
+    pub(crate) fn new(adder: &KoggeStoneAdder, opt: OptLevel) -> Result<Self, CrossbarError> {
+        Ok(AdderBodies([
+            crate::progcache::compile(adder.program_opt(AddOp::Add, opt))?,
+            crate::progcache::compile(adder.program_opt(AddOp::Sub, opt))?,
+        ]))
+    }
+
+    /// The body for `op`.
+    pub(crate) fn get(&self, op: AddOp) -> &CompiledProgram {
+        match op {
+            AddOp::Add => &self.0[0],
+            AddOp::Sub => &self.0[1],
+        }
+    }
+}
+
+/// Executes one pass as the staging prefix plus `body`, the compiled
+/// adder body — the op sequence is identical to running
+/// [`pass_program`] when `body` is the `O0` program, without cloning
+/// the body per pass.
 pub(crate) fn run_pass(
     exec: &mut Executor<'_>,
     adder: &KoggeStoneAdder,
-    op: AddOp,
-    opt: OptLevel,
+    body: &CompiledProgram,
     x: &Uint,
     y: &Uint,
 ) -> Result<(), CrossbarError> {
-    run_staged(exec, adder, op, opt, &pass_staging(adder, x, y), "postcompute::pass_program")
+    run_staged(
+        exec,
+        adder,
+        body,
+        &pass_staging(adder, x, y),
+        "postcompute::pass_program",
+    )
 }
 
 /// Runs `staging`, then the compiled adder body, after checking
@@ -103,12 +149,10 @@ pub(crate) fn run_pass(
 fn run_staged(
     exec: &mut Executor<'_>,
     adder: &KoggeStoneAdder,
-    op: AddOp,
-    opt: OptLevel,
+    body: &CompiledProgram,
     staging: &[MicroOp],
     what: &str,
 ) -> Result<(), CrossbarError> {
-    let body = crate::progcache::adder_compiled(adder, op, opt);
     if cfg!(debug_assertions) {
         let mut full = staging.to_vec();
         full.extend_from_slice(body.ops());
@@ -119,19 +163,18 @@ fn run_staged(
         );
     }
     exec.run(staging)?;
-    exec.run_compiled(&body)
+    exec.run_compiled(body)
 }
 
 /// Executes one batched pass: the staging of [`pass_staging`] with
 /// the two operand writes carrying one lane word per column, `x` and
-/// `y` as they are (the reset is lane-oblivious), plus the cached adder
-/// body — op-for-op the shape of [`run_pass`], with every lane adding
-/// its own operands.
+/// `y` as they are (the reset is lane-oblivious), plus the compiled
+/// adder body — op-for-op the shape of [`run_pass`], with every lane
+/// adding its own operands.
 fn run_pass_lanes(
     exec: &mut Executor<'_>,
     adder: &KoggeStoneAdder,
-    op: AddOp,
-    opt: OptLevel,
+    body: &CompiledProgram,
     x: Vec<u64>,
     y: Vec<u64>,
 ) -> Result<(), CrossbarError> {
@@ -155,7 +198,13 @@ fn run_pass_lanes(
         write(layout.x_row, x),
         write(layout.y_row, y),
     ];
-    run_staged(exec, adder, op, opt, &staging, "postcompute::batch_pass_program")
+    run_staged(
+        exec,
+        adder,
+        body,
+        &staging,
+        "postcompute::batch_pass_program",
+    )
 }
 
 /// The columns of `value` below `width`.
@@ -209,6 +258,11 @@ pub struct BatchPostcomputeOutput<P = Vec<Uint>> {
 pub struct PostcomputeStage {
     n: usize,
     opt: OptLevel,
+    /// The shared adder every pass runs.
+    adder: KoggeStoneAdder,
+    /// Its `Add` and `Sub` bodies lowered at `opt`, compiled at
+    /// construction.
+    bodies: AdderBodies,
 }
 
 impl PostcomputeStage {
@@ -217,7 +271,7 @@ impl PostcomputeStage {
     ///
     /// # Errors
     ///
-    /// Currently infallible; kept fallible for interface symmetry.
+    /// As [`PostcomputeStage::with_opt_level`].
     ///
     /// # Panics
     ///
@@ -227,11 +281,13 @@ impl PostcomputeStage {
     }
 
     /// Creates the stage with every shared-adder pass lowered through
-    /// the cim-mir pipeline at `opt`.
+    /// the cim-mir pipeline at `opt`; the stage compiles its `Add` and
+    /// `Sub` adder bodies here.
     ///
     /// # Errors
     ///
-    /// Currently infallible; kept fallible for interface symmetry.
+    /// [`CrossbarError::InvalidBundle`] if a compiled body holds an
+    /// illegal co-issue bundle.
     ///
     /// # Panics
     ///
@@ -241,7 +297,14 @@ impl PostcomputeStage {
             n >= 8 && n.is_multiple_of(4),
             "operand width must be a multiple of 4, at least 8"
         );
-        Ok(PostcomputeStage { n, opt })
+        let adder = shared_adder(3 * n / 2);
+        let bodies = AdderBodies::new(&adder, opt)?;
+        Ok(PostcomputeStage {
+            n,
+            opt,
+            adder,
+            bodies,
+        })
     }
 
     /// The optimization level the stage's adder programs are lowered at.
@@ -264,23 +327,20 @@ impl PostcomputeStage {
     /// staging cycles plus the compiled adder body's cycles, and 1
     /// reset wave. At `O0`: `11·(20 + 11·⌈log2 1.5n⌉) + 1` cc.
     pub fn latency(&self) -> u64 {
-        let body = crate::progcache::adder_compiled(&self.adder(), AddOp::Add, self.opt);
-        11 * (3 + body.stats().cycles) + 1
+        11 * (3 + self.adder_program(AddOp::Add).stats().cycles) + 1
     }
 
     /// The shared `1.5n`-bit adder every pass runs: operands in rows 0
     /// and 1, the sum in row 2, scratch in rows 8–19.
-    pub fn adder(&self) -> KoggeStoneAdder {
-        KoggeStoneAdder::with_layout(
-            self.adder_width(),
-            AdderLayout {
-                x_row: 0,
-                y_row: 1,
-                sum_row: 2,
-                scratch: std::array::from_fn(|i| 8 + i),
-                col_base: 0,
-            },
-        )
+    pub fn adder(&self) -> &KoggeStoneAdder {
+        &self.adder
+    }
+
+    /// The compiled body of the shared adder for `op`, lowered at the
+    /// stage's opt level — what every `op` pass runs after staging its
+    /// operands.
+    pub fn adder_program(&self, op: AddOp) -> &CompiledProgram {
+        self.bodies.get(op)
     }
 
     /// The paper's closed-form latency:
@@ -335,7 +395,7 @@ impl PostcomputeStage {
 
     /// [`PostcomputeStage::run_batch`] on product rows in lane words
     /// for the first `lanes` lanes: every one of the 11 shared-adder
-    /// passes stages lane-word operands and runs the *same* cached
+    /// passes stages lane-word operands and runs the *same* compiled
     /// adder body, so the cycle count equals
     /// [`PostcomputeStage::latency`] regardless of the lane count.
     /// Between passes the recombination is column placement on the
@@ -358,9 +418,8 @@ impl PostcomputeStage {
         let w = self.adder_width();
         let mut array = Crossbar::new_sliced(ROWS, w + 1, lanes)?;
         let mut exec = Executor::new(&mut array);
-        let adder = self.adder();
         let product = self.recombine_lanes(products, lanes, |op, x, y| {
-            run_pass_lanes(&mut exec, &adder, op, self.opt, x, y)?;
+            run_pass_lanes(&mut exec, &self.adder, self.adder_program(op), x, y)?;
             cim_logic::read_row_lanes(exec.array(), 2, 0..w + 1, lanes)
         })?;
 
@@ -509,11 +568,10 @@ impl PostcomputeStage {
         let mut exec = Executor::new(&mut array);
         exec.attach_tracer_at(tracer, track, start_cycle);
         let stage = tracer.span_at(track, "postcompute", start_cycle);
-        let adder = self.adder();
 
         // One adder pass: reset I/O rows, write packed operands, run
-        // the cached adder body — op-identical to `pass_program`,
-        // wrapped in a named span.
+        // the compiled adder body — op-identical to `pass_program` at
+        // `O0`, wrapped in a named span.
         let pass = |exec: &mut Executor<'_>,
                         name: &'static str,
                         op: AddOp,
@@ -521,7 +579,7 @@ impl PostcomputeStage {
                         y: &Uint|
          -> Result<Uint, CrossbarError> {
             let span = tracer.span_at(track, name, start_cycle + exec.stats().cycles);
-            run_pass(exec, &adder, op, self.opt, x, y)?;
+            run_pass(exec, &self.adder, self.adder_program(op), x, y)?;
             span.end(start_cycle + exec.stats().cycles);
             let full = read_row_uint(exec.array(), 2, 0..w + 1)?;
             Ok(match op {
@@ -708,12 +766,11 @@ mod tests {
             let rows = crate::chunks::leaf_rows(&sets, n / 2 + 4);
             let mut array = Crossbar::new_sliced(ROWS, w + 1, lanes).unwrap();
             let mut exec = Executor::new(&mut array);
-            let adder = stage.adder();
             let mut staged = Vec::new();
             let product = stage
                 .recombine_lanes(&rows, lanes, |op, x, y| {
                     staged.push((op, x.clone(), y.clone()));
-                    run_pass_lanes(&mut exec, &adder, op, stage.opt, x, y)?;
+                    run_pass_lanes(&mut exec, stage.adder(), stage.adder_program(op), x, y)?;
                     cim_logic::read_row_lanes(exec.array(), 2, 0..w + 1, lanes)
                 })
                 .unwrap();

@@ -17,14 +17,13 @@
 //! (8 input-row writes, 10 sequential additions, 1 reset wave.)
 
 use crate::chunks::{decompose_operand, LeafRows, LEAVES};
-use crate::progcache::SuffixProgram;
 use cim_bigint::Uint;
 use cim_crossbar::{CompiledProgram, Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp, Region};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
 use cim_logic::read_row_uint;
 use cim_mir::{MirProgram, OptLevel, TileLimits};
 use cim_trace::{TrackId, Tracer};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Output of one precomputation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,6 +72,41 @@ pub struct BatchPrecomputeOutput<L = Vec<[Uint; LEAVES]>> {
 pub struct PrecomputeStage {
     n: usize,
     opt: OptLevel,
+    /// The ten tree additions of a multiply, compiled at construction.
+    suffix: SuffixProgram,
+    /// The five `a`-side additions of a square, compiled on first use
+    /// so a stage that never squares never compiles them.
+    square_suffix: OnceLock<Result<SuffixProgram, CrossbarError>>,
+}
+
+/// A compiled addition suffix: one program per addition, in execution
+/// order, so the runners attribute trace spans per addition even when
+/// optimization leaves the additions with different lengths.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SuffixProgram {
+    /// The per-addition programs, pieces of one op buffer.
+    additions: Arc<[CompiledProgram]>,
+}
+
+impl SuffixProgram {
+    /// Compiles the concatenated per-addition programs `ops`, where
+    /// `ends[i]` is one past the last op of addition `i`.
+    fn new(ops: Vec<MicroOp>, ends: &[usize]) -> Result<Self, CrossbarError> {
+        let additions = crate::progcache::compile_split(ops, ends)?;
+        Ok(SuffixProgram {
+            additions: additions.into(),
+        })
+    }
+
+    /// The additions' ops, concatenated.
+    fn ops(&self) -> impl Iterator<Item = &MicroOp> {
+        self.additions.iter().flat_map(|p| p.ops().iter())
+    }
+
+    /// Cycles of the whole suffix.
+    fn cycles(&self) -> u64 {
+        self.additions.iter().map(|p| p.stats().cycles).sum()
+    }
 }
 
 // Row map.
@@ -113,8 +147,7 @@ impl PrecomputeStage {
     ///
     /// # Errors
     ///
-    /// Currently infallible; kept fallible for interface stability with
-    /// the other stages.
+    /// As [`PrecomputeStage::with_opt_level`].
     ///
     /// # Panics
     ///
@@ -128,19 +161,25 @@ impl PrecomputeStage {
     /// are eliminated *across* addition boundaries (the inter-addition
     /// scratch resets fall to the next addition's init wave) and, at
     /// `O2`+, each addition is re-packed into co-issue bundles. The
-    /// optimized suffix is verifier-gated and cached per
-    /// `(width, count, opt)`.
+    /// stage compiles the ten additions of a multiply here; the five
+    /// of a square compile on the first squaring call.
     ///
     /// # Errors
     ///
-    /// Currently infallible; kept fallible for interface stability.
+    /// [`CrossbarError::InvalidBundle`] if the compiled suffix holds an
+    /// illegal co-issue bundle.
     ///
     /// # Panics
     ///
     /// Panics if `n` is not a positive multiple of 4.
     pub fn with_opt_level(n: usize, opt: OptLevel) -> Result<Self, CrossbarError> {
         assert!(n > 0 && n.is_multiple_of(4), "operand width must be a multiple of 4");
-        Ok(PrecomputeStage { n, opt })
+        Ok(PrecomputeStage {
+            n,
+            opt,
+            suffix: addition_suffix(n, opt, ADDITIONS.len())?,
+            square_suffix: OnceLock::new(),
+        })
     }
 
     /// The optimization level this stage lowers its programs at.
@@ -167,7 +206,7 @@ impl PrecomputeStage {
     /// and 1 reset wave. At `O0` this is the paper's
     /// `8 + 10·(17 + 11·⌈log2(n/4+1)⌉) + 1`.
     pub fn latency(&self) -> u64 {
-        8 + self.addition_suffix(ADDITIONS.len()).cycles() + 1
+        8 + self.suffix.cycles() + 1
     }
 
     /// Rows of the stage array holding the 18 leaf operands after a
@@ -180,33 +219,45 @@ impl PrecomputeStage {
     /// Latency of the squaring variant (`a = b`): only the five
     /// `a`-side additions run — `8 + 5·(17 + 11·⌈log2(n/4+1)⌉) + 1`
     /// at `O0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the square suffix fails to compile (see
+    /// [`PrecomputeStage::with_opt_level`]).
     pub fn square_latency(&self) -> u64 {
-        8 + self.addition_suffix(5).cycles() + 1
+        8 + self.compiled_square_suffix().cycles() + 1
     }
 
     /// The compiled programs the stage runs for its tree additions, in
     /// execution order, after the chunk writes: the ten of a multiply
     /// or, with `square`, the five `a`-side additions
     /// [`PrecomputeStage::run_square`] runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`PrecomputeStage::square_latency`] does, with
+    /// `square`.
     pub fn addition_programs(&self, square: bool) -> Arc<[CompiledProgram]> {
-        let additions = if square { 5 } else { ADDITIONS.len() };
-        self.addition_suffix(additions).additions
+        let suffix = if square {
+            self.compiled_square_suffix()
+        } else {
+            &self.suffix
+        };
+        Arc::clone(&suffix.additions)
     }
 
-    /// The layout of the addition with result row `sum` on the stage's
-    /// shared adder.
-    fn adder_for(&self, x: usize, y: usize, sum: usize) -> KoggeStoneAdder {
-        let scratch: [usize; SCRATCH_ROWS] = std::array::from_fn(|i| SCRATCH_BASE + i);
-        KoggeStoneAdder::with_layout(
-            self.adder_width(),
-            AdderLayout {
-                x_row: x,
-                y_row: y,
-                sum_row: sum,
-                scratch,
-                col_base: 0,
-            },
-        )
+    /// The five additions of a square, compiled on the first call.
+    fn square_suffix(&self) -> Result<&SuffixProgram, CrossbarError> {
+        self.square_suffix
+            .get_or_init(|| addition_suffix(self.n, self.opt, 5))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// [`PrecomputeStage::square_suffix`] for the infallible accessors.
+    fn compiled_square_suffix(&self) -> &SuffixProgram {
+        self.square_suffix()
+            .unwrap_or_else(|e| panic!("precompute square suffix: {e}"))
     }
 
     /// The operand-dependent program prefix: one packed write per
@@ -307,9 +358,9 @@ impl PrecomputeStage {
         );
         let mut array = Crossbar::new_sliced(ROWS, cols, lanes)?;
         let mut exec = Executor::new(&mut array);
-        // The chunk writes and the cached suffix run back to back.
+        // The chunk writes and the compiled suffix run back to back.
         let writes = self.chunk_writes_lanes(a, b);
-        let suffix = self.verified_suffix(&writes, ADDITIONS.len(), "PrecomputeStage::batch_program");
+        let suffix = self.verified(&writes, &self.suffix, "PrecomputeStage::batch_program");
         exec.run(&writes)?;
         for addition in suffix.additions.iter() {
             exec.run_compiled(addition)?;
@@ -334,86 +385,15 @@ impl PrecomputeStage {
         })
     }
 
-    /// The operand-independent addition suffix covering the first
-    /// `additions` entries of [`ADDITIONS`], compiled once per
-    /// `(adder width, count, opt)` and shared via [`crate::progcache`].
-    /// The row map and layouts are constants, so the key captures
-    /// everything the suffix depends on.
-    ///
-    /// Above `O0` the suffix is optimized as a *whole* (cross-stage
-    /// program fusion): dead-write elimination runs over the
-    /// concatenation with the result and scratch rows as live-out, so
-    /// each addition's trailing scratch reset — overwritten unread by
-    /// the next addition's init wave — is eliminated for all but the
-    /// last addition, along with the per-adder dead ops. At `O2`+ each
-    /// addition is then re-packed into co-issue bundles individually
-    /// (bundles never straddle addition boundaries, preserving
-    /// per-addition trace attribution). The returned bounds locate
-    /// each addition's ops in the fused program.
-    fn addition_suffix(&self, additions: usize) -> SuffixProgram {
-        let opt = self.opt;
-        let cols = self.cols();
-        crate::progcache::precompute_suffix(self.adder_width(), additions, opt, || {
-            let parts: Vec<_> = ADDITIONS[..additions]
-                .iter()
-                .map(|&(x, y, sum)| {
-                    crate::progcache::adder_program(&self.adder_for(x, y, sum), AddOp::Add)
-                })
-                .collect();
-            if opt == OptLevel::O0 {
-                let mut ops = Vec::new();
-                let mut ends = Vec::with_capacity(additions);
-                for part in &parts {
-                    ops.extend_from_slice(part);
-                    ends.push(ops.len());
-                }
-                return SuffixProgram::new(ops, &ends);
-            }
-            // Tag every op with its addition, fuse, and eliminate dead
-            // writes across the whole suffix. Live-out: the ten result
-            // rows plus the scratch region (which the stage contract
-            // requires reset — keeping exactly the final reset alive).
-            let mut tags = Vec::new();
-            let mut fused = Vec::new();
-            for (i, part) in parts.iter().enumerate() {
-                tags.extend(std::iter::repeat_n(i, part.len()));
-                fused.extend_from_slice(part);
-            }
-            let mut live_out = vec![Region::new(
-                RESULT_BASE..RESULT_BASE + 10,
-                0..cols,
-            )];
-            live_out.push(Region::new(
-                SCRATCH_BASE..SCRATCH_BASE + SCRATCH_ROWS,
-                0..cols,
-            ));
-            let whole = MirProgram::from_ops(ROWS, cols, fused, live_out);
-            let keep = cim_mir::dead_write_mask(&whole);
-            let limits = TileLimits::for_array(ROWS, cols);
-            let mut ops: Vec<MicroOp> = Vec::new();
-            let mut ends = Vec::with_capacity(additions);
-            for i in 0..additions {
-                let kept: Vec<MicroOp> = (0..whole.len())
-                    .filter(|&j| keep[j] && tags[j] == i)
-                    .map(|j| whole.ops()[j].clone())
-                    .collect();
-                if opt >= OptLevel::O2 {
-                    let frag = MirProgram::from_ops(ROWS, cols, kept, Vec::new());
-                    ops.extend(cim_mir::parallel_pack(&frag, &limits));
-                } else {
-                    ops.extend(kept);
-                }
-                ends.push(ops.len());
-            }
-            SuffixProgram::new(ops, &ends)
-        })
-    }
-
-    /// The suffix of the first `additions` additions, after checking
-    /// (debug/test builds) that `writes` followed by it is a verified
-    /// program — the op sequence the stage runners execute.
-    fn verified_suffix(&self, writes: &[MicroOp], additions: usize, what: &str) -> SuffixProgram {
-        let suffix = self.addition_suffix(additions);
+    /// Returns `suffix` after checking (debug/test builds) that
+    /// `writes` followed by it is a verified program — the op sequence
+    /// the stage runners execute.
+    fn verified<'a>(
+        &self,
+        writes: &[MicroOp],
+        suffix: &'a SuffixProgram,
+        what: &str,
+    ) -> &'a SuffixProgram {
         if cfg!(debug_assertions) {
             let mut prog = writes.to_vec();
             prog.extend(suffix.ops().cloned());
@@ -430,9 +410,9 @@ impl PrecomputeStage {
     /// program and statically verifies it (debug/test builds). The
     /// composed program needs no preload declarations: the chunk
     /// writes define every operand the additions consume.
-    fn compose_program(&self, chunks: &[&Uint], additions: usize) -> Vec<MicroOp> {
+    fn compose_program(&self, chunks: &[&Uint], suffix: &SuffixProgram) -> Vec<MicroOp> {
         let mut prog = self.chunk_writes(chunks);
-        let suffix = self.verified_suffix(&prog, additions, "PrecomputeStage::program");
+        let suffix = self.verified(&prog, suffix, "PrecomputeStage::program");
         prog.extend(suffix.ops().cloned());
         prog
     }
@@ -449,7 +429,7 @@ impl PrecomputeStage {
         let da = decompose_operand(a, self.n);
         let db = decompose_operand(b, self.n);
         let chunks: Vec<&Uint> = da.chunks.iter().chain(db.chunks.iter()).collect();
-        self.compose_program(&chunks, ADDITIONS.len())
+        self.compose_program(&chunks, &self.suffix)
     }
 
     /// The squaring variant of [`PrecomputeStage::program`]: both
@@ -458,11 +438,12 @@ impl PrecomputeStage {
     ///
     /// # Panics
     ///
-    /// Panics as [`PrecomputeStage::program`] does.
+    /// Panics as [`PrecomputeStage::program`] and
+    /// [`PrecomputeStage::square_latency`] do.
     pub fn square_program(&self, a: &Uint) -> Vec<MicroOp> {
         let da = decompose_operand(a, self.n);
         let chunks: Vec<&Uint> = da.chunks.iter().chain(da.chunks.iter()).collect();
-        self.compose_program(&chunks, 5)
+        self.compose_program(&chunks, self.compiled_square_suffix())
     }
 
     /// Runs the stage for a squaring: the `b`-side sums equal the
@@ -472,7 +453,8 @@ impl PrecomputeStage {
     ///
     /// # Errors
     ///
-    /// Propagates [`CrossbarError`] from execution.
+    /// Propagates [`CrossbarError`] from execution, and from compiling
+    /// the square suffix on the first call.
     ///
     /// # Panics
     ///
@@ -489,7 +471,7 @@ impl PrecomputeStage {
         // additions — together one verified program.
         let chunks: Vec<&Uint> = da.chunks.iter().chain(da.chunks.iter()).collect();
         let writes = self.chunk_writes(&chunks);
-        let suffix = self.verified_suffix(&writes, 5, "PrecomputeStage::program");
+        let suffix = self.verified(&writes, self.square_suffix()?, "PrecomputeStage::program");
         exec.run(&writes)?;
         for addition in suffix.additions.iter() {
             exec.run_compiled(addition)?;
@@ -561,14 +543,14 @@ impl PrecomputeStage {
 
         // (i)+(ii) The 8 chunk writes and the ten tree additions —
         // 8 + 10·adder cc. The operand writes are rebuilt per call;
-        // the addition suffix comes from the program cache as one
-        // compiled program per addition, so each addition's op events
+        // the addition suffix is the stage's own, one compiled
+        // program per addition, so each addition's op events
         // nest under its own span. The op sequence is identical to
         // [`PrecomputeStage::program`] (checked in debug/test builds
         // by the same static verification).
         let chunks: Vec<&Uint> = da.chunks.iter().chain(db.chunks.iter()).collect();
         let writes_prog = self.chunk_writes(&chunks);
-        let suffix = self.verified_suffix(&writes_prog, ADDITIONS.len(), "PrecomputeStage::program");
+        let suffix = self.verified(&writes_prog, &self.suffix, "PrecomputeStage::program");
         let writes = tracer.span_at(track, "write chunks", start_cycle);
         exec.run(&writes_prog)?;
         writes.end(start_cycle + exec.stats().cycles);
@@ -606,6 +588,90 @@ impl PrecomputeStage {
             endurance,
         })
     }
+}
+
+/// The layout of the addition with result row `sum` on the shared
+/// `width`-bit adder.
+fn adder_for(width: usize, x: usize, y: usize, sum: usize) -> KoggeStoneAdder {
+    let scratch: [usize; SCRATCH_ROWS] = std::array::from_fn(|i| SCRATCH_BASE + i);
+    KoggeStoneAdder::with_layout(
+        width,
+        AdderLayout {
+            x_row: x,
+            y_row: y,
+            sum_row: sum,
+            scratch,
+            col_base: 0,
+        },
+    )
+}
+
+/// Compiles the operand-independent addition suffix covering the
+/// first `additions` entries of [`ADDITIONS`] for `n`-bit operands at
+/// `opt`.
+///
+/// Above `O0` the suffix is optimized as a *whole* (cross-stage
+/// program fusion): dead-write elimination runs over the
+/// concatenation with the result and scratch rows as live-out, so
+/// each addition's trailing scratch reset — overwritten unread by
+/// the next addition's init wave — is eliminated for all but the
+/// last addition, along with the per-adder dead ops. At `O2`+ each
+/// addition is then re-packed into co-issue bundles individually
+/// (bundles never straddle addition boundaries, preserving
+/// per-addition trace attribution).
+fn addition_suffix(
+    n: usize,
+    opt: OptLevel,
+    additions: usize,
+) -> Result<SuffixProgram, CrossbarError> {
+    let (width, cols) = (n / 4 + 1, n / 4 + 2);
+    let parts: Vec<_> = ADDITIONS[..additions]
+        .iter()
+        .map(|&(x, y, sum)| adder_for(width, x, y, sum).program(AddOp::Add))
+        .collect();
+    if opt == OptLevel::O0 {
+        let mut ops = Vec::new();
+        let mut ends = Vec::with_capacity(additions);
+        for part in parts {
+            ops.extend(part);
+            ends.push(ops.len());
+        }
+        return SuffixProgram::new(ops, &ends);
+    }
+    // Tag every op with its addition, fuse, and eliminate dead
+    // writes across the whole suffix. Live-out: the ten result
+    // rows plus the scratch region (which the stage contract
+    // requires reset — keeping exactly the final reset alive).
+    let mut tags = Vec::new();
+    let mut fused = Vec::new();
+    for (i, part) in parts.into_iter().enumerate() {
+        tags.extend(std::iter::repeat_n(i, part.len()));
+        fused.extend(part);
+    }
+    let mut live_out = vec![Region::new(RESULT_BASE..RESULT_BASE + 10, 0..cols)];
+    live_out.push(Region::new(
+        SCRATCH_BASE..SCRATCH_BASE + SCRATCH_ROWS,
+        0..cols,
+    ));
+    let whole = MirProgram::from_ops(ROWS, cols, fused, live_out);
+    let keep = cim_mir::dead_write_mask(&whole);
+    let limits = TileLimits::for_array(ROWS, cols);
+    let mut ops: Vec<MicroOp> = Vec::new();
+    let mut ends = Vec::with_capacity(additions);
+    for i in 0..additions {
+        let kept: Vec<MicroOp> = (0..whole.len())
+            .filter(|&j| keep[j] && tags[j] == i)
+            .map(|j| whole.ops()[j].clone())
+            .collect();
+        if opt >= OptLevel::O2 {
+            let frag = MirProgram::from_ops(ROWS, cols, kept, Vec::new());
+            ops.extend(cim_mir::parallel_pack(&frag, &limits));
+        } else {
+            ops.extend(kept);
+        }
+        ends.push(ops.len());
+    }
+    SuffixProgram::new(ops, &ends)
 }
 
 #[cfg(test)]

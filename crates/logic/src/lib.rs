@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod condsub;
 pub mod gates;
 pub mod kogge_stone;
 pub mod multpim;

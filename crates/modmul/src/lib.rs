@@ -38,7 +38,6 @@
 pub mod barrett;
 pub mod ec;
 pub mod fields;
-pub mod inmemory;
 pub mod montgomery;
 pub mod sparse;
 

@@ -79,7 +79,7 @@ impl MontgomeryContext {
     }
 
     /// The precomputed `m′ = −m⁻¹ mod R` (needed by hardware REDC
-    /// implementations such as [`crate::inmemory::InMemoryMontgomery`]).
+    /// implementations).
     pub fn m_prime(&self) -> &Uint {
         &self.m_prime
     }

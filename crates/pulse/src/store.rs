@@ -55,7 +55,6 @@ impl Default for TimelineConfig {
                 "cim_sched_*".to_string(),
                 "cim_obs_*".to_string(),
                 "cim_pulse_*".to_string(),
-                "cim_core_progcache_*".to_string(),
             ],
         }
     }
@@ -314,19 +313,17 @@ mod tests {
     }
 
     #[test]
-    fn default_filter_tracks_progcache_gauges() {
+    fn default_filter_leaves_core_families_out() {
         let config = TimelineConfig::default();
-        assert!(config.tracks("cim_core_progcache_hits"));
-        assert!(config.tracks("cim_core_progcache_misses"));
-        assert!(config.tracks("cim_core_progcache_entries"));
-        // Other core families stay opt-in: the timeline is a fleet
-        // view, not a per-multiplication firehose.
+        assert!(config.tracks("cim_serve_requests_total"));
+        // Core families stay opt-in: the timeline is a fleet view, not
+        // a per-multiplication firehose.
         assert!(!config.tracks("cim_core_stage_cycles"));
         let mut store = TimelineStore::new(config);
         let hub = MetricsHub::recording();
-        hub.set_gauge("cim_core_progcache_hits", "", &Labels::new(), 42.0);
+        hub.set_gauge("cim_core_area_cells", "", &Labels::new(), 42.0);
         store.scrape(5, &hub.snapshot());
-        assert_eq!(store.series_count(), 1);
+        assert_eq!(store.series_count(), 0);
     }
 
     #[test]

@@ -202,15 +202,6 @@ fn main() -> ExitCode {
         attribution = attribution.with_depth1(d);
     }
     let metrics_match = attribution_matches_registry(&attribution, &attr_hub, width);
-    // Program-cache health after the run + attribution multiply: the
-    // core publishes `cim_core_progcache_*` gauges with every report;
-    // read them back from the same registry the operator scrapes.
-    let attr_snapshot = attr_hub.snapshot();
-    let progcache = ProgcacheHealth {
-        hits: attr_snapshot.number("cim_core_progcache_hits").unwrap_or(0.0) as u64,
-        misses: attr_snapshot.number("cim_core_progcache_misses").unwrap_or(0.0) as u64,
-        entries: attr_snapshot.number("cim_core_progcache_entries").unwrap_or(0.0) as u64,
-    };
 
     // (3) Wear: replay the run's write pattern onto one persistent
     // mult-stage array (9 leaf rows × 12·w cells) — each replayed
@@ -236,7 +227,6 @@ fn main() -> ExitCode {
         events: &events,
         attribution: &attribution,
         metrics_match,
-        progcache: &progcache,
         heatmap: &heatmap,
         lifetime,
         replays,
@@ -262,7 +252,6 @@ fn main() -> ExitCode {
         &events,
         &attribution,
         metrics_match,
-        &progcache,
         &heatmap,
         &percentiles,
         &slo,
@@ -287,13 +276,6 @@ fn main() -> ExitCode {
         return ExitCode::from(3);
     }
     ExitCode::SUCCESS
-}
-
-/// Compiled-program cache gauges read back from the metrics registry.
-struct ProgcacheHealth {
-    hits: u64,
-    misses: u64,
-    entries: u64,
 }
 
 /// The slowest request with both an `admit` and a `job_retire` event
@@ -393,7 +375,6 @@ struct RenderInput<'a> {
     events: &'a [ObsEvent],
     attribution: &'a AttributionReport,
     metrics_match: bool,
-    progcache: &'a ProgcacheHealth,
     heatmap: &'a WearHeatmap,
     lifetime: u64,
     replays: u64,
@@ -459,12 +440,6 @@ fn render_json(input: RenderInput<'_>) -> String {
     w.key("attribution_matches_metrics").bool(input.metrics_match);
     w.key("attribution_sums_exactly").bool(input.attribution.sums_exactly());
 
-    w.key("progcache").open_object();
-    w.field_uint("hits", input.progcache.hits)
-        .field_uint("misses", input.progcache.misses)
-        .field_uint("entries", input.progcache.entries);
-    w.close_object();
-
     w.key("wear").open_object();
     w.key("mult_stage_heatmap");
     input.heatmap.write_json(&mut w);
@@ -503,7 +478,6 @@ fn render_dashboard(
     events: &[ObsEvent],
     attribution: &AttributionReport,
     metrics_match: bool,
-    progcache: &ProgcacheHealth,
     heatmap: &WearHeatmap,
     percentiles: &WearPercentiles,
     slo: &SloEngine,
@@ -574,11 +548,6 @@ fn render_dashboard(
             d.stage_cycles, d.area_cells
         );
     }
-
-    println!(
-        "-- progcache: {} hits / {} misses, {} compiled programs resident --",
-        progcache.hits, progcache.misses, progcache.entries
-    );
 
     println!("-- wear --");
     println!(

@@ -76,21 +76,11 @@ fn prometheus_exposition_covers_all_three_layers() {
 
 #[test]
 fn metrics_pipeline_is_deterministic() {
-    // The `cim_core_progcache_*` gauges are *process-wide* compiled-
-    // program cache totals by design (hits accumulate across every
-    // multiply in the process, including the other tests in this
-    // binary), so they are the one family excluded from the per-run
-    // bit-identity check — their presence is asserted instead.
+    // The whole snapshot, every family included, must repeat exactly.
     let once = || {
         let hub = MetricsHub::recording();
         run_workload(&hub);
-        let mut snap = hub.snapshot();
-        let had_progcache = snap
-            .families
-            .iter()
-            .any(|f| f.name.starts_with("cim_core_progcache_"));
-        assert!(had_progcache, "progcache gauges published with the report");
-        snap.families.retain(|f| !f.name.starts_with("cim_core_progcache_"));
+        let snap = hub.snapshot();
         (prometheus::render(&snap), snap.to_json())
     };
     let (prom_a, json_a) = once();
