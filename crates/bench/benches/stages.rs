@@ -3,8 +3,13 @@
 //! multiplier, at the paper's operand sizes. The *simulated cycle*
 //! numbers these stages report are asserted against the paper's
 //! formulas in the test suites; this bench tracks simulator speed.
+//! The `*_lanes` entries time the three batch stage cores on a full
+//! 64-lane, 384-bit O3 batch kept in lane words — the split of one
+//! `multiply_batch` op, without its edge transposes and gold check.
 
 use cim_bigint::rng::UintRng;
+use cim_bigint::Uint;
+use cim_mir::OptLevel;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use karatsuba_cim::chunks::decompose_operand;
 use karatsuba_cim::multiplier::KaratsubaCimMultiplier;
@@ -44,5 +49,38 @@ fn bench_stages(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_stages);
+fn bench_lane_cores(c: &mut Criterion) {
+    let mut group = c.benchmark_group("batch_stage_cores");
+    group.sample_size(10);
+    let (n, lanes) = (384usize, 64usize);
+    let mut rng = UintRng::seeded(3);
+    let pairs: Vec<(Uint, Uint)> = (0..lanes)
+        .map(|_| (rng.uniform(n), rng.uniform(n)))
+        .collect();
+    let (a, b) = cim_logic::pair_lanes(&pairs, n);
+    let pre = PrecomputeStage::with_opt_level(n, OptLevel::O3).expect("stage");
+    let mult = MultiplyStage::with_opt_level(n, OptLevel::O3).expect("stage");
+    let post = PostcomputeStage::with_opt_level(n, OptLevel::O3).expect("stage");
+    let leaves = pre.run_batch_lanes(&a, &b, lanes).expect("run");
+    let products = mult
+        .run_batch_lanes(&leaves.a_leaves, &leaves.b_leaves, lanes)
+        .expect("run")
+        .products;
+    let id = |stage: &str| BenchmarkId::new(stage, format!("{lanes}x{n}"));
+    group.bench_function(id("precompute_lanes"), |bench| {
+        bench.iter(|| pre.run_batch_lanes(&a, &b, lanes).expect("run"))
+    });
+    group.bench_function(id("multiply_lanes"), |bench| {
+        bench.iter(|| {
+            mult.run_batch_lanes(&leaves.a_leaves, &leaves.b_leaves, lanes)
+                .expect("run")
+        })
+    });
+    group.bench_function(id("postcompute_lanes"), |bench| {
+        bench.iter(|| post.run_batch_lanes(&products, lanes).expect("run"))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_stages, bench_lane_cores);
 criterion_main!(benches);

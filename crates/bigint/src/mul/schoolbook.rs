@@ -21,25 +21,35 @@ pub fn mul(a: &Uint, b: &Uint) -> Uint {
     if a.is_zero() || b.is_zero() {
         return Uint::zero();
     }
-    let al = a.limbs();
-    let bl = b.limbs();
-    let mut out = vec![0u64; al.len() + bl.len()];
-    for (i, &x) in al.iter().enumerate() {
+    let mut out = vec![0u64; a.limbs().len() + b.limbs().len()];
+    mul_limbs(a.limbs(), b.limbs(), &mut out);
+    Uint::from_limbs(out)
+}
+
+/// Schoolbook product of little-endian limb slices into `out`, which
+/// must hold `a.len() + b.len()` limbs (overwritten): [`mul`] without
+/// the `Uint` wrapping, for callers that keep many products in one
+/// flat buffer.
+///
+/// # Panics
+///
+/// Panics if `out` is not `a.len() + b.len()` limbs long.
+pub fn mul_limbs(a: &[u64], b: &[u64], out: &mut [u64]) {
+    assert_eq!(
+        out.len(),
+        a.len() + b.len(),
+        "product needs a.len() + b.len() limbs"
+    );
+    out.fill(0);
+    for (i, &x) in a.iter().enumerate() {
         let mut carry = 0u128;
-        for (j, &y) in bl.iter().enumerate() {
+        for (j, &y) in b.iter().enumerate() {
             let cur = out[i + j] as u128 + x as u128 * y as u128 + carry;
             out[i + j] = cur as u64;
             carry = cur >> 64;
         }
-        let mut k = i + bl.len();
-        while carry != 0 {
-            let cur = out[k] as u128 + carry;
-            out[k] = cur as u64;
-            carry = cur >> 64;
-            k += 1;
-        }
+        out[i + b.len()] = carry as u64;
     }
-    Uint::from_limbs(out)
 }
 
 /// Number of 1-bit AND operations a bit-serial schoolbook multiplier

@@ -229,7 +229,13 @@ mod tests {
     /// Lane-masked entries carry a pulse count. Random `(range, mask,
     /// pulses)` entries mixed with uniform adds must leave every lane
     /// of every cell with the count a per-lane, per-cell counter model
-    /// holds, and every lane's report must be that model's fold.
+    /// holds, and every lane's report must be that model's fold. The
+    /// steps also cover the fold's edges: dense uniform adds (uniform
+    /// wear that varies cell by cell under masked entries, zero cells
+    /// among them), narrow uniform spans that leave zero gaps inside
+    /// masked spans, entries that start or end exactly on a uniform
+    /// boundary, entries that abut the previous entry at one column in
+    /// the same lane, and masks with bits above the active lanes.
     #[test]
     fn pulse_count_masked_entries_match_a_per_cell_model() {
         let mut state = 0x2545_f491_4f6c_dd1du64;
@@ -243,34 +249,78 @@ mod tests {
         for lanes in [1usize, 37, 64] {
             let mut x = Crossbar::new_sliced(rows, cols, lanes).unwrap();
             let mut model = vec![vec![0u64; rows * cols]; lanes];
-            for step in 0..120 {
+            // Per row: the columns where a uniform add began or ended,
+            // and the span and mask of the last masked entry.
+            let mut edges: Vec<Vec<usize>> = vec![vec![0]; rows];
+            let mut last: Vec<Option<(usize, usize, u64)>> = vec![None; rows];
+            for step in 0..180 {
                 let row = next(rows as u64) as usize;
-                let start = next(cols as u64) as usize;
-                let end = start + next((cols - start) as u64 + 1) as usize;
+                let mut start = next(cols as u64) as usize;
+                let mut end = start + next((cols - start) as u64 + 1) as usize;
                 let pulses = next(5);
-                let mask = match next(4) {
+                let mut mask = match next(5) {
                     0 => u64::MAX,
                     1 => 1 << next(lanes as u64),
                     2 => next(u64::MAX) & next(u64::MAX),
+                    3 => !(u64::MAX >> (64 - lanes)) | 1 << next(lanes as u64),
                     _ => next(u64::MAX) | next(u64::MAX),
                 };
-                let lane_mask = |l: usize| mask >> l & 1 == 1;
-                if step % 3 == 0 {
-                    x.wear_region(&Region::new(row..row + 1, start..end), pulses)
-                        .unwrap();
-                    for counts in &mut model {
-                        counts[row * cols + start..row * cols + end]
-                            .iter_mut()
-                            .for_each(|c| *c += pulses);
+                let add = |model: &mut [Vec<u64>], mask: u64, col: usize, p: u64| {
+                    let lanes = model
+                        .iter_mut()
+                        .enumerate()
+                        .filter(|(l, _)| mask >> l & 1 == 1);
+                    for (_, counts) in lanes {
+                        counts[row * cols + col] += p;
                     }
-                } else {
-                    x.wear_row_lanes_masked(row, start..end, mask, pulses)
-                        .unwrap();
-                    let masked = model.iter_mut().enumerate().filter(|(l, _)| lane_mask(*l));
-                    for (_, counts) in masked {
-                        counts[row * cols + start..row * cols + end]
-                            .iter_mut()
-                            .for_each(|c| *c += pulses);
+                };
+                match step % 6 {
+                    0 => {
+                        // A narrow uniform span: zero gaps stay around it.
+                        end = (start + 1 + next(12) as usize).min(cols);
+                        x.wear_region(&Region::new(row..row + 1, start..end), pulses)
+                            .unwrap();
+                        (start..end).for_each(|c| add(&mut model, u64::MAX, c, pulses));
+                        edges[row].extend([start, end]);
+                    }
+                    1 => {
+                        // Dense uniform pulses, zeros among them.
+                        end = (start + 1 + next(24) as usize).min(cols);
+                        let dense: Vec<u64> = (start..end).map(|_| next(4) * next(2)).collect();
+                        x.wear_row_dense(row, start, &dense).unwrap();
+                        for (c, &p) in (start..end).zip(&dense) {
+                            add(&mut model, u64::MAX, c, p);
+                        }
+                        edges[row].extend([start, end]);
+                    }
+                    k => {
+                        let e = &edges[row];
+                        match (k, last[row]) {
+                            // Starts or ends on a uniform boundary.
+                            (2, _) => start = e[next(e.len() as u64) as usize],
+                            (3, _) => end = e[next(e.len() as u64) as usize].max(start),
+                            // Abuts the last entry in one of its lanes.
+                            (4, Some((s, t, m))) if m != 0 => {
+                                mask = 1 << m.trailing_zeros();
+                                if t < cols && next(2) == 0 {
+                                    start = t;
+                                    end = end.max(t + 1);
+                                } else {
+                                    (start, end) = (start.min(s.saturating_sub(1)), s);
+                                }
+                            }
+                            _ => {}
+                        }
+                        if start >= end {
+                            end = (start + 1).min(cols);
+                            start = end - 1;
+                        }
+                        x.wear_row_lanes_masked(row, start..end, mask, pulses)
+                            .unwrap();
+                        (start..end).for_each(|c| add(&mut model, mask, c, pulses));
+                        if pulses > 0 {
+                            last[row] = Some((start, end, mask));
+                        }
                     }
                 }
                 if step % 20 != 19 {

@@ -7,7 +7,7 @@
 //! this way, so a shift is a column offset ([`place_cols`]) and a
 //! truncation a slice. Per-lane values (little-endian `u64` limbs
 //! where bit `j` is column `j`) exist only at a batch's edges, where
-//! [`transpose_lanes`] and [`lane_limbs`] convert with 64×64
+//! [`transpose_lanes`] and [`lane_limbs_flat`] convert with 64×64
 //! bit-matrix transposes, `O(cols · log 64)` word operations instead
 //! of `lanes × cols` bit moves.
 
@@ -40,12 +40,40 @@ fn transpose64(m: &mut [u64; 64]) {
 /// Panics if more than 64 lanes are given.
 pub fn transpose_lanes(per_lane: &[&[u64]], cols: usize) -> Vec<u64> {
     assert!(per_lane.len() <= 64, "at most 64 lanes per word");
+    to_cols(per_lane.len(), cols, |l, bi| {
+        per_lane[l].get(bi).copied().unwrap_or(0)
+    })
+}
+
+/// [`transpose_lanes`] from one flat buffer of per-lane limbs, lane
+/// `l`'s at `flat[l * stride..][..stride]` (the layout
+/// [`lane_limbs_flat`] leaves): `flat.len() / stride` lanes, limbs
+/// past `stride` read as zero.
+///
+/// # Panics
+///
+/// Panics if `stride` is zero or the buffer holds more than 64 lanes.
+pub fn transpose_lanes_flat(flat: &[u64], stride: usize, cols: usize) -> Vec<u64> {
+    let lanes = flat.len() / stride;
+    assert!(lanes <= 64, "at most 64 lanes per word");
+    to_cols(lanes, cols, |l, bi| {
+        if bi < stride {
+            flat[l * stride + bi]
+        } else {
+            0
+        }
+    })
+}
+
+/// `cols` lane words from `lanes` lanes, `limb(l, bi)` giving limb `bi`
+/// of lane `l`: one 64×64 transpose per 64-column block.
+fn to_cols(lanes: usize, cols: usize, limb: impl Fn(usize, usize) -> u64) -> Vec<u64> {
     let mut out = vec![0u64; cols];
     let mut buf = [0u64; 64];
     for (bi, chunk) in out.chunks_mut(64).enumerate() {
         buf.fill(0);
-        for (l, limbs) in per_lane.iter().enumerate() {
-            buf[l] = limbs.get(bi).copied().unwrap_or(0);
+        for (l, slot) in buf[..lanes].iter_mut().enumerate() {
+            *slot = limb(l, bi);
         }
         transpose64(&mut buf);
         chunk.copy_from_slice(&buf[..chunk.len()]);
@@ -53,27 +81,24 @@ pub fn transpose_lanes(per_lane: &[&[u64]], cols: usize) -> Vec<u64> {
     out
 }
 
-/// The inverse of [`transpose_lanes`]: per-column lane words back into
-/// per-lane limb vectors. `out[l]` has `col_words.len().div_ceil(64)`
-/// limbs with bit `j` equal to bit `l` of `col_words[j]`.
-///
-/// # Panics
-///
-/// Panics if more than 64 lanes are requested.
-pub fn lane_limbs(col_words: &[u64], lanes: usize) -> Vec<Vec<u64>> {
-    assert!(lanes <= 64, "at most 64 lanes per word");
-    let blocks = col_words.len().div_ceil(64);
-    let mut out = vec![vec![0u64; blocks]; lanes];
+/// The inverse of [`transpose_lanes`] into one flat buffer: `out`
+/// becomes 64 lanes of `stride = col_words.len().div_ceil(64)` limbs,
+/// lane `l`'s at `out[l * stride..][..stride]` with bit `j` equal to
+/// bit `l` of `col_words[j]`. Returns `stride`.
+pub fn lane_limbs_flat(col_words: &[u64], out: &mut Vec<u64>) -> usize {
+    let stride = col_words.len().div_ceil(64);
+    out.clear();
+    out.resize(64 * stride, 0);
     let mut buf = [0u64; 64];
     for (bi, chunk) in col_words.chunks(64).enumerate() {
         buf.fill(0);
         buf[..chunk.len()].copy_from_slice(chunk);
         transpose64(&mut buf);
-        for (l, limbs) in out.iter_mut().enumerate() {
-            limbs[bi] = buf[l];
+        for (l, &limb) in buf.iter().enumerate() {
+            out[l * stride + bi] = limb;
         }
     }
-    out
+    stride
 }
 
 /// ORs the lane words `src` into `dst` from column `at` on: the
@@ -105,6 +130,16 @@ pub fn place_cols(dst: &mut [u64], at: usize, src: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first `lanes` lanes' limbs of `col_words`, one vector each.
+    fn lane_limbs(col_words: &[u64], lanes: usize) -> Vec<Vec<u64>> {
+        let mut flat = Vec::new();
+        let stride = lane_limbs_flat(col_words, &mut flat);
+        flat.chunks(stride.max(1))
+            .take(lanes)
+            .map(<[u64]>::to_vec)
+            .collect()
+    }
 
     #[test]
     fn transpose64_moves_single_bits() {
@@ -145,6 +180,12 @@ mod tests {
             }
         }
         let back = lane_limbs(&cols, 3);
+        let flat: Vec<u64> = back.concat();
+        assert_eq!(
+            transpose_lanes_flat(&flat, 3, 130),
+            cols,
+            "flat buffers round-trip"
+        );
         for (l, limbs) in lanes.iter().enumerate() {
             // Bits at column 130 and beyond are truncated by the
             // forward transpose; mask them off the expectation.

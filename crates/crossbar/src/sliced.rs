@@ -678,69 +678,97 @@ impl SlicedPlanes {
     }
 
     /// `(max, total, touched)` per-cell write statistics of **all**
-    /// lanes in one sweep — `out` must hold `MAX_LANES` slots (only
+    /// lanes in one sweep, as `MAX_LANES` slots (only
     /// the active ones are meaningful). Rows with only uniform wear
-    /// are folded once and added to every lane at the end. A row with
-    /// masked entries is swept over its entry boundaries in column
-    /// order: each lane's wear is constant between two changes of its
-    /// own masked count or of the uniform wear, so a lane folds its
-    /// current run into its statistics only when an entry selecting it
-    /// starts or ends, and every lane folds at each uniform boundary.
+    /// are folded once and added to every lane at the end. On a row
+    /// with masked entries the uniform wear still counts once for all
+    /// lanes (its total, its touched cells and its max), and each
+    /// entry adds to its lanes:
+    ///
+    /// * `total`: `pulses × len` per selected lane, added at the
+    ///   entry's start (it is additive, so no run is ever closed);
+    /// * `max`: a lane's wear changes only where one of its entries
+    ///   starts or ends or the uniform wear changes, and only a start
+    ///   or a uniform boundary can raise it, so those are the only
+    ///   columns where it is read (at equal columns ends go first);
+    /// * `touched`: the lane's own coverage, counted only inside
+    ///   segments whose uniform wear is zero.
+    ///
     /// That costs O(entry lanes + uniform segments · lanes) per row
-    /// instead of O(lanes · cols).
+    /// instead of O(lanes · cols), with no run closed per lane-event.
     pub(crate) fn lane_wear_stats_all(&self) -> Vec<WearStats> {
-        let mut out = vec![WearStats::default(); MAX_LANES];
+        let (active, lanes) = (self.active_mask(), self.lanes);
         let mut shared = WearStats::default();
-        let mut events: Vec<(u32, u64, i64)> = Vec::new();
-        let mut uni_segs: Vec<(usize, u64)> = Vec::new();
+        let mut sweep = LaneSweep::new();
+        let most = self.masked.iter().map(Vec::len).max().unwrap_or(0);
+        let mut segs: Vec<(usize, usize, u64)> = Vec::new();
+        let (mut starts, mut ends) = (Vec::with_capacity(most), Vec::with_capacity(most));
+        let mut events = Vec::with_capacity(2 * most);
         for row in 0..self.rows {
             let entries = &self.masked[row];
             if entries.is_empty() {
                 shared.merge(self.uniform.row_stats(row));
                 continue;
             }
-            uni_segs.clear();
+            segs.clear();
             let mut c = 0usize;
-            self.uniform.for_each_segment(row, |w, n| {
-                uni_segs.push((c, w));
+            self.uniform.for_each_segment(row, |u, n| {
+                shared.add_run(u, n);
+                segs.push((c, c + n, u));
                 c += n;
             });
-            events.clear();
-            events.reserve(entries.len() * 2);
-            for e in entries {
-                let pulses = e.pulses as i64;
-                events.push((e.start, e.mask, pulses));
-                events.push((e.end, e.mask, -pulses));
+            // Starts and ends each sorted by column (stable sorts run
+            // in linear time on the nearly ordered entries the stages
+            // push), then merged with ends first at one column.
+            starts.clear();
+            ends.clear();
+            for e in entries.iter().filter(|e| e.mask & active != 0) {
+                let (mask, len) = (e.mask & active, u64::from(e.end - e.start));
+                let event = |col, start| LaneEvent {
+                    col,
+                    start,
+                    mask,
+                    pulses: e.pulses,
+                    len,
+                };
+                starts.push(event(e.start, true));
+                ends.push(event(e.end, false));
             }
-            events.sort_unstable_by_key(|&(col, _, _)| col);
+            starts.sort_by_key(|e| e.col);
+            ends.sort_by_key(|e| e.col);
+            events.clear();
+            let (mut s, mut t) = (starts.iter().peekable(), ends.iter().peekable());
+            while let Some(&next) = match (s.peek(), t.peek()) {
+                (Some(x), Some(y)) if x.col < y.col => s.next(),
+                (_, Some(_)) => t.next(),
+                _ => s.next(),
+            } {
+                events.push(next);
+            }
 
-            // Per lane: masked pulses on the current column, and the
-            // first column of the run not yet folded.
-            let mut count = [0i64; MAX_LANES];
-            let mut from = [0usize; MAX_LANES];
-            let mut ei = 0;
-            for (k, &(_, u)) in uni_segs.iter().enumerate() {
-                let end = uni_segs.get(k + 1).map_or(self.cols, |&(c, _)| c);
-                while let Some(&(col, mask, delta)) =
-                    events.get(ei).filter(|e| (e.0 as usize) < end)
-                {
-                    let col = col as usize;
-                    let mut m = mask;
-                    while m != 0 {
-                        let lane = m.trailing_zeros() as usize;
-                        out[lane].add_run(u + count[lane] as u64, col - from[lane]);
-                        from[lane] = col;
-                        count[lane] += delta;
-                        m &= m - 1;
-                    }
-                    ei += 1;
+            sweep.count = [0; MAX_LANES];
+            let mut events = events.iter().peekable();
+            for &(seg_start, seg_end, u) in &segs {
+                sweep.from[..lanes].fill(seg_start);
+                // Events on the segment's first column settle before
+                // every lane reads its level there.
+                while let Some(e) = events.next_if(|e| e.col as usize == seg_start) {
+                    sweep.apply(e, u);
                 }
-                for (lane, s) in out.iter_mut().enumerate() {
-                    s.add_run(u + count[lane] as u64, end - from[lane]);
-                    from[lane] = end;
+                for l in 0..lanes {
+                    sweep.stats[l].max = sweep.stats[l].max.max(u + sweep.count[l]);
+                }
+                while let Some(e) = events.next_if(|e| (e.col as usize) < seg_end) {
+                    sweep.apply(e, u);
+                }
+                if u == 0 {
+                    for l in (0..lanes).filter(|&l| sweep.count[l] > 0) {
+                        sweep.stats[l].touched += seg_end - sweep.from[l];
+                    }
                 }
             }
         }
+        let mut out = sweep.stats.to_vec();
         for s in &mut out {
             s.merge(shared);
         }
@@ -759,6 +787,74 @@ impl SlicedPlanes {
         for m in &mut self.masked {
             m.clear();
         }
+    }
+}
+
+/// One end of a lane-masked wear entry, as the per-lane sweep visits it.
+#[derive(Debug, Clone, Copy)]
+struct LaneEvent {
+    col: u32,
+    start: bool,
+    mask: u64,
+    pulses: u64,
+    /// Columns the entry spans.
+    len: u64,
+}
+
+/// Per-lane state of [`SlicedPlanes::lane_wear_stats_all`]'s sweep.
+struct LaneSweep {
+    /// Masked pulses on the current column of the current row.
+    count: [u64; MAX_LANES],
+    /// Where the lane's coverage of the current zero segment began.
+    from: [usize; MAX_LANES],
+    /// The lane's masked wear folded so far: every entry's pulses in
+    /// `total`, the peaks of uniform plus masked wear in `max`, and
+    /// coverage of zero-uniform segments in `touched`.
+    stats: [WearStats; MAX_LANES],
+}
+
+impl LaneSweep {
+    fn new() -> Self {
+        LaneSweep {
+            count: [0; MAX_LANES],
+            from: [0; MAX_LANES],
+            stats: [WearStats::default(); MAX_LANES],
+        }
+    }
+
+    /// Applies one event inside a segment of uniform wear `u`: a start
+    /// is the only place a lane's level can rise, an end in a zero
+    /// segment the only place its coverage can stop.
+    #[inline]
+    fn apply(&mut self, e: &LaneEvent, u: u64) {
+        let (col, p) = (e.col as usize, e.pulses);
+        match (e.start, u == 0) {
+            (true, zero) => for_lanes(e.mask, |l| {
+                if zero && self.count[l] == 0 {
+                    self.from[l] = col;
+                }
+                self.count[l] += p;
+                let s = &mut self.stats[l];
+                s.total += p * e.len;
+                s.max = s.max.max(u + self.count[l]);
+            }),
+            (false, true) => for_lanes(e.mask, |l| {
+                self.count[l] -= p;
+                if self.count[l] == 0 {
+                    self.stats[l].touched += col - self.from[l];
+                }
+            }),
+            (false, false) => for_lanes(e.mask, |l| self.count[l] -= p),
+        }
+    }
+}
+
+/// Calls `f` with each lane whose bit is set in `mask`, lowest first.
+#[inline]
+fn for_lanes(mut mask: u64, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
     }
 }
 

@@ -13,7 +13,8 @@
 //! only the columns that have been folded in. A controller that
 //! already knows a whole span's per-cell pulse counts (the closed-form
 //! row multiplier) adds them to the block in one dense add
-//! ([`WearPlane::add_dense`]) instead of one range entry per write.
+//! ([`WearPlane::add_dense`]) instead of one range entry per write;
+//! only the pending entries that reach into that span fold with it.
 
 use std::ops::Range;
 
@@ -185,15 +186,33 @@ impl WearPlane {
     }
 
     /// Records `pulses[j]` write pulses for cell `col0 + j` of `row`:
-    /// one dense add into the row's block, which also folds the pending
-    /// entries in, so the row's wear is the block alone afterwards.
+    /// one dense add into the row's block, grown to cover the span.
+    /// Pending entries that reach into the block fold in with it (and
+    /// may grow it further); the others stay pending, so the block
+    /// spans only the dense writes and what overlaps them, and a row
+    /// whose other entries are in order and disjoint keeps
+    /// [`WearPlane::row_stats`]'s direct fold.
     pub(crate) fn add_dense(&mut self, row: usize, col0: usize, pulses: &[u64]) {
         if pulses.is_empty() {
             return;
         }
         let rw = &mut self.rows[row];
         rw.cover(col0..col0 + pulses.len());
-        rw.fold_pending();
+        loop {
+            let block = rw.block_cols();
+            let inside = |&(s, e, _): &(u32, u32, u64)| {
+                (s as usize) < block.end && (e as usize) > block.start
+            };
+            if !rw.pending.iter().any(inside) {
+                break;
+            }
+            let (fold, keep) = std::mem::take(&mut rw.pending)
+                .into_iter()
+                .partition(inside);
+            rw.pending = fold;
+            rw.fold_pending();
+            rw.pending = keep;
+        }
         let at = col0 - rw.col0;
         for (w, &p) in rw.block[at..at + pulses.len()].iter_mut().zip(pulses) {
             *w += p;
@@ -395,9 +414,30 @@ mod tests {
         p.add(0, 0..2, 1);
         p.add(0, 9..11, 3);
         p.add_dense(0, 4, &[1, 0, 2]);
-        assert!(p.rows[0].pending.is_empty());
-        assert_eq!(p.rows[0].block_cols(), 0..11);
+        // Neither entry reaches into the dense span: the block holds
+        // the span alone and both stay pending, in order and disjoint.
+        assert_eq!(p.rows[0].pending, vec![(0, 2, 1), (9, 11, 3)]);
+        assert_eq!(p.rows[0].block_cols(), 4..7);
+        assert!(p.rows[0].pending_disjoint());
         assert_eq!(materialize(&p, 0), vec![1, 1, 0, 0, 1, 0, 2, 0, 0, 3, 3, 0]);
+    }
+
+    /// An entry overlapping the dense span folds in and grows the
+    /// block; one the grown block then reaches folds in too; a
+    /// disjoint one stays pending.
+    #[test]
+    fn dense_add_folds_only_what_reaches_the_block() {
+        let mut p = WearPlane::new(1, 16);
+        p.add(0, 0..2, 1);
+        p.add(0, 6..9, 2);
+        p.add(0, 8..11, 1);
+        p.add(0, 13..15, 4);
+        p.add_dense(0, 4, &[1, 1, 1]);
+        assert_eq!(p.rows[0].pending, vec![(0, 2, 1), (13, 15, 4)]);
+        assert_eq!(p.rows[0].block_cols(), 4..11);
+        assert!(p.rows[0].pending_disjoint());
+        let expect = vec![1, 1, 0, 0, 1, 1, 3, 2, 3, 1, 1, 0, 0, 4, 4, 0];
+        assert_eq!(materialize(&p, 0), expect);
     }
 
     /// The per-cell model the plane must agree with.

@@ -149,9 +149,11 @@ pub fn pair_lanes(pairs: &[(Uint, Uint)], width: usize) -> (Vec<u64>, Vec<u64>) 
 ///
 /// Panics if more than 64 lanes are requested.
 pub fn lane_uints(words: &[u64], lanes: usize) -> Vec<Uint> {
-    cim_crossbar::lanes::lane_limbs(words, lanes)
-        .into_iter()
-        .map(Uint::from_limbs)
+    assert!(lanes <= 64, "at most 64 lanes per word");
+    let mut flat = Vec::new();
+    let stride = cim_crossbar::lanes::lane_limbs_flat(words, &mut flat);
+    (0..lanes)
+        .map(|l| Uint::from_limbs(flat[l * stride..][..stride].to_vec()))
         .collect()
 }
 

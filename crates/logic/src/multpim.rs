@@ -38,82 +38,6 @@ use cim_crossbar::{
     BackendKind, Crossbar, CrossbarError, EnduranceReport, Executor, MicroOp, Region,
 };
 
-/// Little-endian word-vector helpers for the closed-form shift-add.
-/// All vectors are LSB-aligned `u64` words with an explicit bit
-/// length; bits past the length are kept zero.
-mod wordvec {
-    fn words_for(bits: usize) -> usize {
-        bits.div_ceil(64)
-    }
-
-    pub(super) fn bit(words: &[u64], i: usize) -> bool {
-        words.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
-    }
-
-    pub(super) fn set_bit(words: &mut [u64], i: usize, v: bool) {
-        if v {
-            words[i / 64] |= 1 << (i % 64);
-        } else {
-            words[i / 64] &= !(1 << (i % 64));
-        }
-    }
-
-    fn mask_tail(words: &mut [u64], bits: usize) {
-        let tail = bits % 64;
-        if tail != 0 {
-            if let Some(last) = words.get_mut(bits / 64) {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
-    }
-
-    /// The carries *into* each bit of the ripple sum `s = x + y`, given
-    /// `s` and `x`, over `bits` bits: `y = s − x`, and bit `k` of
-    /// `s ^ x ^ y` is the carry into bit `k`. The callers guarantee
-    /// `x ≤ s`.
-    pub(super) fn carries_of_sum(s: &[u64], x: &[u64], bits: usize) -> Vec<u64> {
-        let n = words_for(bits);
-        let mut out = vec![0u64; n];
-        let mut borrow = false;
-        for (k, slot) in out.iter_mut().enumerate() {
-            let sk = s.get(k).copied().unwrap_or(0);
-            let xk = x.get(k).copied().unwrap_or(0);
-            let (d1, b1) = sk.overflowing_sub(xk);
-            let (y, b2) = d1.overflowing_sub(u64::from(borrow));
-            borrow = b1 || b2;
-            *slot = sk ^ xk ^ y;
-        }
-        mask_tail(&mut out, bits);
-        out
-    }
-
-    /// Logical right shift by one bit, in place.
-    pub(super) fn shr1(words: &mut [u64]) {
-        for k in 0..words.len() {
-            words[k] = (words[k] >> 1) | words.get(k + 1).map_or(0, |&w| w << 63);
-        }
-    }
-
-    /// Extracts `len` bits of `src` starting at bit `start`.
-    pub(super) fn window(src: &[u64], start: usize, len: usize) -> Vec<u64> {
-        let n = words_for(len);
-        let base = start / 64;
-        let sh = start % 64;
-        let mut out = vec![0u64; n];
-        for (k, slot) in out.iter_mut().enumerate() {
-            let lo = src.get(base + k).copied().unwrap_or(0) >> sh;
-            let hi = if sh == 0 {
-                0
-            } else {
-                src.get(base + k + 1).copied().unwrap_or(0) << (64 - sh)
-            };
-            *slot = lo | hi;
-        }
-        mask_tail(&mut out, len);
-        out
-    }
-}
-
 /// Cells per row required for one `w`-bit in-row multiplier
 /// (paper: `12·(n/4+2)` for the stage's `w = n/4+2`-bit operands).
 pub const CELLS_PER_BIT: usize = 12;
@@ -514,8 +438,11 @@ impl RowMultiplier {
     ///
     /// Reads carry no wear or cycle cost, so reading the operands once
     /// instead of per iteration is unobservable. Operands and values
-    /// move as one word vector per lane ([`read_lanes`],
-    /// [`store_lanes`]), so the backend picks the bulk transfer.
+    /// move as flat per-lane limb buffers (lane `l`'s limbs at
+    /// `[l · stride, (l + 1) · stride)`): on the sliced backend one
+    /// 64×64 transpose per 64 columns in and out of each region, on
+    /// the scalar and packed backends the row's own words as lane 0.
+    /// The window masks are the `b` row's lane words themselves.
     fn shift_add_closed_form(
         &self,
         array: &mut Crossbar,
@@ -523,32 +450,48 @@ impl RowMultiplier {
         col_base: usize,
         lanes: usize,
     ) -> Result<(), CrossbarError> {
-        use cim_bigint::mul::schoolbook;
-        use wordvec as wv;
+        use cim_crossbar::lanes::{lane_limbs_flat, transpose_lanes_flat};
         let w = self.width;
         let at = |off: usize| col_base + off * w;
-        let a_lanes = read_lanes(array, row, at(A_OFF)..at(A_OFF) + w, lanes)?;
-        let b_lanes = read_lanes(array, row, at(B_OFF)..at(B_OFF) + w, lanes)?;
+        let sliced = array.backend_kind() == BackendKind::Sliced;
+        let nw = w.div_ceil(64);
+        // Operands as flat per-lane limbs; on the sliced backend the `b`
+        // row's lane words stay for the window masks.
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let (mut a_cols, mut b_cols) = (Vec::new(), Vec::new());
+        if sliced {
+            array.read_row_lane_words(row, at(A_OFF)..at(A_OFF) + w, &mut a_cols)?;
+            lane_limbs_flat(&a_cols, &mut a);
+            array.read_row_lane_words(row, at(B_OFF)..at(B_OFF) + w, &mut b_cols)?;
+            lane_limbs_flat(&b_cols, &mut b);
+        } else {
+            array.read_row_words(row, at(A_OFF)..at(A_OFF) + w, &mut a)?;
+            array.read_row_words(row, at(B_OFF)..at(B_OFF) + w, &mut b)?;
+        }
+        let b_of = |l: usize| &b[l * nw..][..nw];
 
         let scratch = Region::new(row..row + 1, at(S_OFF)..at(S_OFF) + w);
         array.reset_region(&scratch)?;
         array.wear_region(&scratch, w as u64 - 1)?;
         let written = if lanes == 1 {
-            let pulses = one_lane_pulses(&b_lanes[0], w);
+            let pulses = one_lane_pulses(b_of(0), w);
             if !pulses.is_empty() {
                 array.wear_row_dense(row, at(P_OFF), &pulses)?;
             }
             u64::from(!pulses.is_empty())
         } else {
-            let b_refs: Vec<&[u64]> = b_lanes.iter().map(Vec::as_slice).collect();
-            let bit_masks = cim_crossbar::lanes::transpose_lanes(&b_refs, w);
-            for (i, &m) in bit_masks.iter().enumerate().filter(|&(_, &m)| m != 0) {
-                array.wear_row_lanes_masked(row, at(P_OFF) + i..at(P_OFF) + i + w + 1, m, 1)?;
+            let active = u64::MAX >> (64 - lanes);
+            for (i, &m) in b_cols.iter().enumerate().filter(|&(_, &m)| m & active != 0) {
+                let window = at(P_OFF) + i..at(P_OFF) + i + w + 1;
+                array.wear_row_lanes_masked(row, window, m & active, 1)?;
             }
             // (popcount of b, lanes with that popcount).
             let mut groups: Vec<(u64, u64)> = Vec::new();
-            for (l, b) in b_lanes.iter().enumerate() {
-                let k: u64 = b.iter().map(|word| u64::from(word.count_ones())).sum();
+            for l in 0..lanes {
+                let k: u64 = b_of(l)
+                    .iter()
+                    .map(|word| u64::from(word.count_ones()))
+                    .sum();
                 match groups.iter_mut().find(|g| g.0 == k) {
                     Some(g) => g.1 |= 1 << l,
                     None => groups.push((k, 1 << l)),
@@ -558,28 +501,56 @@ impl RowMultiplier {
                 array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + 1, m, k)?;
                 array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + w, m, k)?;
             }
-            bit_masks.iter().fold(0, |any, &m| any | m)
+            b_cols.iter().fold(0, |any, &m| any | m) & active
         };
 
-        let mut p_lanes = vec![Vec::new(); lanes];
-        let mut c_lanes = vec![Vec::new(); lanes];
-        let operands = a_lanes.into_iter().zip(b_lanes).enumerate();
-        for (l, (a_words, b_words)) in operands.filter(|&(l, _)| written >> l & 1 == 1) {
-            let (a, b) = (Uint::from_limbs(a_words), Uint::from_limbs(b_words));
-            let product = schoolbook::mul(&a, &b);
-            let i_last = b.bit_len() - 1;
-            let sum = wv::window(product.limbs(), i_last, w + 2);
-            let mut carries = wv::carries_of_sum(&sum, a.limbs(), w + 2);
+        // Per written lane: the product (2·nw limbs) and the C cells'
+        // values (nw limbs), from the carries into each bit of the last
+        // active iteration's `w + 2`-bit sum, `s ^ a ^ (s − a)`.
+        let mut product = vec![0u64; lanes * 2 * nw];
+        let mut carry = vec![0u64; lanes * nw];
+        let mut carry_in = vec![0u64; (w + 2).div_ceil(64)];
+        for l in (0..lanes).filter(|&l| written >> l & 1 == 1) {
+            let (a, b) = (&a[l * nw..][..nw], b_of(l));
+            let p = &mut product[l * 2 * nw..][..2 * nw];
+            cim_bigint::mul::schoolbook::mul_limbs(a, b, p);
+            let top = b.iter().rposition(|&word| word != 0).expect("written lane");
+            let i_last = top * 64 + 63 - b[top].leading_zeros() as usize;
+            let (base, sh) = (i_last / 64, i_last % 64);
+            let mut borrow = false;
+            for (k, slot) in carry_in.iter_mut().enumerate() {
+                // Word `k` of the window `s = product >> i_last`.
+                let lo = p.get(base + k).map_or(0, |&x| x >> sh);
+                let hi = match sh {
+                    0 => 0,
+                    _ => p.get(base + k + 1).map_or(0, |&x| x << (64 - sh)),
+                };
+                let (s, x) = (lo | hi, a.get(k).copied().unwrap_or(0));
+                let (d, b1) = s.overflowing_sub(x);
+                let (y, b2) = d.overflowing_sub(u64::from(borrow));
+                borrow = b1 || b2;
+                *slot = s ^ x ^ y;
+            }
             // Reference C layout: C[k] ← carry out of bit k for
-            // k = 1..w, with j = w wrapping its carry onto C[0].
-            let wrap = wv::bit(&carries, w + 1);
-            wv::shr1(&mut carries);
-            wv::set_bit(&mut carries, 0, wrap);
-            p_lanes[l] = product.limbs().to_vec();
-            c_lanes[l] = carries;
+            // k = 1..w, with j = w wrapping its carry onto C[0]; the
+            // stores take w columns, so bits past w are never read.
+            let wrap = carry_in[(w + 1) / 64] >> ((w + 1) % 64) & 1;
+            for (k, slot) in carry[l * nw..][..nw].iter_mut().enumerate() {
+                *slot = carry_in[k] >> 1 | carry_in.get(k + 1).map_or(0, |&x| x << 63);
+            }
+            carry[l * nw] = carry[l * nw] & !1 | wrap;
         }
-        store_lanes(array, row, at(P_OFF), &p_lanes, 2 * w, written)?;
-        store_lanes(array, row, at(C_OFF), &c_lanes, w, written)
+        if sliced {
+            let p_cols = transpose_lanes_flat(&product, 2 * nw, 2 * w);
+            array.store_row_lane_words(row, at(P_OFF), &p_cols, written)?;
+            let c_cols = transpose_lanes_flat(&carry, nw, w);
+            array.store_row_lane_words(row, at(C_OFF), &c_cols, written)
+        } else if written == 1 {
+            array.store_row_words(row, at(P_OFF), &product, 2 * w)?;
+            array.store_row_words(row, at(C_OFF), &carry, w)
+        } else {
+            Ok(())
+        }
     }
 
     /// Convenience: standalone multiplication on a fresh 1-row array.
@@ -659,49 +630,6 @@ fn check_lanes(array: &Crossbar, lanes: usize) -> Result<(), CrossbarError> {
             lane: lanes - 1,
             lanes: array.lanes(),
         })
-    } else {
-        Ok(())
-    }
-}
-
-/// Reads `cols` of `row` as one little-endian word vector per lane for
-/// the first `lanes` lanes: through lane words on the sliced backend,
-/// as the row's own words on the scalar and packed backends (whose one
-/// lane is lane 0).
-fn read_lanes(
-    array: &Crossbar,
-    row: usize,
-    cols: std::ops::Range<usize>,
-    lanes: usize,
-) -> Result<Vec<Vec<u64>>, CrossbarError> {
-    let mut words = Vec::new();
-    if array.backend_kind() == BackendKind::Sliced {
-        array.read_row_lane_words(row, cols, &mut words)?;
-        Ok(cim_crossbar::lanes::lane_limbs(&words, lanes))
-    } else {
-        array.read_row_words(row, cols, &mut words)?;
-        Ok(vec![words])
-    }
-}
-
-/// Stores `len` bits of each lane's word vector into `row` at `col`
-/// for the lanes in `mask`, values only (no wear): one lane-word store
-/// on the sliced backend, one word store of lane 0 on the scalar and
-/// packed backends.
-fn store_lanes(
-    array: &mut Crossbar,
-    row: usize,
-    col: usize,
-    per_lane: &[Vec<u64>],
-    len: usize,
-    mask: u64,
-) -> Result<(), CrossbarError> {
-    if array.backend_kind() == BackendKind::Sliced {
-        let refs: Vec<&[u64]> = per_lane.iter().map(Vec::as_slice).collect();
-        let words = cim_crossbar::lanes::transpose_lanes(&refs, len);
-        array.store_row_lane_words(row, col, &words, mask)
-    } else if mask & 1 == 1 {
-        array.store_row_words(row, col, &per_lane[0], len)
     } else {
         Ok(())
     }
@@ -964,6 +892,31 @@ mod tests {
             let m = RowMultiplier::new(w);
             let mut pairs = edge_pairs(&mut rng, w);
             pairs.push((rng.uniform(w), rng.uniform(w)));
+            assert_batch_matches_solo(&m, &pairs);
+        }
+    }
+
+    /// All 64 lanes at multi-limb widths with a ragged tail (98 and
+    /// 129 bits: two and three limbs per lane): the closed form keeps
+    /// every lane's operands, product and carries in flat buffers with
+    /// a per-lane stride, so a stride slip shows as a lane taking its
+    /// neighbour's values. Lanes with `b = 0`, `b = 1` and an all-ones
+    /// `b` sit among random ones, at both ends of the lane word too.
+    #[test]
+    fn batch_all_64_lanes_match_solo_at_multi_limb_widths() {
+        let mut rng = UintRng::seeded(4245);
+        for w in [98usize, 129] {
+            let m = RowMultiplier::new(w);
+            let ones = Uint::pow2(w).sub(&Uint::one());
+            let mut pairs: Vec<(Uint, Uint)> =
+                (0..64).map(|_| (rng.uniform(w), rng.uniform(w))).collect();
+            pairs[0].1 = Uint::zero();
+            pairs[1].1 = Uint::one();
+            pairs[2].1 = ones.clone();
+            pairs[31].1 = Uint::zero();
+            pairs[32] = (ones.clone(), ones.clone());
+            pairs[62].1 = Uint::one();
+            pairs[63].1 = ones;
             assert_batch_matches_solo(&m, &pairs);
         }
     }
