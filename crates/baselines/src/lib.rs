@@ -327,19 +327,21 @@ mod tests {
         // Paper Sec. V: 4× shorter rows, up to 7.8× fewer writes.
         let ours = OurKaratsuba;
         let multpim = MultPim;
-        let row_ratio = multpim.max_row_length(384).unwrap() as f64
-            / ours.max_row_length(384).unwrap() as f64;
+        let row_ratio =
+            multpim.max_row_length(384).unwrap() as f64 / ours.max_row_length(384).unwrap() as f64;
         assert!(row_ratio >= 4.0, "row ratio {row_ratio}");
         let write_ratio =
             multpim.max_writes(384).unwrap() as f64 / ours.max_writes(384).unwrap() as f64;
-        assert!((7.0..=8.5).contains(&write_ratio), "write ratio {write_ratio}");
+        assert!(
+            (7.0..=8.5).contains(&write_ratio),
+            "write ratio {write_ratio}"
+        );
     }
 
     #[test]
     fn wallace_area_blowup_vs_ours() {
         // Paper Sec. V: [8] needs up to 1.2M cells, 47× ours at n=384.
-        let ratio =
-            WallaceMajority.area_cells(384) as f64 / OurKaratsuba.area_cells(384) as f64;
+        let ratio = WallaceMajority.area_cells(384) as f64 / OurKaratsuba.area_cells(384) as f64;
         assert!((45.0..=49.0).contains(&ratio), "area ratio {ratio}");
     }
 

@@ -128,5 +128,10 @@ fn bench_lsb_optimization(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_depth, bench_wear_leveling, bench_lsb_optimization);
+criterion_group!(
+    benches,
+    bench_depth,
+    bench_wear_leveling,
+    bench_lsb_optimization
+);
 criterion_main!(benches);

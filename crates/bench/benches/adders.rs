@@ -26,9 +26,11 @@ fn bench_adders(c: &mut Criterion) {
         let a = rng.uniform(width);
         let b = rng.uniform(width);
         let ks = KoggeStoneAdder::new(width);
-        group.bench_with_input(BenchmarkId::new("kogge_stone", width), &width, |bench, _| {
-            bench.iter(|| ks.add(&a, &b).expect("add"))
-        });
+        group.bench_with_input(
+            BenchmarkId::new("kogge_stone", width),
+            &width,
+            |bench, _| bench.iter(|| ks.add(&a, &b).expect("add")),
+        );
         let rc = RippleCarryAdder::new(width);
         group.bench_with_input(BenchmarkId::new("ripple", width), &width, |bench, _| {
             bench.iter(|| rc.add(&a, &b).expect("add"))

@@ -24,11 +24,9 @@ fn bench_algorithms(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("toom3", bits), &bits, |bench, _| {
             bench.iter(|| toom::mul3(&a, &b))
         });
-        group.bench_with_input(
-            BenchmarkId::new("unrolled_l2", bits),
-            &bits,
-            |bench, _| bench.iter(|| karatsuba_unrolled::mul(&a, &b, 2)),
-        );
+        group.bench_with_input(BenchmarkId::new("unrolled_l2", bits), &bits, |bench, _| {
+            bench.iter(|| karatsuba_unrolled::mul(&a, &b, 2))
+        });
     }
     group.finish();
 }

@@ -145,7 +145,10 @@ fn check_trajectory(
         println!("bench_check: wrote {out_path}");
     }
     if t.lineage_ok() {
-        println!("bench_check: TRAJECTORY PASS ({} snapshots)", t.snapshots.len());
+        println!(
+            "bench_check: TRAJECTORY PASS ({} snapshots)",
+            t.snapshots.len()
+        );
         ExitCode::SUCCESS
     } else {
         println!(

@@ -27,10 +27,7 @@ fn main() -> ExitCode {
     let mut prom: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--quick" => quick = true,
             "--tag" => match value("--tag") {
@@ -58,7 +55,10 @@ fn main() -> ExitCode {
                 eprintln!("bench_snapshot: cannot write {path}: {e}");
                 return ExitCode::from(2);
             }
-            eprintln!("bench_snapshot: wrote {path} ({} workloads)", snapshot.workloads.len());
+            eprintln!(
+                "bench_snapshot: wrote {path} ({} workloads)",
+                snapshot.workloads.len()
+            );
         }
         None => println!("{json}"),
     }

@@ -19,9 +19,14 @@ use karatsuba_cim::PAPER_SIZES;
 
 fn main() {
     let params = EnergyParams::default();
-    println!("ENERGY PER MULTIPLICATION (extension; parameters: write {} pJ,", params.write_pj);
-    println!("read {} pJ, MAGIC {} pJ/cell, off-chip {} pJ/bit)\n",
-             params.read_pj, params.magic_pj, params.offchip_pj_per_bit);
+    println!(
+        "ENERGY PER MULTIPLICATION (extension; parameters: write {} pJ,",
+        params.write_pj
+    );
+    println!(
+        "read {} pJ, MAGIC {} pJ/cell, off-chip {} pJ/bit)\n",
+        params.read_pj, params.magic_pj, params.offchip_pj_per_bit
+    );
 
     let mut table = TextTable::new(&[
         "n",

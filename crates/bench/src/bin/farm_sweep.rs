@@ -55,9 +55,13 @@ fn sweep(mix_name: &str, mix: &JobMix, count: usize, seed: u64) {
             let makespan_cell = if policy == Policy::Fifo || fifo_makespan == 0 {
                 group_digits(r.makespan_cycles)
             } else {
-                let spread = (r.makespan_cycles as f64 - fifo_makespan as f64).abs()
-                    / fifo_makespan as f64;
-                format!("{} ({:+.1}%)", group_digits(r.makespan_cycles), spread * 100.0)
+                let spread =
+                    (r.makespan_cycles as f64 - fifo_makespan as f64).abs() / fifo_makespan as f64;
+                format!(
+                    "{} ({:+.1}%)",
+                    group_digits(r.makespan_cycles),
+                    spread * 100.0
+                )
             };
             let lifetime = r.projected_lifetime_multiplications();
             let lifetime_cell = if lifetime == u64::MAX {
@@ -87,9 +91,7 @@ fn sweep_json(mix_name: &str, mix: &JobMix, count: usize, seed: u64) -> String {
     let jobs = mix.generate(count, seed);
     let reports: Vec<String> = TILE_COUNTS
         .iter()
-        .flat_map(|&tiles| {
-            Policy::all().map(|policy| run(tiles, policy, &jobs).to_json())
-        })
+        .flat_map(|&tiles| Policy::all().map(|policy| run(tiles, policy, &jobs).to_json()))
         .collect();
     format!(
         "{{\"mix\":{},\"jobs\":{},\"seed\":{},\"reports\":[{}]}}",

@@ -21,7 +21,10 @@ fn main() {
     println!("FIG. 1 — MEMRISTIVE CROSSBAR: WRITE, READ AND MAGIC NOR\n");
 
     let mut x = Crossbar::new(3, 3).expect("3x3 grid");
-    show(&x, "(a) fresh 3×3 crossbar — all memristors in high resistance (0):");
+    show(
+        &x,
+        "(a) fresh 3×3 crossbar — all memristors in high resistance (0):",
+    );
 
     let mut exec = Executor::new(&mut x);
     exec.step(&MicroOp::write_row(0, &[true, false, true]))
@@ -41,8 +44,12 @@ fn main() {
     println!("driver applies V_0 to the input rows and GND to the output row;");
     println!("all three bit lines compute c_i = NOR(a_i, b_i) simultaneously:\n");
     exec.step(&MicroOp::init_rows(&[2], 0..3)).expect("init");
-    show(exec.array(), "after output-row initialization (row 2 = 1 1 1):");
-    exec.step(&MicroOp::nor_rows(&[0, 1], 2, 0..3)).expect("nor");
+    show(
+        exec.array(),
+        "after output-row initialization (row 2 = 1 1 1):",
+    );
+    exec.step(&MicroOp::nor_rows(&[0, 1], 2, 0..3))
+        .expect("nor");
     show(
         exec.array(),
         "after one MAGIC NOR cycle (row 2 = NOR(row 0, row 1) = 0 1 0):",
@@ -52,5 +59,8 @@ fn main() {
         "total cycles: {} (2 writes + 1 read + 1 init + 1 NOR)",
         exec.stats().cycles
     );
-    println!("SIMD width: all {} bit lines in parallel — one cycle per NOR", 3);
+    println!(
+        "SIMD width: all {} bit lines in parallel — one cycle per NOR",
+        3
+    );
 }

@@ -20,9 +20,15 @@ fn main() {
     println!("level 0:                      a · b                ({n}-bit)");
     println!("                            /   |   \\");
     let h = n / 2;
-    println!("level 1:            a_l·b_l  a_h·b_h  a_m·b_m      ({h}/{h}/{}-bit)", h + 1);
+    println!(
+        "level 1:            a_l·b_l  a_h·b_h  a_m·b_m      ({h}/{h}/{}-bit)",
+        h + 1
+    );
     println!("                     /|\\      /|\\      /|\\");
-    println!("level 2:            9 multiplications of ~{}-bit    (plus carries)", n / 4);
+    println!(
+        "level 2:            9 multiplications of ~{}-bit    (plus carries)",
+        n / 4
+    );
     println!();
     println!("cross-level dependency (red arrow in the paper):");
     println!("  a_m = a_h + a_l  must be computed ({h}-bit addition) BEFORE");
@@ -38,7 +44,10 @@ fn main() {
     let counts = karatsuba_recursive_counts(2);
     println!("operation counts at depth 2 (recursive):");
     println!("  partial multiplications : {}", counts.multiplications);
-    println!("  precompute additions    : {} (at MIXED widths)", counts.precompute_additions);
+    println!(
+        "  precompute additions    : {} (at MIXED widths)",
+        counts.precompute_additions
+    );
     println!("  postcompute add/subs    : {}", counts.postcompute_addsubs);
     println!();
     println!("→ the non-uniformity of the recursive form is why the paper");

@@ -16,7 +16,10 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(64);
-    assert!(n.is_multiple_of(4) && n >= 8, "n must be a multiple of 4, ≥ 8");
+    assert!(
+        n.is_multiple_of(4) && n >= 8,
+        "n must be a multiple of 4, ≥ 8"
+    );
 
     let mut rng = UintRng::seeded(3);
     let a = rng.exact_bits(n);
@@ -31,12 +34,20 @@ fn main() {
     let widths = leaf_widths(n);
 
     println!("stage 1 — merged precomputation (2 × 5 chunk additions, all between");
-    println!("{}-bit and {}-bit — a single uniform adder serves them all):\n", n / 4, n / 4 + 1);
+    println!(
+        "{}-bit and {}-bit — a single uniform adder serves them all):\n",
+        n / 4,
+        n / 4 + 1
+    );
 
     let mut table = TextTable::new(&["leaf", "value (a side)", "value (b side)", "max bits"]);
     for i in 0..9 {
         table.row(&[
-            format!("{} / {}", LEAF_NAMES[i], LEAF_NAMES[i].replacen('a', "b", 1)),
+            format!(
+                "{} / {}",
+                LEAF_NAMES[i],
+                LEAF_NAMES[i].replacen('a', "b", 1)
+            ),
             format!("0x{:x}", da.leaves[i]),
             format!("0x{:x}", db.leaves[i]),
             widths[i].to_string(),
@@ -44,7 +55,10 @@ fn main() {
     }
     println!("{}", table.render());
 
-    println!("stage 2 — nine independent multiplications (operand ≤ {} bits):\n", n / 4 + 2);
+    println!(
+        "stage 2 — nine independent multiplications (operand ≤ {} bits):\n",
+        n / 4 + 2
+    );
     let mut ptable = TextTable::new(&["product", "operands", "value", "bits"]);
     for i in 0..9 {
         let p = &da.leaves[i] * &db.leaves[i];
@@ -57,8 +71,7 @@ fn main() {
     }
     println!("{}", ptable.render());
 
-    let products: [cim_bigint::Uint; 9] =
-        std::array::from_fn(|i| &da.leaves[i] * &db.leaves[i]);
+    let products: [cim_bigint::Uint; 9] = std::array::from_fn(|i| &da.leaves[i] * &db.leaves[i]);
     let c = karatsuba_cim::chunks::combine_products(&products, n / 4);
     println!("stage 3 — postcomputation recombines the nine products:");
     println!("  c = a·b = 0x{c:x}");

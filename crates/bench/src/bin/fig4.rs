@@ -44,7 +44,12 @@ fn main() {
     let rows = 16;
     let all: Vec<Vec<f64>> = sizes
         .iter()
-        .map(|&n| depths.iter().map(|&l| DepthCostModel::new(n, l).atp()).collect())
+        .map(|&n| {
+            depths
+                .iter()
+                .map(|&l| DepthCostModel::new(n, l).atp())
+                .collect()
+        })
         .collect();
     let min = all.iter().flatten().fold(f64::MAX, |a, &b| a.min(b)).ln();
     let max = all.iter().flatten().fold(f64::MIN, |a, &b| a.max(b)).ln();

@@ -19,19 +19,39 @@ fn main() {
     let d = DesignPoint::new(n);
     println!("FIG. 5 — THREE-STAGE PIPELINE (n = {n} bits, {jobs} multiplications)\n");
     println!("stage subarrays (Karatsuba Multiplication Controller in between):");
-    println!("  P  precomputation : {:>6} cc   {:>6} cells", d.precompute_latency, d.precompute_area);
-    println!("  M  multiplication : {:>6} cc   {:>6} cells", d.multiply_latency, d.multiply_area);
-    println!("  C  postcomputation: {:>6} cc   {:>6} cells", d.postcompute_latency, d.postcompute_area);
-    println!("  handoff per stage : {:>6} cc (18 operand writes + 9 product reads)\n",
-             karatsuba_cim::cost::HANDOFF_CYCLES);
+    println!(
+        "  P  precomputation : {:>6} cc   {:>6} cells",
+        d.precompute_latency, d.precompute_area
+    );
+    println!(
+        "  M  multiplication : {:>6} cc   {:>6} cells",
+        d.multiply_latency, d.multiply_area
+    );
+    println!(
+        "  C  postcomputation: {:>6} cc   {:>6} cells",
+        d.postcompute_latency, d.postcompute_area
+    );
+    println!(
+        "  handoff per stage : {:>6} cc (18 operand writes + 9 product reads)\n",
+        karatsuba_cim::cost::HANDOFF_CYCLES
+    );
 
     let schedule = PipelineSchedule::for_design(n, jobs);
-    println!("occupancy over time (each char ≈ {} cc):\n", d.initiation_interval() / 40);
+    println!(
+        "occupancy over time (each char ≈ {} cc):\n",
+        d.initiation_interval() / 40
+    );
     print!("{}", schedule.render(d.initiation_interval() / 40));
 
     let mut table = TextTable::new(&["metric", "value"]);
-    table.row(&["single-multiplication latency (cc)", &schedule.single_latency().to_string()]);
-    table.row(&["initiation interval (cc)", &schedule.initiation_interval().to_string()]);
+    table.row(&[
+        "single-multiplication latency (cc)",
+        &schedule.single_latency().to_string(),
+    ]);
+    table.row(&[
+        "initiation interval (cc)",
+        &schedule.initiation_interval().to_string(),
+    ]);
     table.row(&[
         "pipelined throughput (mult/Mcc)",
         &format!("{:.0}", schedule.throughput_per_mcc()),

@@ -20,7 +20,9 @@ fn op_name(op: &MicroOp) -> String {
         MicroOp::ResetRegion(r) => format!("reset rows {:?}", r.rows),
         MicroOp::ResetRows { rows, .. } => format!("reset rows {rows:?}"),
         MicroOp::NorRows { inputs, out, .. } => format!("NOR rows {inputs:?} → row {out}"),
-        MicroOp::NorCols { in_cols, out_col, .. } => {
+        MicroOp::NorCols {
+            in_cols, out_col, ..
+        } => {
             format!("NOR cols {in_cols:?} → col {out_col}")
         }
         MicroOp::NorColsPartitioned {
@@ -28,10 +30,10 @@ fn op_name(op: &MicroOp) -> String {
             in_offsets,
             out_offset,
             ..
-        } => format!(
-            "partitioned NOR (width {part_width}) {in_offsets:?} → +{out_offset}"
-        ),
-        MicroOp::Shift { src, dst, offset, .. } => {
+        } => format!("partitioned NOR (width {part_width}) {in_offsets:?} → +{out_offset}"),
+        MicroOp::Shift {
+            src, dst, offset, ..
+        } => {
             format!("periphery shift row {src} by {offset:+} → row {dst}")
         }
         MicroOp::Parallel(ops) => {
@@ -93,5 +95,9 @@ fn main() {
     let sum = Uint::from_bits(&bits);
     println!("\nsum row (5 bits incl. carry-out): {sum} = 0b{sum:05b}");
     assert_eq!(sum, Uint::from_u64(x + y));
-    println!("expected {x} + {y} = {} ✓   total cycles: {}", x + y, exec.stats().cycles);
+    println!(
+        "expected {x} + {y} = {} ✓   total cycles: {}",
+        x + y,
+        exec.stats().cycles
+    );
 }

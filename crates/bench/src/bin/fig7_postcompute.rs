@@ -17,7 +17,10 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(64);
-    assert!(n.is_multiple_of(4) && n >= 8, "n must be a multiple of 4, ≥ 8");
+    assert!(
+        n.is_multiple_of(4) && n >= 8,
+        "n must be a multiple of 4, ≥ 8"
+    );
     let q = n / 4;
 
     let mut rng = UintRng::seeded(7);
@@ -27,7 +30,10 @@ fn main() {
     let db = decompose_operand(&b, n);
     let p: [Uint; 9] = std::array::from_fn(|i| &da.leaves[i] * &db.leaves[i]);
 
-    println!("FIG. 7 — POSTCOMPUTATION SCHEDULE (n = {n} bits, adder width 1.5n = {})\n", 3 * n / 2);
+    println!(
+        "FIG. 7 — POSTCOMPUTATION SCHEDULE (n = {n} bits, adder width 1.5n = {})\n",
+        3 * n / 2
+    );
 
     println!("(a) initial layout — the nine partial products from stage 2:");
     let mut t = TextTable::new(&["product", "value", "bits"]);
@@ -57,10 +63,16 @@ fn main() {
     let u = p[6].add(&p[7].shl(2 * q));
     let c_m = u.add(&ct_mm.shl(q));
     println!("(b) after reorder — passes 5–8 (c_m needs TWO additions because");
-    println!("    c_ml is n/2+2 = {} bits wide and cannot simply be appended):", n / 2 + 2);
+    println!(
+        "    c_ml is n/2+2 = {} bits wide and cannot simply be appended):",
+        n / 2 + 2
+    );
     println!("  c_l = (c_lh ‖ c_ll) + c̃_lm·2^{q} = 0x{c_l:x}");
     println!("  c_h = (c_hh ‖ c_hl) + c̃_hm·2^{q} = 0x{c_h:x}");
-    println!("  c_m = (c_ml + c_mh·2^{}) + c̃_mm·2^{q} = 0x{c_m:x}\n", 2 * q);
+    println!(
+        "  c_m = (c_ml + c_mh·2^{}) + c̃_mm·2^{q} = 0x{c_m:x}\n",
+        2 * q
+    );
 
     let ct_m = c_m.sub(&c_h).sub(&c_l);
     println!("(c) passes 9–10:  c̃_m = c_m − c_h − c_l = 0x{ct_m:x}\n");
@@ -68,7 +80,10 @@ fn main() {
     let base_top = c_l.add(&c_h.shl(n)).shr(n / 2);
     let c_top = base_top.add(&ct_m);
     let c = c_top.shl(n / 2).add(&c_l.low_bits(n / 2));
-    println!("(d) pass 11 — LSB optimization: the low n/2 = {} bits of c_l are", n / 2);
+    println!(
+        "(d) pass 11 — LSB optimization: the low n/2 = {} bits of c_l are",
+        n / 2
+    );
     println!("    already final; the addition covers only the top 1.5n bits");
     println!("    (saves 25% of the stage area):");
     println!("  c = a·b = 0x{c:x}");
@@ -78,7 +93,12 @@ fn main() {
     let stage = PostcomputeStage::new(n).expect("stage");
     let out = stage.run(&p).expect("postcompute");
     assert_eq!(out.product, c);
-    println!("\nin-memory stage result matches, {} cc measured", out.stats.cycles);
-    println!("(paper closed form: {} cc — delta is operand staging, see EXPERIMENTS.md)",
-             stage.paper_latency());
+    println!(
+        "\nin-memory stage result matches, {} cc measured",
+        out.stats.cycles
+    );
+    println!(
+        "(paper closed form: {} cc — delta is operand staging, see EXPERIMENTS.md)",
+        stage.paper_latency()
+    );
 }

@@ -30,10 +30,19 @@ fn main() {
     println!("verified against the software gold model ✓\n");
 
     let d = DesignPoint::new(n);
-    let model = [d.precompute_latency, d.multiply_latency, d.postcompute_latency];
+    let model = [
+        d.precompute_latency,
+        d.multiply_latency,
+        d.postcompute_latency,
+    ];
     let stage_names = ["precompute", "multiply", "postcompute"];
     let mut t = TextTable::new(&[
-        "stage", "measured cc", "model cc", "area (cells)", "max writes", "wear balance",
+        "stage",
+        "measured cc",
+        "model cc",
+        "area (cells)",
+        "max writes",
+        "wear balance",
     ]);
     let areas = [d.precompute_area, d.multiply_area, d.postcompute_area];
     for i in 0..3 {
@@ -50,9 +59,15 @@ fn main() {
     println!("{}", t.render());
 
     println!("totals:");
-    println!("  latency (incl. 3×27 cc handoff): {} cc", out.report.total_latency);
+    println!(
+        "  latency (incl. 3×27 cc handoff): {} cc",
+        out.report.total_latency
+    );
     println!("  area: {} cells", group_digits(out.report.area_cells));
-    println!("  pipelined throughput (model): {:.0} mult/Mcc", d.throughput_per_mcc());
+    println!(
+        "  pipelined throughput (model): {:.0} mult/Mcc",
+        d.throughput_per_mcc()
+    );
     println!("  ATP (model): {:.1} cells/(mult/Mcc)", d.atp());
     let worst = out
         .report

@@ -23,7 +23,12 @@ fn main() {
 
     let ours = OurKaratsuba;
     let mut table = TextTable::new(&[
-        "Work", "n", "Thrpt (M/Mcc)", "Area (cells)", "ATP", "Max.Writes",
+        "Work",
+        "n",
+        "Thrpt (M/Mcc)",
+        "Area (cells)",
+        "ATP",
+        "Max.Writes",
     ]);
 
     for model in models() {
@@ -48,9 +53,7 @@ fn main() {
                     format!("{} ({factor:.0}x)", table_number(atp))
                 }
             };
-            let writes = model
-                .max_writes(n)
-                .map_or("n.r.".to_string(), group_digits);
+            let writes = model.max_writes(n).map_or("n.r.".to_string(), group_digits);
             table.row(&[
                 model.name().to_string(),
                 n.to_string(),
@@ -69,17 +72,19 @@ fn main() {
     let atp_gain = imaging.atp(384) / ours.atp(384);
     println!("  vs [7] at n=384: {tput_gain:.0}x throughput (paper: 916x), {atp_gain:.0}x ATP (paper: 281x)");
     let multpim = cim_baselines::MultPim;
-    let row_ratio = multpim.max_row_length(384).unwrap() as f64
-        / ours.max_row_length(384).unwrap() as f64;
+    let row_ratio =
+        multpim.max_row_length(384).unwrap() as f64 / ours.max_row_length(384).unwrap() as f64;
     let write_ratio =
         multpim.max_writes(384).unwrap() as f64 / ours.max_writes(384).unwrap() as f64;
     println!("  vs [9] at n=384: {row_ratio:.1}x shorter rows (paper: 4x), {write_ratio:.1}x fewer writes (paper: up to 7.8x)");
-    let wallace_area = cim_baselines::WallaceMajority.area_cells(384) as f64
-        / ours.area_cells(384) as f64;
+    let wallace_area =
+        cim_baselines::WallaceMajority.area_cells(384) as f64 / ours.area_cells(384) as f64;
     println!("  vs [8] at n=384: {wallace_area:.0}x smaller area (paper: 47x)\n");
 
     if simulate {
-        println!("Cycle-accurate simulation of Our design (functional verification + measured stats):");
+        println!(
+            "Cycle-accurate simulation of Our design (functional verification + measured stats):"
+        );
         let mut sim = TextTable::new(&[
             "n",
             "pre (cc)",

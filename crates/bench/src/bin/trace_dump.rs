@@ -89,7 +89,10 @@ fn main() {
         println!(
             "trace_dump --check ok: {} events ({} complete spans, {} span pairs, \
              {} counters, {} instants), deterministic across runs",
-            report.events, report.complete_spans, report.span_pairs, report.counters,
+            report.events,
+            report.complete_spans,
+            report.span_pairs,
+            report.counters,
             report.instants
         );
         return;

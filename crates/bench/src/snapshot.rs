@@ -36,13 +36,13 @@ use cim_bigint::rng::UintRng;
 use cim_crossbar::EnergyParams;
 use cim_metrics::jsonval::JsonValue;
 use cim_metrics::MetricsHub;
+use cim_mir::OptLevel;
 use cim_obs::journal::{FlightRecorder, RecorderConfig};
 use cim_obs::slo::{SloEngine, SloRule};
 use cim_pulse::{PulseConfig, PulseHub};
 use cim_sched::{FarmConfig, JobMix, JobProfile, Policy, Scheduler};
 use cim_serve::loadgen::{run, LoadgenConfig, Observers};
 use cim_serve::FleetConfig as ServeFleetConfig;
-use cim_mir::OptLevel;
 use cim_trace::json::JsonWriter;
 use karatsuba_cim::cost::HANDOFF_CYCLES;
 use karatsuba_cim::multiplier::KaratsubaCimMultiplier;
@@ -125,7 +125,9 @@ fn multiply_workload(n: usize, hub: &MetricsHub) -> WorkloadResult {
     let mut rng = UintRng::seeded(0x42 + n as u64);
     let a = rng.uniform(n);
     let b = rng.uniform(n);
-    let out = mult.multiply(&a, &b).expect("simulated product is verified");
+    let out = mult
+        .multiply(&a, &b)
+        .expect("simulated product is verified");
     let r = &out.report;
     let baseline = baseline_o0_cycles(n);
     let mut metrics = BTreeMap::new();
@@ -159,7 +161,10 @@ fn multiply_workload(n: usize, hub: &MetricsHub) -> WorkloadResult {
         "utilization".into(),
         r.stage_cycles.iter().sum::<u64>() as f64 / (3 * r.total_latency) as f64,
     );
-    WorkloadResult { name: format!("multiply_{n}"), metrics }
+    WorkloadResult {
+        name: format!("multiply_{n}"),
+        metrics,
+    }
 }
 
 fn batch_workload(n: usize, lanes: usize) -> WorkloadResult {
@@ -199,7 +204,10 @@ fn batch_workload(n: usize, lanes: usize) -> WorkloadResult {
         per_lane.map(|e| e.max_writes).max().unwrap_or(0) as f64,
     );
     metrics.insert("area_cells".into(), out.area_cells as f64);
-    WorkloadResult { name: format!("batch64_{n}"), metrics }
+    WorkloadResult {
+        name: format!("batch64_{n}"),
+        metrics,
+    }
 }
 
 fn pipeline_workload() -> WorkloadResult {
@@ -207,7 +215,11 @@ fn pipeline_workload() -> WorkloadResult {
     const JOBS: u64 = 8;
     let schedule = PipelineSchedule::for_design(N, JOBS as usize);
     let profile = JobProfile::karatsuba_analytic(N);
-    let makespan = schedule.jobs.last().expect("nonempty schedule").completed_at();
+    let makespan = schedule
+        .jobs
+        .last()
+        .expect("nonempty schedule")
+        .completed_at();
     let mut metrics = BTreeMap::new();
     metrics.insert("cycles".into(), makespan as f64);
     metrics.insert(
@@ -222,7 +234,10 @@ fn pipeline_workload() -> WorkloadResult {
         "energy_pj".into(),
         JOBS as f64 * profile.energy(&EnergyParams::default()).total_pj(),
     );
-    WorkloadResult { name: format!("pipeline_{N}x{JOBS}"), metrics }
+    WorkloadResult {
+        name: format!("pipeline_{N}x{JOBS}"),
+        metrics,
+    }
 }
 
 /// The two-tenant, 4-farm serving run shared by the serve, obs and
@@ -237,7 +252,11 @@ fn serve_config() -> LoadgenConfig {
         mean_gap: 1_500,
         exp_bits: 6,
         scalar_bits: 6,
-        fleet: ServeFleetConfig { farms: 4, tiles_per_farm: 4, ..ServeFleetConfig::default() },
+        fleet: ServeFleetConfig {
+            farms: 4,
+            tiles_per_farm: 4,
+            ..ServeFleetConfig::default()
+        },
         ..LoadgenConfig::default()
     }
 }
@@ -252,10 +271,7 @@ fn serve_workload(hub: &MetricsHub) -> WorkloadResult {
     metrics.insert("batches".into(), report.stats.batches as f64);
     metrics.insert("farm_jobs".into(), report.stats.jobs as f64);
     metrics.insert("drained_cycles".into(), report.stats.drained_at as f64);
-    metrics.insert(
-        "throughput_per_mcc".into(),
-        report.stats.throughput_per_mcc,
-    );
+    metrics.insert("throughput_per_mcc".into(), report.stats.throughput_per_mcc);
     for t in &report.stats.tenants {
         metrics.insert(
             format!("{}_p99_latency", t.name),
@@ -266,7 +282,10 @@ fn serve_workload(hub: &MetricsHub) -> WorkloadResult {
             (t.shed_rate_limited + t.shed_queue_full) as f64,
         );
     }
-    WorkloadResult { name: "serve_2tenant_4farm".into(), metrics }
+    WorkloadResult {
+        name: "serve_2tenant_4farm".into(),
+        metrics,
+    }
 }
 
 fn obs_workload() -> WorkloadResult {
@@ -290,7 +309,11 @@ fn obs_workload() -> WorkloadResult {
         }
     }
     let mut slo = SloEngine::new(rules);
-    let observers = Observers { recorder: &recorder, slo: &mut slo, pulse: None };
+    let observers = Observers {
+        recorder: &recorder,
+        slo: &mut slo,
+        pulse: None,
+    };
     let observed = run(&config, &on_hub, Some(observers));
 
     let decisions_identical = plain.served == observed.served
@@ -313,7 +336,10 @@ fn obs_workload() -> WorkloadResult {
     metrics.insert("journal_dropped".into(), recorder.dropped() as f64);
     metrics.insert("slo_rules".into(), slo.verdicts().len() as f64);
     metrics.insert("slo_pages".into(), pages as f64);
-    WorkloadResult { name: "obs_2tenant_4farm".into(), metrics }
+    WorkloadResult {
+        name: "obs_2tenant_4farm".into(),
+        metrics,
+    }
 }
 
 fn pulse_workload() -> WorkloadResult {
@@ -333,7 +359,11 @@ fn pulse_workload() -> WorkloadResult {
         SloRule::parse("fleet.drift_alerts <= 0").expect("builtin rule parses"),
     ]);
     let mut pulse = PulseHub::new(PulseConfig::default());
-    let observers = Observers { recorder: &recorder, slo: &mut slo, pulse: Some(&mut pulse) };
+    let observers = Observers {
+        recorder: &recorder,
+        slo: &mut slo,
+        pulse: Some(&mut pulse),
+    };
     let pulsed = run(&config, &on_hub, Some(observers));
 
     let decisions_identical = plain.served == pulsed.served
@@ -356,13 +386,25 @@ fn pulse_workload() -> WorkloadResult {
     metrics.insert("drained_cycles".into(), pulsed.stats.drained_at as f64);
     metrics.insert("decisions_identical".into(), f64::from(decisions_identical));
     metrics.insert("scrapes".into(), pulse.timeline().scrapes() as f64);
-    metrics.insert("timeline_series".into(), pulse.timeline().series_count() as f64);
-    metrics.insert("timeline_points".into(), pulse.timeline().point_count() as f64);
+    metrics.insert(
+        "timeline_series".into(),
+        pulse.timeline().series_count() as f64,
+    );
+    metrics.insert(
+        "timeline_points".into(),
+        pulse.timeline().point_count() as f64,
+    );
     metrics.insert("drift_alerts".into(), pulse.alerts_total() as f64);
     metrics.insert("forecast_exact".into(), f64::from(forecast_exact));
-    metrics.insert("wear_total_writes".into(), pulse.forecaster().total_writes() as f64);
+    metrics.insert(
+        "wear_total_writes".into(),
+        pulse.forecaster().total_writes() as f64,
+    );
     metrics.insert("slo_pages".into(), pages as f64);
-    WorkloadResult { name: "pulse_2tenant_4farm".into(), metrics }
+    WorkloadResult {
+        name: "pulse_2tenant_4farm".into(),
+        metrics,
+    }
 }
 
 fn farm_workload(hub: &MetricsHub) -> WorkloadResult {
@@ -380,7 +422,10 @@ fn farm_workload(hub: &MetricsHub) -> WorkloadResult {
     metrics.insert("utilization".into(), report.mean_utilization());
     metrics.insert("p50_latency".into(), report.p50_latency() as f64);
     metrics.insert("p99_latency".into(), report.p99_latency() as f64);
-    WorkloadResult { name: "farm_4tile_wear".into(), metrics }
+    WorkloadResult {
+        name: "farm_4tile_wear".into(),
+        metrics,
+    }
 }
 
 impl BenchSnapshot {
@@ -408,7 +453,11 @@ impl BenchSnapshot {
             obs_workload(),
             pulse_workload(),
         ]);
-        BenchSnapshot { tag: tag.into(), quick, workloads }
+        BenchSnapshot {
+            tag: tag.into(),
+            quick,
+            workloads,
+        }
     }
 
     /// Serializes the snapshot as deterministic JSON (fixed field
@@ -478,12 +527,17 @@ impl BenchSnapshot {
             {
                 metrics.insert(
                     k.clone(),
-                    v.as_f64().ok_or_else(|| format!("metric {k} not a number"))?,
+                    v.as_f64()
+                        .ok_or_else(|| format!("metric {k} not a number"))?,
                 );
             }
             workloads.push(WorkloadResult { name, metrics });
         }
-        Ok(BenchSnapshot { tag, quick, workloads })
+        Ok(BenchSnapshot {
+            tag,
+            quick,
+            workloads,
+        })
     }
 }
 
@@ -613,7 +667,10 @@ pub fn diff(baseline: &BenchSnapshot, current: &BenchSnapshot, opts: &DiffOption
                     .iter()
                     .any(|p| name_matches(p, &base.name));
             if required {
-                d.fail(format!("{}: workload missing from current snapshot", base.name));
+                d.fail(format!(
+                    "{}: workload missing from current snapshot",
+                    base.name
+                ));
             } else {
                 d.ok(format!("{}: skipped (subset run)", base.name));
             }
@@ -683,7 +740,10 @@ mod tests {
     #[test]
     fn json_round_trips_exactly() {
         let s = snap(&[
-            ("multiply_64", &[("cycles", 123.0), ("energy_pj", 0.1 + 0.2)]),
+            (
+                "multiply_64",
+                &[("cycles", 123.0), ("energy_pj", 0.1 + 0.2)],
+            ),
             ("farm", &[("utilization", 0.75)]),
         ]);
         let parsed = BenchSnapshot::parse(&s.to_json()).unwrap();
@@ -738,7 +798,10 @@ mod tests {
         let full = snap(&[("a", &[("cycles", 1.0)]), ("b", &[("cycles", 2.0)])]);
         let quick = snap(&[("a", &[("cycles", 1.0)])]);
         assert!(!diff(&full, &quick, &DiffOptions::default()).passed());
-        let opts = DiffOptions { allow_subset: true, ..DiffOptions::default() };
+        let opts = DiffOptions {
+            allow_subset: true,
+            ..DiffOptions::default()
+        };
         assert!(diff(&full, &quick, &opts).passed());
         // A shared workload still gates exactly in subset mode.
         let wrong = snap(&[("a", &[("cycles", 9.0)])]);
@@ -759,7 +822,9 @@ mod tests {
         assert!(d.passed(), "{:?}", d.regressions);
         for metric in RETIRED_METRICS {
             assert!(
-                d.lines.iter().any(|l| l.contains(&format!("/{metric}: retired"))),
+                d.lines
+                    .iter()
+                    .any(|l| l.contains(&format!("/{metric}: retired"))),
                 "{metric}: {:?}",
                 d.lines
             );
@@ -816,7 +881,10 @@ mod tests {
         // Byte-exact mode still refuses any value change …
         assert!(!diff(&base, &better, &DiffOptions::default()).passed());
         // … while improvement mode accepts the decrease and labels it.
-        let opts = DiffOptions { allow_improvement: true, ..DiffOptions::default() };
+        let opts = DiffOptions {
+            allow_improvement: true,
+            ..DiffOptions::default()
+        };
         let d = diff(&base, &better, &opts);
         assert!(d.passed(), "{:?}", d.regressions);
         assert!(
@@ -852,7 +920,10 @@ mod tests {
         // Exact mode refuses the ratio shift; improved mode accepts it
         // in either direction because the underlying cycles gate.
         assert!(!diff(&base, &moved, &DiffOptions::default()).passed());
-        let opts = DiffOptions { allow_improvement: true, ..DiffOptions::default() };
+        let opts = DiffOptions {
+            allow_improvement: true,
+            ..DiffOptions::default()
+        };
         assert!(diff(&base, &moved, &opts).passed());
         let up = snap(&[("multiply_512", &[("cycles", 80.0), ("utilization", 0.35)])]);
         assert!(diff(&base, &up, &opts).passed());
@@ -886,7 +957,10 @@ mod tests {
     fn subset_patterns_accept_prefix_globs() {
         assert!(name_matches("multiply_2048", "multiply_2048"));
         assert!(!name_matches("multiply_2048", "multiply_204"));
-        assert!(!name_matches("multiply_204", "multiply_2048"), "exact is not a prefix");
+        assert!(
+            !name_matches("multiply_204", "multiply_2048"),
+            "exact is not a prefix"
+        );
         assert!(name_matches("mul*", "multiply_2048"));
         assert!(name_matches("multiply_*", "multiply_2048"));
         assert!(name_matches("mul_*", "mul_2048"));
@@ -915,7 +989,11 @@ mod tests {
         let none = snap(&[("multiply_512", &[("cycles", 1.0)])]);
         let d = diff(&full, &none, &opts);
         assert!(!d.passed());
-        assert!(d.regressions[0].contains("batch64_2048"), "{:?}", d.regressions);
+        assert!(
+            d.regressions[0].contains("batch64_2048"),
+            "{:?}",
+            d.regressions
+        );
         // Patterns never weaken value gating on present workloads.
         let wrong = snap(&[("batch64_2048", &[("cycles", 9.0)])]);
         assert!(!diff(&full, &wrong, &opts).passed());

@@ -231,7 +231,11 @@ pub fn build(snapshots: &[(String, BenchSnapshot)]) -> Trajectory {
         }
         steps.push(step);
     }
-    Trajectory { snapshots: infos, violations, steps }
+    Trajectory {
+        snapshots: infos,
+        violations,
+        steps,
+    }
 }
 
 impl Trajectory {
@@ -337,7 +341,11 @@ impl Trajectory {
                         format!("{:+}", d.delta()),
                         d.rel()
                             .map_or("n/a".into(), |r| format!("{:+.2}%", 100.0 * r)),
-                        if d.is_improvement() { "improved".into() } else { String::new() },
+                        if d.is_improvement() {
+                            "improved".into()
+                        } else {
+                            String::new()
+                        },
                     ]);
                 }
                 out.push_str(&t.render());
@@ -441,13 +449,24 @@ mod tests {
 
     #[test]
     fn dropped_workload_and_metric_violate_lineage() {
-        let a = snap(&[("w", &[("cycles", 1.0), ("writes", 2.0)]), ("gone", &[("cycles", 3.0)])]);
+        let a = snap(&[
+            ("w", &[("cycles", 1.0), ("writes", 2.0)]),
+            ("gone", &[("cycles", 3.0)]),
+        ]);
         let b = snap(&[("w", &[("cycles", 1.0)])]);
         let t = build(&[("A".into(), a), ("B".into(), b)]);
         assert!(!t.lineage_ok());
         assert_eq!(t.violations.len(), 2);
-        assert!(t.violations.iter().any(|v| v.contains("workload gone")), "{:?}", t.violations);
-        assert!(t.violations.iter().any(|v| v.contains("w/writes")), "{:?}", t.violations);
+        assert!(
+            t.violations.iter().any(|v| v.contains("workload gone")),
+            "{:?}",
+            t.violations
+        );
+        assert!(
+            t.violations.iter().any(|v| v.contains("w/writes")),
+            "{:?}",
+            t.violations
+        );
     }
 
     #[test]
@@ -465,8 +484,15 @@ mod tests {
         assert_eq!(by_stage("precompute").cycles_delta(), 0.0);
         assert_eq!(by_stage("handoff").cycles_delta(), 0.0);
         // The stage rows sum to the workload's cycle delta exactly.
-        assert_eq!(rows.iter().map(StageDeltaRow::cycles_delta).sum::<f64>(), 40.0);
-        let energy = t.steps[0].changed.iter().find(|d| d.metric == "energy_pj").unwrap();
+        assert_eq!(
+            rows.iter().map(StageDeltaRow::cycles_delta).sum::<f64>(),
+            40.0
+        );
+        let energy = t.steps[0]
+            .changed
+            .iter()
+            .find(|d| d.metric == "energy_pj")
+            .unwrap();
         assert_eq!(energy.delta(), 400.0);
     }
 
@@ -489,7 +515,9 @@ mod tests {
         let t = make();
         assert_eq!(t.to_json(), make().to_json());
         cim_trace::json::check(&t.to_json()).unwrap();
-        assert!(t.to_json().contains("\"schema\":\"cim-bench-trajectory/2\""));
+        assert!(t
+            .to_json()
+            .contains("\"schema\":\"cim-bench-trajectory/2\""));
         let rendered = t.render();
         assert!(rendered.contains("lineage OK"), "{rendered}");
         assert!(rendered.contains("multiply_512"), "{rendered}");
@@ -502,7 +530,10 @@ mod tests {
         let a = msnap(&[(100.0, 200.0, 50.0, 10.0, 1_000.0)]);
         let b = msnap(&[(100.0, 150.0, 50.0, 10.0, 900.0)]);
         let t = build(&[("A".into(), a), ("B".into(), b)]);
-        assert!(t.lineage_ok(), "a value decrease is not a lineage violation");
+        assert!(
+            t.lineage_ok(),
+            "a value decrease is not a lineage violation"
+        );
         let step = &t.steps[0];
         let cycles = step.changed.iter().find(|d| d.metric == "cycles").unwrap();
         assert!(cycles.is_improvement());

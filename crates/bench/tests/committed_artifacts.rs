@@ -32,5 +32,8 @@ fn committed_trajectory_is_regenerated_exactly() {
     assert!(t.lineage_ok(), "{:?}", t.violations);
     let json = t.to_json();
     cim_trace::json::check(&json).expect("trajectory JSON is well formed");
-    assert!(json == TRAJECTORY, "BENCH_TRAJECTORY.json is stale; regenerate it with bench_check --trajectory");
+    assert!(
+        json == TRAJECTORY,
+        "BENCH_TRAJECTORY.json is stale; regenerate it with bench_check --trajectory"
+    );
 }

@@ -45,10 +45,7 @@ impl Uint {
     /// Panics if `radix` is outside `2..=16`.
     pub fn from_str_radix(s: &str, radix: u32) -> Result<Uint, ParseUintError> {
         assert!((2..=16).contains(&radix), "radix must be in 2..=16");
-        let digits: Vec<(usize, char)> = s
-            .char_indices()
-            .filter(|&(_, c)| c != '_')
-            .collect();
+        let digits: Vec<(usize, char)> = s.char_indices().filter(|&(_, c)| c != '_').collect();
         if digits.is_empty() {
             return Err(ParseUintError {
                 kind: ParseUintErrorKind::Empty,
@@ -101,11 +98,7 @@ impl Uint {
 
     /// Little-endian byte representation, minimal length (empty for zero).
     pub fn to_le_bytes(&self) -> Vec<u8> {
-        let mut out: Vec<u8> = self
-            .limbs
-            .iter()
-            .flat_map(|l| l.to_le_bytes())
-            .collect();
+        let mut out: Vec<u8> = self.limbs.iter().flat_map(|l| l.to_le_bytes()).collect();
         while let Some(&0) = out.last() {
             out.pop();
         }
@@ -237,10 +230,7 @@ mod tests {
 
     #[test]
     fn underscores_allowed() {
-        assert_eq!(
-            Uint::from_hex("ff_ff").unwrap(),
-            Uint::from_u64(0xFFFF)
-        );
+        assert_eq!(Uint::from_hex("ff_ff").unwrap(), Uint::from_u64(0xFFFF));
     }
 
     #[test]

@@ -54,9 +54,7 @@ impl Uint {
         let mut t0 = Int::zero();
         let mut t1 = Int::from(Uint::one());
         while !r1.is_zero() {
-            let q = r0
-                .magnitude()
-                .div_floor(r1.magnitude());
+            let q = r0.magnitude().div_floor(r1.magnitude());
             let q = Int::from(q);
             let r2 = r0.sub(&q.mul(&r1));
             let t2 = t0.sub(&q.mul(&t1));
@@ -124,10 +122,8 @@ mod tests {
 
     #[test]
     fn mod_inverse_large_crypto_modulus() {
-        let m = Uint::from_hex(
-            "73eda753299d7d483339d80809a1d80553bda402fffe5bfeffffffff00000001",
-        )
-        .unwrap(); // BLS12-381 scalar field
+        let m = Uint::from_hex("73eda753299d7d483339d80809a1d80553bda402fffe5bfeffffffff00000001")
+            .unwrap(); // BLS12-381 scalar field
         let a = Uint::from_u64(0xDEAD_BEEF_1234_5678);
         let inv = a.mod_inverse(&m).expect("prime");
         assert_eq!((&a * &inv).rem(&m), Uint::one());

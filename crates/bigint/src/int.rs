@@ -34,7 +34,10 @@ impl Int {
     /// Creates a signed value from sign and magnitude (zero forces `+`).
     pub fn new(negative: bool, magnitude: Uint) -> Self {
         let negative = negative && !magnitude.is_zero();
-        Int { negative, magnitude }
+        Int {
+            negative,
+            magnitude,
+        }
     }
 
     /// Creates the value `-m`.
@@ -93,9 +96,7 @@ impl Int {
         } else {
             match self.magnitude.cmp(&other.magnitude) {
                 Ordering::Equal => Int::zero(),
-                Ordering::Greater => {
-                    Int::new(self.negative, self.magnitude.sub(&other.magnitude))
-                }
+                Ordering::Greater => Int::new(self.negative, self.magnitude.sub(&other.magnitude)),
                 Ordering::Less => Int::new(other.negative, other.magnitude.sub(&self.magnitude)),
             }
         }

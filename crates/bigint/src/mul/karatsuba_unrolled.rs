@@ -157,7 +157,13 @@ fn recombine_rec(
     let third = products.len() / 3;
     let half_bits = chunk_bits << (depth - 1);
     let c_l = recombine_rec(&products[..third], depth - 1, chunk_bits, adds, subs);
-    let c_h = recombine_rec(&products[third..2 * third], depth - 1, chunk_bits, adds, subs);
+    let c_h = recombine_rec(
+        &products[third..2 * third],
+        depth - 1,
+        chunk_bits,
+        adds,
+        subs,
+    );
     let c_m = recombine_rec(&products[2 * third..], depth - 1, chunk_bits, adds, subs);
     // c = c_l + (c_m − c_h − c_l)·2^half + c_h·2^(2·half)
     let mid = c_m.sub(&c_h).sub(&c_l);
@@ -278,11 +284,7 @@ mod tests {
         let x = Uint::pow2(127).sub(&Uint::one());
         let op = ChunkOperand::from_uint(&x, 2, 32);
         let d = decompose(&op);
-        let products: Vec<Uint> = d
-            .leaves
-            .iter()
-            .map(|l| schoolbook::mul(l, l))
-            .collect();
+        let products: Vec<Uint> = d.leaves.iter().map(|l| schoolbook::mul(l, l)).collect();
         let r = recombine(&products, 32);
         assert_eq!(r.additions, 8); // 4 internal nodes × 2
         assert_eq!(r.subtractions, 8);

@@ -65,12 +65,7 @@ mod tests {
     #[test]
     fn zero_and_one_edge_cases() {
         let x = Uint::from_hex("deadbeefdeadbeefdeadbeef").unwrap();
-        for f in [
-            schoolbook::mul,
-            karatsuba::mul,
-            toom::mul3,
-            auto,
-        ] {
+        for f in [schoolbook::mul, karatsuba::mul, toom::mul3, auto] {
             assert_eq!(f(&x, &Uint::zero()), Uint::zero());
             assert_eq!(f(&Uint::zero(), &x), Uint::zero());
             assert_eq!(f(&x, &Uint::one()), x);

@@ -77,9 +77,7 @@ mod tests {
     fn known_multi_limb_product() {
         // (2^128 - 1)^2 = 2^256 - 2^129 + 1
         let a = Uint::pow2(128).sub(&Uint::one());
-        let expect = Uint::pow2(256)
-            .sub(&Uint::pow2(129))
-            .add(&Uint::one());
+        let expect = Uint::pow2(256).sub(&Uint::pow2(129)).add(&Uint::one());
         assert_eq!(mul(&a, &a), expect);
     }
 

@@ -61,11 +61,11 @@ pub fn mul3(a: &Uint, b: &Uint) -> Uint {
         let c1 = Int::from(&chunks[1]);
         let c2 = Int::from(&chunks[2]);
         [
-            c0.clone(),                                     // p(0)
-            c0.add(&c1).add(&c2),                           // p(1)
-            c0.sub(&c1).add(&c2),                           // p(−1)
-            c0.add(&c1.shl(1)).add(&c2.shl(2)),             // p(2)
-            c2,                                             // p(∞)
+            c0.clone(),                         // p(0)
+            c0.add(&c1).add(&c2),               // p(1)
+            c0.sub(&c1).add(&c2),               // p(−1)
+            c0.add(&c1.shl(1)).add(&c2.shl(2)), // p(2)
+            c2,                                 // p(∞)
         ]
     };
 

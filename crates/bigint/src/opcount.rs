@@ -82,9 +82,7 @@ pub fn karatsuba_recursive_counts(depth: u32) -> OpCounts {
 pub fn precompute_width_sets(n: usize, depth: u32) -> (Vec<usize>, Vec<usize>) {
     // Recursive: level i (1-based) adds (n/2^i + i − 1)-bit operands —
     // every level introduces a new width.
-    let recursive: Vec<usize> = (1..=depth)
-        .map(|i| n / (1 << i) + i as usize - 1)
-        .collect();
+    let recursive: Vec<usize> = (1..=depth).map(|i| n / (1 << i) + i as usize - 1).collect();
     // Unrolled: all additions happen at chunk granularity; widths span
     // n/2^L .. n/2^L + L − 1 but the hardware provisions the single
     // widest adder (paper Sec. IV-C instantiates one n/4+1-bit adder).

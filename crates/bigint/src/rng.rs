@@ -54,7 +54,8 @@ impl UintRng {
     pub fn exact_bits(&mut self, bits: usize) -> Uint {
         assert!(bits > 0, "cannot generate a 0-bit non-zero integer");
         let u = self.uniform(bits);
-        u.low_bits(bits.saturating_sub(1)).add(&Uint::pow2(bits - 1))
+        u.low_bits(bits.saturating_sub(1))
+            .add(&Uint::pow2(bits - 1))
     }
 
     /// A random integer below `bound` (rejection sampling).

@@ -61,7 +61,9 @@ impl Uint {
     pub fn from_u128(v: u128) -> Self {
         let lo = v as u64;
         let hi = (v >> 64) as u64;
-        let mut u = Uint { limbs: vec![lo, hi] };
+        let mut u = Uint {
+            limbs: vec![lo, hi],
+        };
         u.normalize();
         u
     }
@@ -314,7 +316,10 @@ mod tests {
     fn join_handles_overlapping_chunks() {
         // 0xFF << 0 + 0xFF << 4 = 0x10EF
         let chunks = vec![Uint::from_u64(0xFF), Uint::from_u64(0xFF)];
-        assert_eq!(Uint::join_chunks(&chunks, 4), Uint::from_u64(0xFF + (0xFF << 4)));
+        assert_eq!(
+            Uint::join_chunks(&chunks, 4),
+            Uint::from_u64(0xFF + (0xFF << 4))
+        );
     }
 
     #[test]

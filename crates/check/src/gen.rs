@@ -14,7 +14,7 @@
 //! Generation is fully deterministic in the seed (a splitmix64
 //! stream), so every fuzz failure is replayable from its seed alone.
 
-use crate::verify::{AbstractState, Violation, VerifyConfig};
+use crate::verify::{AbstractState, VerifyConfig, Violation};
 use cim_crossbar::MicroOp;
 
 /// One generated bit-sliced batch: a width bucket plus per-lane

@@ -250,7 +250,10 @@ mod tests {
     #[test]
     fn shift_matches_window_semantics() {
         let mut m = GoldMatrix::new(2, 6);
-        m.apply(&MicroOp::write_row(0, &[true, true, false, false, true, true]));
+        m.apply(&MicroOp::write_row(
+            0,
+            &[true, true, false, false, true, true],
+        ));
         // Shift window 1..5 by +2 into row 1 with fill=true.
         m.apply(&MicroOp::shift_to(0, 1, 1..5, 2, true));
         // Window was [t,f,f,t]; shifted +2 → [fill,fill,t,f].
@@ -264,7 +267,10 @@ mod tests {
     #[test]
     fn partitioned_nor_applies_per_partition() {
         let mut m = GoldMatrix::new(1, 6);
-        m.apply(&MicroOp::write_row(0, &[true, false, true, false, false, true]));
+        m.apply(&MicroOp::write_row(
+            0,
+            &[true, false, true, false, false, true],
+        ));
         m.apply(&MicroOp::nor_cols_partitioned(0..1, 0..6, 3, &[0, 1], 2));
         // Partition 0: NOR(t,f)=f at col 2; partition 1: NOR(f,f)=t at col 5.
         assert!(!m.cell(0, 2));

@@ -54,9 +54,7 @@ mod verify;
 pub use gen::{BatchGen, LaneBatch, ProgramGen};
 pub use gold::GoldMatrix;
 pub use pressure::{Hotspot, WritePressure};
-pub use verify::{
-    verify, VerifyConfig, VerifyError, VerifyReport, Violation, MAX_VIOLATIONS,
-};
+pub use verify::{verify, VerifyConfig, VerifyError, VerifyReport, Violation, MAX_VIOLATIONS};
 
 use cim_crossbar::MicroOp;
 

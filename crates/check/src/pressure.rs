@@ -222,8 +222,16 @@ mod tests {
         assert_eq!(
             p.hotspots(2),
             vec![
-                Hotspot { row: 1, col: 2, writes: 5 },
-                Hotspot { row: 0, col: 0, writes: 2 },
+                Hotspot {
+                    row: 1,
+                    col: 2,
+                    writes: 5
+                },
+                Hotspot {
+                    row: 0,
+                    col: 0,
+                    writes: 2
+                },
             ]
         );
         assert_eq!(p.hottest(1).len(), 1);

@@ -152,10 +152,16 @@ impl fmt::Display for Violation {
                 write!(f, "op {op}: row {row} out of range for {rows}-row array")
             }
             Violation::ColOutOfRange { op, col, cols } => {
-                write!(f, "op {op}: column {col} out of range for {cols}-column array")
+                write!(
+                    f,
+                    "op {op}: column {col} out of range for {cols}-column array"
+                )
             }
             Violation::ReadBeforeInit { op, row, col } => {
-                write!(f, "op {op}: cell ({row}, {col}) is read before initialization")
+                write!(
+                    f,
+                    "op {op}: cell ({row}, {col}) is read before initialization"
+                )
             }
             Violation::OutputNotInitialized { op, row, col } => write!(
                 f,
@@ -639,7 +645,11 @@ mod tests {
         let err = verify(&program, &cfg(2, 2)).unwrap_err();
         assert_eq!(
             err.violations,
-            vec![Violation::ReadBeforeInit { op: 0, row: 1, col: 0 }]
+            vec![Violation::ReadBeforeInit {
+                op: 0,
+                row: 1,
+                col: 0
+            }]
         );
     }
 
@@ -652,7 +662,11 @@ mod tests {
         let err = verify(&program, &cfg(3, 2)).unwrap_err();
         assert!(matches!(
             err.violations[0],
-            Violation::ReadBeforeInit { op: 1, row: 0, col: 0 }
+            Violation::ReadBeforeInit {
+                op: 1,
+                row: 0,
+                col: 0
+            }
         ));
     }
 
@@ -660,7 +674,10 @@ mod tests {
     fn detects_uninitialized_shift_source() {
         let program = vec![MicroOp::shift(0, 0..4, 1)];
         let err = verify(&program, &cfg(1, 4)).unwrap_err();
-        assert!(matches!(err.violations[0], Violation::ReadBeforeInit { op: 0, .. }));
+        assert!(matches!(
+            err.violations[0],
+            Violation::ReadBeforeInit { op: 0, .. }
+        ));
     }
 
     #[test]
@@ -672,7 +689,11 @@ mod tests {
         let err = verify(&program, &cfg(2, 2)).unwrap_err();
         assert_eq!(
             err.violations,
-            vec![Violation::OutputNotInitialized { op: 1, row: 1, col: 0 }]
+            vec![Violation::OutputNotInitialized {
+                op: 1,
+                row: 1,
+                col: 0
+            }]
         );
     }
 
@@ -715,7 +736,11 @@ mod tests {
         let err = verify(&program, &cfg(2, 4)).unwrap_err();
         assert_eq!(
             err.violations,
-            vec![Violation::InOutOverlap { op: 1, axis: Axis::Row, index: 1 }]
+            vec![Violation::InOutOverlap {
+                op: 1,
+                axis: Axis::Row,
+                index: 1
+            }]
         );
 
         let program = vec![
@@ -725,7 +750,11 @@ mod tests {
         let err = verify(&program, &cfg(1, 4)).unwrap_err();
         assert_eq!(
             err.violations,
-            vec![Violation::InOutOverlap { op: 1, axis: Axis::Col, index: 2 }]
+            vec![Violation::InOutOverlap {
+                op: 1,
+                axis: Axis::Col,
+                index: 2
+            }]
         );
     }
 
@@ -734,12 +763,20 @@ mod tests {
         let err = verify(&[MicroOp::write_row(9, &[true])], &cfg(2, 2)).unwrap_err();
         assert_eq!(
             err.violations,
-            vec![Violation::RowOutOfRange { op: 0, row: 9, rows: 2 }]
+            vec![Violation::RowOutOfRange {
+                op: 0,
+                row: 9,
+                rows: 2
+            }]
         );
         let err = verify(&[MicroOp::write_row(0, &[true; 5])], &cfg(2, 2)).unwrap_err();
         assert_eq!(
             err.violations,
-            vec![Violation::ColOutOfRange { op: 0, col: 4, cols: 2 }]
+            vec![Violation::ColOutOfRange {
+                op: 0,
+                col: 4,
+                cols: 2
+            }]
         );
     }
 
@@ -748,17 +785,27 @@ mod tests {
         // Span not a multiple of the partition width.
         let program = vec![MicroOp::nor_cols_partitioned(0..1, 0..8, 3, &[0], 1)];
         let err = verify(&program, &cfg(1, 8)).unwrap_err();
-        assert!(matches!(err.violations[0], Violation::PartitionConflict { op: 0, .. }));
+        assert!(matches!(
+            err.violations[0],
+            Violation::PartitionConflict { op: 0, .. }
+        ));
         // Offset outside the partition.
         let program = vec![MicroOp::nor_cols_partitioned(0..1, 0..8, 4, &[5], 1)];
         let err = verify(&program, &cfg(1, 8)).unwrap_err();
-        assert!(matches!(err.violations[0], Violation::PartitionConflict { .. }));
+        assert!(matches!(
+            err.violations[0],
+            Violation::PartitionConflict { .. }
+        ));
         // In/out overlap inside the partition is the overlap rule.
         let program = vec![MicroOp::nor_cols_partitioned(0..1, 0..8, 4, &[1], 1)];
         let err = verify(&program, &cfg(1, 8)).unwrap_err();
         assert_eq!(
             err.violations,
-            vec![Violation::InOutOverlap { op: 0, axis: Axis::Col, index: 1 }]
+            vec![Violation::InOutOverlap {
+                op: 0,
+                axis: Axis::Col,
+                index: 1
+            }]
         );
     }
 
@@ -819,7 +866,10 @@ mod tests {
             MicroOp::reset_rows(&[2], 0..3),
         ])];
         let err = verify(&program, &cfg(4, 3)).unwrap_err();
-        assert!(matches!(err.violations[0], Violation::BundleConflict { op: 0, .. }));
+        assert!(matches!(
+            err.violations[0],
+            Violation::BundleConflict { op: 0, .. }
+        ));
         // A NOR reading what a co-issued wave writes.
         let program = vec![
             MicroOp::write_row(0, &[true; 3]),
@@ -830,14 +880,20 @@ mod tests {
             ]),
         ];
         let err = verify(&program, &cfg(4, 3)).unwrap_err();
-        assert!(matches!(err.violations[0], Violation::BundleConflict { op: 2, .. }));
+        assert!(matches!(
+            err.violations[0],
+            Violation::BundleConflict { op: 2, .. }
+        ));
         // Serial periphery inside a bundle.
         let program = vec![MicroOp::parallel(vec![
             MicroOp::init_rows(&[1], 0..3),
             MicroOp::write_row(0, &[true; 3]),
         ])];
         let err = verify(&program, &cfg(4, 3)).unwrap_err();
-        assert!(matches!(err.violations[0], Violation::BundleConflict { .. }));
+        assert!(matches!(
+            err.violations[0],
+            Violation::BundleConflict { .. }
+        ));
         assert!(err.to_string().contains("bundle conflict"));
     }
 
@@ -862,8 +918,7 @@ mod tests {
 
     #[test]
     fn violations_are_capped() {
-        let program: Vec<MicroOp> =
-            (0..200).map(|_| MicroOp::read_row(0, 0..1)).collect();
+        let program: Vec<MicroOp> = (0..200).map(|_| MicroOp::read_row(0, 0..1)).collect();
         let err = verify(&program, &cfg(1, 1)).unwrap_err();
         assert_eq!(err.violations.len(), MAX_VIOLATIONS);
     }

@@ -39,12 +39,7 @@ fn to_pairs(batch: &LaneBatch) -> Vec<(Uint, Uint)> {
 /// Solo reference run of one operand pair on a fresh array with the
 /// given backend. Returns the product, the run stats and the final
 /// array (for state and wear comparison).
-fn solo_run(
-    width: usize,
-    kind: BackendKind,
-    a: &Uint,
-    b: &Uint,
-) -> (Uint, RowMultStats, Crossbar) {
+fn solo_run(width: usize, kind: BackendKind, a: &Uint, b: &Uint) -> (Uint, RowMultStats, Crossbar) {
     let mult = RowMultiplier::new(width);
     let mut array = Crossbar::with_backend(1, mult.required_cols(), kind).unwrap();
     let (product, stats) = mult.run_in(&mut array, 0, 0, a, b).unwrap();
@@ -110,8 +105,7 @@ fn triangulate(batch: &LaneBatch, bleed: Option<(usize, usize)>) -> Result<(), S
                 ));
             }
         }
-        if EnduranceReport::from_lane(&sliced, lane) != EnduranceReport::from_array(&scalar_array)
-        {
+        if EnduranceReport::from_lane(&sliced, lane) != EnduranceReport::from_array(&scalar_array) {
             return Err(format!("lane {lane}: endurance report diverged from solo"));
         }
     }
@@ -169,8 +163,7 @@ proptest! {
 fn pinned_batches_triangulate() {
     for seed in [0u64, 1, 0xdead_beef, 0x5eed] {
         let batch = BatchGen::new(seed).next_batch(12);
-        triangulate(&batch, None)
-            .unwrap_or_else(|err| panic!("pinned seed {seed:#x}: {err}"));
+        triangulate(&batch, None).unwrap_or_else(|err| panic!("pinned seed {seed:#x}: {err}"));
     }
 }
 
@@ -257,7 +250,10 @@ fn assert_batch_paths_agree(n: usize, lanes: usize, opt: OptLevel, seed: u64) {
         .multiply_batch(&pairs)
         .unwrap_or_else(|e| panic!("{what}: multiply_batch: {e}"));
 
-    let pre = PrecomputeStage::with_opt_level(n, opt).unwrap().run_batch(&pairs).unwrap();
+    let pre = PrecomputeStage::with_opt_level(n, opt)
+        .unwrap()
+        .run_batch(&pairs)
+        .unwrap();
     let mid = MultiplyStage::with_opt_level(n, opt)
         .unwrap()
         .run_batch(&pre.a_leaves, &pre.b_leaves)
@@ -280,8 +276,14 @@ fn assert_batch_paths_agree(n: usize, lanes: usize, opt: OptLevel, seed: u64) {
 
     for (lane, (a, b)) in pairs.iter().enumerate() {
         let solo = mult.multiply(a, b).unwrap();
-        assert_eq!(whole.products[lane], solo.product, "{what}: lane {lane} product");
-        assert_eq!(whole.stage_cycles, solo.report.stage_cycles, "{what}: cycles");
+        assert_eq!(
+            whole.products[lane], solo.product,
+            "{what}: lane {lane} product"
+        );
+        assert_eq!(
+            whole.stage_cycles, solo.report.stage_cycles,
+            "{what}: cycles"
+        );
         for stage in 0..3 {
             assert_eq!(
                 whole.lane_endurance[stage][lane], solo.report.endurance[stage],

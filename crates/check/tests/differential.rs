@@ -11,11 +11,7 @@ use proptest::prelude::*;
 
 /// Sensed reads, cycle count, and trace length of one executor run of
 /// `program` on an array with the given backend.
-fn run_exec(
-    array: &mut Crossbar,
-    program: &[MicroOp],
-    seed: u64,
-) -> (Vec<Vec<bool>>, u64, usize) {
+fn run_exec(array: &mut Crossbar, program: &[MicroOp], seed: u64) -> (Vec<Vec<bool>>, u64, usize) {
     let kind = array.backend_kind();
     let mut exec = Executor::with_config(
         array,
@@ -75,16 +71,29 @@ fn run_case(rows: usize, cols: usize, min_len: usize, seed: u64) -> (usize, u64)
     for r in 0..rows {
         let exec_row = packed.read_row_bits(r, 0..cols).unwrap();
         let gold_row = gold.row_bits(r, 0..cols);
-        assert_eq!(exec_row, gold_row, "seed {seed}: final state of row {r} diverged");
+        assert_eq!(
+            exec_row, gold_row,
+            "seed {seed}: final state of row {r} diverged"
+        );
     }
     assert_eq!(
         packed, scalar,
         "seed {seed}: backends' final array state diverged"
     );
     // Cycle accounting agrees across all implementations.
-    assert_eq!(exec_cycles, gold.cycles(), "seed {seed}: cycle counts diverged");
-    assert_eq!(exec_cycles, report.cycles, "seed {seed}: verifier cycle estimate diverged");
-    assert_eq!(exec_cycles, scalar_cycles, "seed {seed}: backend cycle counts diverged");
+    assert_eq!(
+        exec_cycles,
+        gold.cycles(),
+        "seed {seed}: cycle counts diverged"
+    );
+    assert_eq!(
+        exec_cycles, report.cycles,
+        "seed {seed}: verifier cycle estimate diverged"
+    );
+    assert_eq!(
+        exec_cycles, scalar_cycles,
+        "seed {seed}: backend cycle counts diverged"
+    );
     // Statically-predicted wear equals measured wear on both backends,
     // cell for cell.
     for r in 0..rows {

@@ -125,7 +125,13 @@ fn out_of_bounds_column_is_caught() {
 fn inconsistent_partition_geometry_is_caught() {
     let (mut program, config) = baseline(8);
     let cols = config.cols();
-    program.push(MicroOp::nor_cols_partitioned(0..1, 0..cols, cols + 1, &[0], 1));
+    program.push(MicroOp::nor_cols_partitioned(
+        0..1,
+        0..cols,
+        cols + 1,
+        &[0],
+        1,
+    ));
     let err = verify(&program, &config).unwrap_err();
     assert!(
         err.violations

@@ -68,7 +68,10 @@ pub struct OperandDecomposition {
 ///            Uint::from_u64(0xAA + 0xBB + 0xCC + 0xDD));
 /// ```
 pub fn decompose_operand(a: &Uint, n: usize) -> OperandDecomposition {
-    assert!(n > 0 && n.is_multiple_of(4), "operand width must be a multiple of 4");
+    assert!(
+        n > 0 && n.is_multiple_of(4),
+        "operand width must be a multiple of 4"
+    );
     let chunk_bits = n / 4;
     let op = ChunkOperand::from_uint(a, 2, chunk_bits);
     let d = decompose(&op);
@@ -189,8 +192,7 @@ mod tests {
             let b = rng.uniform(n);
             let da = decompose_operand(&a, n);
             let db = decompose_operand(&b, n);
-            let products: [Uint; LEAVES] =
-                std::array::from_fn(|i| &da.leaves[i] * &db.leaves[i]);
+            let products: [Uint; LEAVES] = std::array::from_fn(|i| &da.leaves[i] * &db.leaves[i]);
             assert_eq!(combine_products(&products, n / 4), &a * &b, "n = {n}");
         }
     }

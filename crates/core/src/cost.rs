@@ -61,7 +61,10 @@ impl DesignPoint {
     ///
     /// Panics if `n` is not a positive multiple of 4.
     pub fn new(n: usize) -> Self {
-        assert!(n > 0 && n.is_multiple_of(4), "operand width must be a multiple of 4");
+        assert!(
+            n > 0 && n.is_multiple_of(4),
+            "operand width must be a multiple of 4"
+        );
         let q = n / 4;
         let w = q + 2; // multiplication-stage operand width
         DesignPoint {
@@ -185,9 +188,7 @@ impl DepthCostModel {
     /// Stage 1 latency: input writes + sequential additions + reset.
     pub fn precompute_latency(&self) -> u64 {
         let inputs = 2u64 << self.depth; // 2^(L+1) chunks
-        inputs
-            + self.precompute_additions() * (17 + 11 * ceil_log2(self.pre_adder_width()))
-            + 1
+        inputs + self.precompute_additions() * (17 + 11 * ceil_log2(self.pre_adder_width())) + 1
     }
 
     /// Stage 2 latency: `3^L` parallel row multiplications.
@@ -280,7 +281,10 @@ impl RecursivePrecomputeAblation {
     ///
     /// Panics if `n` is not a positive multiple of 4.
     pub fn new(n: usize) -> Self {
-        assert!(n > 0 && n.is_multiple_of(4), "operand width must be a multiple of 4");
+        assert!(
+            n > 0 && n.is_multiple_of(4),
+            "operand width must be a multiple of 4"
+        );
         let unit_area = |w: usize| 15 * (w as u64 + 1);
         let add_lat = |w: usize| 17 + 11 * ceil_log2(w);
         let wide = n / 2;
@@ -387,9 +391,7 @@ mod tests {
     #[test]
     fn fig4_l2_is_optimal() {
         for n in [192usize, 256, 320, 384, 512] {
-            let atps: Vec<f64> = (1..=4)
-                .map(|l| DepthCostModel::new(n, l).atp())
-                .collect();
+            let atps: Vec<f64> = (1..=4).map(|l| DepthCostModel::new(n, l).atp()).collect();
             let best = atps
                 .iter()
                 .enumerate()
@@ -460,8 +462,14 @@ mod tests {
             let unrolled_alp = ab.unrolled_area as f64 * ab.unrolled_latency as f64;
             let multi_alp = ab.multi_array_area as f64 * ab.multi_array_latency as f64;
             let single_alp = ab.single_array_area as f64 * ab.single_array_latency as f64;
-            assert!(multi_alp > unrolled_alp, "n={n}: multi {multi_alp} vs {unrolled_alp}");
-            assert!(single_alp > unrolled_alp, "n={n}: single {single_alp} vs {unrolled_alp}");
+            assert!(
+                multi_alp > unrolled_alp,
+                "n={n}: multi {multi_alp} vs {unrolled_alp}"
+            );
+            assert!(
+                single_alp > unrolled_alp,
+                "n={n}: single {single_alp} vs {unrolled_alp}"
+            );
         }
     }
 }

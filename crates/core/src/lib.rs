@@ -45,8 +45,8 @@
 #![warn(missing_docs)]
 
 pub mod chunks;
-pub mod depth1;
 pub mod cost;
+pub mod depth1;
 pub mod metrics;
 pub mod multiplier;
 pub mod multiply;

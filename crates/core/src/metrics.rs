@@ -175,8 +175,8 @@ mod tests {
             ),
             Some(out.report.precompute_stats.magic_cycles as f64)
         );
-        assert!(snap
-            .number_with(
+        assert!(
+            snap.number_with(
                 METRIC_XBAR_ENERGY,
                 &width
                     .clone()
@@ -184,7 +184,8 @@ mod tests {
                     .with("component", "magic")
             )
             .unwrap()
-            > 0.0);
+                > 0.0
+        );
     }
 
     #[test]

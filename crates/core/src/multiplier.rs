@@ -95,7 +95,11 @@ impl ExecutionReport {
     /// the *exact* per-cell write counts, MAGIC/read energy from the
     /// cycle statistics, plus the inter-stage handoff modeled as
     /// on-chip reads+writes of the 18 operands and 9 products.
-    pub fn energy(&self, n: usize, params: &cim_crossbar::EnergyParams) -> cim_crossbar::EnergyReport {
+    pub fn energy(
+        &self,
+        n: usize,
+        params: &cim_crossbar::EnergyParams,
+    ) -> cim_crossbar::EnergyReport {
         use cim_crossbar::EnergyReport;
         let w = n / 4 + 2;
         let pre = EnergyReport::from_stats(&self.precompute_stats, w, params);
@@ -310,9 +314,9 @@ impl KaratsubaCimMultiplier {
             );
         }
         let mult_start = pre.stats.cycles + HANDOFF_CYCLES;
-        let mult = self
-            .multiply
-            .run_traced(&pre.a_leaves, &pre.b_leaves, tracer, pid, mult_start)?;
+        let mult =
+            self.multiply
+                .run_traced(&pre.a_leaves, &pre.b_leaves, tracer, pid, mult_start)?;
         let post_track = tracer.track(pid, "stage 3 (postcompute)");
         let post_start = mult_start + mult.cycles + HANDOFF_CYCLES;
         if enabled {
@@ -323,7 +327,9 @@ impl KaratsubaCimMultiplier {
                 Args::new().with("cycles", HANDOFF_CYCLES as i64),
             );
         }
-        let post = self.postcompute.run_traced(&mult.products, tracer, post_track, post_start)?;
+        let post = self
+            .postcompute
+            .run_traced(&mult.products, tracer, post_track, post_start)?;
         self.outcome(a * b, pre, mult, post)
     }
 
@@ -495,8 +501,9 @@ mod tests {
         let n = 32;
         let lanes = 64;
         let mult = KaratsubaCimMultiplier::new(n).unwrap();
-        let pairs: Vec<(Uint, Uint)> =
-            (0..lanes).map(|_| (rng.uniform(n), rng.uniform(n))).collect();
+        let pairs: Vec<(Uint, Uint)> = (0..lanes)
+            .map(|_| (rng.uniform(n), rng.uniform(n)))
+            .collect();
         let batch = mult.multiply_batch(&pairs).unwrap();
         assert_eq!(batch.lanes(), lanes);
         let solo = mult.multiply(&pairs[0].0, &pairs[0].1).unwrap();
@@ -510,10 +517,7 @@ mod tests {
             assert_eq!(batch.products[lane], a * b, "lane {lane}");
         }
         // 64 lanes in one instance's cycles → 64× products per cycle.
-        assert!(
-            batch.products_per_kcc()
-                >= 63.9 * (1000.0 / solo.report.total_latency as f64)
-        );
+        assert!(batch.products_per_kcc() >= 63.9 * (1000.0 / solo.report.total_latency as f64));
     }
 
     #[test]
@@ -521,8 +525,7 @@ mod tests {
         let mut rng = UintRng::seeded(31);
         let n = 16;
         let mult = KaratsubaCimMultiplier::new(n).unwrap();
-        let pairs: Vec<(Uint, Uint)> =
-            (0..5).map(|_| (rng.uniform(n), rng.uniform(n))).collect();
+        let pairs: Vec<(Uint, Uint)> = (0..5).map(|_| (rng.uniform(n), rng.uniform(n))).collect();
         let batch = mult.multiply_batch(&pairs).unwrap();
         for (lane, (a, b)) in pairs.iter().enumerate() {
             let solo = mult.multiply(a, b).unwrap();
@@ -659,7 +662,10 @@ mod tests {
         let observed = metered.multiply(&a, &b).unwrap();
         assert_eq!(observed.report, baseline.report, "metrics must be neutral");
         assert_eq!(observed.product, baseline.product);
-        assert!(!hub.snapshot().families.is_empty(), "but metrics did publish");
+        assert!(
+            !hub.snapshot().families.is_empty(),
+            "but metrics did publish"
+        );
 
         // Attaching a disabled hub is a no-op.
         let mut disabled = KaratsubaCimMultiplier::new(64).unwrap();

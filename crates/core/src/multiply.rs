@@ -84,7 +84,10 @@ impl MultiplyStage {
     ///
     /// Panics if `n` is not a positive multiple of 4.
     pub fn with_opt_level(n: usize, opt: cim_mir::OptLevel) -> Result<Self, CrossbarError> {
-        assert!(n > 0 && n.is_multiple_of(4), "operand width must be a multiple of 4");
+        assert!(
+            n > 0 && n.is_multiple_of(4),
+            "operand width must be a multiple of 4"
+        );
         Ok(MultiplyStage {
             n,
             multiplier: RowMultiplier::with_opt_level(n / 4 + 2, opt),
@@ -189,7 +192,9 @@ impl MultiplyStage {
         let mut products = LeafRows::default();
         for (i, product) in products.iter_mut().enumerate() {
             let (a, b) = (&a_leaves[i], &b_leaves[i]);
-            (*product, _) = self.multiplier.run_lanes_in(&mut array, i, 0, a, b, lanes)?;
+            (*product, _) = self
+                .multiplier
+                .run_lanes_in(&mut array, i, 0, a, b, lanes)?;
         }
         Ok(BatchMultiplyOutput {
             products,

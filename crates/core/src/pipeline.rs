@@ -60,7 +60,11 @@ impl PipelineSchedule {
                 stage_free[s] = finish[s];
                 input_ready = finish[s];
             }
-            jobs.push(JobTiming { job: j, start, finish });
+            jobs.push(JobTiming {
+                job: j,
+                start,
+                finish,
+            });
         }
         PipelineSchedule {
             stage_latency,
@@ -183,8 +187,7 @@ impl PipelineSchedule {
             for (s, label) in ["P", "M", "C"].iter().enumerate() {
                 let pad = (t.start[s] - cursor) / cycles_per_char.max(1);
                 line.push_str(&" ".repeat(pad as usize));
-                let width =
-                    ((t.finish[s] - t.start[s]) / cycles_per_char.max(1)).max(1) as usize;
+                let width = ((t.finish[s] - t.start[s]) / cycles_per_char.max(1)).max(1) as usize;
                 line.push_str(&label.repeat(width));
                 cursor = t.finish[s];
             }

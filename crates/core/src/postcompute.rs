@@ -44,7 +44,7 @@ use cim_crossbar::{
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
 use cim_logic::read_row_uint;
 use cim_mir::OptLevel;
-use cim_trace::{TrackId, Tracer};
+use cim_trace::{Tracer, TrackId};
 
 /// Rows of the stage array: 8 data rows + 12 adder scratch rows.
 pub const ROWS: usize = 8 + SCRATCH_ROWS;
@@ -573,10 +573,10 @@ impl PostcomputeStage {
         // the compiled adder body — op-identical to `pass_program` at
         // `O0`, wrapped in a named span.
         let pass = |exec: &mut Executor<'_>,
-                        name: &'static str,
-                        op: AddOp,
-                        x: &Uint,
-                        y: &Uint|
+                    name: &'static str,
+                    op: AddOp,
+                    x: &Uint,
+                    y: &Uint|
          -> Result<Uint, CrossbarError> {
             let span = tracer.span_at(track, name, start_cycle + exec.stats().cycles);
             run_pass(exec, &self.adder, self.adder_program(op), x, y)?;
@@ -593,7 +593,13 @@ impl PostcomputeStage {
         let gap_ones = |from: usize, to: usize| Uint::pow2(to).sub(&Uint::pow2(from));
 
         // Pass 1: t_l ‖ t_h (batched add).
-        let s1 = pass(&mut exec, "pass 1: t_l || t_h", AddOp::Add, &c_ll.add(&c_hl.shl(seg)), &c_lh.add(&c_hh.shl(seg)))?;
+        let s1 = pass(
+            &mut exec,
+            "pass 1: t_l || t_h",
+            AddOp::Add,
+            &c_ll.add(&c_hl.shl(seg)),
+            &c_lh.add(&c_hh.shl(seg)),
+        )?;
         let t_l = s1.low_bits(seg);
         let t_h = s1.shr(seg);
 
@@ -602,7 +608,13 @@ impl PostcomputeStage {
             .add(&gap_ones(cap, seg))
             .add(&c_hm.shl(seg))
             .add(&gap_ones(seg + cap, w));
-        let s2 = pass(&mut exec, "pass 2: c~_lm || c~_hm", AddOp::Sub, &x2, &t_l.add(&t_h.shl(seg)))?;
+        let s2 = pass(
+            &mut exec,
+            "pass 2: c~_lm || c~_hm",
+            AddOp::Sub,
+            &x2,
+            &t_l.add(&t_h.shl(seg)),
+        )?;
         let ct_lm = s2.low_bits(cap);
         let ct_hm = s2.shr(seg).low_bits(cap);
 
@@ -613,10 +625,22 @@ impl PostcomputeStage {
         let ct_mm = pass(&mut exec, "pass 4: c~_mm", AddOp::Sub, &c_mm, &t_m)?;
 
         // Pass 5: c_l = (c_lh ‖ c_ll) + c̃_lm·2^q.
-        let c_l = pass(&mut exec, "pass 5: c_l", AddOp::Add, &c_ll.add(&c_lh.shl(2 * q)), &ct_lm.shl(q))?;
+        let c_l = pass(
+            &mut exec,
+            "pass 5: c_l",
+            AddOp::Add,
+            &c_ll.add(&c_lh.shl(2 * q)),
+            &ct_lm.shl(q),
+        )?;
 
         // Pass 6: c_h likewise.
-        let c_h = pass(&mut exec, "pass 6: c_h", AddOp::Add, &c_hl.add(&c_hh.shl(2 * q)), &ct_hm.shl(q))?;
+        let c_h = pass(
+            &mut exec,
+            "pass 6: c_h",
+            AddOp::Add,
+            &c_hl.add(&c_hh.shl(2 * q)),
+            &ct_hm.shl(q),
+        )?;
 
         // Passes 7–8: c_m needs two additions (c_ml is n/2+2 bits wide,
         // so appending c_mh is not possible).

@@ -18,11 +18,14 @@
 
 use crate::chunks::{decompose_operand, LeafRows, LEAVES};
 use cim_bigint::Uint;
-use cim_crossbar::{CompiledProgram, Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp, Region};
+use cim_crossbar::{
+    CompiledProgram, Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp,
+    Region,
+};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
 use cim_logic::read_row_uint;
 use cim_mir::{MirProgram, OptLevel, TileLimits};
-use cim_trace::{TrackId, Tracer};
+use cim_trace::{Tracer, TrackId};
 use std::sync::{Arc, OnceLock};
 
 /// Output of one precomputation run.
@@ -119,15 +122,15 @@ pub const ROWS: usize = 8 + 10 + SCRATCH_ROWS;
 /// The ten additions: (x row, y row, result row), in execution order.
 /// Rows 10–11 (a20/a31) must precede row 12 (a3210); same for b.
 const ADDITIONS: [(usize, usize, usize); 10] = [
-    (1, 0, 8),   // a10 = a1 + a0
-    (3, 2, 9),   // a32 = a3 + a2
-    (2, 0, 10),  // a20 = a2 + a0
-    (3, 1, 11),  // a31 = a3 + a1
+    (1, 0, 8),    // a10 = a1 + a0
+    (3, 2, 9),    // a32 = a3 + a2
+    (2, 0, 10),   // a20 = a2 + a0
+    (3, 1, 11),   // a31 = a3 + a1
     (10, 11, 12), // a3210 = a20 + a31
-    (5, 4, 13),  // b10
-    (7, 6, 14),  // b32
-    (6, 4, 15),  // b20
-    (7, 5, 16),  // b31
+    (5, 4, 13),   // b10
+    (7, 6, 14),   // b32
+    (6, 4, 15),   // b20
+    (7, 5, 16),   // b31
     (15, 16, 17), // b3210
 ];
 
@@ -138,8 +141,16 @@ const B_LEAF_ROWS: [usize; LEAVES] = [4, 5, 13, 6, 7, 14, 15, 16, 17];
 
 /// Span names of [`ADDITIONS`], in execution order.
 const ADDITION_NAMES: [&str; 10] = [
-    "add a10", "add a32", "add a20", "add a31", "add a3210", "add b10", "add b32", "add b20",
-    "add b31", "add b3210",
+    "add a10",
+    "add a32",
+    "add a20",
+    "add a31",
+    "add a3210",
+    "add b10",
+    "add b32",
+    "add b20",
+    "add b31",
+    "add b3210",
 ];
 
 impl PrecomputeStage {
@@ -173,7 +184,10 @@ impl PrecomputeStage {
     ///
     /// Panics if `n` is not a positive multiple of 4.
     pub fn with_opt_level(n: usize, opt: OptLevel) -> Result<Self, CrossbarError> {
-        assert!(n > 0 && n.is_multiple_of(4), "operand width must be a multiple of 4");
+        assert!(
+            n > 0 && n.is_multiple_of(4),
+            "operand width must be a multiple of 4"
+        );
         Ok(PrecomputeStage {
             n,
             opt,
@@ -305,7 +319,10 @@ impl PrecomputeStage {
     ///
     /// Panics if `pairs` is empty, holds more than 64 entries, or an
     /// operand does not fit in `n` bits.
-    pub fn run_batch(&self, pairs: &[(Uint, Uint)]) -> Result<BatchPrecomputeOutput, CrossbarError> {
+    pub fn run_batch(
+        &self,
+        pairs: &[(Uint, Uint)],
+    ) -> Result<BatchPrecomputeOutput, CrossbarError> {
         let lanes = pairs.len();
         assert!((1..=64).contains(&lanes), "batch must hold 1..=64 lanes");
         let (a, b) = cim_logic::pair_lanes(pairs, self.n);
@@ -314,8 +331,16 @@ impl PrecomputeStage {
         let b_leaves = crate::chunks::leaf_sets(&out.b_leaves, lanes);
         #[cfg(debug_assertions)]
         for (lane, (a, b)) in pairs.iter().enumerate() {
-            assert_eq!(a_leaves[lane], decompose_operand(a, self.n).leaves, "lane {lane}");
-            assert_eq!(b_leaves[lane], decompose_operand(b, self.n).leaves, "lane {lane}");
+            assert_eq!(
+                a_leaves[lane],
+                decompose_operand(a, self.n).leaves,
+                "lane {lane}"
+            );
+            assert_eq!(
+                b_leaves[lane],
+                decompose_operand(b, self.n).leaves,
+                "lane {lane}"
+            );
         }
         Ok(BatchPrecomputeOutput {
             a_leaves,
@@ -713,8 +738,9 @@ mod tests {
         let mut rng = UintRng::seeded(41);
         for (n, lanes) in [(16usize, 5usize), (64, 64)] {
             let stage = PrecomputeStage::new(n).unwrap();
-            let pairs: Vec<(Uint, Uint)> =
-                (0..lanes).map(|_| (rng.uniform(n), rng.uniform(n))).collect();
+            let pairs: Vec<(Uint, Uint)> = (0..lanes)
+                .map(|_| (rng.uniform(n), rng.uniform(n)))
+                .collect();
             let batch = stage.run_batch(&pairs).unwrap();
             assert_eq!(batch.stats.cycles, stage.latency(), "n = {n}");
             assert_eq!(batch.endurance.len(), lanes);
@@ -762,7 +788,8 @@ mod tests {
             for (i, write) in writes.iter().enumerate() {
                 let side = if i < 4 { &da } else { &db };
                 let refs: Vec<&[u64]> = side.iter().map(|d| d.chunks[i % 4].limbs()).collect();
-                let expected = MicroOp::write_row_lanes(INPUT_BASE + i, 0, &transpose_lanes(&refs, cols));
+                let expected =
+                    MicroOp::write_row_lanes(INPUT_BASE + i, 0, &transpose_lanes(&refs, cols));
                 assert_eq!(*write, expected, "n = {n}, chunk row {i}");
             }
 
@@ -771,8 +798,16 @@ mod tests {
             for i in 0..LEAVES {
                 let a_refs: Vec<&[u64]> = da.iter().map(|d| d.leaves[i].limbs()).collect();
                 let b_refs: Vec<&[u64]> = db.iter().map(|d| d.leaves[i].limbs()).collect();
-                assert_eq!(out.a_leaves[i], transpose_lanes(&a_refs, cols), "n = {n}, leaf {i}");
-                assert_eq!(out.b_leaves[i], transpose_lanes(&b_refs, cols), "n = {n}, leaf {i}");
+                assert_eq!(
+                    out.a_leaves[i],
+                    transpose_lanes(&a_refs, cols),
+                    "n = {n}, leaf {i}"
+                );
+                assert_eq!(
+                    out.b_leaves[i],
+                    transpose_lanes(&b_refs, cols),
+                    "n = {n}, leaf {i}"
+                );
                 let leaf_pairs: Vec<(Uint, Uint)> = da
                     .iter()
                     .zip(&db)

@@ -73,7 +73,8 @@ impl EnergyReport {
         let w = row_width as f64;
         EnergyReport {
             // Writes, inits and shift write-backs all pulse cells.
-            write_pj: (stats.write_cycles as f64 + stats.init_cycles as f64
+            write_pj: (stats.write_cycles as f64
+                + stats.init_cycles as f64
                 + stats.shift_cycles as f64 / 2.0)
                 * w
                 * params.write_pj,

@@ -105,7 +105,10 @@ impl fmt::Display for CrossbarError {
                 "MAGIC output cell ({row}, {col}) was not initialized to logic 1"
             ),
             CrossbarError::WidthMismatch { got, expected } => {
-                write!(f, "row write of {got} bits into a span of {expected} columns")
+                write!(
+                    f,
+                    "row write of {got} bits into a span of {expected} columns"
+                )
             }
             CrossbarError::BadPartition { detail } => write!(f, "bad partition: {detail}"),
             CrossbarError::InvalidBundle { detail } => {

@@ -488,7 +488,10 @@ impl MicroOp {
                 lane_words,
             } => OpFootprint {
                 reads: Vec::new(),
-                writes: vec![row_span(*row, &(*col_offset..col_offset + lane_words.len()))],
+                writes: vec![row_span(
+                    *row,
+                    &(*col_offset..col_offset + lane_words.len()),
+                )],
             },
             MicroOp::ReadRow { row, cols } => OpFootprint {
                 reads: vec![row_span(*row, cols)],
@@ -548,9 +551,7 @@ impl MicroOp {
                         .collect(),
                 }
             }
-            MicroOp::Shift {
-                src, dst, cols, ..
-            } => OpFootprint {
+            MicroOp::Shift { src, dst, cols, .. } => OpFootprint {
                 reads: vec![row_span(*src, cols)],
                 writes: vec![row_span(*dst, cols)],
             },

@@ -170,7 +170,9 @@ mod tests {
         spec.publish_stats(&sample_stats());
         let snap = hub.snapshot();
         for class in OpClass::ALL {
-            let labels = Labels::new().with("tile", 0).with("op_class", class.label());
+            let labels = Labels::new()
+                .with("tile", 0)
+                .with("op_class", class.label());
             assert_eq!(
                 snap.number_with(METRIC_XBAR_CYCLES, &labels),
                 Some(sample_stats().cycles_of(class) as f64),

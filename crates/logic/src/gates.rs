@@ -38,13 +38,7 @@ pub fn or(a: usize, b: usize, out: usize, scratch: usize, cols: ColRange) -> Vec
 }
 
 /// `out = AND(a, b)` via NOR(NOT, NOT) — 4 cc. Uses two scratch rows.
-pub fn and(
-    a: usize,
-    b: usize,
-    out: usize,
-    scratch: [usize; 2],
-    cols: ColRange,
-) -> Vec<MicroOp> {
+pub fn and(a: usize, b: usize, out: usize, scratch: [usize; 2], cols: ColRange) -> Vec<MicroOp> {
     vec![
         MicroOp::init_rows(&[out, scratch[0], scratch[1]], cols.clone()),
         MicroOp::not_row(a, scratch[0], cols.clone()),
@@ -55,13 +49,7 @@ pub fn and(
 
 /// `out = XOR(a, b)` = NOR(NOR(a,b), AND(a,b)) — 6 cc.
 /// Uses four scratch rows.
-pub fn xor(
-    a: usize,
-    b: usize,
-    out: usize,
-    scratch: [usize; 4],
-    cols: ColRange,
-) -> Vec<MicroOp> {
+pub fn xor(a: usize, b: usize, out: usize, scratch: [usize; 4], cols: ColRange) -> Vec<MicroOp> {
     let [s0, s1, s2, s3] = scratch;
     vec![
         MicroOp::init_rows(&[out, s0, s1, s2, s3], cols.clone()),
@@ -75,21 +63,15 @@ pub fn xor(
 
 /// `out = XNOR(a, b)` = NOR(AND(¬a,b), AND(a,¬b)) — 6 cc.
 /// Uses four scratch rows.
-pub fn xnor(
-    a: usize,
-    b: usize,
-    out: usize,
-    scratch: [usize; 4],
-    cols: ColRange,
-) -> Vec<MicroOp> {
+pub fn xnor(a: usize, b: usize, out: usize, scratch: [usize; 4], cols: ColRange) -> Vec<MicroOp> {
     let [s0, s1, s2, s3] = scratch;
     vec![
         MicroOp::init_rows(&[out, s0, s1, s2, s3], cols.clone()),
-        MicroOp::not_row(a, s0, cols.clone()),            // ¬a
-        MicroOp::not_row(b, s1, cols.clone()),            // ¬b
-        MicroOp::nor_rows(&[s0, b], s2, cols.clone()),    // a∧¬b ... NOR(¬a, b) = a ∧ ¬b
-        MicroOp::nor_rows(&[a, s1], s3, cols.clone()),    // ¬a∧b
-        MicroOp::nor_rows(&[s2, s3], out, cols),          // ¬(…∨…) = XNOR
+        MicroOp::not_row(a, s0, cols.clone()),         // ¬a
+        MicroOp::not_row(b, s1, cols.clone()),         // ¬b
+        MicroOp::nor_rows(&[s0, b], s2, cols.clone()), // a∧¬b ... NOR(¬a, b) = a ∧ ¬b
+        MicroOp::nor_rows(&[a, s1], s3, cols.clone()), // ¬a∧b
+        MicroOp::nor_rows(&[s2, s3], out, cols),       // ¬(…∨…) = XNOR
     ]
 }
 
@@ -199,7 +181,15 @@ mod tests {
         assert_eq!(cost(xor(0, 1, 2, [3, 4, 5, 6], 0..4)), 6);
         assert_eq!(cost(xnor(0, 1, 2, [3, 4, 5, 6], 0..4)), 6);
         assert_eq!(
-            cost(full_adder(0, 1, 2, 3, 4, [5, 6, 7, 8, 9, 10, 11, 12, 13, 14], 0..4)),
+            cost(full_adder(
+                0,
+                1,
+                2,
+                3,
+                4,
+                [5, 6, 7, 8, 9, 10, 11, 12, 13, 14],
+                0..4
+            )),
             13
         );
     }

@@ -173,10 +173,15 @@ impl KoggeStoneAdder {
     /// Rows required: one past the highest row index the layout uses.
     pub fn required_rows(&self) -> usize {
         let scratch_max = self.layout.scratch.iter().copied().max().expect("12 rows");
-        [self.layout.x_row, self.layout.y_row, self.layout.sum_row, scratch_max]
-            .into_iter()
-            .max()
-            .expect("non-empty")
+        [
+            self.layout.x_row,
+            self.layout.y_row,
+            self.layout.sum_row,
+            scratch_max,
+        ]
+        .into_iter()
+        .max()
+        .expect("non-empty")
             + 1
     }
 
@@ -298,7 +303,11 @@ impl KoggeStoneAdder {
                 prog.push(MicroOp::not_row(x, self.s(U), cols.clone())); // ¬x
                 prog.push(MicroOp::nor_rows(&[self.s(U), y], self.s(T), cols.clone())); // x∧¬y
                 prog.push(MicroOp::not_row(y, self.s(V), cols.clone())); // ¬y
-                prog.push(MicroOp::nor_rows(&[x, self.s(V)], self.s(A_G), cols.clone()));
+                prog.push(MicroOp::nor_rows(
+                    &[x, self.s(V)],
+                    self.s(A_G),
+                    cols.clone(),
+                ));
                 // g = ¬x∧y
             }
         }
@@ -334,7 +343,14 @@ impl KoggeStoneAdder {
                 false,
             ));
             prog.push(MicroOp::init_rows(
-                &[self.s(T), self.s(U), self.s(yg), self.s(yng), self.s(ynp), self.s(V)],
+                &[
+                    self.s(T),
+                    self.s(U),
+                    self.s(yg),
+                    self.s(yng),
+                    self.s(ynp),
+                    self.s(V),
+                ],
                 cols.clone(),
             ));
             prog.push(MicroOp::not_row(self.s(GS), self.s(T), cols.clone())); // ¬G_s
@@ -444,10 +460,16 @@ impl KoggeStoneAdder {
         let mut exec = Executor::new(&mut array);
         // Operand loading is not part of the adder latency (the paper
         // charges it to the surrounding stage), so load outside stats.
-        exec.array_mut()
-            .write_row(self.layout.x_row, self.layout.col_base, &x.to_bits(self.width + 1))?;
-        exec.array_mut()
-            .write_row(self.layout.y_row, self.layout.col_base, &y.to_bits(self.width + 1))?;
+        exec.array_mut().write_row(
+            self.layout.x_row,
+            self.layout.col_base,
+            &x.to_bits(self.width + 1),
+        )?;
+        exec.array_mut().write_row(
+            self.layout.y_row,
+            self.layout.col_base,
+            &y.to_bits(self.width + 1),
+        )?;
         exec.run(&self.program(op))?;
         let full = crate::read_row_uint(exec.array(), self.layout.sum_row, self.cols())?;
         let result = match op {
@@ -745,8 +767,12 @@ mod tests {
         let left = mk(0);
         let right = mk(width + 1);
         let mut array = Crossbar::new(15, 2 * (width + 1)).unwrap();
-        array.write_row(0, 0, &Uint::from_u64(200).to_bits(9)).unwrap();
-        array.write_row(1, 0, &Uint::from_u64(55).to_bits(9)).unwrap();
+        array
+            .write_row(0, 0, &Uint::from_u64(200).to_bits(9))
+            .unwrap();
+        array
+            .write_row(1, 0, &Uint::from_u64(55).to_bits(9))
+            .unwrap();
         array
             .write_row(0, width + 1, &Uint::from_u64(123).to_bits(9))
             .unwrap();
@@ -851,12 +877,20 @@ mod tests {
                 for b in 0u64..=a {
                     let mut array =
                         Crossbar::new(adder.required_rows(), adder.required_cols()).unwrap();
-                    array.write_row(0, 0, &Uint::from_u64(a).to_bits(5)).unwrap();
-                    array.write_row(1, 0, &Uint::from_u64(b).to_bits(5)).unwrap();
+                    array
+                        .write_row(0, 0, &Uint::from_u64(a).to_bits(5))
+                        .unwrap();
+                    array
+                        .write_row(1, 0, &Uint::from_u64(b).to_bits(5))
+                        .unwrap();
                     let mut exec = Executor::new(&mut array);
                     exec.run(&adder.program_opt(AddOp::Sub, opt)).unwrap();
                     let bits = exec.array().read_row_bits(2, 0..4).unwrap();
-                    assert_eq!(Uint::from_bits(&bits), Uint::from_u64(a - b), "{a}-{b} {opt}");
+                    assert_eq!(
+                        Uint::from_bits(&bits),
+                        Uint::from_u64(a - b),
+                        "{a}-{b} {opt}"
+                    );
                 }
             }
         }

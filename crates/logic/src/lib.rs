@@ -183,18 +183,27 @@ mod tests {
     #[test]
     fn lane_words_round_trip_through_a_sliced_row() {
         let values: Vec<Uint> = (0..37u64)
-            .map(|l| Uint::from_limbs(vec![0x9E37_79B9_7F4A_7C15 ^ l, l]).low_bits(70 + l as usize % 3))
+            .map(|l| {
+                Uint::from_limbs(vec![0x9E37_79B9_7F4A_7C15 ^ l, l]).low_bits(70 + l as usize % 3)
+            })
             .collect();
         let words = uint_lanes(&values, 72);
         assert_eq!(words.len(), 72);
-        assert!(words.iter().all(|w| w >> 37 == 0), "inactive lanes stay clear");
+        assert!(
+            words.iter().all(|w| w >> 37 == 0),
+            "inactive lanes stay clear"
+        );
         assert_eq!(lane_uints(&words, 37), values);
 
         // Set every lane's cells, then store the 37 lanes' values: the
         // higher lanes keep their ones.
         let mut array = Crossbar::new_sliced(1, 80, 37).unwrap();
-        array.init_region(&cim_crossbar::Region::new(0..1, 0..80)).unwrap();
-        array.store_row_lane_words(0, 4, &words, (1 << 37) - 1).unwrap();
+        array
+            .init_region(&cim_crossbar::Region::new(0..1, 0..80))
+            .unwrap();
+        array
+            .store_row_lane_words(0, 4, &words, (1 << 37) - 1)
+            .unwrap();
         let read = read_row_lanes(&array, 0, 4..76, 37).unwrap();
         assert_eq!(read, words, "higher lanes' set bits are cleared on read");
     }

@@ -376,7 +376,11 @@ impl RowMultiplier {
     ) -> Result<(), CrossbarError> {
         let w = self.width;
         let at = |off: usize| col_base + off * w;
-        let active = if lanes == 64 { u64::MAX } else { (1u64 << lanes) - 1 };
+        let active = if lanes == 64 {
+            u64::MAX
+        } else {
+            (1u64 << lanes) - 1
+        };
         for i in 0..w {
             let m = array.read_cell_lanes(row, at(B_OFF) + i)? & active;
             // Partition-parallel p/g staging writes (scratch region is
@@ -751,7 +755,11 @@ mod tests {
     /// in both arrays (lane 0 on the sliced backend).
     fn assert_same_cells(x: &Crossbar, y: &Crossbar, cols: usize, what: &str) {
         for c in 0..cols {
-            assert_eq!(x.cell(0, c).unwrap(), y.cell(0, c).unwrap(), "cell {c}, {what}");
+            assert_eq!(
+                x.cell(0, c).unwrap(),
+                y.cell(0, c).unwrap(),
+                "cell {c}, {what}"
+            );
         }
     }
 
@@ -773,7 +781,9 @@ mod tests {
             _ => Crossbar::with_backend(1, cols, kind).unwrap(),
         };
         for (a, b) in [(&first.0, &first.1), (a, b)] {
-            Executor::new(&mut x).run(&m.load_program(0, 0, a, b)).unwrap();
+            Executor::new(&mut x)
+                .run(&m.load_program(0, 0, a, b))
+                .unwrap();
             if closed_form {
                 m.shift_add_closed_form(&mut x, 0, 0, 1).unwrap();
             } else {
@@ -801,7 +811,11 @@ mod tests {
             let first = (rng.uniform(w), rng.uniform(w));
             for (a, b) in edge_pairs(&mut rng, w) {
                 let gold = twice(&m, BackendKind::Scalar, &first, (&a, &b), false);
-                for kind in [BackendKind::Scalar, BackendKind::Packed, BackendKind::Sliced] {
+                for kind in [
+                    BackendKind::Scalar,
+                    BackendKind::Packed,
+                    BackendKind::Sliced,
+                ] {
                     let what = format!("w = {w}, b bits = {}, {kind:?}", b.bit_len());
                     let fast = twice(&m, kind, &first, (&a, &b), true);
                     assert_same_cells(&fast, &gold, cols, &what);
@@ -850,7 +864,8 @@ mod tests {
         for (lane, (a, b)) in pairs.iter().enumerate() {
             for kind in [BackendKind::Scalar, BackendKind::Packed] {
                 let mut solo = Crossbar::with_backend(1, cols, kind).unwrap();
-                m.run_in(&mut solo, 0, 0, &first[lane].0, &first[lane].1).unwrap();
+                m.run_in(&mut solo, 0, 0, &first[lane].0, &first[lane].1)
+                    .unwrap();
                 let (p, solo_stats) = m.run_in(&mut solo, 0, 0, a, b).unwrap();
                 assert_eq!(products[lane], p, "lane {lane}, w = {w}, {kind:?}");
                 assert_eq!(stats, solo_stats);
@@ -875,8 +890,9 @@ mod tests {
         let mut rng = UintRng::seeded(4242);
         for (w, lanes) in [(4usize, 3usize), (8, 64), (17, 7), (33, 12)] {
             let m = RowMultiplier::new(w);
-            let pairs: Vec<(Uint, Uint)> =
-                (0..lanes).map(|_| (rng.uniform(w), rng.uniform(w))).collect();
+            let pairs: Vec<(Uint, Uint)> = (0..lanes)
+                .map(|_| (rng.uniform(w), rng.uniform(w)))
+                .collect();
             assert_batch_matches_solo(&m, &pairs);
         }
     }
@@ -960,7 +976,11 @@ mod tests {
         ];
         let (products, _) = m.run_batch_in(&mut array, 0, 0, &pairs).unwrap();
         assert_eq!(products[0], Uint::from_u64(35), "healthy lane unaffected");
-        assert_eq!(products[1], Uint::from_u64(8), "stuck-at-1 bit 3 shows in 0·0");
+        assert_eq!(
+            products[1],
+            Uint::from_u64(8),
+            "stuck-at-1 bit 3 shows in 0·0"
+        );
         assert_eq!(products[2], Uint::from_u64(0), "healthy lane unaffected");
     }
 

@@ -126,7 +126,13 @@ impl TmrAdder {
             array.write_row(base + 1, 0, &y.to_bits(self.required_cols()))?;
         }
         // Lenient mode: faults manifest physically instead of erroring.
-        let mut exec = Executor::with_config(&mut array, ExecConfig { strict_init: false, record_trace: false });
+        let mut exec = Executor::with_config(
+            &mut array,
+            ExecConfig {
+                strict_init: false,
+                record_trace: false,
+            },
+        );
         for lane in 0..3 {
             let base = lane * LANE_ROWS;
             let adder = KoggeStoneAdder::with_layout(
@@ -217,8 +223,8 @@ mod tests {
         let a = Uint::from_u64(15);
         let b = Uint::from_u64(1);
         let faults = vec![
-            (2usize, 4usize, Fault::StuckAt0),              // lane 0 sum bit 4
-            (LANE_ROWS + 2, 4, Fault::StuckAt0),            // lane 1 sum bit 4
+            (2usize, 4usize, Fault::StuckAt0),   // lane 0 sum bit 4
+            (LANE_ROWS + 2, 4, Fault::StuckAt0), // lane 1 sum bit 4
         ];
         let (sum, _) = adder.add(&a, &b, &faults).unwrap();
         assert_ne!(sum, Uint::from_u64(16), "two-lane faults defeat TMR");
@@ -228,8 +234,8 @@ mod tests {
     fn overhead_is_roughly_3x() {
         let plain = KoggeStoneAdder::new(64);
         let tmr = TmrAdder::new(64);
-        let area_ratio = tmr.area_cells() as f64
-            / ((plain.required_rows() * plain.required_cols()) as f64);
+        let area_ratio =
+            tmr.area_cells() as f64 / ((plain.required_rows() * plain.required_cols()) as f64);
         assert!((2.9..=3.5).contains(&area_ratio), "{area_ratio}");
     }
 }

@@ -112,10 +112,7 @@ mod tests {
         tracer.complete(track, "write", 0, 2, Args::new());
         let snap = hub.snapshot();
         let h = snap
-            .histogram_with(
-                SPAN_CYCLES_METRIC,
-                &Labels::new().with("span", "magic op"),
-            )
+            .histogram_with(SPAN_CYCLES_METRIC, &Labels::new().with("span", "magic op"))
             .expect("span family present");
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 20);

@@ -288,7 +288,10 @@ mod tests {
             let exact = samples[((p / 100.0) * (samples.len() - 1) as f64).round() as usize];
             let got = h.percentile(p);
             let rel = (got as f64 - exact as f64).abs() / exact as f64;
-            assert!(rel <= 1.0 / SUBBUCKETS as f64, "p={p} got={got} exact={exact}");
+            assert!(
+                rel <= 1.0 / SUBBUCKETS as f64,
+                "p={p} got={got} exact={exact}"
+            );
             assert!(got >= exact, "representative is the bucket upper bound");
         }
     }

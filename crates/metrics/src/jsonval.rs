@@ -47,9 +47,7 @@ impl JsonValue {
     /// Member `key` of an object, if present.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Object(pairs) => {
-                pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -280,17 +278,21 @@ mod tests {
 
     #[test]
     fn parses_nested_documents() {
-        let v = JsonValue::parse(
-            r#"{"a": [1, -2.5, "x\n", true, null], "b": {"c": 3e2}}"#,
-        )
-        .unwrap();
+        let v =
+            JsonValue::parse(r#"{"a": [1, -2.5, "x\n", true, null], "b": {"c": 3e2}}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 5);
-        assert_eq!(v.get("a").unwrap().as_array().unwrap()[0].as_f64(), Some(1.0));
+        assert_eq!(
+            v.get("a").unwrap().as_array().unwrap()[0].as_f64(),
+            Some(1.0)
+        );
         assert_eq!(
             v.get("a").unwrap().as_array().unwrap()[2].as_str(),
             Some("x\n")
         );
-        assert_eq!(v.get("a").unwrap().as_array().unwrap()[3].as_bool(), Some(true));
+        assert_eq!(
+            v.get("a").unwrap().as_array().unwrap()[3].as_bool(),
+            Some(true)
+        );
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_f64(), Some(300.0));
         assert_eq!(v.as_object().unwrap().len(), 2);
         assert!(v.get("absent").is_none());
@@ -318,7 +320,9 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for s in ["", "{", "[1,]", "{\"a\":}", "tru", "1.2.3", "\"\\q\"", "[1] x"] {
+        for s in [
+            "", "{", "[1,]", "{\"a\":}", "tru", "1.2.3", "\"\\q\"", "[1] x",
+        ] {
             assert!(JsonValue::parse(s).is_err(), "{s:?}");
         }
     }

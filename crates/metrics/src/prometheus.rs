@@ -158,13 +158,10 @@ pub fn check(text: &str) -> Result<ExpositionStats, String> {
                         base_labels = base_labels.with(k, v);
                     }
                 }
-                let series = hists
-                    .entry((family.to_string(), base_labels))
-                    .or_default();
+                let series = hists.entry((family.to_string(), base_labels)).or_default();
                 match suffix {
                     "_bucket" => {
-                        let le =
-                            le.ok_or_else(|| err("_bucket sample without le label".into()))?;
+                        let le = le.ok_or_else(|| err("_bucket sample without le label".into()))?;
                         if value < 0.0 || value.fract() != 0.0 {
                             return Err(err(format!("non-integer bucket count {value}")));
                         }
@@ -247,9 +244,7 @@ fn parse_sample(line: &str) -> Result<(String, Labels, f64), String> {
         pos += 1;
         loop {
             let lstart = pos;
-            while pos < bytes.len()
-                && (bytes[pos].is_ascii_alphanumeric() || bytes[pos] == b'_')
-            {
+            while pos < bytes.len() && (bytes[pos].is_ascii_alphanumeric() || bytes[pos] == b'_') {
                 pos += 1;
             }
             let lname = &line[lstart..pos];
@@ -360,11 +355,17 @@ mod tests {
     fn checker_rejects_malformed_documents() {
         for (doc, why) in [
             ("cim_x 1\n", "sample without TYPE"),
-            ("# TYPE cim_x counter\n# TYPE cim_x counter\ncim_x 1\n", "duplicate TYPE"),
+            (
+                "# TYPE cim_x counter\n# TYPE cim_x counter\ncim_x 1\n",
+                "duplicate TYPE",
+            ),
             ("# TYPE cim_x counter\ncim_x{le=\"5\"} 1\n", "le on counter"),
             ("# TYPE cim_x wibble\n", "unknown kind"),
             ("# TYPE 9bad counter\n", "bad name"),
-            ("# TYPE cim_x counter\ncim_x{a=\"v} 1\n", "unterminated label"),
+            (
+                "# TYPE cim_x counter\ncim_x{a=\"v} 1\n",
+                "unterminated label",
+            ),
             ("# TYPE cim_x counter\ncim_x nope\n", "bad value"),
             ("# random comment\n", "free comment"),
             ("# TYPE cim_h histogram\ncim_h 1\n", "bare histogram sample"),

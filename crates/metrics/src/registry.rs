@@ -73,13 +73,7 @@ pub(crate) struct State {
 }
 
 impl State {
-    fn register(
-        &mut self,
-        name: &str,
-        help: &str,
-        labels: &Labels,
-        kind: MetricKind,
-    ) -> usize {
+    fn register(&mut self, name: &str, help: &str, labels: &Labels, kind: MetricKind) -> usize {
         assert!(
             is_valid_metric_name(name),
             "invalid metric name {name:?} (want [a-zA-Z_:][a-zA-Z0-9_:]*)"

@@ -60,12 +60,13 @@ impl Snapshot {
 
     /// The scalar value of series `(name, labels)`.
     pub fn number_with(&self, name: &str, labels: &Labels) -> Option<f64> {
-        self.family(name)?.samples.iter().find_map(|s| {
-            match (&s.value, &s.labels == labels) {
+        self.family(name)?
+            .samples
+            .iter()
+            .find_map(|s| match (&s.value, &s.labels == labels) {
                 (MetricValue::Number(v), true) => Some(*v),
                 _ => None,
-            }
-        })
+            })
     }
 
     /// The histogram of the single-series family `name`.
@@ -82,12 +83,13 @@ impl Snapshot {
 
     /// The histogram of series `(name, labels)`.
     pub fn histogram_with(&self, name: &str, labels: &Labels) -> Option<&Histogram> {
-        self.family(name)?.samples.iter().find_map(|s| {
-            match (&s.value, &s.labels == labels) {
+        self.family(name)?
+            .samples
+            .iter()
+            .find_map(|s| match (&s.value, &s.labels == labels) {
                 (MetricValue::Histogram(h), true) => Some(h),
                 _ => None,
-            }
-        })
+            })
     }
 
     /// Serializes the snapshot as deterministic JSON:
@@ -176,9 +178,7 @@ mod tests {
         assert!(snap.number("cim_lat").is_none());
         assert!(snap.histogram("cim_util").is_none());
         assert!(snap.family("absent").is_none());
-        assert!(snap
-            .histogram_with("cim_lat", &Labels::new())
-            .is_some());
+        assert!(snap.histogram_with("cim_lat", &Labels::new()).is_some());
     }
 
     #[test]

@@ -21,7 +21,10 @@ fn percentile_at_linear_cutoff_boundary() {
     // rank(50) = round(0.5 * 1) = 1 -> the cutoff sample.
     assert_eq!(h.p50(), LINEAR_CUTOFF);
     // The two values land in adjacent buckets with no gap between.
-    assert_eq!(bucket_index(LINEAR_CUTOFF), bucket_index(LINEAR_CUTOFF - 1) + 1);
+    assert_eq!(
+        bucket_index(LINEAR_CUTOFF),
+        bucket_index(LINEAR_CUTOFF - 1) + 1
+    );
     let (lo, _) = bucket_bounds(bucket_index(LINEAR_CUTOFF));
     assert_eq!(lo, LINEAR_CUTOFF);
 }
@@ -33,9 +36,9 @@ fn percentile_at_octave_and_subbucket_boundaries() {
     // that same bucket (the representative is the upper bound clamped
     // to max, here the sample itself when it is the global max).
     for boundary in [
-        64u64,                       // octave start
+        64u64,                         // octave start
         64 + (64 / SUBBUCKETS as u64), // second sub-bucket of the octave
-        1 << 20,                     // a deep octave start
+        1 << 20,                       // a deep octave start
     ] {
         let mut h = Histogram::new();
         h.record(boundary);
@@ -51,7 +54,11 @@ fn percentile_at_octave_and_subbucket_boundaries() {
     h.record(lo);
     h.record(hi);
     assert_eq!(h.p50(), hi);
-    assert_eq!(h.percentile(0.0), hi, "single shared bucket: rank 0 still maps to it");
+    assert_eq!(
+        h.percentile(0.0),
+        hi,
+        "single shared bucket: rank 0 still maps to it"
+    );
     assert_eq!(h.min(), lo);
     assert_eq!(h.max(), hi);
 }
@@ -109,8 +116,18 @@ fn high_label_cardinality_round_trips_through_snapshot_json() {
     for farm in 0..8u64 {
         for tile in 0..8u64 {
             let labels = Labels::new().with("farm", farm).with("tile", tile);
-            hub.observe("cim_test_latency", "per-tile latency", &labels, farm * 100 + tile + 1);
-            hub.observe("cim_test_latency", "per-tile latency", &labels, 10_000 + farm);
+            hub.observe(
+                "cim_test_latency",
+                "per-tile latency",
+                &labels,
+                farm * 100 + tile + 1,
+            );
+            hub.observe(
+                "cim_test_latency",
+                "per-tile latency",
+                &labels,
+                10_000 + farm,
+            );
         }
     }
     let snap = hub.snapshot();
@@ -142,7 +159,10 @@ fn high_label_cardinality_round_trips_through_snapshot_json() {
         let hist = s.get("histogram").expect("histogram sample");
         assert_eq!(hist.get("count").and_then(JsonValue::as_f64), Some(2.0));
         let expected_sum = (farm * 100 + tile + 1 + 10_000 + farm) as f64;
-        assert_eq!(hist.get("sum").and_then(JsonValue::as_f64), Some(expected_sum));
+        assert_eq!(
+            hist.get("sum").and_then(JsonValue::as_f64),
+            Some(expected_sum)
+        );
     }
 
     // Prometheus side: the exposition stays well-formed at this

@@ -628,11 +628,7 @@ pub fn parallel_pack(prog: &MirProgram, limits: &TileLimits) -> Vec<MicroOp> {
         // Slots rise strictly along every predecessor edge, so a hazard
         // that `deps` implies only transitively never sets the maximum:
         // the schedule is the one the full pairwise hazard set gives.
-        let earliest = deps[i]
-            .iter()
-            .map(|&p| slot_of[p] + 1)
-            .max()
-            .unwrap_or(0);
+        let earliest = deps[i].iter().map(|&p| slot_of[p] + 1).max().unwrap_or(0);
         let mut chosen = None;
         if op.can_co_issue() {
             for (s, slot) in slots.iter().enumerate().skip(earliest) {
@@ -971,9 +967,7 @@ mod tests {
         // of everything except the final NOR — scheduler's choice, we
         // only pin the cycle count and equivalence).
         assert!(program_cycles(&packed) < program_cycles(prog.ops()));
-        assert!(packed
-            .iter()
-            .any(|op| matches!(op, MicroOp::Parallel(_))));
+        assert!(packed.iter().any(|op| matches!(op, MicroOp::Parallel(_))));
         let cfg = config();
         assert!(cim_check::verify(&packed, &cfg).is_ok());
     }
@@ -1042,7 +1036,10 @@ mod tests {
         let prog = xor_program();
         let tiny = TileLimits::for_array(3, 4);
         let err = place(prog.ops(), 6, &tiny, &[]).unwrap_err();
-        assert!(matches!(err, PlaceError::RowsExceedTile { used: 6, limit: 3 }));
+        assert!(matches!(
+            err,
+            PlaceError::RowsExceedTile { used: 6, limit: 3 }
+        ));
         let narrow = TileLimits::for_array(6, 2);
         let err = place(prog.ops(), 6, &narrow, &[]).unwrap_err();
         assert!(matches!(err, PlaceError::ColsExceedTile { .. }));

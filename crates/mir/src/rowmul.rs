@@ -250,7 +250,10 @@ mod tests {
                 for (x, &i) in slot.iter().enumerate() {
                     assert!(!steps[i].serial);
                     for &j in &slot[x + 1..] {
-                        assert_eq!(steps[i].writes & (steps[j].eff_reads() | steps[j].writes), 0);
+                        assert_eq!(
+                            steps[i].writes & (steps[j].eff_reads() | steps[j].writes),
+                            0
+                        );
                         assert_eq!(steps[j].writes & steps[i].eff_reads(), 0);
                     }
                 }

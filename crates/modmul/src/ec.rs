@@ -196,7 +196,11 @@ impl Curve {
         let x3 = self.field.mul_mod(&self.field.mul_mod(&x, &x), &x);
         let rhs = (x3 + self.field.mul_mod(&self.a, &x) + self.b.clone()).rem(&self.p);
         if lhs == rhs {
-            Some(Point { x, y, z: Uint::one() })
+            Some(Point {
+                x,
+                y,
+                z: Uint::one(),
+            })
         } else {
             None
         }
@@ -222,7 +226,11 @@ impl Curve {
             let rhs = (x3 + self.field.mul_mod(&self.a, &x) + self.b.clone()).rem(&self.p);
             let y = self.field.pow_mod(&rhs, &exp);
             if self.field.mul_mod(&y, &y) == rhs {
-                return Point { x, y, z: Uint::one() };
+                return Point {
+                    x,
+                    y,
+                    z: Uint::one(),
+                };
             }
         }
         unreachable!("no point found on a non-singular curve in 1000 tries");
@@ -236,7 +244,10 @@ impl Curve {
         let z_inv = pt.z.mod_inverse(&self.p).expect("z coprime to prime p");
         let z2 = self.field.mul_mod(&z_inv, &z_inv);
         let z3 = self.field.mul_mod(&z2, &z_inv);
-        Some((self.field.mul_mod(&pt.x, &z2), self.field.mul_mod(&pt.y, &z3)))
+        Some((
+            self.field.mul_mod(&pt.x, &z2),
+            self.field.mul_mod(&pt.y, &z3),
+        ))
     }
 
     /// Jacobian point doubling (general `a`).
@@ -247,7 +258,7 @@ impl Curve {
         let xx = self.fmul(&pt.x, &pt.x); // A = X²
         let yy = self.fmul(&pt.y, &pt.y); // B = Y²
         let yyyy = self.fmul(&yy, &yy); // C = B²
-        // D = 2((X+B)² − A − C)
+                                        // D = 2((X+B)² − A − C)
         let xb = self.fadd(&pt.x, &yy);
         let xb2 = self.fmul(&xb, &xb);
         let d = self.fdbl(&self.fsub(&self.fsub(&xb2, &xx), &yyyy));
@@ -263,7 +274,11 @@ impl Curve {
         let c8 = self.fdbl(&self.fdbl(&self.fdbl(&yyyy)));
         let y3 = self.fsub(&self.fmul(&e, &self.fsub(&d, &x3)), &c8);
         let z3 = self.fdbl(&self.fmul(&pt.y, &pt.z));
-        Point { x: x3, y: y3, z: z3 }
+        Point {
+            x: x3,
+            y: y3,
+            z: z3,
+        }
     }
 
     /// Jacobian point addition.
@@ -294,12 +309,13 @@ impl Curve {
         let v = self.fmul(&u1, &hh);
         let r2 = self.fmul(&r, &r);
         let x3 = self.fsub(&self.fsub(&r2, &hhh), &self.fdbl(&v));
-        let y3 = self.fsub(
-            &self.fmul(&r, &self.fsub(&v, &x3)),
-            &self.fmul(&s1, &hhh),
-        );
+        let y3 = self.fsub(&self.fmul(&r, &self.fsub(&v, &x3)), &self.fmul(&s1, &hhh));
         let z3 = self.fmul(&h, &self.fmul(&p1.z, &p2.z));
-        Point { x: x3, y: y3, z: z3 }
+        Point {
+            x: x3,
+            y: y3,
+            z: z3,
+        }
     }
 
     /// Negates a point.
@@ -517,10 +533,12 @@ mod tests {
             .iter()
             .map(|&k| Uint::from_u64(k))
             .collect();
-        let naive = scalars.iter().zip(&points).fold(
-            Point::infinity(),
-            |acc, (k, p)| c.add(&acc, &c.scalar_mul(k, p)),
-        );
+        let naive = scalars
+            .iter()
+            .zip(&points)
+            .fold(Point::infinity(), |acc, (k, p)| {
+                c.add(&acc, &c.scalar_mul(k, p))
+            });
         for window in [1u32, 3, 4, 8] {
             let fast = c.msm(&scalars, &points, window);
             assert!(c.points_equal(&fast, &naive), "window {window}");
@@ -564,10 +582,12 @@ mod tests {
             .map(|i| Uint::from_u64(0x8000_0000_0000_0001u64.wrapping_mul(i + 3) >> 1))
             .collect();
         c.take_ops();
-        let naive = scalars.iter().zip(&points).fold(
-            Point::infinity(),
-            |acc, (k, p)| c.add(&acc, &c.scalar_mul(k, p)),
-        );
+        let naive = scalars
+            .iter()
+            .zip(&points)
+            .fold(Point::infinity(), |acc, (k, p)| {
+                c.add(&acc, &c.scalar_mul(k, p))
+            });
         let naive_ops = c.take_ops();
         let fast = c.msm(&scalars, &points, 8);
         let fast_ops = c.take_ops();

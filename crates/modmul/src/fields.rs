@@ -129,8 +129,16 @@ impl FieldId {
 /// application.
 pub fn catalog() -> Vec<(&'static str, &'static str, Uint)> {
     vec![
-        ("BLS12-381 base", "pairing-based ZKP (384-bit class)", bls12_381_base()),
-        ("BN254 base", "pairing-based ZKP (256-bit class)", bn254_base()),
+        (
+            "BLS12-381 base",
+            "pairing-based ZKP (384-bit class)",
+            bls12_381_base(),
+        ),
+        (
+            "BN254 base",
+            "pairing-based ZKP (256-bit class)",
+            bn254_base(),
+        ),
         ("BN254 scalar", "SNARK circuit field", bn254_scalar()),
         ("Curve25519", "ECC / sparse reduction", curve25519()),
         ("Goldilocks", "FHE NTT limb (64-bit class)", goldilocks()),

@@ -24,7 +24,10 @@ impl fmt::Display for SparseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SparseError::FoldDivergent => {
-                write!(f, "sparse modulus needs 0 < t < 2^(k−1) for folding to converge")
+                write!(
+                    f,
+                    "sparse modulus needs 0 < t < 2^(k−1) for folding to converge"
+                )
             }
             SparseError::ZeroWidth => write!(f, "sparse modulus width k must be positive"),
         }
@@ -211,10 +214,7 @@ mod tests {
     fn naf_term_counts() {
         assert_eq!(SparseModulus::goldilocks().naf_terms(), 2); // 2^32 − 1
         assert_eq!(SparseModulus::curve25519().naf_terms(), 3); // 19 = 16+4−1
-        assert_eq!(
-            SparseModulus::new(16, Uint::one()).unwrap().naf_terms(),
-            1
-        );
+        assert_eq!(SparseModulus::new(16, Uint::one()).unwrap().naf_terms(), 1);
     }
 
     #[test]

@@ -179,8 +179,10 @@ impl AttributionReport {
             w.field_float(component, pj);
         }
         w.field_float("total", self.total_energy.total_pj());
-        w.close_object()
-            .field_str("sums_exactly", if self.sums_exactly() { "true" } else { "false" });
+        w.close_object().field_str(
+            "sums_exactly",
+            if self.sums_exactly() { "true" } else { "false" },
+        );
         if let Some(d) = self.depth1 {
             w.key("depth1").open_object();
             w.key("stage_cycles").open_array();
@@ -222,7 +224,10 @@ mod tests {
             let report = sample_report(n);
             let params = EnergyParams::default();
             let attr = AttributionReport::from_execution(n, &report, &params);
-            assert!(attr.sums_exactly(), "stage rows must reproduce energy() at n={n}");
+            assert!(
+                attr.sums_exactly(),
+                "stage rows must reproduce energy() at n={n}"
+            );
             let sum = attr.stages_sum();
             assert_eq!(sum.total_pj(), attr.total_energy.total_pj());
             assert_eq!(
@@ -256,12 +261,11 @@ mod tests {
         let a = Uint::from_u64(7);
         let b = Uint::from_u64(9);
         let outcome = d1.multiply(&a, &b).unwrap();
-        let attr = AttributionReport::from_execution(64, &report, &params).with_depth1(
-            Depth1Column {
+        let attr =
+            AttributionReport::from_execution(64, &report, &params).with_depth1(Depth1Column {
                 stage_cycles: outcome.stage_cycles,
                 area_cells: outcome.area_cells,
-            },
-        );
+            });
         let j = attr.to_json();
         assert_eq!(j, attr.to_json());
         cim_trace::json::check(&j).unwrap();

@@ -78,7 +78,11 @@ impl ObsEvent {
             .field_uint("cycle", self.cycle)
             .field_str("kind", self.kind.name());
         match self.kind {
-            ObsEventKind::Admit { request, tenant, op } => {
+            ObsEventKind::Admit {
+                request,
+                tenant,
+                op,
+            } => {
                 w.field_uint("request", request)
                     .field_uint("tenant", u64::from(tenant))
                     .field_str("op", op);
@@ -332,8 +336,7 @@ impl State {
             while self.recent_sheds.front().is_some_and(|&c| c < horizon) {
                 self.recent_sheds.pop_front();
             }
-            if self.recent_sheds.len() >= self.config.shed_burst_threshold
-                && self.trigger.is_none()
+            if self.recent_sheds.len() >= self.config.shed_burst_threshold && self.trigger.is_none()
             {
                 self.trigger = Some(TRIGGER_SHED_BURST);
             }

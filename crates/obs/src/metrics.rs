@@ -85,8 +85,7 @@ mod tests {
     #[test]
     fn families_render_and_are_picked_up() {
         let hub = MetricsHub::recording();
-        let mut engine =
-            SloEngine::new(vec![SloRule::parse("t0.shed_ratio <= 0.5").unwrap()]);
+        let mut engine = SloEngine::new(vec![SloRule::parse("t0.shed_ratio <= 0.5").unwrap()]);
         engine.observe(
             0,
             &cim_metrics::Snapshot::default(),

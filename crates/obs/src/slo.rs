@@ -373,11 +373,9 @@ impl SloEngine {
                 window.pop_front();
             }
             let short_n = self.windows.short_obs.min(window.len());
-            let short_burn =
-                window.iter().rev().take(short_n).sum::<f64>() / short_n as f64;
+            let short_burn = window.iter().rev().take(short_n).sum::<f64>() / short_n as f64;
             let long_burn = window.iter().sum::<f64>() / window.len() as f64;
-            let state = if burn >= BURN_CAP
-                || (short_burn >= self.windows.page && long_burn >= 1.0)
+            let state = if burn >= BURN_CAP || (short_burn >= self.windows.page && long_burn >= 1.0)
             {
                 SloState::Page
             } else if short_burn >= self.windows.warn {
@@ -473,7 +471,9 @@ mod tests {
             hub.add_counter(
                 SHED_FAMILY,
                 "",
-                &Labels::new().with("tenant", tenant).with("reason", "rate_limited"),
+                &Labels::new()
+                    .with("tenant", tenant)
+                    .with("reason", "rate_limited"),
                 sheds as f64,
             );
         }
@@ -579,24 +579,29 @@ mod tests {
         hub.add_counter(
             SHED_FAMILY,
             "",
-            &Labels::new().with("tenant", "t0").with("reason", "rate_limited"),
+            &Labels::new()
+                .with("tenant", "t0")
+                .with("reason", "rate_limited"),
             30.0,
         );
         hub.add_counter(
             SHED_FAMILY,
             "",
-            &Labels::new().with("tenant", "t0").with("reason", "queue_full"),
+            &Labels::new()
+                .with("tenant", "t0")
+                .with("reason", "queue_full"),
             10.0,
         );
         // Another tenant's sheds must not leak in.
         hub.add_counter(
             SHED_FAMILY,
             "",
-            &Labels::new().with("tenant", "t1").with("reason", "rate_limited"),
+            &Labels::new()
+                .with("tenant", "t1")
+                .with("reason", "rate_limited"),
             99.0,
         );
-        let mut engine =
-            SloEngine::new(vec![SloRule::parse("t0.shed_ratio <= 0.5").unwrap()]);
+        let mut engine = SloEngine::new(vec![SloRule::parse("t0.shed_ratio <= 0.5").unwrap()]);
         engine.observe(
             0,
             &hub.snapshot(),

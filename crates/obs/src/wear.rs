@@ -53,11 +53,7 @@ impl WearHeatmap {
             .collect();
         let max_writes = rows.iter().map(|r| r.max_writes).max().unwrap_or(0);
         let total_writes = rows.iter().map(|r| r.total_writes).sum();
-        rows.sort_by(|a, b| {
-            b.total_writes
-                .cmp(&a.total_writes)
-                .then(a.row.cmp(&b.row))
-        });
+        rows.sort_by(|a, b| b.total_writes.cmp(&a.total_writes).then(a.row.cmp(&b.row)));
         rows.truncate(k);
         WearHeatmap {
             rows: array.rows(),

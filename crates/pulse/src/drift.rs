@@ -302,7 +302,9 @@ mod tests {
             let v = 1_000.0 + 200.0 * i as f64;
             assert!(d.observe(i, v).is_none(), "ramp must not alert at i={i}");
         }
-        let alert = (30..36u64).find_map(|i| d.observe(i, 500.0)).expect("cliff fires");
+        let alert = (30..36u64)
+            .find_map(|i| d.observe(i, 500.0))
+            .expect("cliff fires");
         assert_eq!(alert.direction, DriftDirection::Down);
         assert!(alert.baseline > 6_000.0, "prediction follows the ramp");
     }
@@ -326,7 +328,10 @@ mod tests {
         for i in 0..8u64 {
             d.observe(i, 0.0);
         }
-        assert!(d.observe(8, 0.5).is_some(), "real shift over zero baseline fires");
+        assert!(
+            d.observe(8, 0.5).is_some(),
+            "real shift over zero baseline fires"
+        );
     }
 
     #[test]

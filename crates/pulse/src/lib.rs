@@ -182,8 +182,7 @@ impl PulseHub {
         if let Some((last_cycle, last_submitted, last_served, last_shed)) = self.last {
             let dc = obs.cycle.saturating_sub(last_cycle);
             if dc > 0 {
-                let throughput =
-                    obs.served.saturating_sub(last_served) as f64 * 1e6 / dc as f64;
+                let throughput = obs.served.saturating_sub(last_served) as f64 * 1e6 / dc as f64;
                 self.timeline
                     .record(obs.cycle, THROUGHPUT_FAMILY, &no_labels, throughput);
                 signals[0] = Some(throughput);
@@ -255,9 +254,7 @@ impl PulseHub {
             );
         }
         for f in self.forecaster.forecasts() {
-            let labels = Labels::new()
-                .with("farm", f.farm)
-                .with("tile", f.tile);
+            let labels = Labels::new().with("farm", f.farm).with("tile", f.tile);
             hub.set_gauge(
                 WEAR_WRITES_FAMILY,
                 "latest cumulative worst-cell writes per tile",
@@ -345,7 +342,11 @@ mod tests {
                 _ => 100,
             };
             let wear = [(0u32, 0u32, 10 * (i + 1)), (0, 1, 5 * (i + 1))];
-            hub.observe(&observation((i + 1) * 1000, served, &wear), &snapshot, recorder);
+            hub.observe(
+                &observation((i + 1) * 1000, served, &wear),
+                &snapshot,
+                recorder,
+            );
         }
     }
 
@@ -376,7 +377,11 @@ mod tests {
         assert!(!drift_events.is_empty(), "alert must be journaled");
         assert!(matches!(
             drift_events[0].kind,
-            ObsEventKind::Drift { signal: "throughput", direction: "down", .. }
+            ObsEventKind::Drift {
+                signal: "throughput",
+                direction: "down",
+                ..
+            }
         ));
     }
 
@@ -388,7 +393,11 @@ mod tests {
             feed(&mut hub, &recorder, 25, Some(15));
             let metrics = MetricsHub::recording();
             hub.publish_metrics(&metrics);
-            (hub.to_json(), metrics.snapshot().to_json(), recorder.dump_json())
+            (
+                hub.to_json(),
+                metrics.snapshot().to_json(),
+                recorder.dump_json(),
+            )
         };
         let (ja, ga, ra) = run();
         let (jb, gb, rb) = run();

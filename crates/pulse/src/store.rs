@@ -245,9 +245,7 @@ impl TimelineStore {
                 let inner: Vec<String> = key
                     .labels
                     .iter()
-                    .map(|(k, v)| {
-                        format!("{k}=\"{}\"", cim_metrics::escape_label_value(v))
-                    })
+                    .map(|(k, v)| format!("{k}=\"{}\"", cim_metrics::escape_label_value(v)))
                     .collect();
                 format!("{{{}}}", inner.join(","))
             };
@@ -305,7 +303,10 @@ mod tests {
 
     #[test]
     fn empty_filter_tracks_everything() {
-        let config = TimelineConfig { families: Vec::new(), ..TimelineConfig::default() };
+        let config = TimelineConfig {
+            families: Vec::new(),
+            ..TimelineConfig::default()
+        };
         assert!(config.tracks("anything_at_all"));
         let mut store = TimelineStore::new(config);
         store.scrape(1, &hub().snapshot());

@@ -100,7 +100,12 @@ pub fn run_batch(
     let mut table = ProfileTable::analytic();
     table.insert(profile);
     let jobs: Vec<Job> = (0..pairs.len() as u64)
-        .map(|id| Job { id, width: n, algo: Algo::Karatsuba, arrival: 0 })
+        .map(|id| Job {
+            id,
+            width: n,
+            algo: Algo::Karatsuba,
+            arrival: 0,
+        })
         .collect();
     let farm = Scheduler::with_profiles(FarmConfig::new(1, Policy::Fifo), table).run(&jobs)?;
 
@@ -117,10 +122,7 @@ pub fn run_batch(
 
 /// Accumulates per-stage endurance across jobs (the stage arrays are
 /// physically the same cells each time).
-fn accumulate(
-    acc: [EnduranceReport; 3],
-    add: [EnduranceReport; 3],
-) -> [EnduranceReport; 3] {
+fn accumulate(acc: [EnduranceReport; 3], add: [EnduranceReport; 3]) -> [EnduranceReport; 3] {
     std::array::from_fn(|i| EnduranceReport {
         max_writes: acc[i].max_writes + add[i].max_writes,
         total_writes: acc[i].total_writes + add[i].total_writes,
@@ -193,7 +195,11 @@ mod tests {
             PipelineSchedule::simulate(ps.len(), out.report.stage_cycles, HANDOFF_CYCLES);
         assert_eq!(
             r.makespan_cycles,
-            schedule.jobs.last().expect("nonempty schedule").completed_at()
+            schedule
+                .jobs
+                .last()
+                .expect("nonempty schedule")
+                .completed_at()
         );
         assert!((r.throughput_per_mcc - schedule.throughput_per_mcc()).abs() < 1e-9);
     }

@@ -101,10 +101,26 @@ impl JobMix {
     pub fn crypto_default(mean_gap: u64) -> Self {
         JobMix::new(
             vec![
-                JobClass { width: 256, algo: Algo::Karatsuba, weight: 4.0 },
-                JobClass { width: 256, algo: Algo::Schoolbook, weight: 1.0 },
-                JobClass { width: 1024, algo: Algo::Karatsuba, weight: 2.0 },
-                JobClass { width: 2048, algo: Algo::Karatsuba, weight: 1.0 },
+                JobClass {
+                    width: 256,
+                    algo: Algo::Karatsuba,
+                    weight: 4.0,
+                },
+                JobClass {
+                    width: 256,
+                    algo: Algo::Schoolbook,
+                    weight: 1.0,
+                },
+                JobClass {
+                    width: 1024,
+                    algo: Algo::Karatsuba,
+                    weight: 2.0,
+                },
+                JobClass {
+                    width: 2048,
+                    algo: Algo::Karatsuba,
+                    weight: 1.0,
+                },
             ],
             mean_gap,
         )
@@ -112,7 +128,14 @@ impl JobMix {
 
     /// A single-class mix (every job identical).
     pub fn uniform(width: usize, algo: Algo, mean_gap: u64) -> Self {
-        JobMix::new(vec![JobClass { width, algo, weight: 1.0 }], mean_gap)
+        JobMix::new(
+            vec![JobClass {
+                width,
+                algo,
+                weight: 1.0,
+            }],
+            mean_gap,
+        )
     }
 
     /// The distinct `(width, algo)` classes in this mix.
@@ -188,7 +211,10 @@ mod tests {
                 "class {class:?} never generated"
             );
         }
-        assert!(jobs.iter().all(|j| j.arrival == 0), "closed batch arrives at 0");
+        assert!(
+            jobs.iter().all(|j| j.arrival == 0),
+            "closed batch arrives at 0"
+        );
     }
 
     #[test]

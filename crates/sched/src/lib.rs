@@ -47,13 +47,13 @@
 
 pub mod batch;
 pub mod job;
-#[cfg(test)]
-pub(crate) mod testutil;
 pub mod metrics;
 pub mod policy;
 pub mod profile;
 pub mod report;
 pub mod scheduler;
+#[cfg(test)]
+pub(crate) mod testutil;
 pub mod tile;
 
 pub use batch::{run_batch, BatchReport};

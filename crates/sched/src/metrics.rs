@@ -67,10 +67,7 @@ impl FarmReport {
             &policy,
             &self.latency_histogram,
         );
-        for (outcome, count) in [
-            ("done", self.jobs_done()),
-            ("rejected", self.jobs_rejected),
-        ] {
+        for (outcome, count) in [("done", self.jobs_done()), ("rejected", self.jobs_rejected)] {
             hub.add_counter(
                 METRIC_SCHED_JOBS,
                 "jobs by outcome",

@@ -92,7 +92,12 @@ mod tests {
     fn fifo_prefers_idle_tiles_in_id_order() {
         let mut tiles = farm(3);
         let profile = JobProfile::karatsuba_analytic(256);
-        let job = Job { id: 0, width: 256, algo: Algo::Karatsuba, arrival: 0 };
+        let job = Job {
+            id: 0,
+            width: 256,
+            algo: Algo::Karatsuba,
+            arrival: 0,
+        };
         assert_eq!(Policy::Fifo.pick(&tiles, 0), 0);
         tiles[0].execute(&job, &profile, false, &EnergyParams::default());
         assert_eq!(Policy::Fifo.pick(&tiles, 0), 1);
@@ -102,7 +107,12 @@ mod tests {
     fn least_loaded_tracks_busy_cycles() {
         let mut tiles = farm(2);
         let big = JobProfile::karatsuba_analytic(2048);
-        let job = Job { id: 0, width: 2048, algo: Algo::Karatsuba, arrival: 0 };
+        let job = Job {
+            id: 0,
+            width: 2048,
+            algo: Algo::Karatsuba,
+            arrival: 0,
+        };
         tiles[0].execute(&job, &big, false, &EnergyParams::default());
         assert_eq!(Policy::LeastLoaded.pick(&tiles, 0), 1);
     }
@@ -111,7 +121,12 @@ mod tests {
     fn wear_leveling_breaks_ties_by_wear() {
         let mut tiles = farm(2);
         let profile = JobProfile::karatsuba_analytic(256);
-        let job = Job { id: 0, width: 256, algo: Algo::Karatsuba, arrival: 0 };
+        let job = Job {
+            id: 0,
+            width: 256,
+            algo: Algo::Karatsuba,
+            arrival: 0,
+        };
         tiles[0].execute(&job, &profile, true, &EnergyParams::default());
         // Both tiles are free far in the future; tile 1 has no wear.
         let later = tiles[0].drained_at();

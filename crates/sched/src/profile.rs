@@ -42,7 +42,10 @@ pub const MAX_JOB_WIDTH: usize = 1 << 16;
 /// multiple of 4, or above [`MAX_JOB_WIDTH`].
 pub fn validate_width(width: usize) -> Result<(), MultiplyError> {
     if width == 0 || !width.is_multiple_of(4) || width > MAX_JOB_WIDTH {
-        return Err(MultiplyError::UnsupportedWidth { width, max: MAX_JOB_WIDTH });
+        return Err(MultiplyError::UnsupportedWidth {
+            width,
+            max: MAX_JOB_WIDTH,
+        });
     }
     Ok(())
 }
@@ -181,7 +184,10 @@ impl JobProfile {
     ///
     /// Panics if `n` is not a positive multiple of 4.
     pub fn schoolbook_analytic(n: usize) -> Self {
-        assert!(n > 0 && n.is_multiple_of(4), "operand width must be a multiple of 4");
+        assert!(
+            n > 0 && n.is_multiple_of(4),
+            "operand width must be a multiple of 4"
+        );
         let lat = n as u64 * (ceil_log2(n) + 14) + 3;
         let area = (CELLS_PER_BIT * n) as u64;
         let stage_latency = [0, lat, 0];
@@ -343,7 +349,11 @@ impl ProfileTable {
     }
 
     /// Computes the profile of one class from `source` (no caching).
-    fn resolve(source: ProfileSource, width: usize, algo: Algo) -> Result<JobProfile, MultiplyError> {
+    fn resolve(
+        source: ProfileSource,
+        width: usize,
+        algo: Algo,
+    ) -> Result<JobProfile, MultiplyError> {
         validate_width(width)?;
         Ok(match (algo, source) {
             (Algo::Karatsuba, ProfileSource::Analytic) => JobProfile::karatsuba_analytic(width),
@@ -409,7 +419,11 @@ impl ProfileTable {
 
     /// Largest stage-array area any cached class needs (tile sizing).
     pub fn max_area_cells(&self) -> u64 {
-        self.profiles.values().map(|p| p.area_cells).max().unwrap_or(0)
+        self.profiles
+            .values()
+            .map(|p| p.area_cells)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -457,7 +471,11 @@ mod tests {
             assert_eq!(batch.service_latency(), solo.service_latency());
             assert_eq!(batch.stage_occupancy(), solo.stage_occupancy());
             assert_eq!(batch.lanes, 64);
-            assert_eq!(batch.max_writes(), solo.max_writes(), "per-plane wear unchanged");
+            assert_eq!(
+                batch.max_writes(),
+                solo.max_writes(),
+                "per-plane wear unchanged"
+            );
             for s in 0..3 {
                 assert_eq!(batch.wear[s].total_writes, 64 * solo.wear[s].total_writes);
                 assert_eq!(batch.wear[s].cells, 64 * solo.wear[s].cells);

@@ -118,7 +118,10 @@ impl FarmReport {
         if self.records.is_empty() {
             return 0.0;
         }
-        self.records.iter().map(|r| r.queue_cycles() as f64).sum::<f64>()
+        self.records
+            .iter()
+            .map(|r| r.queue_cycles() as f64)
+            .sum::<f64>()
             / self.records.len() as f64
     }
 
@@ -180,7 +183,8 @@ impl FarmReport {
             for class in OpClass::ALL {
                 w.key(&format!("{}_cycles", class.label()))
                     .uint(s.cycles_of(class));
-                w.key(&format!("{}_ops", class.label())).uint(s.ops_of(class));
+                w.key(&format!("{}_ops", class.label()))
+                    .uint(s.ops_of(class));
             }
             w.close_object();
         }
@@ -208,7 +212,10 @@ impl FarmReport {
             .field_float("mean_queue_cycles", self.mean_queue_cycles())
             .field_float("mean_utilization", self.mean_utilization())
             .field_uint("max_cell_writes", self.max_cell_writes())
-            .field_float("writes_per_multiplication", self.writes_per_multiplication())
+            .field_float(
+                "writes_per_multiplication",
+                self.writes_per_multiplication(),
+            )
             .field_uint(
                 "projected_lifetime_multiplications",
                 self.projected_lifetime_multiplications(),
@@ -280,7 +287,12 @@ mod tests {
 
     fn record(id: u64, arrival: u64, start: u64, finish: u64) -> JobRecord {
         JobRecord {
-            job: Job { id, width: 256, algo: Algo::Karatsuba, arrival },
+            job: Job {
+                id,
+                width: 256,
+                algo: Algo::Karatsuba,
+                arrival,
+            },
             tile: 0,
             start,
             finish,
@@ -350,7 +362,11 @@ mod tests {
 
     #[test]
     fn to_json_is_well_formed_and_deterministic() {
-        let r = report((0..20).map(|i| record(i, i * 5, i * 5, i * 5 + 300)).collect());
+        let r = report(
+            (0..20)
+                .map(|i| record(i, i * 5, i * 5, i * 5 + 300))
+                .collect(),
+        );
         let json = r.to_json();
         cim_trace::json::check(&json).expect("report JSON must parse");
         assert_eq!(json, r.to_json(), "serialization must be deterministic");

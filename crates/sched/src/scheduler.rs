@@ -16,7 +16,7 @@ use crate::report::{FarmReport, JobRecord, TileReport};
 use crate::tile::{Tile, DEFAULT_ROTATION_SLOTS};
 use cim_crossbar::{CycleStats, EnergyParams, EnergyReport};
 use cim_metrics::{Histogram, MetricsHub};
-use cim_trace::{Args, ProcessId, TrackId, Tracer};
+use cim_trace::{Args, ProcessId, Tracer, TrackId};
 use karatsuba_cim::multiplier::MultiplyError;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -420,7 +420,10 @@ mod tests {
             report.makespan_cycles,
             reference.jobs.last().unwrap().completed_at()
         );
-        assert_eq!(report.initiation_interval(), reference.initiation_interval());
+        assert_eq!(
+            report.initiation_interval(),
+            reference.initiation_interval()
+        );
         for (rec, expect) in report.records.iter().zip(&reference.jobs) {
             assert_eq!(rec.start, expect.start[0]);
             assert_eq!(rec.finish, expect.completed_at());
@@ -431,7 +434,9 @@ mod tests {
     fn farm_cycle_totals_equal_sum_of_tile_stats() {
         for policy in Policy::all() {
             let jobs = JobMix::crypto_default(200).generate(120, 5);
-            let report = Scheduler::new(FarmConfig::new(4, policy)).run(&jobs).unwrap();
+            let report = Scheduler::new(FarmConfig::new(4, policy))
+                .run(&jobs)
+                .unwrap();
             let sum: u64 = report.tile_reports.iter().map(|t| t.stats.cycles).sum();
             assert_eq!(report.total_stats.cycles, sum, "{policy:?}");
             let ops: u64 = report.tile_reports.iter().map(|t| t.stats.ops).sum();
@@ -585,7 +590,11 @@ mod tests {
             algo: Algo::Karatsuba,
             arrival: 0,
         };
-        let unaligned = Job { id: 1, width: 30, ..too_wide };
+        let unaligned = Job {
+            id: 1,
+            width: 30,
+            ..too_wide
+        };
         for bad in [too_wide, unaligned] {
             for parallel in [false, true] {
                 let mut sched = Scheduler::new(FarmConfig::new(2, Policy::Fifo));
@@ -703,7 +712,11 @@ mod tests {
         let report = Scheduler::new(FarmConfig::new(3, Policy::LeastLoaded))
             .run(&jobs)
             .unwrap();
-        let sum: f64 = report.tile_reports.iter().map(|t| t.energy.total_pj()).sum();
+        let sum: f64 = report
+            .tile_reports
+            .iter()
+            .map(|t| t.energy.total_pj())
+            .sum();
         assert!((report.total_energy.total_pj() - sum).abs() < 1e-6);
         assert!(report.total_energy.magic_pj > 0.0);
 

@@ -7,5 +7,7 @@ use cim_bigint::Uint;
 /// every batch/scheduler test feeds the simulated multiplier.
 pub(crate) fn pairs(n: usize, count: usize, seed: u64) -> Vec<(Uint, Uint)> {
     let mut rng = UintRng::seeded(seed);
-    (0..count).map(|_| (rng.uniform(n), rng.uniform(n))).collect()
+    (0..count)
+        .map(|_| (rng.uniform(n), rng.uniform(n)))
+        .collect()
 }

@@ -73,7 +73,10 @@ impl Tile {
     ///
     /// Panics if `rotation_slots == 0`.
     pub fn new(id: usize, rotation_slots: usize) -> Self {
-        assert!(rotation_slots > 0, "a tile needs at least one rotation slot");
+        assert!(
+            rotation_slots > 0,
+            "a tile needs at least one rotation slot"
+        );
         Tile {
             id,
             stage_free: [0; 3],
@@ -210,7 +213,12 @@ mod tests {
     use karatsuba_cim::pipeline::PipelineSchedule;
 
     fn job(id: u64, arrival: u64) -> Job {
-        Job { id, width: 256, algo: Algo::Karatsuba, arrival }
+        Job {
+            id,
+            width: 256,
+            algo: Algo::Karatsuba,
+            arrival,
+        }
     }
 
     #[test]
@@ -224,7 +232,10 @@ mod tests {
             assert_eq!(t.start, expect.start, "job {i}");
             assert_eq!(t.finish, expect.finish, "job {i}");
         }
-        assert_eq!(tile.drained_at(), reference.jobs.last().unwrap().completed_at());
+        assert_eq!(
+            tile.drained_at(),
+            reference.jobs.last().unwrap().completed_at()
+        );
     }
 
     #[test]

@@ -70,7 +70,12 @@ struct TokenBucket {
 impl TokenBucket {
     fn new(rate_per_mcc: u64, burst: u64) -> Self {
         let capacity = burst.saturating_mul(MICRO).max(MICRO);
-        TokenBucket { micro: capacity, capacity, rate: rate_per_mcc, last: 0 }
+        TokenBucket {
+            micro: capacity,
+            capacity,
+            rate: rate_per_mcc,
+            last: 0,
+        }
     }
 
     /// Refills for the elapsed virtual time and takes one token if

@@ -33,7 +33,10 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig { max_jobs: 4096, max_wait_cycles: 2_000_000 }
+        BatchConfig {
+            max_jobs: 4096,
+            max_wait_cycles: 2_000_000,
+        }
     }
 }
 
@@ -85,7 +88,10 @@ pub struct Batcher {
 impl Batcher {
     /// A batcher with the given flush thresholds.
     pub fn new(config: BatchConfig) -> Self {
-        Batcher { config, open: BTreeMap::new() }
+        Batcher {
+            config,
+            open: BTreeMap::new(),
+        }
     }
 
     /// Requests currently waiting across all open batches.
@@ -150,7 +156,11 @@ mod tests {
             id,
             tenant: 0,
             arrival_cycle: arrival,
-            op: Op::Mul { width, a: Uint::one(), b: Uint::one() },
+            op: Op::Mul {
+                width,
+                a: Uint::one(),
+                b: Uint::one(),
+            },
         }
     }
 
@@ -165,7 +175,10 @@ mod tests {
 
     #[test]
     fn flushes_on_job_count() {
-        let mut b = Batcher::new(BatchConfig { max_jobs: 3, max_wait_cycles: u64::MAX });
+        let mut b = Batcher::new(BatchConfig {
+            max_jobs: 3,
+            max_wait_cycles: u64::MAX,
+        });
         assert!(b.push(0, req(0, 256, 0), 1, 0).is_empty());
         assert!(b.push(1, req(1, 256, 1), 1, 1).is_empty());
         let out = b.push(2, req(2, 256, 2), 1, 2);
@@ -179,7 +192,10 @@ mod tests {
 
     #[test]
     fn one_heavy_request_flushes_alone() {
-        let mut b = Batcher::new(BatchConfig { max_jobs: 100, max_wait_cycles: u64::MAX });
+        let mut b = Batcher::new(BatchConfig {
+            max_jobs: 100,
+            max_wait_cycles: u64::MAX,
+        });
         let out = b.push(0, req(0, 256, 0), 500, 0);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].total_jobs, 500);
@@ -187,7 +203,10 @@ mod tests {
 
     #[test]
     fn widths_do_not_mix() {
-        let mut b = Batcher::new(BatchConfig { max_jobs: 2, max_wait_cycles: u64::MAX });
+        let mut b = Batcher::new(BatchConfig {
+            max_jobs: 2,
+            max_wait_cycles: u64::MAX,
+        });
         assert!(b.push(0, req(0, 256, 0), 1, 0).is_empty());
         assert!(b.push(1, req(1, 384, 0), 1, 0).is_empty());
         assert_eq!(b.pending(), 2);
@@ -199,7 +218,10 @@ mod tests {
 
     #[test]
     fn staleness_flushes_old_batches() {
-        let mut b = Batcher::new(BatchConfig { max_jobs: 1000, max_wait_cycles: 100 });
+        let mut b = Batcher::new(BatchConfig {
+            max_jobs: 1000,
+            max_wait_cycles: 100,
+        });
         assert!(b.push(0, req(0, 256, 0), 1, 0).is_empty());
         // At cycle 101 the open 256-batch is stale; the new 384
         // arrival flushes it and opens its own class.

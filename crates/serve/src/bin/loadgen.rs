@@ -148,9 +148,7 @@ fn main() -> ExitCode {
     // mismatch, so the smoke preset cannot flake on latency noise.
     let mut rules = Vec::new();
     for i in 0..config.tenants {
-        rules.push(
-            SloRule::parse(&format!("tenant{i}.correctness")).expect("builtin rule parses"),
-        );
+        rules.push(SloRule::parse(&format!("tenant{i}.correctness")).expect("builtin rule parses"));
     }
     for spec in &slo_specs {
         match SloRule::parse(spec) {
@@ -162,7 +160,11 @@ fn main() -> ExitCode {
     let recorder = FlightRecorder::new(RecorderConfig::default());
 
     let hub = MetricsHub::recording();
-    let observers = Observers { recorder: &recorder, slo: &mut slo, pulse: None };
+    let observers = Observers {
+        recorder: &recorder,
+        slo: &mut slo,
+        pulse: None,
+    };
     let report = run(&config, &hub, Some(observers));
 
     println!(
@@ -253,12 +255,10 @@ fn main() -> ExitCode {
     }
     if slo.any_page() {
         match recorder.dump_to(std::path::Path::new(&dump_path)) {
-            Ok(()) => eprintln!(
-                "loadgen: SLO PAGE — flight-recorder journal dumped to {dump_path}"
-            ),
-            Err(e) => eprintln!(
-                "loadgen: SLO PAGE — cannot write journal to {dump_path}: {e}"
-            ),
+            Ok(()) => {
+                eprintln!("loadgen: SLO PAGE — flight-recorder journal dumped to {dump_path}")
+            }
+            Err(e) => eprintln!("loadgen: SLO PAGE — cannot write journal to {dump_path}: {e}"),
         }
         for v in slo.verdicts().iter().filter(|v| v.state.name() == "page") {
             eprintln!("  paging rule: {}", v.rule);

@@ -156,10 +156,17 @@ fn main() -> ExitCode {
     });
 
     let hub = MetricsHub::recording();
-    let observers = Observers { recorder: &recorder, slo: &mut slo, pulse: None };
+    let observers = Observers {
+        recorder: &recorder,
+        slo: &mut slo,
+        pulse: None,
+    };
     let report = run(&config, &hub, Some(observers));
     if report.incorrect > 0 {
-        eprintln!("obs_report: FAIL — {} incorrect responses", report.incorrect);
+        eprintln!(
+            "obs_report: FAIL — {} incorrect responses",
+            report.incorrect
+        );
         return ExitCode::from(1);
     }
 
@@ -215,7 +222,12 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let tile_max: Vec<u64> = report.stats.tile_wear.iter().map(|t| t.max_cell_writes).collect();
+    let tile_max: Vec<u64> = report
+        .stats
+        .tile_wear
+        .iter()
+        .map(|t| t.max_cell_writes)
+        .collect();
     let percentiles = WearPercentiles::from_values(&tile_max);
 
     // Assemble the deterministic artifact (no wall times).
@@ -266,12 +278,10 @@ fn main() -> ExitCode {
     }
     if slo.any_page() {
         match recorder.dump_to(std::path::Path::new(&dump_path)) {
-            Ok(()) => eprintln!(
-                "obs_report: SLO PAGE — flight-recorder journal dumped to {dump_path}"
-            ),
-            Err(e) => eprintln!(
-                "obs_report: SLO PAGE — cannot write journal to {dump_path}: {e}"
-            ),
+            Ok(()) => {
+                eprintln!("obs_report: SLO PAGE — flight-recorder journal dumped to {dump_path}")
+            }
+            Err(e) => eprintln!("obs_report: SLO PAGE — cannot write journal to {dump_path}: {e}"),
         }
         return ExitCode::from(3);
     }
@@ -294,13 +304,17 @@ fn slowest_journaled_request(events: &[ObsEvent]) -> Option<Exemplar> {
     let mut best: Option<Exemplar> = None;
     for e in events {
         match e.kind {
-            ObsEventKind::Admit { request, tenant, .. } => {
+            ObsEventKind::Admit {
+                request, tenant, ..
+            } => {
                 admits.insert(request, (e.cycle, tenant));
             }
             ObsEventKind::JobDispatch { request, batch, .. } => {
                 batches.insert(request, batch);
             }
-            ObsEventKind::JobRetire { request, tenant, .. } => {
+            ObsEventKind::JobRetire {
+                request, tenant, ..
+            } => {
                 if let Some(&(admit_cycle, _)) = admits.get(&request) {
                     let latency = e.cycle.saturating_sub(admit_cycle);
                     if best.as_ref().is_none_or(|b| latency > b.latency) {
@@ -331,14 +345,14 @@ fn wear_replay(
     const LEAVES: usize = 9;
     let w = width / 4 + 2;
     let row = RowMultiplier::new(w);
-    let mut array =
-        Crossbar::new(LEAVES, row.required_cols()).map_err(|e| e.to_string())?;
+    let mut array = Crossbar::new(LEAVES, row.required_cols()).map_err(|e| e.to_string())?;
     let mut rng = UintRng::seeded(seed ^ 0x5EED_0B5E);
     for _ in 0..replays {
         for r in 0..LEAVES {
             let a = rng.uniform(w);
             let b = rng.uniform(w);
-            row.run_in(&mut array, r, 0, &a, &b).map_err(|e| e.to_string())?;
+            row.run_in(&mut array, r, 0, &a, &b)
+                .map_err(|e| e.to_string())?;
         }
     }
     let heatmap = WearHeatmap::from_crossbar(&array, top_k);
@@ -392,7 +406,14 @@ fn render_json(input: RenderInput<'_>) -> String {
         .field_uint("farms", input.config.fleet.farms as u64)
         .field_uint("tiles_per_farm", input.config.fleet.tiles_per_farm as u64)
         .field_uint("seed", input.config.seed)
-        .field_str("mode", if input.report.threaded { "threaded" } else { "sync" })
+        .field_str(
+            "mode",
+            if input.report.threaded {
+                "threaded"
+            } else {
+                "sync"
+            },
+        )
         .field_uint("served", input.report.served)
         .field_uint("shed", input.report.shed)
         .field_uint("errors", input.report.errors)
@@ -431,14 +452,18 @@ fn render_json(input: RenderInput<'_>) -> String {
             w.close_array().close_object();
         }
         None => {
-            w.open_object().field_str("note", "no fully journaled request").close_object();
+            w.open_object()
+                .field_str("note", "no fully journaled request")
+                .close_object();
         }
     }
 
     w.key("attribution");
     input.attribution.write_json(&mut w);
-    w.key("attribution_matches_metrics").bool(input.metrics_match);
-    w.key("attribution_sums_exactly").bool(input.attribution.sums_exactly());
+    w.key("attribution_matches_metrics")
+        .bool(input.metrics_match);
+    w.key("attribution_sums_exactly")
+        .bool(input.attribution.sums_exactly());
 
     w.key("wear").open_object();
     w.key("mult_stage_heatmap");
@@ -524,7 +549,10 @@ fn render_dashboard(
         None => println!("(no fully journaled request in the retained window)"),
     }
 
-    println!("-- attribution ({}-bit multiply) --", attribution.width_bits);
+    println!(
+        "-- attribution ({}-bit multiply) --",
+        attribution.width_bits
+    );
     for s in &attribution.stages {
         println!(
             "  {:<12} {:>8} cc  {:>10} writes  {:>14.2} pJ",
@@ -540,7 +568,11 @@ fn render_dashboard(
         attribution.total_latency_cycles,
         attribution.total_writes(),
         attribution.total_energy.total_pj(),
-        if attribution.sums_exactly() && metrics_match { "exactly" } else { "INEXACTLY" },
+        if attribution.sums_exactly() && metrics_match {
+            "exactly"
+        } else {
+            "INEXACTLY"
+        },
     );
     if let Some(d) = attribution.depth1 {
         println!(
@@ -580,22 +612,46 @@ fn render_dashboard(
 
 fn describe(e: &ObsEvent) -> String {
     match e.kind {
-        ObsEventKind::Admit { request, tenant, op } => {
+        ObsEventKind::Admit {
+            request,
+            tenant,
+            op,
+        } => {
             format!("admit    request {request} tenant {tenant} op {op}")
         }
-        ObsEventKind::Shed { request, tenant, reason } => {
+        ObsEventKind::Shed {
+            request,
+            tenant,
+            reason,
+        } => {
             format!("shed     request {request} tenant {tenant} ({reason})")
         }
         ObsEventKind::Error { request, tenant } => {
             format!("error    request {request} tenant {tenant}")
         }
-        ObsEventKind::BatchFormed { batch, width, requests, jobs } => {
+        ObsEventKind::BatchFormed {
+            batch,
+            width,
+            requests,
+            jobs,
+        } => {
             format!("batch    #{batch} width {width} ({requests} requests, {jobs} jobs)")
         }
-        ObsEventKind::JobDispatch { batch, farm, job_lo, job_hi, .. } => {
+        ObsEventKind::JobDispatch {
+            batch,
+            farm,
+            job_lo,
+            job_hi,
+            ..
+        } => {
             format!("dispatch batch #{batch} -> farm {farm} jobs [{job_lo}, {job_hi})")
         }
-        ObsEventKind::JobRetire { farm, tile, service_cycles, .. } => {
+        ObsEventKind::JobRetire {
+            farm,
+            tile,
+            service_cycles,
+            ..
+        } => {
             format!("retire   farm {farm} tile {tile} after {service_cycles} cc")
         }
         ObsEventKind::VerifyFail { request, tenant } => {
@@ -605,8 +661,15 @@ fn describe(e: &ObsEvent) -> String {
         ObsEventKind::SloTransition { rule, state } => {
             format!("slo rule {rule} -> state {state}")
         }
-        ObsEventKind::Drift { signal, direction, deviation_x1000 } => {
-            format!("drift    {signal} {direction} ({:.1} scale units)", deviation_x1000 as f64 / 1000.0)
+        ObsEventKind::Drift {
+            signal,
+            direction,
+            deviation_x1000,
+        } => {
+            format!(
+                "drift    {signal} {direction} ({:.1} scale units)",
+                deviation_x1000 as f64 / 1000.0
+            )
         }
     }
 }

@@ -22,7 +22,7 @@ use crate::protocol::{OpKind, Request, Response, ShedReason};
 use cim_metrics::{Histogram, MetricsHub};
 use cim_obs::correlation;
 use cim_obs::journal::{FlightRecorder, ObsEventKind};
-use cim_trace::{Args, TrackId, Tracer};
+use cim_trace::{Args, Tracer, TrackId};
 use karatsuba_cim::multiplier::MultiplyError;
 
 /// Full engine configuration.
@@ -154,7 +154,10 @@ impl Engine {
     ///
     /// Panics if the tenant table is empty.
     pub fn new(config: EngineConfig) -> Self {
-        assert!(!config.tenants.is_empty(), "engine needs at least one tenant");
+        assert!(
+            !config.tenants.is_empty(),
+            "engine needs at least one tenant"
+        );
         let tenants = config.tenants.len();
         Engine {
             admission: Admission::new(&config.tenants),
@@ -251,12 +254,23 @@ impl Engine {
         }
         if let Err(message) = validate(&request.op) {
             self.tenant_counters[t].errors += 1;
-            m::count_request(&self.hub, self.tenant_name(request.tenant), request.op.kind().label(), "error");
+            m::count_request(
+                &self.hub,
+                self.tenant_name(request.tenant),
+                request.op.kind().label(),
+                "error",
+            );
             self.recorder.record(
                 now,
-                ObsEventKind::Error { request: request.id, tenant: request.tenant },
+                ObsEventKind::Error {
+                    request: request.id,
+                    tenant: request.tenant,
+                },
             );
-            let resp = Response::Error { id: request.id, message };
+            let resp = Response::Error {
+                id: request.id,
+                message,
+            };
             return Ok((Disposition::Rejected(resp), Vec::new()));
         }
 
@@ -287,7 +301,10 @@ impl Engine {
                     reason: reason.label(),
                 },
             );
-            let resp = Response::Shed { id: request.id, reason };
+            let resp = Response::Shed {
+                id: request.id,
+                reason,
+            };
             return Ok((Disposition::Rejected(resp), Vec::new()));
         }
 
@@ -304,7 +321,11 @@ impl Engine {
         );
         let jobs = request.op.farm_passes();
         let flushed = self.batcher.push(seq, request, jobs, now);
-        m::set_queue_depth(&self.hub, &self.config.tenants[t].name, self.admission.queued(t));
+        m::set_queue_depth(
+            &self.hub,
+            &self.config.tenants[t].name,
+            self.admission.queued(t),
+        );
         let completed = self.flush(flushed)?;
         Ok((Disposition::Queued(seq), completed))
     }
@@ -461,7 +482,10 @@ impl Engine {
                     }
                     Err(message) => {
                         self.note_result(c.request.tenant, c.request.op.kind(), false);
-                        Response::Error { id: c.request.id, message }
+                        Response::Error {
+                            id: c.request.id,
+                            message,
+                        }
                     }
                 }
             })
@@ -584,7 +608,10 @@ mod tests {
                 policy: Policy::WearLeveling,
                 parallel_threshold: 10_000,
             },
-            batch: BatchConfig { max_jobs: 16, max_wait_cycles: 1_000_000 },
+            batch: BatchConfig {
+                max_jobs: 16,
+                max_wait_cycles: 1_000_000,
+            },
         }
     }
 
@@ -593,7 +620,11 @@ mod tests {
             id,
             tenant,
             arrival_cycle: arrival,
-            op: Op::Mul { width: 256, a: rng.uniform(256), b: rng.uniform(256) },
+            op: Op::Mul {
+                width: 256,
+                a: rng.uniform(256),
+                b: rng.uniform(256),
+            },
         }
     }
 
@@ -608,7 +639,11 @@ mod tests {
             responses.extend(engine.serve(req, &exec).expect("serve"));
         }
         responses.extend(engine.finish(&exec).expect("finish"));
-        assert_eq!(responses.len(), 40, "every request gets exactly one response");
+        assert_eq!(
+            responses.len(),
+            40,
+            "every request gets exactly one response"
+        );
         let stats = engine.stats();
         assert_eq!(stats.submitted, 40);
         assert_eq!(stats.served + stats.shed + stats.errors, 40);
@@ -641,7 +676,13 @@ mod tests {
                 dispositions.push(matches!(d, Disposition::Queued(_)));
                 completions.extend(c.into_iter().map(|x| x.completion));
             }
-            completions.extend(engine.drain().expect("drain").into_iter().map(|x| x.completion));
+            completions.extend(
+                engine
+                    .drain()
+                    .expect("drain")
+                    .into_iter()
+                    .map(|x| x.completion),
+            );
             (dispositions, completions, engine.stats())
         };
         let (d1, c1, s1) = run();
@@ -654,14 +695,18 @@ mod tests {
     #[test]
     fn overload_sheds_and_unknown_tenant_errors() {
         let mut engine = Engine::new(EngineConfig {
-            tenants: vec![TenantConfig::new("only", 1).with_burst(2).with_queue_depth(4)],
+            tenants: vec![TenantConfig::new("only", 1)
+                .with_burst(2)
+                .with_queue_depth(4)],
             ..config(1)
         });
         let mut rng = UintRng::seeded(5);
         let mut shed = 0;
         for i in 0..10 {
             // All at cycle 0: 2-token burst, then rate-limited sheds.
-            let (d, _) = engine.submit(mul_request(i, 0, 0, &mut rng)).expect("submit");
+            let (d, _) = engine
+                .submit(mul_request(i, 0, 0, &mut rng))
+                .expect("submit");
             if matches!(d, Disposition::Rejected(Response::Shed { .. })) {
                 shed += 1;
             }
@@ -725,7 +770,11 @@ mod tests {
         let mut ok = 0;
         for i in 0..12 {
             let op = if i % 3 == 0 {
-                Op::Mul { width: 256, a: rng.uniform(256), b: rng.uniform(256) }
+                Op::Mul {
+                    width: 256,
+                    a: rng.uniform(256),
+                    b: rng.uniform(256),
+                }
             } else {
                 Op::ModExp {
                     field: cim_modmul::fields::FieldId::Goldilocks,
@@ -733,7 +782,12 @@ mod tests {
                     exp: Uint::from_u64(17),
                 }
             };
-            let req = Request { id: i, tenant: 0, arrival_cycle: i * 100_000, op };
+            let req = Request {
+                id: i,
+                tenant: 0,
+                arrival_cycle: i * 100_000,
+                op,
+            };
             for resp in engine.serve(req, &exec).expect("serve") {
                 if matches!(resp, Response::Ok { .. }) {
                     ok += 1;

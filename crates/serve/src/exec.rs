@@ -55,9 +55,7 @@ pub fn validate(op: &Op) -> Result<(), String> {
         Op::Mul { width, a, b } => {
             validate_width(*width).map_err(|e| e.to_string())?;
             if a.bit_len() > *width || b.bit_len() > *width {
-                return Err(format!(
-                    "operand wider than the declared {width}-bit class"
-                ));
+                return Err(format!("operand wider than the declared {width}-bit class"));
             }
             Ok(())
         }
@@ -105,9 +103,7 @@ impl OpExecutor {
     pub fn new() -> Self {
         let mont = FieldId::ALL
             .iter()
-            .map(|f| {
-                MontgomeryContext::new(f.modulus()).expect("catalogue moduli are odd")
-            })
+            .map(|f| MontgomeryContext::new(f.modulus()).expect("catalogue moduli are odd"))
             .collect();
         let barrett = FieldId::ALL
             .iter()
@@ -128,7 +124,11 @@ impl OpExecutor {
                 _ => None,
             })
             .collect();
-        OpExecutor { mont, barrett, curves }
+        OpExecutor {
+            mont,
+            barrett,
+            curves,
+        }
     }
 
     /// The serving curve over `field`, if any.
@@ -140,7 +140,9 @@ impl OpExecutor {
         if p.infinity {
             return Ok(Point::infinity());
         }
-        curve.point(&p.x, &p.y).ok_or_else(|| "point not on curve".to_string())
+        curve
+            .point(&p.x, &p.y)
+            .ok_or_else(|| "point not on curve".to_string())
     }
 
     fn encode_point(&self, curve: &Curve, p: &Point) -> EcPoint {
@@ -220,9 +222,10 @@ impl OpExecutor {
                 self.barrett[field.code() as usize].pow_mod(base, exp) == *v
             }
             (Op::EcAdd { field, p, q }, ResponsePayload::Point(out)) => {
-                let Some(curve) = self.curve(*field) else { return false };
-                let (Ok(pp), Ok(qq)) =
-                    (self.decode_point(curve, p), self.decode_point(curve, q))
+                let Some(curve) = self.curve(*field) else {
+                    return false;
+                };
+                let (Ok(pp), Ok(qq)) = (self.decode_point(curve, p), self.decode_point(curve, q))
                 else {
                     return false;
                 };
@@ -230,8 +233,12 @@ impl OpExecutor {
                 expect == *out
             }
             (Op::EcMul { field, k, p }, ResponsePayload::Point(out)) => {
-                let Some(curve) = self.curve(*field) else { return false };
-                let Ok(pp) = self.decode_point(curve, p) else { return false };
+                let Some(curve) = self.curve(*field) else {
+                    return false;
+                };
+                let Ok(pp) = self.decode_point(curve, p) else {
+                    return false;
+                };
                 let expect = self.encode_point(curve, &curve.scalar_mul_ladder(k, &pp));
                 expect == *out
             }
@@ -257,7 +264,11 @@ mod tests {
         let exec = OpExecutor::new();
         let mut rng = UintRng::seeded(1);
         for _ in 0..5 {
-            let op = Op::Mul { width: 256, a: rng.uniform(256), b: rng.uniform(256) };
+            let op = Op::Mul {
+                width: 256,
+                a: rng.uniform(256),
+                b: rng.uniform(256),
+            };
             let out = exec.execute(&op).expect("mul must execute");
             assert!(exec.verify(&op, &out));
         }
@@ -289,19 +300,31 @@ mod tests {
             let two = curve.to_affine(&curve.double(&base)).expect("2P affine");
             let q = EcPoint::affine(two.0, two.1);
 
-            let add = Op::EcAdd { field, p: p.clone(), q: q.clone() };
+            let add = Op::EcAdd {
+                field,
+                p: p.clone(),
+                q: q.clone(),
+            };
             let sum = exec.execute(&add).expect("ec_add must execute");
             assert!(exec.verify(&add, &sum), "{}", field.label());
 
             // P + 2P must equal 3P.
-            let mul = Op::EcMul { field, k: Uint::from_u64(3), p: p.clone() };
+            let mul = Op::EcMul {
+                field,
+                k: Uint::from_u64(3),
+                p: p.clone(),
+            };
             let triple = exec.execute(&mul).expect("ec_mul must execute");
             assert!(exec.verify(&mul, &triple));
             assert_eq!(sum, triple, "P + 2P = 3P on {}", field.label());
 
             // P + (−P) is the identity.
             let neg = curve.to_affine(&curve.neg(&base)).expect("−P affine");
-            let cancel = Op::EcAdd { field, p, q: EcPoint::affine(neg.0, neg.1) };
+            let cancel = Op::EcAdd {
+                field,
+                p,
+                q: EcPoint::affine(neg.0, neg.1),
+            };
             match exec.execute(&cancel).expect("cancelling add") {
                 ResponsePayload::Point(out) => assert!(out.infinity),
                 other => panic!("expected a point, got {other:?}"),
@@ -313,7 +336,11 @@ mod tests {
     fn off_curve_point_is_rejected() {
         let exec = OpExecutor::new();
         let bogus = EcPoint::affine(Uint::from_u64(7), Uint::from_u64(8));
-        let op = Op::EcAdd { field: FieldId::Bn254Base, p: bogus, q: EcPoint::infinity() };
+        let op = Op::EcAdd {
+            field: FieldId::Bn254Base,
+            p: bogus,
+            q: EcPoint::infinity(),
+        };
         let err = exec.execute(&op).expect_err("off-curve point");
         assert!(err.contains("not on curve"), "{err}");
     }
@@ -321,7 +348,12 @@ mod tests {
     #[test]
     fn validation_rejects_structural_garbage() {
         // Width not a multiple of 4.
-        assert!(validate(&Op::Mul { width: 30, a: Uint::one(), b: Uint::one() }).is_err());
+        assert!(validate(&Op::Mul {
+            width: 30,
+            a: Uint::one(),
+            b: Uint::one()
+        })
+        .is_err());
         // Operand wider than its class.
         assert!(validate(&Op::Mul {
             width: 8,
@@ -355,7 +387,11 @@ mod tests {
     #[test]
     fn verify_rejects_wrong_answers() {
         let exec = OpExecutor::new();
-        let op = Op::Mul { width: 64, a: Uint::from_u64(3), b: Uint::from_u64(5) };
+        let op = Op::Mul {
+            width: 64,
+            a: Uint::from_u64(3),
+            b: Uint::from_u64(5),
+        };
         assert!(exec.verify(&op, &ResponsePayload::Value(Uint::from_u64(15))));
         assert!(!exec.verify(&op, &ResponsePayload::Value(Uint::from_u64(16))));
         // Shape mismatch is a failure, not a panic.

@@ -160,7 +160,9 @@ impl FarmFleet {
         assert!(config.farms > 0, "fleet needs at least one farm");
         let farm_config = FarmConfig::new(config.tiles_per_farm, config.policy);
         FarmFleet {
-            schedulers: (0..config.farms).map(|_| Scheduler::new(farm_config)).collect(),
+            schedulers: (0..config.farms)
+                .map(|_| Scheduler::new(farm_config))
+                .collect(),
             stats: vec![FarmStats::default(); config.farms],
             wear: (0..config.farms)
                 .map(|f| {
@@ -236,7 +238,11 @@ impl FarmFleet {
         } else {
             scheduler.run(&jobs)?
         };
-        debug_assert_eq!(report.jobs_done(), jobs.len(), "closed batch, unbounded queue");
+        debug_assert_eq!(
+            report.jobs_done(),
+            jobs.len(),
+            "closed batch, unbounded queue"
+        );
 
         let completions = batch
             .requests
@@ -245,15 +251,16 @@ impl FarmFleet {
             .map(|(pending, &(begin, end))| {
                 // The request's final job: max finish, first such
                 // record on ties, so the placement is deterministic.
-                let (service, tile) = report.records[begin..end]
-                    .iter()
-                    .fold((0u64, 0usize), |(best, tile), r| {
-                        if r.finish > best {
-                            (r.finish, r.tile)
-                        } else {
-                            (best, tile)
-                        }
-                    });
+                let (service, tile) =
+                    report.records[begin..end]
+                        .iter()
+                        .fold((0u64, 0usize), |(best, tile), r| {
+                            if r.finish > best {
+                                (r.finish, r.tile)
+                            } else {
+                                (best, tile)
+                            }
+                        });
                 RequestCompletion {
                     seq: pending.seq,
                     id: pending.request.id,
@@ -280,7 +287,11 @@ impl FarmFleet {
         let stats = &mut self.stats[farm];
         stats.batches += 1;
         stats.jobs += jobs.len() as u64;
-        stats.busy_cycles += report.tile_reports.iter().map(|t| t.busy_cycles).sum::<u64>();
+        stats.busy_cycles += report
+            .tile_reports
+            .iter()
+            .map(|t| t.busy_cycles)
+            .sum::<u64>();
         stats.idle_cycles += start - stats.clock;
         stats.clock = start + report.makespan_cycles;
 
@@ -311,7 +322,11 @@ mod tests {
                     id,
                     tenant: 0,
                     arrival_cycle: arrival,
-                    op: Op::Mul { width, a: Uint::one(), b: Uint::one() },
+                    op: Op::Mul {
+                        width,
+                        a: Uint::one(),
+                        b: Uint::one(),
+                    },
                 },
                 jobs,
             })
@@ -336,7 +351,9 @@ mod tests {
     #[test]
     fn single_batch_timing() {
         let mut fleet = small_fleet(2);
-        let out = fleet.dispatch(&batch(256, &[(0, 100, 2), (1, 150, 1)])).unwrap();
+        let out = fleet
+            .dispatch(&batch(256, &[(0, 100, 2), (1, 150, 1)]))
+            .unwrap();
         assert_eq!(out.farm, 0, "ties break to farm 0");
         assert_eq!(out.start, 150, "batch waits for its youngest member");
         assert_eq!(out.completions.len(), 2);

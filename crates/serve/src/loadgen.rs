@@ -23,10 +23,10 @@ use cim_bigint::rng::UintRng;
 use cim_bigint::Uint;
 use cim_metrics::MetricsHub;
 use cim_modmul::ec::Curve;
+use cim_modmul::fields::FieldId;
 use cim_obs::journal::FlightRecorder;
 use cim_obs::slo::{SloEngine, SloInputs};
 use cim_pulse::{PulseHub, ServeObservation};
-use cim_modmul::fields::FieldId;
 use cim_trace::json::JsonWriter;
 use std::collections::HashMap;
 
@@ -46,7 +46,12 @@ pub struct MixWeights {
 impl Default for MixWeights {
     fn default() -> Self {
         // zkEVM-precompile flavour: mults dominate, point ops trail.
-        MixWeights { mul: 60, modexp: 20, ec_add: 12, ec_mul: 8 }
+        MixWeights {
+            mul: 60,
+            modexp: 20,
+            ec_add: 12,
+            ec_mul: 8,
+        }
     }
 }
 
@@ -156,11 +161,18 @@ fn curve_points(curve: &Curve, count: usize) -> Vec<EcPoint> {
 
 impl PointPools {
     fn new() -> Self {
-        let bn254 = Curve::new(FieldId::Bn254Base.modulus(), Uint::zero(), Uint::from_u64(3))
-            .expect("alt_bn128 parameters are valid");
+        let bn254 = Curve::new(
+            FieldId::Bn254Base.modulus(),
+            Uint::zero(),
+            Uint::from_u64(3),
+        )
+        .expect("alt_bn128 parameters are valid");
         PointPools {
             bn254: curve_points(&bn254, 8),
-            bls: curve_points(&Curve::bls12_381_g1().expect("BLS12-381 parameters are valid"), 8),
+            bls: curve_points(
+                &Curve::bls12_381_g1().expect("BLS12-381 parameters are valid"),
+                8,
+            ),
         }
     }
 
@@ -187,7 +199,11 @@ pub fn generate_trace(config: &LoadgenConfig) -> Vec<Request> {
         let roll = rng.range(0, total) as u64;
         let op = if roll < config.mix.mul {
             let width = [256usize, 256, 384, 512][rng.range(0, 4)];
-            Op::Mul { width, a: rng.uniform(width), b: rng.uniform(width) }
+            Op::Mul {
+                width,
+                a: rng.uniform(width),
+                b: rng.uniform(width),
+            }
         } else if roll < config.mix.mul + config.mix.modexp {
             let field = if rng.range(0, 2) == 0 {
                 FieldId::Bn254Base
@@ -222,7 +238,12 @@ pub fn generate_trace(config: &LoadgenConfig) -> Vec<Request> {
                 p: pools.pick(field, &mut rng),
             }
         };
-        out.push(Request { id: i, tenant, arrival_cycle: arrival, op });
+        out.push(Request {
+            id: i,
+            tenant,
+            arrival_cycle: arrival,
+            op,
+        });
     }
     out
 }
@@ -430,7 +451,10 @@ pub fn run(
             .as_ref()
             .map_or_else(FlightRecorder::disabled, |o| o.recorder.clone());
         let server = CimServer::start_observed(
-            ServerConfig { engine: config.engine_config(), workers: config.workers },
+            ServerConfig {
+                engine: config.engine_config(),
+                workers: config.workers,
+            },
             hub,
             recorder,
         );
@@ -470,7 +494,13 @@ pub fn run(
         }
         // The final observation carries the true correctness count;
         // publish the verdicts and journal gauges for scraping.
-        o.observe(&report.stats, report.stats.drained_at, report.incorrect, true, hub);
+        o.observe(
+            &report.stats,
+            report.stats.drained_at,
+            report.incorrect,
+            true,
+            hub,
+        );
         o.slo.publish_metrics(hub);
         cim_obs::metrics::publish_journal(hub, o.recorder);
     }
@@ -518,7 +548,8 @@ impl Observers<'_> {
             pulse.publish_metrics(hub);
         }
         let inputs = SloInputs { incorrect };
-        self.slo.observe(cycle, &hub.snapshot(), &inputs, self.recorder);
+        self.slo
+            .observe(cycle, &hub.snapshot(), &inputs, self.recorder);
     }
 }
 
@@ -534,8 +565,15 @@ mod tests {
             mean_gap: 3_000,
             exp_bits: 6,
             scalar_bits: 6,
-            fleet: FleetConfig { farms: 2, tiles_per_farm: 2, ..FleetConfig::default() },
-            batch: BatchConfig { max_jobs: 64, max_wait_cycles: 500_000 },
+            fleet: FleetConfig {
+                farms: 2,
+                tiles_per_farm: 2,
+                ..FleetConfig::default()
+            },
+            batch: BatchConfig {
+                max_jobs: 64,
+                max_wait_cycles: 500_000,
+            },
             ..LoadgenConfig::default()
         }
     }
@@ -550,9 +588,13 @@ mod tests {
         let kinds: std::collections::BTreeSet<&str> =
             a.iter().map(|r| r.op.kind().label()).collect();
         assert_eq!(kinds.len(), 4, "all four ops present: {kinds:?}");
-        assert!(a.windows(2).all(|w| w[0].arrival_cycle < w[1].arrival_cycle));
-        let different_seed =
-            generate_trace(&LoadgenConfig { seed: 999, ..config });
+        assert!(a
+            .windows(2)
+            .all(|w| w[0].arrival_cycle < w[1].arrival_cycle));
+        let different_seed = generate_trace(&LoadgenConfig {
+            seed: 999,
+            ..config
+        });
         assert_ne!(a, different_seed);
     }
 
@@ -571,7 +613,10 @@ mod tests {
     fn threaded_run_matches_sync_numbers() {
         let sync = run(&small(), &MetricsHub::disabled(), None);
         let threaded = run(
-            &LoadgenConfig { workers: 3, ..small() },
+            &LoadgenConfig {
+                workers: 3,
+                ..small()
+            },
             &MetricsHub::disabled(),
             None,
         );
@@ -597,7 +642,11 @@ mod tests {
                 SloRule::parse("tenant0.correctness").unwrap(),
                 SloRule::parse("tenant1.shed_ratio <= 0.9").unwrap(),
             ]);
-            let observers = Observers { recorder: &recorder, slo: &mut slo, pulse: None };
+            let observers = Observers {
+                recorder: &recorder,
+                slo: &mut slo,
+                pulse: None,
+            };
             let report = run(&small(), &hub, Some(observers));
             let verdicts = slo
                 .verdicts()
@@ -612,7 +661,10 @@ mod tests {
         // Identical decisions to the unobserved run.
         assert_eq!(plain.served, a_report.served);
         assert_eq!(plain.shed, a_report.shed);
-        assert_eq!(plain.stats, a_report.stats, "observation cannot move a cycle");
+        assert_eq!(
+            plain.stats, a_report.stats,
+            "observation cannot move a cycle"
+        );
         assert_eq!(a_report.incorrect, 0);
 
         // Deterministic journal and verdicts across runs.
@@ -627,7 +679,10 @@ mod tests {
     #[test]
     fn report_serializes_to_valid_json() {
         let report = run(
-            &LoadgenConfig { requests: 50, ..small() },
+            &LoadgenConfig {
+                requests: 50,
+                ..small()
+            },
             &MetricsHub::disabled(),
             None,
         );

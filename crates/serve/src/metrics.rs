@@ -87,7 +87,12 @@ pub fn set_queue_depth(hub: &MetricsHub, tenant: &str, depth: usize) {
 /// Counts one flushed batch and records its job count.
 pub fn count_batch(hub: &MetricsHub, width: usize, jobs: u64) {
     let labels = Labels::new().with("width_bits", width);
-    hub.add_counter(BATCHES_TOTAL, "batches flushed per width class", &labels, 1.0);
+    hub.add_counter(
+        BATCHES_TOTAL,
+        "batches flushed per width class",
+        &labels,
+        1.0,
+    );
     hub.observe(BATCH_JOBS, "farm jobs per flushed batch", &labels, jobs);
 }
 
@@ -100,7 +105,12 @@ pub fn set_farm_stats(
     clock: u64,
 ) {
     let labels = Labels::new().with("farm", farm);
-    hub.add_counter(FARM_JOBS_TOTAL, "farm jobs executed", &labels, jobs_delta as f64);
+    hub.add_counter(
+        FARM_JOBS_TOTAL,
+        "farm jobs executed",
+        &labels,
+        jobs_delta as f64,
+    );
     hub.set_gauge(
         FARM_UTILIZATION,
         "stage-cycle utilization up to the farm clock",

@@ -89,12 +89,20 @@ pub struct EcPoint {
 impl EcPoint {
     /// The group identity.
     pub fn infinity() -> Self {
-        EcPoint { x: Uint::zero(), y: Uint::zero(), infinity: true }
+        EcPoint {
+            x: Uint::zero(),
+            y: Uint::zero(),
+            infinity: true,
+        }
     }
 
     /// An affine point.
     pub fn affine(x: Uint, y: Uint) -> Self {
-        EcPoint { x, y, infinity: false }
+        EcPoint {
+            x,
+            y,
+            infinity: false,
+        }
     }
 }
 
@@ -184,9 +192,9 @@ impl Op {
     pub fn width(&self) -> usize {
         match self {
             Op::Mul { width, .. } => *width,
-            Op::ModExp { field, .. }
-            | Op::EcAdd { field, .. }
-            | Op::EcMul { field, .. } => field.width(),
+            Op::ModExp { field, .. } | Op::EcAdd { field, .. } | Op::EcMul { field, .. } => {
+                field.width()
+            }
         }
     }
 
@@ -209,9 +217,7 @@ impl Op {
                 3 * (exp.bit_len() as u64 + popcount(exp)).max(1)
             }
             Op::EcAdd { .. } => 3 * 16,
-            Op::EcMul { k, .. } => {
-                3 * (10 * k.bit_len() as u64 + 16 * popcount(k) + 16)
-            }
+            Op::EcMul { k, .. } => 3 * (10 * k.bit_len() as u64 + 16 * popcount(k) + 16),
         }
     }
 }
@@ -310,9 +316,7 @@ impl Response {
     /// The echoed request id.
     pub fn id(&self) -> u64 {
         match self {
-            Response::Ok { id, .. } | Response::Shed { id, .. } | Response::Error { id, .. } => {
-                *id
-            }
+            Response::Ok { id, .. } | Response::Shed { id, .. } | Response::Error { id, .. } => *id,
         }
     }
 }
@@ -403,15 +407,21 @@ impl<'a> Reader<'a> {
     }
 
     fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     fn uint(&mut self) -> Result<Uint, WireError> {
@@ -426,7 +436,11 @@ impl<'a> Reader<'a> {
         let infinity = self.u8()? != 0;
         let x = self.uint()?;
         let y = self.uint()?;
-        Ok(if infinity { EcPoint::infinity() } else { EcPoint::affine(x, y) })
+        Ok(if infinity {
+            EcPoint::infinity()
+        } else {
+            EcPoint::affine(x, y)
+        })
     }
 
     fn str(&mut self) -> Result<String, WireError> {
@@ -455,7 +469,10 @@ impl<'a> Reader<'a> {
 /// Checks the `CS`+version header and returns the kind byte plus a
 /// body reader.
 fn open(payload: &[u8]) -> Result<(u8, Reader<'_>), WireError> {
-    let mut r = Reader { bytes: payload, pos: 0 };
+    let mut r = Reader {
+        bytes: payload,
+        pos: 0,
+    };
     if r.take(2)? != FRAME_MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -544,13 +561,24 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         other => return Err(WireError::UnknownOp(other)),
     };
     r.finish()?;
-    Ok(Request { id, tenant, arrival_cycle, op })
+    Ok(Request {
+        id,
+        tenant,
+        arrival_cycle,
+        op,
+    })
 }
 
 /// Encodes a response payload (no length prefix — see [`frame`]).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
-        Response::Ok { id, result, queue_cycles, service_cycles, farm } => {
+        Response::Ok {
+            id,
+            result,
+            queue_cycles,
+            service_cycles,
+            farm,
+        } => {
             let mut w = Writer::new(KIND_OK);
             w.u64(*id);
             w.u64(*queue_cycles);
@@ -601,7 +629,13 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                 1 => ResponsePayload::Point(r.point()?),
                 other => return Err(WireError::UnknownOp(other)),
             };
-            Response::Ok { id, result, queue_cycles, service_cycles, farm }
+            Response::Ok {
+                id,
+                result,
+                queue_cycles,
+                service_cycles,
+                farm,
+            }
         }
         KIND_SHED => {
             let id = r.u64()?;
@@ -845,9 +879,18 @@ mod tests {
                 service_cycles: 1,
                 farm: 0,
             },
-            Response::Shed { id: 11, reason: ShedReason::RateLimited },
-            Response::Shed { id: 12, reason: ShedReason::QueueFull },
-            Response::Error { id: 13, message: "point not on curve".into() },
+            Response::Shed {
+                id: 11,
+                reason: ShedReason::RateLimited,
+            },
+            Response::Shed {
+                id: 12,
+                reason: ShedReason::QueueFull,
+            },
+            Response::Error {
+                id: 13,
+                message: "point not on curve".into(),
+            },
         ]
     }
 
@@ -862,7 +905,9 @@ mod tests {
                 journal_events: 512,
                 journal_dropped: 12,
             },
-            ControlResponse::Diagnostics { json: "{\"events\":[]}".to_string() },
+            ControlResponse::Diagnostics {
+                json: "{\"events\":[]}".to_string(),
+            },
         ]
     }
 
@@ -874,7 +919,11 @@ mod tests {
         let mut out: Vec<Vec<u8>> = sample_requests().iter().map(encode_request).collect();
         out.extend(sample_responses().iter().map(encode_response));
         out.extend(CONTROL_REQUESTS.iter().map(encode_control_request));
-        out.extend(sample_control_responses().iter().map(encode_control_response));
+        out.extend(
+            sample_control_responses()
+                .iter()
+                .map(encode_control_response),
+        );
         out
     }
 
@@ -945,7 +994,10 @@ mod tests {
             decode_request(b"CS\x09\x00"),
             Err(WireError::UnsupportedVersion(9))
         );
-        assert_eq!(decode_response(b"CS\x01\x77"), Err(WireError::UnknownKind(0x77)));
+        assert_eq!(
+            decode_response(b"CS\x01\x77"),
+            Err(WireError::UnknownKind(0x77))
+        );
         // Oversized length prefix rejected before allocation.
         let huge = (u32::MAX).to_le_bytes();
         assert_eq!(
@@ -1015,7 +1067,13 @@ mod tests {
         let cases = [
             (infinity, ok(ResponsePayload::Point(EcPoint::infinity()))),
             (padded, ok(ResponsePayload::Value(Uint::from_u64(9)))),
-            (lossy, Response::Error { id: 7, message: "\u{fffd}\u{fffd}".into() }),
+            (
+                lossy,
+                Response::Error {
+                    id: 7,
+                    message: "\u{fffd}\u{fffd}".into(),
+                },
+            ),
         ];
         for (w, canonical) in cases {
             assert_eq!(decode_response(&w.0), Ok(canonical));
@@ -1053,7 +1111,10 @@ mod tests {
             assert!(is_control_payload(&bytes));
             assert_eq!(decode_control_request(&bytes).unwrap(), req);
             // Control frames are not data requests and vice versa.
-            assert!(matches!(decode_request(&bytes), Err(WireError::UnknownKind(_))));
+            assert!(matches!(
+                decode_request(&bytes),
+                Err(WireError::UnknownKind(_))
+            ));
         }
         for resp in sample_control_responses() {
             let bytes = encode_control_response(&resp);
@@ -1064,8 +1125,14 @@ mod tests {
         assert!(!is_control_payload(&encode_request(&sample_requests()[0])));
         assert!(!is_control_payload(&[]));
         // Hostile control bytes error, never panic.
-        assert!(decode_control_request(b"CS\x01\x05").is_err(), "response kind");
-        assert!(decode_control_response(b"CS\x01\x04").is_err(), "request kind");
+        assert!(
+            decode_control_request(b"CS\x01\x05").is_err(),
+            "response kind"
+        );
+        assert!(
+            decode_control_response(b"CS\x01\x04").is_err(),
+            "request kind"
+        );
         let mut trailing = encode_control_request(&ControlRequest::HealthProbe);
         trailing.push(9);
         assert_eq!(
@@ -1076,7 +1143,11 @@ mod tests {
 
     #[test]
     fn farm_passes_model() {
-        let mul = Op::Mul { width: 256, a: Uint::one(), b: Uint::one() };
+        let mul = Op::Mul {
+            width: 256,
+            a: Uint::one(),
+            b: Uint::one(),
+        };
         assert_eq!(mul.farm_passes(), 1);
         // 65537 = 2^16 + 1: 17 bits, 2 set bits → 3·19 passes.
         let exp = Op::ModExp {

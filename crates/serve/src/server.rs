@@ -36,9 +36,16 @@ pub struct ServerConfig {
 /// Events the dispatcher reacts to.
 enum Event {
     /// A framed request from a connection, with its reply channel.
-    Frame { bytes: Vec<u8>, reply: Sender<Vec<u8>> },
+    Frame {
+        bytes: Vec<u8>,
+        reply: Sender<Vec<u8>>,
+    },
     /// A worker finished a request's arithmetic.
-    Done { tenant: u16, kind: crate::protocol::OpKind, ok: bool },
+    Done {
+        tenant: u16,
+        kind: crate::protocol::OpKind,
+        ok: bool,
+    },
     /// Flush all open batches; ack once every outstanding response
     /// has been written to its connection.
     Drain { ack: Sender<()> },
@@ -85,8 +92,7 @@ impl Connection {
             .reply_rx
             .recv()
             .map_err(|_| protocol::WireError::Truncated)?;
-        let (payload, rest) = protocol::deframe(&bytes)?
-            .ok_or(protocol::WireError::Truncated)?;
+        let (payload, rest) = protocol::deframe(&bytes)?.ok_or(protocol::WireError::Truncated)?;
         debug_assert!(rest.is_empty());
         protocol::decode_response(payload)
     }
@@ -134,8 +140,7 @@ impl Connection {
             .reply_rx
             .recv()
             .map_err(|_| protocol::WireError::Truncated)?;
-        let (payload, rest) = protocol::deframe(&bytes)?
-            .ok_or(protocol::WireError::Truncated)?;
+        let (payload, rest) = protocol::deframe(&bytes)?.ok_or(protocol::WireError::Truncated)?;
         debug_assert!(rest.is_empty());
         protocol::decode_control_response(payload)
     }
@@ -266,7 +271,13 @@ fn worker_loop(work_rx: &Arc<Mutex<Receiver<Work>>>, events: &Sender<Event>) {
                 },
                 true,
             ),
-            Err(message) => (Response::Error { id: request.id, message }, false),
+            Err(message) => (
+                Response::Error {
+                    id: request.id,
+                    message,
+                },
+                false,
+            ),
         };
         let _ = reply.send(protocol::frame(protocol::encode_response(&response)));
         // Done *after* the reply: by the time the dispatcher sees
@@ -297,8 +308,7 @@ fn dispatcher_loop(engine: &mut Engine, events: &Receiver<Event>, work_tx: &Send
                             id: 0,
                             message: format!("malformed request: {e}"),
                         };
-                        let _ = reply
-                            .send(protocol::frame(protocol::encode_response(&resp)));
+                        let _ = reply.send(protocol::frame(protocol::encode_response(&resp)));
                         continue;
                     }
                 };
@@ -313,13 +323,11 @@ fn dispatcher_loop(engine: &mut Engine, events: &Receiver<Event>, work_tx: &Send
                                 id: 0,
                                 message: format!("malformed control request: {e}"),
                             };
-                            let _ = reply
-                                .send(protocol::frame(protocol::encode_response(&resp)));
+                            let _ = reply.send(protocol::frame(protocol::encode_response(&resp)));
                             continue;
                         }
                     };
-                    let _ = reply
-                        .send(protocol::frame(protocol::encode_control_response(&resp)));
+                    let _ = reply.send(protocol::frame(protocol::encode_control_response(&resp)));
                     continue;
                 }
                 let request = match protocol::decode_request(payload) {
@@ -329,8 +337,7 @@ fn dispatcher_loop(engine: &mut Engine, events: &Receiver<Event>, work_tx: &Send
                             id: 0,
                             message: format!("malformed request: {e}"),
                         };
-                        let _ = reply
-                            .send(protocol::frame(protocol::encode_response(&resp)));
+                        let _ = reply.send(protocol::frame(protocol::encode_response(&resp)));
                         continue;
                     }
                 };
@@ -338,16 +345,14 @@ fn dispatcher_loop(engine: &mut Engine, events: &Receiver<Event>, work_tx: &Send
                     Ok((disposition, completed)) => {
                         match disposition {
                             Disposition::Rejected(resp) => {
-                                let _ = reply.send(protocol::frame(
-                                    protocol::encode_response(&resp),
-                                ));
+                                let _ =
+                                    reply.send(protocol::frame(protocol::encode_response(&resp)));
                             }
                             Disposition::Queued(seq) => {
                                 routes.insert(seq, reply);
                             }
                         }
-                        outstanding +=
-                            hand_off(completed, &mut routes, work_tx);
+                        outstanding += hand_off(completed, &mut routes, work_tx);
                     }
                     Err(e) => {
                         // Scheduler failure: validation should make
@@ -356,8 +361,7 @@ fn dispatcher_loop(engine: &mut Engine, events: &Receiver<Event>, work_tx: &Send
                             id: 0,
                             message: format!("scheduler error: {e:?}"),
                         };
-                        let _ = reply
-                            .send(protocol::frame(protocol::encode_response(&resp)));
+                        let _ = reply.send(protocol::frame(protocol::encode_response(&resp)));
                     }
                 }
             }
@@ -427,7 +431,13 @@ fn hand_off(
             debug_assert!(false, "completion for unrouted seq {}", c.completion.seq);
             continue;
         };
-        if work_tx.send(Work { completed: c, reply }).is_ok() {
+        if work_tx
+            .send(Work {
+                completed: c,
+                reply,
+            })
+            .is_ok()
+        {
             n += 1;
         }
     }
@@ -460,7 +470,10 @@ mod tests {
                     policy: Policy::WearLeveling,
                     parallel_threshold: 512,
                 },
-                batch: BatchConfig { max_jobs: 32, max_wait_cycles: 500_000 },
+                batch: BatchConfig {
+                    max_jobs: 32,
+                    max_wait_cycles: 500_000,
+                },
             },
             workers: 2,
         }
@@ -471,7 +484,11 @@ mod tests {
             id,
             tenant,
             arrival_cycle: arrival,
-            op: Op::Mul { width: 256, a: rng.uniform(256), b: rng.uniform(256) },
+            op: Op::Mul {
+                width: 256,
+                a: rng.uniform(256),
+                b: rng.uniform(256),
+            },
         }
     }
 
@@ -598,8 +615,7 @@ mod tests {
         use cim_obs::journal::RecorderConfig;
         let hub = MetricsHub::disabled();
         let recorder = FlightRecorder::new(RecorderConfig::default());
-        let server =
-            CimServer::start_observed(server_config(2, 1000), &hub, recorder.clone());
+        let server = CimServer::start_observed(server_config(2, 1000), &hub, recorder.clone());
         let conn = server.connect();
         let mut rng = UintRng::seeded(26);
         for i in 0..12 {

@@ -15,7 +15,11 @@ fn loadgen_config() -> LoadgenConfig {
         mean_gap: 2_500,
         exp_bits: 8,
         scalar_bits: 8,
-        fleet: FleetConfig { farms: 4, tiles_per_farm: 2, ..FleetConfig::default() },
+        fleet: FleetConfig {
+            farms: 4,
+            tiles_per_farm: 2,
+            ..FleetConfig::default()
+        },
         ..LoadgenConfig::default()
     }
 }
@@ -45,7 +49,10 @@ fn loadgen_replay_is_bit_identical() {
 fn threaded_fleet_serves_mixed_load_with_zero_incorrect() {
     let hub = MetricsHub::recording();
     let report = run(
-        &LoadgenConfig { workers: 4, ..loadgen_config() },
+        &LoadgenConfig {
+            workers: 4,
+            ..loadgen_config()
+        },
         &hub,
         None,
     );
@@ -79,7 +86,10 @@ fn wire_protocol_survives_a_full_request_cycle() {
     // Frame every generated request through the encoder and back
     // before serving: the server sees exactly what a remote client
     // would send.
-    let config = LoadgenConfig { requests: 120, ..loadgen_config() };
+    let config = LoadgenConfig {
+        requests: 120,
+        ..loadgen_config()
+    };
     let trace = generate_trace(&config);
     let rewired: Vec<Request> = trace
         .iter()
@@ -95,7 +105,10 @@ fn wire_protocol_survives_a_full_request_cycle() {
     assert_eq!(trace, rewired, "encode/decode is the identity");
 
     let server = CimServer::start(
-        ServerConfig { engine: config.engine_config(), workers: 2 },
+        ServerConfig {
+            engine: config.engine_config(),
+            workers: 2,
+        },
         &MetricsHub::disabled(),
     );
     let conn = server.connect();
@@ -133,7 +146,10 @@ fn per_tenant_isolation_under_one_greedy_tenant() {
     let mut config = loadgen_config();
     config.tenants = 2;
     let server = CimServer::start(
-        ServerConfig { engine: config.engine_config(), workers: 2 },
+        ServerConfig {
+            engine: config.engine_config(),
+            workers: 2,
+        },
         &MetricsHub::disabled(),
     );
     let conn = server.connect();
@@ -145,7 +161,11 @@ fn per_tenant_isolation_under_one_greedy_tenant() {
                 id,
                 tenant: 0,
                 arrival_cycle: burst * 1_000,
-                op: Op::Mul { width: 256, a: rng.uniform(256), b: rng.uniform(256) },
+                op: Op::Mul {
+                    width: 256,
+                    a: rng.uniform(256),
+                    b: rng.uniform(256),
+                },
             });
             id += 1;
         }
@@ -153,7 +173,11 @@ fn per_tenant_isolation_under_one_greedy_tenant() {
             id,
             tenant: 1,
             arrival_cycle: burst * 1_000,
-            op: Op::Mul { width: 256, a: rng.uniform(256), b: rng.uniform(256) },
+            op: Op::Mul {
+                width: 256,
+                a: rng.uniform(256),
+                b: rng.uniform(256),
+            },
         });
         id += 1;
     }

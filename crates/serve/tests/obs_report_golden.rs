@@ -46,7 +46,10 @@ fn obs_report_json_is_byte_deterministic_and_complete() {
 
     let json_a = std::fs::read_to_string(&path_a).expect("artifact a");
     let json_b = std::fs::read_to_string(&path_b).expect("artifact b");
-    assert_eq!(json_a, json_b, "obs_report JSON must be byte-identical across runs");
+    assert_eq!(
+        json_a, json_b,
+        "obs_report JSON must be byte-identical across runs"
+    );
     cim_trace::json::check(&json_a).expect("artifact is valid JSON");
 
     // Section presence: the four diagnostics plus run/journal header.
@@ -85,13 +88,25 @@ fn obs_report_json_is_byte_deterministic_and_complete() {
     );
 
     // Wear: top-K rows and per-tile entries are present.
-    assert!(json_a.contains("\"top_rows\":["), "heatmap top rows missing");
+    assert!(
+        json_a.contains("\"top_rows\":["),
+        "heatmap top rows missing"
+    );
     assert!(json_a.contains("\"per_tile\":["), "per-tile wear missing");
-    assert!(json_a.contains("\"max_cell_writes\":"), "tile wear fields missing");
+    assert!(
+        json_a.contains("\"max_cell_writes\":"),
+        "tile wear fields missing"
+    );
 
     // Per-tenant SLO verdicts for both tenants.
-    assert!(json_a.contains("\"tenant\":\"tenant0\""), "tenant0 verdict missing");
-    assert!(json_a.contains("\"tenant\":\"tenant1\""), "tenant1 verdict missing");
+    assert!(
+        json_a.contains("\"tenant\":\"tenant0\""),
+        "tenant0 verdict missing"
+    );
+    assert!(
+        json_a.contains("\"tenant\":\"tenant1\""),
+        "tenant1 verdict missing"
+    );
 
     let _ = std::fs::remove_file(&path_a);
     let _ = std::fs::remove_file(&path_b);

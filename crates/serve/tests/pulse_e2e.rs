@@ -21,8 +21,15 @@ fn small() -> LoadgenConfig {
         mean_gap: 3_000,
         exp_bits: 6,
         scalar_bits: 6,
-        fleet: FleetConfig { farms: 2, tiles_per_farm: 2, ..FleetConfig::default() },
-        batch: BatchConfig { max_jobs: 64, max_wait_cycles: 500_000 },
+        fleet: FleetConfig {
+            farms: 2,
+            tiles_per_farm: 2,
+            ..FleetConfig::default()
+        },
+        batch: BatchConfig {
+            max_jobs: 64,
+            max_wait_cycles: 500_000,
+        },
         ..LoadgenConfig::default()
     }
 }
@@ -40,8 +47,11 @@ fn pulsed_run() -> (cim_serve::loadgen::LoadReport, PulseHub, String, String) {
     let recorder = FlightRecorder::new(RecorderConfig::default());
     let mut slo = SloEngine::new(rules());
     let mut pulse = PulseHub::new(PulseConfig::default());
-    let observers =
-        Observers { recorder: &recorder, slo: &mut slo, pulse: Some(&mut pulse) };
+    let observers = Observers {
+        recorder: &recorder,
+        slo: &mut slo,
+        pulse: Some(&mut pulse),
+    };
     let report = run(&small(), &hub, Some(observers));
     let timeline_json = pulse.timeline().to_json();
     let journal = recorder.dump_json();
@@ -52,11 +62,17 @@ fn pulsed_run() -> (cim_serve::loadgen::LoadReport, PulseHub, String, String) {
 fn two_identical_runs_produce_byte_identical_timeline_json() {
     let (_, pulse_a, timeline_a, journal_a) = pulsed_run();
     let (_, pulse_b, timeline_b, journal_b) = pulsed_run();
-    assert_eq!(timeline_a, timeline_b, "timeline JSON must be byte-identical");
+    assert_eq!(
+        timeline_a, timeline_b,
+        "timeline JSON must be byte-identical"
+    );
     assert_eq!(pulse_a.to_json(), pulse_b.to_json(), "full pulse JSON too");
     assert_eq!(journal_a, journal_b, "journal too");
     cim_trace::json::check(&timeline_a).unwrap();
-    assert!(pulse_a.timeline().scrapes() >= 9, "8 cadence scrapes + final");
+    assert!(
+        pulse_a.timeline().scrapes() >= 9,
+        "8 cadence scrapes + final"
+    );
     assert!(pulse_a.timeline().series_count() > 0);
 }
 
@@ -105,16 +121,25 @@ fn healthy_run_raises_no_drift_alerts_and_no_page() {
     let recorder = FlightRecorder::new(RecorderConfig::default());
     let mut slo = SloEngine::new(rules());
     let mut pulse = PulseHub::new(PulseConfig::default());
-    let observers =
-        Observers { recorder: &recorder, slo: &mut slo, pulse: Some(&mut pulse) };
+    let observers = Observers {
+        recorder: &recorder,
+        slo: &mut slo,
+        pulse: Some(&mut pulse),
+    };
     run(&small(), &hub, Some(observers));
     assert_eq!(pulse.alerts_total(), 0, "steady trace must not alert");
     assert!(!slo.any_page(), "drift rule must not page on a healthy run");
     let snap = hub.snapshot();
-    assert_eq!(snap.number(cim_pulse::SCRAPES_FAMILY), Some(pulse.timeline().scrapes() as f64));
+    assert_eq!(
+        snap.number(cim_pulse::SCRAPES_FAMILY),
+        Some(pulse.timeline().scrapes() as f64)
+    );
     assert!(snap.family(cim_pulse::DRIFT_ALERTS_FAMILY).is_some());
     assert!(snap.family(cim_pulse::WEAR_WRITES_FAMILY).is_some());
-    assert_eq!(snap.number(cim_obs::metrics::JOURNAL_TRIGGER_STATE), Some(0.0));
+    assert_eq!(
+        snap.number(cim_obs::metrics::JOURNAL_TRIGGER_STATE),
+        Some(0.0)
+    );
 }
 
 /// Replays a loadgen trace with a throughput cliff injected half-way
@@ -179,8 +204,15 @@ fn injected_throughput_cliff_is_flagged_and_journaled() {
     let throughput_down = recorder.events().into_iter().any(|e| {
         matches!(
             e.kind,
-            ObsEventKind::Drift { signal: "throughput", direction: "down", .. }
+            ObsEventKind::Drift {
+                signal: "throughput",
+                direction: "down",
+                ..
+            }
         )
     });
-    assert!(throughput_down, "downward throughput drift must be journaled");
+    assert!(
+        throughput_down,
+        "downward throughput drift must be journaled"
+    );
 }

@@ -55,7 +55,9 @@ impl Forest {
     /// Cycles of `node` not covered by its direct children
     /// (saturating: a malformed trace cannot underflow).
     pub fn self_cycles(&self, node: usize) -> u64 {
-        self.nodes[node].cycles().saturating_sub(self.child_cycles(node))
+        self.nodes[node]
+            .cycles()
+            .saturating_sub(self.child_cycles(node))
     }
 }
 
@@ -100,13 +102,20 @@ impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::UnmatchedEnd { track, cycle } => {
-                write!(f, "end event with no matching open span (track {}, cc {cycle})", track.0)
+                write!(
+                    f,
+                    "end event with no matching open span (track {}, cc {cycle})",
+                    track.0
+                )
             }
             TraceError::UnclosedSpan { name, start } => {
                 write!(f, "span '{name}' opened at cc {start} never closed")
             }
             TraceError::NegativeSpan { name, start, end } => {
-                write!(f, "span '{name}' closes at cc {end} before opening at cc {start}")
+                write!(
+                    f,
+                    "span '{name}' closes at cc {end} before opening at cc {start}"
+                )
             }
             TraceError::ChildExceedsParent { parent, child } => {
                 write!(f, "child span '{child}' exceeds parent '{parent}'")
@@ -139,10 +148,10 @@ pub fn build_forest(trace: &Trace) -> Result<Forest, TraceError> {
     let mut stacks: HashMap<u32, Vec<Open>> = HashMap::new();
 
     let close = |forest: &mut Forest,
-                     stack: &mut Vec<Open>,
-                     track: TrackId,
-                     open: Open,
-                     end: u64|
+                 stack: &mut Vec<Open>,
+                 track: TrackId,
+                 open: Open,
+                 end: u64|
      -> Result<usize, TraceError> {
         if end < open.start {
             return Err(TraceError::NegativeSpan {

@@ -182,8 +182,7 @@ pub fn validate_chrome_trace(json_text: &str) -> Result<ChromeTraceSummary, Stri
 
     let mut summary = ChromeTraceSummary::default();
     // Depth of open B spans per (pid, tid).
-    let mut stacks: std::collections::HashMap<(u64, u64), i64> =
-        std::collections::HashMap::new();
+    let mut stacks: std::collections::HashMap<(u64, u64), i64> = std::collections::HashMap::new();
 
     let bytes = json_text.as_bytes();
     let mut pos = array_start + 1;
@@ -244,9 +243,7 @@ fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
     let at = obj.find(&needle)? + needle.len();
     let rest = &obj[at..];
     let rest = rest.trim_start();
-    let end = rest
-        .find([',', '}'])
-        .unwrap_or(rest.len());
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
     Some(rest[..end].trim())
 }
 

@@ -54,7 +54,13 @@ fn fold_into(forest: &Forest, node: usize, prefix: &str, stacks: &mut BTreeMap<S
 /// line structure outright. Every such character folds to `_`.
 fn sanitize(name: &str) -> String {
     name.chars()
-        .map(|c| if c == ';' || c.is_whitespace() { '_' } else { c })
+        .map(|c| {
+            if c == ';' || c.is_whitespace() {
+                '_'
+            } else {
+                c
+            }
+        })
         .collect()
 }
 

@@ -218,10 +218,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos))
         }
     }
 
@@ -315,10 +312,7 @@ impl Parser<'_> {
                             self.pos += 1;
                             for _ in 0..4 {
                                 if !self.peek().is_some_and(|b| b.is_ascii_hexdigit()) {
-                                    return Err(format!(
-                                        "bad \\u escape at byte {}",
-                                        self.pos
-                                    ));
+                                    return Err(format!("bad \\u escape at byte {}", self.pos));
                                 }
                                 self.pos += 1;
                             }
@@ -394,10 +388,7 @@ mod tests {
             .field_uint("count", 3)
             .close_object();
         let s = w.finish();
-        assert_eq!(
-            s,
-            r#"{"name":"a \"b\"\n","values":[1,2.5,true],"count":3}"#
-        );
+        assert_eq!(s, r#"{"name":"a \"b\"\n","values":[1,2.5,true],"count":3}"#);
         assert!(check(&s).is_ok());
     }
 

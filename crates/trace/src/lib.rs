@@ -55,9 +55,9 @@ pub mod analysis;
 pub mod chrome;
 pub mod folded;
 pub mod json;
-pub mod summary;
 mod model;
 mod sink;
+pub mod summary;
 mod tracer;
 
 pub use model::{

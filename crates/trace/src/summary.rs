@@ -75,7 +75,15 @@ pub fn render_summary(trace: &Trace, top_n: usize) -> Result<String, TraceError>
     let shown = &rows[..rows.len().min(top_n)];
     let wall = trace.last_cycle().max(1);
 
-    let headers = ["span", "count", "total cc", "self cc", "child cc", "max cc", "% of trace"];
+    let headers = [
+        "span",
+        "count",
+        "total cc",
+        "self cc",
+        "child cc",
+        "max cc",
+        "% of trace",
+    ];
     let mut cells: Vec<[String; 7]> = Vec::with_capacity(shown.len());
     for r in shown {
         cells.push([

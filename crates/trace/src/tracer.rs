@@ -115,7 +115,10 @@ impl Tracer {
             return TrackId(0);
         };
         let mut tracks = inner.tracks.borrow_mut();
-        if let Some(t) = tracks.iter().find(|t| t.process == process && t.name == name) {
+        if let Some(t) = tracks
+            .iter()
+            .find(|t| t.process == process && t.name == name)
+        {
             return t.id;
         }
         let id = TrackId(tracks.len() as u32);

@@ -54,7 +54,10 @@ fn chrome_export_matches_golden_file() {
     let json = chrome::to_chrome_json(&reference_trace());
     chrome::validate_chrome_trace(&json).expect("golden trace must validate");
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/reference.trace.json");
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/reference.trace.json"
+    );
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(path, &json).expect("bless golden file");
     }

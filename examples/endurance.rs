@@ -30,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             assert_eq!(sum, a.add(b));
         }
         let e = unit.endurance();
-        let adds_per_lifetime =
-            CELL_ENDURANCE_WRITES / (e.max_writes / operations as u64).max(1);
+        let adds_per_lifetime = CELL_ENDURANCE_WRITES / (e.max_writes / operations as u64).max(1);
         println!(
             "wear-leveling {}: after {} additions",
             if leveling { "ON " } else { "OFF" },
@@ -39,9 +38,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!("  peak cell writes : {}", e.max_writes);
         println!("  mean cell writes : {:.1}", e.mean_writes());
-        println!("  wear balance     : {:.2} (1.0 = perfectly even)", e.balance());
+        println!(
+            "  wear balance     : {:.2} (1.0 = perfectly even)",
+            e.balance()
+        );
         println!("  projected adder lifetime: ~{adds_per_lifetime} additions");
-        println!("  cycle cost of leveling  : none ({} cc total)\n", unit.cycles());
+        println!(
+            "  cycle cost of leveling  : none ({} cc total)\n",
+            unit.cycles()
+        );
     }
 
     // --- Design-level comparison (Table I "Max. Writes" column).
@@ -51,7 +56,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ow = ours.max_writes(384).expect("reported");
     let mw = multpim.max_writes(384).expect("reported");
     println!("  our Karatsuba design : {ow} writes to the hottest cell");
-    println!("  MultPIM single-row   : {mw} writes ({:.1}x more)", mw as f64 / ow as f64);
+    println!(
+        "  MultPIM single-row   : {mw} writes ({:.1}x more)",
+        mw as f64 / ow as f64
+    );
     println!(
         "  array lifetime: ours ~{} multiplications vs MultPIM ~{}",
         CELL_ENDURANCE_WRITES / ow,

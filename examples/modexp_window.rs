@@ -29,7 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("windowed results verified against binary square-and-multiply ✓\n");
 
     // CIM cost sweep: cycles per exponentiation vs window width.
-    println!("{:>7} {:>14} {:>16} {:>18}", "window", "table entries", "modmuls (est.)", "CIM cycles (est.)");
+    println!(
+        "{:>7} {:>14} {:>16} {:>18}",
+        "window", "table entries", "modmuls (est.)", "CIM cycles (est.)"
+    );
     let mut best = (1u32, f64::MAX);
     for w in 1..=8u32 {
         let cost = ctx.pow_window_cost(exp.bit_len(), w);
@@ -50,7 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\noptimal window: w = {} (≈{:.2e} cycles/exponentiation)",
         best.0, best.1
     );
-    println!("table storage: {} field elements × 384 bits — ordinary memory rows,", 1u64 << best.0);
+    println!(
+        "table storage: {} field elements × 384 bits — ordinary memory rows,",
+        1u64 << best.0
+    );
     println!("cheap in a CIM fabric where memory IS the compute substrate.");
     Ok(())
 }

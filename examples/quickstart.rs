@@ -30,15 +30,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let r = &outcome.report;
     println!();
-    println!("stage cycles: precompute {} / multiply {} / postcompute {}",
-             r.stage_cycles[0], r.stage_cycles[1], r.stage_cycles[2]);
+    println!(
+        "stage cycles: precompute {} / multiply {} / postcompute {}",
+        r.stage_cycles[0], r.stage_cycles[1], r.stage_cycles[2]
+    );
     println!("total latency: {} clock cycles", r.total_latency);
     println!("total area:    {} memristor cells", r.area_cells);
 
     // The pipelined design overlaps three multiplications; throughput
     // comes from the analytic design point (reproduces paper Table I).
     let d = multiplier.design_point();
-    println!("pipelined throughput: {:.0} multiplications per 10^6 cycles", d.throughput_per_mcc());
+    println!(
+        "pipelined throughput: {:.0} multiplications per 10^6 cycles",
+        d.throughput_per_mcc()
+    );
     println!("area-time product:    {:.1}", d.atp());
     Ok(())
 }

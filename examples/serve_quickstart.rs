@@ -21,7 +21,11 @@ fn main() {
     let config = LoadgenConfig {
         requests,
         tenants: 2,
-        fleet: FleetConfig { farms: 4, tiles_per_farm: 4, ..FleetConfig::default() },
+        fleet: FleetConfig {
+            farms: 4,
+            tiles_per_farm: 4,
+            ..FleetConfig::default()
+        },
         exp_bits: 8,
         scalar_bits: 8,
         ..LoadgenConfig::default()
@@ -30,7 +34,10 @@ fn main() {
 
     let hub = MetricsHub::recording();
     let server = CimServer::start(
-        ServerConfig { engine: config.engine_config(), workers: 4 },
+        ServerConfig {
+            engine: config.engine_config(),
+            workers: 4,
+        },
         &hub,
     );
     let conn = server.connect();

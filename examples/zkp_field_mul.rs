@@ -62,9 +62,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total_cc = cc_per_product as u128 * window_products as u128 * 3; // 3 products per field mul
     println!("MSM-style batch projection ({window_products} field muls):");
     println!("  initiation interval: {cc_per_product} cc/product (pipelined)");
-    println!("  total: {total_cc} cc  ({:.1} field-muls per Mcc)",
-             1.0e6 / (3.0 * cc_per_product as f64));
-    println!("  vs a scaled schoolbook CIM multiplier [7]: {:.0}x faster",
-             d.throughput_per_mcc() / cim_baselines::MultiplierModel::throughput_per_mcc(&cim_baselines::Imaging, 384));
+    println!(
+        "  total: {total_cc} cc  ({:.1} field-muls per Mcc)",
+        1.0e6 / (3.0 * cc_per_product as f64)
+    );
+    println!(
+        "  vs a scaled schoolbook CIM multiplier [7]: {:.0}x faster",
+        d.throughput_per_mcc()
+            / cim_baselines::MultiplierModel::throughput_per_mcc(&cim_baselines::Imaging, 384)
+    );
     Ok(())
 }

@@ -73,8 +73,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  ≈ {:.0} multiplier units to match a 10 ms proving budget at 1 GHz",
         cim_cycles / 1.0e7
     );
-    println!("\n(the paper's point: each unit is only {} memristors — the",
-             d.area_cells());
+    println!(
+        "\n(the paper's point: each unit is only {} memristors — the",
+        d.area_cells()
+    );
     println!(" area-time economics of Karatsuba make such replication viable)");
     Ok(())
 }

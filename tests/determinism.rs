@@ -40,8 +40,7 @@ fn batch_throughput_is_deterministic() {
     let run = || {
         let mult = KaratsubaCimMultiplier::new(32).unwrap();
         let mut rng = UintRng::seeded(19);
-        let pairs: Vec<(Uint, Uint)> =
-            (0..4).map(|_| (rng.uniform(32), rng.uniform(32))).collect();
+        let pairs: Vec<(Uint, Uint)> = (0..4).map(|_| (rng.uniform(32), rng.uniform(32))).collect();
         run_batch(&mult, &pairs).unwrap()
     };
     let a = run();

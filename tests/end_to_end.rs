@@ -95,5 +95,8 @@ fn umbrella_crate_reexports_work() {
     let a = cim_suite::bigint::Uint::from_u64(6);
     let b = cim_suite::bigint::Uint::from_u64(7);
     let hw = cim_suite::karatsuba::multiplier::KaratsubaCimMultiplier::new(16).expect("mult");
-    assert_eq!(hw.multiply(&a, &b).expect("simulate").product, Uint::from_u64(42));
+    assert_eq!(
+        hw.multiply(&a, &b).expect("simulate").product,
+        Uint::from_u64(42)
+    );
 }

@@ -22,7 +22,13 @@ fn stuck_fault_corrupts_carry_chain() {
         array.write_row(1, 0, &b.to_bits(width + 1)).unwrap();
         // Fault in the generate row of bank A (scratch role 1 → row 4).
         array.inject_fault(4, col, Some(Fault::StuckAt0)).unwrap();
-        let mut exec = Executor::with_config(&mut array, ExecConfig { strict_init: false, record_trace: false });
+        let mut exec = Executor::with_config(
+            &mut array,
+            ExecConfig {
+                strict_init: false,
+                record_trace: false,
+            },
+        );
         exec.run(&adder.program(AddOp::Add)).unwrap();
         let bits = exec.array().read_row_bits(2, 0..width + 1).unwrap();
         if Uint::from_bits(&bits) != Uint::from_u64(256) {
@@ -38,8 +44,12 @@ fn stuck_fault_corrupts_carry_chain() {
 fn strict_mode_flags_stuck_at_zero_output() {
     let adder = KoggeStoneAdder::new(4);
     let mut array = Crossbar::new(adder.required_rows(), adder.required_cols()).unwrap();
-    array.write_row(0, 0, &Uint::from_u64(5).to_bits(5)).unwrap();
-    array.write_row(1, 0, &Uint::from_u64(3).to_bits(5)).unwrap();
+    array
+        .write_row(0, 0, &Uint::from_u64(5).to_bits(5))
+        .unwrap();
+    array
+        .write_row(1, 0, &Uint::from_u64(3).to_bits(5))
+        .unwrap();
     array.inject_fault(4, 0, Some(Fault::StuckAt0)).unwrap();
     let mut exec = Executor::new(&mut array); // strict by default
     let err = exec.run(&adder.program(AddOp::Add)).unwrap_err();
@@ -54,7 +64,10 @@ fn geometry_errors_propagate() {
     let err = exec
         .step(&cim_crossbar::MicroOp::write_row(7, &[true]))
         .unwrap_err();
-    assert!(matches!(err, CrossbarError::RowOutOfRange { row: 7, rows: 2 }));
+    assert!(matches!(
+        err,
+        CrossbarError::RowOutOfRange { row: 7, rows: 2 }
+    ));
     let err = exec
         .step(&cim_crossbar::MicroOp::nor_rows(&[0], 0, 0..1))
         .unwrap_err();

@@ -39,7 +39,10 @@ fn prometheus_exposition_covers_all_three_layers() {
     let text = prometheus::render(&hub.snapshot());
     let stats = prometheus::check(&text).expect("exposition must satisfy the text-format grammar");
     assert!(stats.families >= 10, "only {} families", stats.families);
-    assert!(stats.histogram_series >= 3, "histograms from core and sched");
+    assert!(
+        stats.histogram_series >= 3,
+        "histograms from core and sched"
+    );
 
     for family in [
         // crossbar layer (stage executors re-published by the core)
@@ -85,8 +88,14 @@ fn metrics_pipeline_is_deterministic() {
     };
     let (prom_a, json_a) = once();
     let (prom_b, json_b) = once();
-    assert_eq!(prom_a, prom_b, "exposition must be bit-identical across runs");
-    assert_eq!(json_a, json_b, "JSON snapshot must be bit-identical across runs");
+    assert_eq!(
+        prom_a, prom_b,
+        "exposition must be bit-identical across runs"
+    );
+    assert_eq!(
+        json_a, json_b,
+        "JSON snapshot must be bit-identical across runs"
+    );
     // The JSON snapshot is well-formed and machine-readable.
     cim_trace::json::check(&json_a).expect("snapshot JSON parses");
     cim_metrics::jsonval::JsonValue::parse(&json_a).expect("snapshot JSON parses structurally");

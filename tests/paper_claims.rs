@@ -114,7 +114,10 @@ fn postcompute_stage_formulas() {
         assert_eq!(d.postcompute_latency, 121 * levels + 187 + 18, "n={n}");
         // LSB optimization: a naive 2n-wide stage would be 1/3 larger.
         let naive = 20 * 2 * n as u64;
-        assert!((naive - d.postcompute_area) * 4 == naive, "exactly 25% saved");
+        assert!(
+            (naive - d.postcompute_area) * 4 == naive,
+            "exactly 25% saved"
+        );
     }
 }
 
