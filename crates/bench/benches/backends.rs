@@ -9,15 +9,22 @@
 //! of a 2048-bit multiply's postcompute adder. The row multiplier runs
 //! the multiply stage with its closed-form shift-add. Their arrays are
 //! caller-provided, so both backends run in one process regardless of
-//! the `CIM_XBAR_BACKEND` default. The end-to-end group runs the full
-//! three-stage multiplier on the process default (packed unless
+//! the `CIM_XBAR_BACKEND` default. The compiled-adder group runs one
+//! O3 postcompute adder body through `Executor::run_compiled` (its
+//! row-kernel plan) on the arrays the batch and solo workloads pass it
+//! through: 577 columns × 64 lanes sliced (384-bit operands) and 3073
+//! columns packed (2048-bit operands). The end-to-end group runs the
+//! full three-stage multiplier on the process default (packed unless
 //! overridden).
 
 use cim_bigint::rng::UintRng;
-use cim_crossbar::{BackendKind, Crossbar, Region};
+use cim_crossbar::{BackendKind, Crossbar, Executor, Region};
+use cim_logic::kogge_stone::AddOp;
 use cim_logic::multpim::RowMultiplier;
+use cim_mir::OptLevel;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use karatsuba_cim::multiplier::KaratsubaCimMultiplier;
+use karatsuba_cim::postcompute::PostcomputeStage;
 
 const WIDTHS: [usize; 3] = [512, 1024, 2048];
 
@@ -69,6 +76,38 @@ fn bench_row_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_compiled_adder_body(c: &mut Criterion) {
+    let mut group = c.benchmark_group("compiled_adder_body");
+    for (label, n, lanes) in [("sliced64", 384, Some(64)), ("packed", 2048, None)] {
+        let post = PostcomputeStage::with_opt_level(n, OptLevel::O3).expect("stage");
+        let body = post.adder_program(AddOp::Add);
+        assert!(body.planned(), "the adder body has a row-kernel plan");
+        let cols = post.adder_width() + 1;
+        let mut array = match lanes {
+            Some(lanes) => Crossbar::new_sliced(20, cols, lanes),
+            None => Crossbar::with_backend(20, cols, BackendKind::Packed),
+        }
+        .expect("array");
+        // Random operands in rows 0 and 1 (every lane).
+        let mut state = 0x5EED_u64;
+        for row in 0..2 {
+            let words: Vec<u64> = (0..cols)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    state
+                })
+                .collect();
+            array.write_row_lanes(row, 0, &words).expect("write");
+        }
+        group.bench_function(BenchmarkId::new(label, cols), |b| {
+            b.iter(|| Executor::new(&mut array).run_compiled(body).expect("run"))
+        });
+    }
+    group.finish();
+}
+
 fn bench_row_multiply_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend_row_multiply");
     group.sample_size(10);
@@ -111,6 +150,7 @@ fn bench_end_to_end_large(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_row_kernels,
+    bench_compiled_adder_body,
     bench_row_multiply_backends,
     bench_end_to_end_large
 );

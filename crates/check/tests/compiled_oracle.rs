@@ -1,13 +1,16 @@
 //! `Executor::run_compiled` against `Executor::run`.
 //!
-//! A `CompiledProgram` checks its bundles and accumulates its cycle
-//! statistics once, when it is built; `run_compiled` then replays only
-//! the ops' effects. Here every program the stages replay — the
-//! postcompute adder bodies (add and subtract) and the precompute
-//! addition pieces of a multiply and of a square, at every
-//! optimization level — runs both ways on scalar, packed and sliced
-//! arrays, fault-free and with random stuck-at cells. Both ways must
-//! leave the same result, statistics, read buffer and cells (raw
+//! A `CompiledProgram` checks its bundles, accumulates its cycle
+//! statistics and lowers its ops into a row-kernel plan once, when it
+//! is built; `run_compiled` then runs the plan on fault-free packed
+//! and sliced arrays and `run` everywhere else. Here every program the
+//! stages run — the postcompute adder bodies (add and subtract), the
+//! precompute addition pieces of a multiply and of a square, at every
+//! optimization level, and the depth-1 multiplier's stage-1 additions
+//! and stage-3 bodies — must be planned, and runs both ways on scalar,
+//! packed and sliced (3 and 64 lanes) arrays holding a random value in
+//! every cell, fault-free and with random stuck-at cells. Both ways
+//! must leave the same result, statistics, read buffer and cells (raw
 //! value, per-cell wear and fault, in every lane). Hand-made programs
 //! cover a strict-init failure inside a bundle and after it, illegal
 //! bundles, and observed executors (trace recording, a tracer and a
@@ -21,11 +24,9 @@ use cim_logic::kogge_stone::AddOp;
 use cim_metrics::{Labels, MetricsHub};
 use cim_mir::OptLevel;
 use cim_trace::Tracer;
+use karatsuba_cim::depth1::KaratsubaDepth1Multiplier;
 use karatsuba_cim::postcompute::PostcomputeStage;
 use karatsuba_cim::precompute::{PrecomputeStage, ROWS as PRE_ROWS};
-
-/// Lanes of the sliced arrays.
-const LANES: usize = 3;
 
 /// A splitmix64 stream.
 struct Rng(u64);
@@ -48,10 +49,11 @@ impl Rng {
 enum Backend {
     Scalar,
     Packed,
-    Sliced,
+    /// A sliced array with this many lanes.
+    Sliced(usize),
 }
 
-const BACKENDS: [Backend; 3] = [Backend::Scalar, Backend::Packed, Backend::Sliced];
+const BACKENDS: [Backend; 3] = [Backend::Scalar, Backend::Packed, Backend::Sliced(3)];
 
 /// A `rows × cols` array of `backend` with random bits in rows
 /// `0..data_rows` (per lane on a sliced array) and, if `faults`,
@@ -69,12 +71,12 @@ fn array(
     let mut array = match backend {
         Backend::Scalar => Crossbar::new_scalar(rows, cols),
         Backend::Packed => Crossbar::with_backend(rows, cols, cim_crossbar::BackendKind::Packed),
-        Backend::Sliced => Crossbar::new_sliced(rows, cols, LANES),
+        Backend::Sliced(lanes) => Crossbar::new_sliced(rows, cols, lanes),
     }
     .unwrap();
     for row in 0..data_rows {
         match backend {
-            Backend::Sliced => {
+            Backend::Sliced(_) => {
                 let words: Vec<u64> = (0..cols).map(|_| rng.next_u64()).collect();
                 array.write_row_lanes(row, 0, &words).unwrap();
             }
@@ -131,21 +133,24 @@ fn outcome(mut array: Crossbar, programs: &[CompiledProgram], compiled: bool) ->
     }
 }
 
-/// Asserts that `programs` leave the same outcome both ways on every
-/// backend, fault-free and faulted; returns how many faulted runs
-/// failed.
+/// Asserts that `programs`, all planned, leave the same outcome both
+/// ways on each of `backends`, fault-free and faulted, from a random
+/// value in every cell; returns how many faulted runs failed.
 fn assert_equivalent(
     what: &str,
     programs: &[CompiledProgram],
-    rows: usize,
-    cols: usize,
-    data_rows: usize,
+    backends: &[Backend],
+    (rows, cols): (usize, usize),
     seed: u64,
 ) -> usize {
+    assert!(
+        programs.iter().all(CompiledProgram::planned),
+        "{what}: a stage program is not planned"
+    );
     let mut failures = 0;
-    for backend in BACKENDS {
+    for &backend in backends {
         for faults in [false, true] {
-            let build = || array(backend, rows, cols, data_rows, faults, seed);
+            let build = || array(backend, rows, cols, rows, faults, seed);
             let run = outcome(build(), programs, false);
             let compiled = outcome(build(), programs, true);
             if !faults {
@@ -161,26 +166,52 @@ fn assert_equivalent(
     failures
 }
 
+/// One past the highest row and column `programs` touch.
+fn bounds(programs: &[CompiledProgram]) -> (usize, usize) {
+    let footprints = programs
+        .iter()
+        .flat_map(|p| p.ops().iter().map(MicroOp::footprint));
+    footprints.fold((0, 0), |(rows, cols), f| {
+        (rows.max(f.row_bound()), cols.max(f.col_bound()))
+    })
+}
+
 #[test]
 fn stage_programs_replay_exactly_as_run() {
     let mut failures = 0;
     for n in [64usize, 256] {
+        // Every lane of a full sliced word, at the narrow width only:
+        // the comparison visits every cell of every lane.
+        let backends: &[Backend] = if n == 64 {
+            &[BACKENDS[0], BACKENDS[1], BACKENDS[2], Backend::Sliced(64)]
+        } else {
+            &BACKENDS
+        };
         for opt in OptLevel::ALL {
             let post = PostcomputeStage::with_opt_level(n, opt).unwrap();
+            let cols = post.adder_width() + 1;
             for op in [AddOp::Add, AddOp::Sub] {
                 let body = post.adder_program(op);
                 let what = format!("postcompute {op:?} body, n = {n}, {opt:?}");
-                let cols = post.adder_width() + 1;
-                failures +=
-                    assert_equivalent(&what, std::slice::from_ref(body), 20, cols, 8, n as u64);
+                let body = std::slice::from_ref(body);
+                failures += assert_equivalent(&what, body, backends, (20, cols), n as u64);
             }
             let pre = PrecomputeStage::with_opt_level(n, opt).unwrap();
             for square in [false, true] {
                 let additions = pre.addition_programs(square);
                 let what = format!("precompute additions (square {square}), n = {n}, {opt:?}");
-                failures +=
-                    assert_equivalent(&what, &additions, PRE_ROWS, pre.cols(), 8, !n as u64);
+                let shape = (PRE_ROWS, pre.cols());
+                failures += assert_equivalent(&what, &additions, backends, shape, !n as u64);
             }
+        }
+        let depth1 = KaratsubaDepth1Multiplier::new(n).unwrap();
+        let stage1 = depth1.addition_programs();
+        let what = format!("depth-1 stage 1, n = {n}");
+        failures += assert_equivalent(&what, stage1, backends, bounds(stage1), 3 * n as u64);
+        for op in [AddOp::Add, AddOp::Sub] {
+            let body = std::slice::from_ref(depth1.adder_program(op));
+            let what = format!("depth-1 stage 3 {op:?} body, n = {n}");
+            failures += assert_equivalent(&what, body, backends, bounds(body), 5 * n as u64);
         }
     }
     // The faulted runs must exercise the error path too.
@@ -207,7 +238,8 @@ fn program_ending_with(last: MicroOp) -> Vec<MicroOp> {
 fn strict_init_failure_charges_what_run_charges() {
     // Row 4 is never initialized: the NOR into it fails strict init,
     // once as the second op of a bundle (after the first applied) and
-    // once as a serial op.
+    // once as a serial op. Such a program has no plan, so
+    // `run_compiled` is `run`, error and partial charges included.
     let failing = [
         MicroOp::parallel(vec![
             MicroOp::not_row(0, 3, 0..4),
@@ -217,6 +249,7 @@ fn strict_init_failure_charges_what_run_charges() {
     ];
     for last in failing {
         let program = [CompiledProgram::new(program_ending_with(last)).unwrap()];
+        assert!(!program[0].planned());
         for backend in BACKENDS {
             let run = outcome(array(backend, 5, 4, 0, false, 1), &program, false);
             let compiled = outcome(array(backend, 5, 4, 0, false, 1), &program, true);
@@ -263,7 +296,7 @@ type Observed = (
 /// Runs `program` on a fresh packed array with trace recording, a
 /// tracer and a meter attached.
 fn observed(program: &CompiledProgram, rows: usize, cols: usize, compiled: bool) -> Observed {
-    let mut x = array(Backend::Packed, rows, cols, 8, false, 7);
+    let mut x = array(Backend::Packed, rows, cols, rows, false, 7);
     let tracer = Tracer::recording();
     let track = tracer.track(tracer.process("xbar"), "ops");
     let hub = MetricsHub::recording();

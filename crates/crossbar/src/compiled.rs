@@ -1,34 +1,41 @@
-//! Programs checked and accounted once, replayed many times.
+//! Programs checked, accounted and lowered once, run many times.
 
 use crate::error::CrossbarError;
 use crate::exec::OpTrace;
 use crate::isa::MicroOp;
+use crate::plan::Plan;
 use crate::stats::CycleStats;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// A micro-op program whose co-issue bundles were checked, and whose
-/// cycle statistics were accumulated, once at construction.
+/// A micro-op program whose co-issue bundles were checked, whose
+/// cycle statistics were accumulated, and which was lowered into a
+/// row-kernel plan, once at construction.
 ///
 /// The statistics are exactly what [`crate::Executor::run`] would add
 /// for the whole program: the accounting depends on the ops alone,
-/// never on cell values. [`crate::Executor::run_compiled`] replays
-/// the ops' effects and merges these statistics in one step, so a
-/// program executed on every multiplication pays for its bundle
-/// checks and per-op accounting only when it is compiled.
+/// never on cell values. The plan (when the builder can prove one, see
+/// [`planned`](Self::planned)) holds the program's value effects as
+/// fused row kernels and its wear as one per-row footprint.
+/// [`crate::Executor::run_compiled`] runs the plan and merges the
+/// statistics in one step, so a program executed on every
+/// multiplication pays for its bundle checks, per-op accounting and
+/// init waves only when it is compiled.
 ///
-/// Cloning shares the ops. Consecutive programs cut from one buffer by
-/// [`CompiledProgram::split`] share that buffer.
+/// Cloning shares the ops and the plan. Consecutive programs cut from
+/// one buffer by [`CompiledProgram::split`] share that buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledProgram {
     buffer: Arc<[MicroOp]>,
     range: Range<usize>,
     stats: CycleStats,
+    plan: Option<Arc<Plan>>,
 }
 
 impl CompiledProgram {
     /// Checks every [`MicroOp::Parallel`] bundle of `ops` against the
-    /// co-issue rules and accumulates the program's statistics.
+    /// co-issue rules, accumulates the program's statistics and builds
+    /// its plan.
     ///
     /// # Errors
     ///
@@ -77,10 +84,12 @@ impl CompiledProgram {
             }
             charge(&mut stats, op);
         }
+        let plan = Plan::build(&buffer[range.clone()]).map(Arc::new);
         Ok(CompiledProgram {
             buffer,
             range,
             stats,
+            plan,
         })
     }
 
@@ -100,12 +109,27 @@ impl CompiledProgram {
     pub fn stats(&self) -> &CycleStats {
         &self.stats
     }
+
+    /// Whether the program was lowered into a row-kernel plan, which
+    /// [`crate::Executor::run_compiled`] runs on fault-free packed and
+    /// sliced arrays. The builder declines programs it cannot prove
+    /// exact: a NOR whose output is not exactly the span of a pending
+    /// init wave, one with more than two inputs or an input equal to
+    /// its output, an empty span or row range, or any row read, row
+    /// write or column-oriented NOR.
+    pub fn planned(&self) -> bool {
+        self.plan.is_some()
+    }
+
+    pub(crate) fn plan(&self) -> Option<&Plan> {
+        self.plan.as_deref()
+    }
 }
 
 /// Adds what [`crate::Executor::step`] charges for a successful `op`:
 /// a serial op records its class and cycles; a bundle records every
 /// inner op as co-issued and advances the wall clock by its maximum.
-pub(crate) fn charge(stats: &mut CycleStats, op: &MicroOp) {
+fn charge(stats: &mut CycleStats, op: &MicroOp) {
     match op {
         MicroOp::Parallel(inner) => {
             for op in inner {

@@ -109,6 +109,46 @@ impl WordSpan {
     }
 }
 
+/// A plane of `width`-word rows split around one row: that row
+/// mutable (returned by [`Beside::split`]), every other row shared —
+/// how a row kernel writes its output while reading its inputs.
+pub(crate) struct Beside<'a> {
+    before: &'a [u64],
+    after: &'a [u64],
+    out: usize,
+    width: usize,
+}
+
+impl<'a> Beside<'a> {
+    /// Row `out` of `plane`, and the other rows beside it.
+    pub(crate) fn split(plane: &'a mut [u64], width: usize, out: usize) -> (&'a mut [u64], Self) {
+        let (before, rest) = plane.split_at_mut(out * width);
+        let (row, after) = rest.split_at_mut(width);
+        let before = &*before;
+        let after = &*after;
+        (
+            row,
+            Beside {
+                before,
+                after,
+                out,
+                width,
+            },
+        )
+    }
+
+    /// Row `r` (not the split row).
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &'a [u64] {
+        let w = self.width;
+        if r < self.out {
+            &self.before[r * w..][..w]
+        } else {
+            &self.after[(r - self.out - 1) * w..][..w]
+        }
+    }
+}
+
 /// A rectangular region of a crossbar (rows × columns), used for
 /// region-wide initialization/reset and wear-leveling swaps.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -62,6 +62,7 @@ pub mod lanes;
 pub mod meter;
 mod packed;
 pub mod parasitics;
+mod plan;
 mod sliced;
 mod stats;
 mod wear;

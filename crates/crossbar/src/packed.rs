@@ -14,7 +14,8 @@
 //! away.
 
 use crate::cell::{Cell, Fault};
-use crate::geometry::{ColRange, WordSpan};
+use crate::geometry::{Beside, ColRange, WordSpan};
+use crate::plan::RowKernels;
 use crate::wear::WearPlane;
 
 const WORD_BITS: usize = 64;
@@ -95,18 +96,6 @@ fn funnel(hi: u64, lo: u64, shift: usize) -> u64 {
     }
 }
 
-/// Row `out` mutably and row `src` shared, from one plane of
-/// `wpr`-word rows (`out != src`).
-fn row_pair(value: &mut [u64], wpr: usize, out: usize, src: usize) -> (&mut [u64], &[u64]) {
-    if src < out {
-        let (lo, hi) = value.split_at_mut(out * wpr);
-        (&mut hi[..wpr], &lo[src * wpr..][..wpr])
-    } else {
-        let (lo, hi) = value.split_at_mut(src * wpr);
-        (&mut lo[out * wpr..][..wpr], &hi[..wpr])
-    }
-}
-
 /// Packs up to 64 bits, LSB first, into one word.
 fn pack_word(bits: &[bool]) -> u64 {
     bits.iter().rev().fold(0, |acc, &b| (acc << 1) | b as u64)
@@ -141,6 +130,12 @@ impl PackedPlanes {
             wear: WearPlane::new(rows, cols),
             scratch: Vec::new(),
         }
+    }
+
+    /// Whether no fault was ever injected (the fault planes are
+    /// unallocated) — what a [`crate::plan::Plan`] requires.
+    pub(crate) fn fault_free(&self) -> bool {
+        self.sa0.is_empty()
     }
 
     /// Sense-amplifier view of one word.
@@ -277,20 +272,10 @@ impl PackedPlanes {
 
     /// Parallel set/reset wave over the span of each row in `rows`.
     pub(crate) fn fill(&mut self, rows: std::ops::Range<usize>, cols: ColRange, value: bool) {
-        let Some(span) = WordSpan::new(&cols) else {
-            return;
-        };
-        let (wpr, word) = (self.wpr, if value { u64::MAX } else { 0 });
-        with_faults!(self, f => for row in rows {
-            let base = row * wpr;
-            span.rewrite(&mut self.value[base..base + wpr], |ws| {
-                for (k, w) in ws.iter_mut().enumerate() {
-                    let keep = f.pinned(base + span.first() + k);
-                    *w = (*w & keep) | (word & !keep);
-                }
-            });
+        self.fill_values(rows.clone(), cols.clone(), value);
+        for row in rows {
             self.wear.add(row, cols.clone(), 1);
-        })
+        }
     }
 
     /// First column of `span` whose sensed read of `row` is 0 — the
@@ -328,8 +313,8 @@ impl PackedPlanes {
             // magic_drive(!any) is an AND of one pull-down per input:
             // non-fault output cells fall to 0 where the input reads 1.
             with_faults!(self, f => for &r in inputs {
-                let (out_row, in_row) = row_pair(&mut self.value, wpr, out, r);
-                let (ib, ins) = (r * wpr + span.first(), &in_row[words.clone()]);
+                let (out_row, rows) = Beside::split(&mut self.value, wpr, out);
+                let (ib, ins) = (r * wpr + span.first(), &rows.row(r)[words.clone()]);
                 span.rewrite(out_row, |ws| {
                     for (k, (o, &v)) in ws.iter_mut().zip(ins).enumerate() {
                         *o &= !(f.sense(ib + k, v) & !f.pinned(ob + k));
@@ -349,13 +334,6 @@ impl PackedPlanes {
     /// span into `dst` (which may equal `src`), then adds one wear
     /// pulse over the span. Pinned destination bits keep their value,
     /// as under [`PackedPlanes::write_words`].
-    ///
-    /// The sensed source words are staged in the scratch buffer with
-    /// `fill` outside the span and `ws + 1` fill words on either side
-    /// (`ws` being the whole-word part of the distance), so destination
-    /// word `r` of the span is one funnel of staged words `r + c` and
-    /// `r + c + 1` for a fixed `c`: a single loop over the span, with
-    /// no edge or range cases inside it.
     pub(crate) fn shift(
         &mut self,
         src: usize,
@@ -364,48 +342,7 @@ impl PackedPlanes {
         offset: isize,
         fill: bool,
     ) {
-        let Some(span) = WordSpan::new(&cols) else {
-            return;
-        };
-        let (wpr, fill_word) = (self.wpr, if fill { u64::MAX } else { 0 });
-        let words = span.words();
-        let n = words.len();
-        // Past the span's last word every source column is outside it.
-        let k = offset.unsigned_abs().min(n * WORD_BITS);
-        let (ws, bs) = (k / WORD_BITS, k % WORD_BITS);
-        // Staged word `ws + 1 + i` is span word `i`; destination word
-        // `r` takes bits `sh..sh + 64` of staged words `r + c + 1 : r + c`.
-        let (c, sh) = if offset >= 0 {
-            (0, WORD_BITS - bs)
-        } else {
-            (2 * ws + 1, bs)
-        };
-        let mut staged = std::mem::take(&mut self.scratch);
-        staged.clear();
-        staged.resize(ws + 1, fill_word);
-        let sb = src * wpr + span.first();
-        with_faults!(self, f => {
-            staged.extend(
-                self.value[sb..sb + n]
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &v)| f.sense(sb + k, v)),
-            );
-            for k in [0, n - 1] {
-                let (w, m) = (&mut staged[ws + 1 + k], span.mask(k));
-                *w = (*w & m) | (fill_word & !m);
-            }
-            staged.resize(n + 2 * (ws + 1), fill_word);
-            let db = dst * wpr + span.first();
-            let pairs = staged[c..].iter().zip(&staged[c + 1..]);
-            span.rewrite(&mut self.value[dst * wpr..(dst + 1) * wpr], |out| {
-                for (r, (w, (&lo, &hi))) in out.iter_mut().zip(pairs).enumerate() {
-                    let keep = f.pinned(db + r);
-                    *w = (*w & keep) | (funnel(hi, lo, sh) & !keep);
-                }
-            });
-        });
-        self.scratch = staged;
+        self.shift_values(src, dst, cols.clone(), offset, fill);
         self.wear.add(dst, cols, 1);
     }
 
@@ -472,6 +409,94 @@ impl PackedPlanes {
         with_faults!(self, f => {
             (0..span.words().len()).all(|k| f.pinned(base + k) & span.mask(k) == 0)
         })
+    }
+}
+
+impl RowKernels for PackedPlanes {
+    /// Pinned cells keep their value.
+    fn fill_values(&mut self, rows: std::ops::Range<usize>, cols: ColRange, value: bool) {
+        let Some(span) = WordSpan::new(&cols) else {
+            return;
+        };
+        let (wpr, word) = (self.wpr, if value { u64::MAX } else { 0 });
+        with_faults!(self, f => for row in rows {
+            let base = row * wpr;
+            span.rewrite(&mut self.value[base..base + wpr], |ws| {
+                for (k, w) in ws.iter_mut().enumerate() {
+                    let keep = f.pinned(base + span.first() + k);
+                    *w = (*w & keep) | (word & !keep);
+                }
+            });
+        })
+    }
+
+    fn store_nor(&mut self, out: usize, a: usize, b: usize, cols: ColRange) {
+        debug_assert!(self.sa0.is_empty(), "plans run on fault-free arrays");
+        let Some(span) = WordSpan::new(&cols) else {
+            return;
+        };
+        let (out_row, rows) = Beside::split(&mut self.value, self.wpr, out);
+        let (a, b) = (&rows.row(a)[span.words()], &rows.row(b)[span.words()]);
+        span.rewrite(out_row, |ws| {
+            for ((o, &x), &y) in ws.iter_mut().zip(a).zip(b) {
+                *o = !(x | y);
+            }
+        });
+    }
+
+    /// The sensed source words are staged in the scratch buffer with
+    /// `fill` outside the span and `ws + 1` fill words on either side
+    /// (`ws` being the whole-word part of the distance), so destination
+    /// word `r` of the span is one funnel of staged words `r + c` and
+    /// `r + c + 1` for a fixed `c`: a single loop over the span, with
+    /// no edge or range cases inside it.
+    fn shift_values(&mut self, src: usize, dst: usize, cols: ColRange, offset: isize, fill: bool) {
+        let Some(span) = WordSpan::new(&cols) else {
+            return;
+        };
+        let (wpr, fill_word) = (self.wpr, if fill { u64::MAX } else { 0 });
+        let words = span.words();
+        let n = words.len();
+        // Past the span's last word every source column is outside it.
+        let k = offset.unsigned_abs().min(n * WORD_BITS);
+        let (ws, bs) = (k / WORD_BITS, k % WORD_BITS);
+        // Staged word `ws + 1 + i` is span word `i`; destination word
+        // `r` takes bits `sh..sh + 64` of staged words `r + c + 1 : r + c`.
+        let (c, sh) = if offset >= 0 {
+            (0, WORD_BITS - bs)
+        } else {
+            (2 * ws + 1, bs)
+        };
+        let mut staged = std::mem::take(&mut self.scratch);
+        staged.clear();
+        staged.resize(ws + 1, fill_word);
+        let sb = src * wpr + span.first();
+        with_faults!(self, f => {
+            staged.extend(
+                self.value[sb..sb + n]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &v)| f.sense(sb + k, v)),
+            );
+            for k in [0, n - 1] {
+                let (w, m) = (&mut staged[ws + 1 + k], span.mask(k));
+                *w = (*w & m) | (fill_word & !m);
+            }
+            staged.resize(n + 2 * (ws + 1), fill_word);
+            let db = dst * wpr + span.first();
+            let pairs = staged[c..].iter().zip(&staged[c + 1..]);
+            span.rewrite(&mut self.value[dst * wpr..(dst + 1) * wpr], |out| {
+                for (r, (w, (&lo, &hi))) in out.iter_mut().zip(pairs).enumerate() {
+                    let keep = f.pinned(db + r);
+                    *w = (*w & keep) | (funnel(hi, lo, sh) & !keep);
+                }
+            });
+        });
+        self.scratch = staged;
+    }
+
+    fn add_wear(&mut self, row: usize, cols: ColRange, pulses: u64) {
+        self.wear.add(row, cols, pulses);
     }
 }
 
