@@ -2,17 +2,27 @@
 //! Barrett vs sparse-modulus reduction, at the paper's two motivating
 //! widths (64-bit FHE limb, 384-bit-class ZKP field). Prints the
 //! composed CIM cycle estimates alongside the host wall-clock bench.
+//!
+//! The `ec_ops` group times the host curve arithmetic the serving
+//! layer runs for `ec_add` / `ec_mul` at BN254 and BLS12-381: point
+//! addition, doubling, a 12-bit scalar multiplication (the load
+//! generator's default scalar), conversion to affine and point
+//! equality.
 
 use cim_bigint::rng::UintRng;
+use cim_bigint::Uint;
 use cim_modmul::barrett::BarrettContext;
+use cim_modmul::ec::Curve;
+use cim_modmul::fp::FpContext;
 use cim_modmul::montgomery::MontgomeryContext;
 use cim_modmul::sparse::SparseModulus;
 use cim_modmul::{fields, ModularReducer};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_modmul(c: &mut Criterion) {
-    let cases: Vec<(&str, cim_bigint::Uint)> = vec![
+    let cases: Vec<(&str, Uint)> = vec![
         ("goldilocks_64", fields::goldilocks()),
+        ("bn254", fields::bn254_base()),
         ("bls12_381", fields::bls12_381_base()),
     ];
 
@@ -50,6 +60,13 @@ fn bench_modmul(c: &mut Criterion) {
             name,
             |bench, _| bench.iter(|| mont.mont_mul(&am, &bm)),
         );
+        let fp = FpContext::new(m.clone()).expect("odd modulus of at most 384 bits");
+        let (af, bf) = (fp.from_uint(&a), fp.from_uint(&b));
+        group.bench_with_input(
+            BenchmarkId::new("fixed_limb_in_form", name),
+            name,
+            |bench, _| bench.iter(|| fp.mul(&af, &bf)),
+        );
         let barrett = BarrettContext::new(m.clone()).expect("modulus");
         group.bench_with_input(BenchmarkId::new("barrett", name), name, |bench, _| {
             bench.iter(|| barrett.mul_mod(&a, &b))
@@ -69,5 +86,43 @@ fn bench_modmul(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_modmul);
+fn bench_ec_ops(c: &mut Criterion) {
+    let curves = [
+        (
+            "bn254",
+            Curve::new(fields::bn254_base(), Uint::zero(), Uint::from_u64(3)).expect("alt_bn128"),
+        ),
+        ("bls12_381", Curve::bls12_381_g1().expect("BLS12-381 G1")),
+    ];
+    let mut group = c.benchmark_group("ec_ops");
+    for (name, curve) in &curves {
+        let g = curve.find_point();
+        // Two finite points with Z ≠ 1, and an equal pair with
+        // different Jacobian coordinates for the equality check.
+        let p = curve.double(&g);
+        let q = curve.scalar_mul(&Uint::from_u64(5), &g);
+        let q_ladder = curve.scalar_mul_ladder(&Uint::from_u64(5), &g);
+        let k = Uint::from_u64(0xA5C);
+        group.bench_with_input(BenchmarkId::new("add", name), name, |bench, _| {
+            bench.iter(|| curve.add(&p, &q))
+        });
+        group.bench_with_input(BenchmarkId::new("double", name), name, |bench, _| {
+            bench.iter(|| curve.double(&p))
+        });
+        group.bench_with_input(
+            BenchmarkId::new("scalar_mul_12bit", name),
+            name,
+            |bench, _| bench.iter(|| curve.scalar_mul(&k, &p)),
+        );
+        group.bench_with_input(BenchmarkId::new("to_affine", name), name, |bench, _| {
+            bench.iter(|| curve.to_affine(&q))
+        });
+        group.bench_with_input(BenchmarkId::new("points_equal", name), name, |bench, _| {
+            bench.iter(|| curve.points_equal(&q, &q_ladder))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_modmul, bench_ec_ops);
 criterion_main!(benches);

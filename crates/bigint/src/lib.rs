@@ -36,7 +36,6 @@ mod add;
 mod convert;
 mod div;
 mod error;
-mod gcd;
 mod int;
 pub mod mul;
 pub mod opcount;

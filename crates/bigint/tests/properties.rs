@@ -134,26 +134,6 @@ proptest! {
     }
 
     #[test]
-    fn gcd_properties(a in uint(4), b in uint(4), c in uint(2)) {
-        // gcd(ca, cb) = c·gcd(a, b)
-        prop_assume!(!c.is_zero());
-        let g = a.gcd(&b);
-        prop_assert_eq!((&a * &c).gcd(&(&b * &c)), &g * &c);
-    }
-
-    #[test]
-    fn mod_inverse_roundtrip(a in uint(3), m in uint(3)) {
-        prop_assume!(m > Uint::one());
-        match a.mod_inverse(&m) {
-            Some(inv) => {
-                prop_assert!(inv < m);
-                prop_assert_eq!((&a * &inv).rem(&m), Uint::one());
-            }
-            None => prop_assert!(a.gcd(&m) != Uint::one() || a.rem(&m).is_zero()),
-        }
-    }
-
-    #[test]
     fn ordering_total_and_consistent_with_sub(a in uint(6), b in uint(6)) {
         match a.cmp(&b) {
             std::cmp::Ordering::Less => prop_assert!(b.checked_sub(&a).is_some()),

@@ -197,14 +197,17 @@ impl Crossbar {
         }
     }
 
-    fn check_cols(&self, cols: &ColRange) -> Result<(), CrossbarError> {
+    /// Checks that `cols` ends inside the array and returns it with a
+    /// reversed span (`end < start`) clamped to the empty `end..end`,
+    /// so every backend treats it as covering no column.
+    fn check_cols(&self, cols: &ColRange) -> Result<ColRange, CrossbarError> {
         if cols.end > self.cols {
             Err(CrossbarError::ColOutOfRange {
                 col: cols.end.saturating_sub(1),
                 cols: self.cols,
             })
         } else {
-            Ok(())
+            Ok(cols.start.min(cols.end)..cols.end)
         }
     }
 
@@ -251,7 +254,7 @@ impl Crossbar {
         out: &mut Vec<bool>,
     ) -> Result<(), CrossbarError> {
         self.check_row(row)?;
-        self.check_cols(&cols)?;
+        let cols = self.check_cols(&cols)?;
         match &self.state {
             Backing::Scalar(cells) => {
                 out.clear();
@@ -277,7 +280,7 @@ impl Crossbar {
         out: &mut Vec<u64>,
     ) -> Result<(), CrossbarError> {
         self.check_row(row)?;
-        self.check_cols(&cols)?;
+        let cols = self.check_cols(&cols)?;
         match &self.state {
             Backing::Scalar(cells) => {
                 let len = cols.len();
@@ -459,23 +462,23 @@ impl Crossbar {
                 rows: self.rows,
             });
         }
-        self.check_cols(&region.cols)?;
+        let cols = self.check_cols(&region.cols)?;
         match &mut self.state {
             Backing::Scalar(cells) => {
                 for row in region.rows.clone() {
-                    for col in region.cols.clone() {
+                    for col in cols.clone() {
                         cells[row * self.cols + col].add_wear(pulses);
                     }
                 }
             }
             Backing::Packed(p) => {
                 for row in region.rows.clone() {
-                    p.wear.add(row, region.cols.clone(), pulses);
+                    p.wear.add(row, cols.clone(), pulses);
                 }
             }
             Backing::Sliced(p) => {
                 for row in region.rows.clone() {
-                    p.wear_uniform(row, region.cols.clone(), pulses);
+                    p.wear_uniform(row, cols.clone(), pulses);
                 }
             }
         }
@@ -530,7 +533,7 @@ impl Crossbar {
         pulses: u64,
     ) -> Result<(), CrossbarError> {
         self.check_row(row)?;
-        self.check_cols(&cols)?;
+        let cols = self.check_cols(&cols)?;
         match &mut self.state {
             Backing::Sliced(p) => p.wear_masked(row, cols, mask, pulses),
             Backing::Packed(p) => {
@@ -601,7 +604,7 @@ impl Crossbar {
         out: &mut Vec<u64>,
     ) -> Result<(), CrossbarError> {
         self.check_row(row)?;
-        self.check_cols(&cols)?;
+        let cols = self.check_cols(&cols)?;
         match &self.state {
             Backing::Sliced(p) => {
                 p.read_lane_words(row, cols, out);
@@ -647,7 +650,7 @@ impl Crossbar {
     ) -> Result<Vec<bool>, CrossbarError> {
         self.check_lane(lane)?;
         self.check_row(row)?;
-        self.check_cols(&cols)?;
+        let cols = self.check_cols(&cols)?;
         match &self.state {
             Backing::Sliced(p) => {
                 let mut out = Vec::new();
@@ -684,17 +687,17 @@ impl Crossbar {
                 rows: self.rows,
             });
         }
-        self.check_cols(&region.cols)?;
+        let cols = self.check_cols(&region.cols)?;
         match &mut self.state {
             Backing::Scalar(cells) => {
                 for row in region.rows.clone() {
-                    for col in region.cols.clone() {
+                    for col in cols.clone() {
                         cells[row * self.cols + col].write(value);
                     }
                 }
             }
-            Backing::Packed(p) => p.fill(region.rows.clone(), region.cols.clone(), value),
-            Backing::Sliced(p) => p.fill(region.rows.clone(), region.cols.clone(), value),
+            Backing::Packed(p) => p.fill(region.rows.clone(), cols.clone(), value),
+            Backing::Sliced(p) => p.fill(region.rows.clone(), cols.clone(), value),
         }
         Ok(())
     }
@@ -728,7 +731,7 @@ impl Crossbar {
             }
         }
         self.check_row(out)?;
-        self.check_cols(&cols)?;
+        let cols = self.check_cols(&cols)?;
         match &mut self.state {
             Backing::Scalar(cells) => {
                 for col in cols {
@@ -847,7 +850,7 @@ impl Crossbar {
                 index: out_offset,
             });
         }
-        self.check_cols(&cols)?;
+        let cols = self.check_cols(&cols)?;
         if rows.end > self.rows {
             return Err(CrossbarError::RowOutOfRange {
                 row: rows.end - 1,
@@ -921,7 +924,7 @@ impl Crossbar {
     ) -> Result<(), CrossbarError> {
         self.check_row(src)?;
         self.check_row(dst)?;
-        self.check_cols(&cols)?;
+        let cols = self.check_cols(&cols)?;
         match &mut self.state {
             Backing::Sliced(p) => p.shift(src, dst, cols, offset, fill),
             Backing::Packed(p) => p.shift(src, dst, cols, offset, fill),
@@ -1040,7 +1043,7 @@ impl Crossbar {
     /// Returns an error if the coordinates are out of range.
     pub fn row_region_fault_free(&self, row: usize, cols: ColRange) -> Result<bool, CrossbarError> {
         self.check_row(row)?;
-        self.check_cols(&cols)?;
+        let cols = self.check_cols(&cols)?;
         Ok(match &self.state {
             Backing::Scalar(cells) => cols
                 .clone()

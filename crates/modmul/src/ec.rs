@@ -8,9 +8,15 @@
 //! adder execute. Every group operation counts its field
 //! multiplications, so MSM-scale workloads can be projected onto the
 //! paper's hardware (see [`EcOps`] and the `zkp_msm` example).
+//!
+//! Coordinates are fixed-width Montgomery-form [`Fp`] elements
+//! ([`crate::fp`]): group operations and [`Curve::points_equal`]
+//! allocate nothing and invert nothing. [`Uint`] values enter at
+//! [`Curve::point`] and leave at [`Curve::to_affine`], the one call
+//! that inverts.
 
-use crate::barrett::{BarrettContext, BarrettError};
-use crate::{CimCost, ModularReducer};
+use crate::fp::{Fp, FpContext, FpError};
+use crate::CimCost;
 use cim_bigint::Uint;
 use std::cell::Cell;
 use std::error::Error;
@@ -20,8 +26,9 @@ use std::rc::Rc;
 /// Error constructing a curve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CurveError {
-    /// Field setup failed.
-    Field(BarrettError),
+    /// Field setup failed: a modulus below 3, even, or wider than
+    /// 384 bits.
+    Field(FpError),
     /// The discriminant `4a³ + 27b²` is zero (singular curve).
     Singular,
 }
@@ -37,8 +44,8 @@ impl fmt::Display for CurveError {
 
 impl Error for CurveError {}
 
-impl From<BarrettError> for CurveError {
-    fn from(e: BarrettError) -> Self {
+impl From<FpError> for CurveError {
+    fn from(e: FpError) -> Self {
         CurveError::Field(e)
     }
 }
@@ -53,10 +60,9 @@ struct OpCounters {
 /// A short-Weierstrass curve `y² = x³ + ax + b` over `Z_p`.
 #[derive(Debug, Clone)]
 pub struct Curve {
-    field: Rc<BarrettContext>,
-    a: Uint,
-    b: Uint,
-    p: Uint,
+    field: FpContext,
+    a: Fp,
+    b: Fp,
     ops: Rc<OpCounters>,
 }
 
@@ -79,21 +85,22 @@ impl EcOps {
     }
 }
 
-/// A point in Jacobian coordinates; `z = 0` encodes infinity.
+/// A point in Jacobian coordinates (Montgomery form); `z = 0` encodes
+/// infinity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Point {
-    x: Uint,
-    y: Uint,
-    z: Uint,
+    x: Fp,
+    y: Fp,
+    z: Fp,
 }
 
 impl Point {
     /// The point at infinity (group identity).
     pub fn infinity() -> Self {
         Point {
-            x: Uint::one(),
-            y: Uint::one(),
-            z: Uint::zero(),
+            x: Fp::ZERO,
+            y: Fp::ZERO,
+            z: Fp::ZERO,
         }
     }
 
@@ -110,21 +117,23 @@ impl Curve {
     ///
     /// Returns [`CurveError`] for a bad field or singular parameters.
     pub fn new(p: Uint, a: Uint, b: Uint) -> Result<Self, CurveError> {
-        let field = BarrettContext::new(p.clone())?;
-        let a = a.rem(&p);
-        let b = b.rem(&p);
+        let field = FpContext::new(p)?;
+        let a = field.from_uint(&a);
+        let b = field.from_uint(&b);
         // 4a³ + 27b² ≠ 0 (mod p)
-        let a3 = field.mul_mod(&field.mul_mod(&a, &a), &a);
-        let b2 = field.mul_mod(&b, &b);
-        let disc = (Uint::from_u64(4) * &a3 + Uint::from_u64(27) * &b2).rem(&p);
+        let a3 = field.mul(&field.square(&a), &a);
+        let b2 = field.square(&b);
+        let disc = field.add(
+            &field.mul(&field.from_uint(&Uint::from_u64(4)), &a3),
+            &field.mul(&field.from_uint(&Uint::from_u64(27)), &b2),
+        );
         if disc.is_zero() {
             return Err(CurveError::Singular);
         }
         Ok(Curve {
-            field: Rc::new(field),
+            field,
             a,
             b,
-            p,
             ops: Rc::new(OpCounters::default()),
         })
     }
@@ -144,35 +153,26 @@ impl Curve {
 
     /// The field modulus.
     pub fn modulus(&self) -> &Uint {
-        &self.p
+        self.field.modulus()
     }
 
-    fn fmul(&self, x: &Uint, y: &Uint) -> Uint {
+    fn fmul(&self, x: &Fp, y: &Fp) -> Fp {
         self.ops.muls.set(self.ops.muls.get() + 1);
-        self.field.mul_mod(x, y)
+        self.field.mul(x, y)
     }
 
-    fn fadd(&self, x: &Uint, y: &Uint) -> Uint {
+    fn fadd(&self, x: &Fp, y: &Fp) -> Fp {
         self.ops.adds.set(self.ops.adds.get() + 1);
-        let s = x.add(y);
-        if s >= self.p {
-            s.sub(&self.p)
-        } else {
-            s
-        }
+        self.field.add(x, y)
     }
 
-    fn fsub(&self, x: &Uint, y: &Uint) -> Uint {
+    fn fsub(&self, x: &Fp, y: &Fp) -> Fp {
         self.ops.adds.set(self.ops.adds.get() + 1);
-        if x >= y {
-            x.sub(y)
-        } else {
-            x.add(&self.p).sub(y)
-        }
+        self.field.sub(x, y)
     }
 
-    fn fdbl(&self, x: &Uint) -> Uint {
-        self.fadd(x, &x.clone())
+    fn fdbl(&self, x: &Fp) -> Fp {
+        self.fadd(x, x)
     }
 
     /// Resets and returns the accumulated operation counters.
@@ -186,24 +186,24 @@ impl Curve {
         out
     }
 
+    /// `x³ + ax + b` (uncounted).
+    fn rhs(&self, x: &Fp) -> Fp {
+        let f = &self.field;
+        let x3 = f.mul(&f.square(x), x);
+        f.add(&f.add(&x3, &f.mul(&self.a, x)), &self.b)
+    }
+
     /// Creates an affine point, checking the curve equation.
     ///
     /// Returns `None` if `(x, y)` is not on the curve.
     pub fn point(&self, x: &Uint, y: &Uint) -> Option<Point> {
-        let x = x.rem(&self.p);
-        let y = y.rem(&self.p);
-        let lhs = self.field.mul_mod(&y, &y);
-        let x3 = self.field.mul_mod(&self.field.mul_mod(&x, &x), &x);
-        let rhs = (x3 + self.field.mul_mod(&self.a, &x) + self.b.clone()).rem(&self.p);
-        if lhs == rhs {
-            Some(Point {
-                x,
-                y,
-                z: Uint::one(),
-            })
-        } else {
-            None
-        }
+        let x = self.field.from_uint(x);
+        let y = self.field.from_uint(y);
+        (self.field.square(&y) == self.rhs(&x)).then(|| Point {
+            x,
+            y,
+            z: self.field.one(),
+        })
     }
 
     /// Finds some point on the curve by scanning x and taking a
@@ -214,22 +214,22 @@ impl Curve {
     /// Panics if `p ≢ 3 (mod 4)` or no point is found within 1000
     /// abscissae (practically impossible for real curves).
     pub fn find_point(&self) -> Point {
+        let p = self.modulus();
         assert_eq!(
-            self.p.low_bits(2),
+            p.low_bits(2),
             Uint::from_u64(3),
             "sqrt shortcut needs p ≡ 3 (mod 4)"
         );
-        let exp = self.p.add(&Uint::one()).shr(2); // (p+1)/4
+        let exp = p.add(&Uint::one()).shr(2); // (p+1)/4
         for xi in 1u64..1000 {
-            let x = Uint::from_u64(xi);
-            let x3 = self.field.mul_mod(&self.field.mul_mod(&x, &x), &x);
-            let rhs = (x3 + self.field.mul_mod(&self.a, &x) + self.b.clone()).rem(&self.p);
-            let y = self.field.pow_mod(&rhs, &exp);
-            if self.field.mul_mod(&y, &y) == rhs {
+            let x = self.field.from_uint(&Uint::from_u64(xi));
+            let rhs = self.rhs(&x);
+            let y = self.field.pow(&rhs, &exp);
+            if self.field.square(&y) == rhs {
                 return Point {
                     x,
                     y,
-                    z: Uint::one(),
+                    z: self.field.one(),
                 };
             }
         }
@@ -241,13 +241,11 @@ impl Curve {
         if pt.is_infinity() {
             return None;
         }
-        let z_inv = pt.z.mod_inverse(&self.p).expect("z coprime to prime p");
-        let z2 = self.field.mul_mod(&z_inv, &z_inv);
-        let z3 = self.field.mul_mod(&z2, &z_inv);
-        Some((
-            self.field.mul_mod(&pt.x, &z2),
-            self.field.mul_mod(&pt.y, &z3),
-        ))
+        let f = &self.field;
+        let z_inv = f.inv(&pt.z).expect("z coprime to prime p");
+        let z2 = f.square(&z_inv);
+        let z3 = f.mul(&z2, &z_inv);
+        Some((f.to_uint(&f.mul(&pt.x, &z2)), f.to_uint(&f.mul(&pt.y, &z3))))
     }
 
     /// Jacobian point doubling (general `a`).
@@ -324,9 +322,9 @@ impl Curve {
             return Point::infinity();
         }
         Point {
-            x: pt.x.clone(),
-            y: self.p.sub(&pt.y),
-            z: pt.z.clone(),
+            x: pt.x,
+            y: self.field.neg(&pt.y),
+            z: pt.z,
         }
     }
 
@@ -342,9 +340,20 @@ impl Curve {
         acc
     }
 
-    /// Equality as group elements (compares affine forms).
+    /// Equality as group elements, without inverting: `X₁Z₂² = X₂Z₁²`
+    /// and `Y₁Z₂³ = Y₂Z₁³` (uncounted).
     pub fn points_equal(&self, p1: &Point, p2: &Point) -> bool {
-        self.to_affine(p1) == self.to_affine(p2)
+        match (p1.is_infinity(), p2.is_infinity()) {
+            (true, true) => true,
+            (false, false) => {
+                let f = &self.field;
+                let z1z1 = f.square(&p1.z);
+                let z2z2 = f.square(&p2.z);
+                f.mul(&p1.x, &z2z2) == f.mul(&p2.x, &z1z1)
+                    && f.mul(&p1.y, &f.mul(&z2z2, &p2.z)) == f.mul(&p2.y, &f.mul(&z1z1, &p1.z))
+            }
+            _ => false,
+        }
     }
 
     /// Multi-scalar multiplication `Σ k_i·P_i` by Pippenger's bucket
@@ -448,6 +457,19 @@ mod tests {
         // y² = x³ over any field is singular (a = b = 0).
         let err = Curve::new(Uint::from_u64(97), Uint::zero(), Uint::zero()).unwrap_err();
         assert_eq!(err, CurveError::Singular);
+    }
+
+    #[test]
+    fn rejects_even_and_wide_moduli() {
+        let curve = |p: Uint| Curve::new(p, Uint::one(), Uint::one()).unwrap_err();
+        assert_eq!(
+            curve(Uint::from_u64(104)),
+            CurveError::Field(FpError::EvenModulus)
+        );
+        assert_eq!(
+            curve(Uint::pow2(384).add(&Uint::from_u64(231))),
+            CurveError::Field(FpError::TooWide { bits: 385 })
+        );
     }
 
     #[test]
@@ -598,6 +620,55 @@ mod tests {
             fast_ops.field_muls,
             naive_ops.field_muls
         );
+    }
+
+    #[test]
+    fn jacobian_equality_matches_affine_comparison() {
+        let bn254 =
+            Curve::new(crate::fields::bn254_base(), Uint::zero(), Uint::from_u64(3)).unwrap();
+        for c in [toy_curve(), bn254, Curve::bls12_381_g1().unwrap()] {
+            let g = c.find_point();
+            let mut rng = cim_bigint::rng::UintRng::seeded(26);
+            let mut pts = vec![Point::infinity(), g.clone(), c.neg(&g), c.double(&g)];
+            for _ in 0..6 {
+                let k = rng.uniform(40);
+                // The same multiple by two routes: equal, with
+                // different Jacobian coordinates.
+                pts.push(c.scalar_mul(&k, &g));
+                pts.push(c.scalar_mul_ladder(&k, &g));
+                pts.push(c.neg(&c.scalar_mul(&k, &g)));
+            }
+            c.take_ops();
+            for p1 in &pts {
+                for p2 in &pts {
+                    assert_eq!(
+                        c.points_equal(p1, p2),
+                        c.to_affine(p1) == c.to_affine(p2),
+                        "{p1:?} vs {p2:?} over {}",
+                        c.modulus()
+                    );
+                }
+            }
+            // Equality is uncounted.
+            assert_eq!(
+                c.take_ops(),
+                EcOps {
+                    field_muls: 0,
+                    field_adds: 0
+                }
+            );
+            // P / −P share X; P / 2P differ; infinity equals only
+            // itself.
+            assert!(!c.points_equal(&g, &c.neg(&g)));
+            assert!(!c.points_equal(&g, &c.double(&g)));
+            assert!(c.points_equal(&Point::infinity(), &c.add(&g, &c.neg(&g))));
+            assert!(!c.points_equal(&Point::infinity(), &g));
+            assert!(!c.points_equal(&g, &Point::infinity()));
+            // Some equal pair differs in its Jacobian coordinates.
+            assert!(pts
+                .iter()
+                .any(|p1| pts.iter().any(|p2| p1 != p2 && c.points_equal(p1, p2))));
+        }
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * [`barrett`] — Barrett reduction with precomputed µ;
 //! * [`sparse`] — reduction by pseudo-Mersenne / Solinas moduli
 //!   (`2^k − t`);
+//! * [`fp`] — a fixed-width (≤ 384-bit) Montgomery field on `u64`
+//!   limbs, the host arithmetic under [`ec`]'s curves;
 //! * [`fields`] — cryptographic moduli the paper motivates (BLS12-381,
 //!   BN254, Curve25519, Goldilocks).
 //!
@@ -38,6 +40,7 @@
 pub mod barrett;
 pub mod ec;
 pub mod fields;
+pub mod fp;
 pub mod montgomery;
 pub mod sparse;
 
@@ -94,15 +97,9 @@ pub trait ModularReducer {
     /// modular exponentiation in the examples and benches).
     fn pow_mod(&self, base: &Uint, exp: &Uint) -> Uint {
         let m = self.modulus();
-        let mut result = Uint::one().rem(m);
-        let base = base.rem(m);
-        for i in (0..exp.bit_len()).rev() {
-            result = self.mul_mod(&result, &result);
-            if exp.bit(i) {
-                result = self.mul_mod(&result, &base);
-            }
-        }
-        result
+        square_and_multiply(Uint::one().rem(m), base.rem(m), exp, |a, b| {
+            self.mul_mod(a, b)
+        })
     }
 
     /// `base^exp mod m` by fixed-window (2^w-ary) exponentiation:
@@ -115,40 +112,10 @@ pub trait ModularReducer {
     ///
     /// Panics if `window` is 0 or greater than 16.
     fn pow_mod_window(&self, base: &Uint, exp: &Uint, window: u32) -> Uint {
-        assert!((1..=16).contains(&window), "window must be in 1..=16");
         let m = self.modulus();
-        if exp.is_zero() {
-            return Uint::one().rem(m);
-        }
-        // Precompute base^0 … base^(2^w − 1).
-        let table_len = 1usize << window;
-        let mut table = Vec::with_capacity(table_len);
-        table.push(Uint::one().rem(m));
-        let base = base.rem(m);
-        for i in 1..table_len {
-            let prev: &Uint = &table[i - 1];
-            table.push(self.mul_mod(prev, &base));
-        }
-        // Consume the exponent in w-bit digits, MSB first.
-        let bits = exp.bit_len();
-        let digits = bits.div_ceil(window as usize);
-        let mut result = Uint::one().rem(m);
-        for d in (0..digits).rev() {
-            for _ in 0..window {
-                result = self.mul_mod(&result, &result);
-            }
-            let mut digit = 0usize;
-            for b in 0..window as usize {
-                let idx = d * window as usize + b;
-                if idx < bits && exp.bit(idx) {
-                    digit |= 1 << b;
-                }
-            }
-            if digit != 0 {
-                result = self.mul_mod(&result, &table[digit]);
-            }
-        }
-        result
+        fixed_window(Uint::one().rem(m), base.rem(m), exp, window, |a, b| {
+            self.mul_mod(a, b)
+        })
     }
 
     /// CIM cost of `pow_mod_window` for a `bits`-bit exponent:
@@ -167,6 +134,66 @@ pub trait ModularReducer {
             cycles: modmuls * per.cycles,
         }
     }
+}
+
+/// `base^exp` by left-to-right square-and-multiply under `mul`, with
+/// `one` its identity: the [`ModularReducer::pow_mod`] loop, shared by
+/// every representation that exponentiates in its own form.
+pub(crate) fn square_and_multiply<T>(one: T, base: T, exp: &Uint, mul: impl Fn(&T, &T) -> T) -> T {
+    let mut result = one;
+    for i in (0..exp.bit_len()).rev() {
+        result = mul(&result, &result);
+        if exp.bit(i) {
+            result = mul(&result, &base);
+        }
+    }
+    result
+}
+
+/// `base^exp` by fixed `window`-bit digits under `mul`, with `one` its
+/// identity: the [`ModularReducer::pow_mod_window`] loop.
+///
+/// # Panics
+///
+/// Panics if `window` is 0 or greater than 16.
+pub(crate) fn fixed_window(
+    one: Uint,
+    base: Uint,
+    exp: &Uint,
+    window: u32,
+    mul: impl Fn(&Uint, &Uint) -> Uint,
+) -> Uint {
+    assert!((1..=16).contains(&window), "window must be in 1..=16");
+    if exp.is_zero() {
+        return one;
+    }
+    // Precompute base^0 … base^(2^w − 1).
+    let table_len = 1usize << window;
+    let mut table = Vec::with_capacity(table_len);
+    table.push(one.clone());
+    for i in 1..table_len {
+        table.push(mul(&table[i - 1], &base));
+    }
+    // Consume the exponent in w-bit digits, MSB first.
+    let bits = exp.bit_len();
+    let digits = bits.div_ceil(window as usize);
+    let mut result = one;
+    for d in (0..digits).rev() {
+        for _ in 0..window {
+            result = mul(&result, &result);
+        }
+        let mut digit = 0usize;
+        for b in 0..window as usize {
+            let idx = d * window as usize + b;
+            if idx < bits && exp.bit(idx) {
+                digit |= 1 << b;
+            }
+        }
+        if digit != 0 {
+            result = mul(&result, &table[digit]);
+        }
+    }
+    result
 }
 
 #[cfg(test)]
@@ -225,6 +252,22 @@ mod tests {
     fn rejects_zero_window() {
         let ctx = BarrettContext::new(Uint::from_u64(97)).unwrap();
         let _ = ctx.pow_mod_window(&Uint::from_u64(3), &Uint::from_u64(5), 0);
+    }
+
+    #[test]
+    fn montgomery_window_matches_barrett() {
+        for p in [crate::fields::bn254_base(), crate::fields::goldilocks()] {
+            let barrett = BarrettContext::new(p.clone()).unwrap();
+            let mont = MontgomeryContext::new(p.clone()).unwrap();
+            let base = Uint::from_u64(0xDEAD_BEEF_1337);
+            for exp in [0u64, 1, 2, 65537, u64::MAX] {
+                let e = Uint::from_u64(exp);
+                let plain = barrett.pow_mod(&base, &e);
+                for w in [1u32, 3, 4, 8] {
+                    assert_eq!(mont.pow_mod_window(&base, &e, w), plain, "exp {exp} w {w}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -133,6 +133,30 @@ impl ModularReducer for MontgomeryContext {
         x.rem(&self.m)
     }
 
+    /// Square-and-multiply in Montgomery form: one conversion in and
+    /// one out, each step a single [`MontgomeryContext::mont_mul`].
+    fn pow_mod(&self, base: &Uint, exp: &Uint) -> Uint {
+        let result = crate::square_and_multiply(
+            self.to_mont(&Uint::one()),
+            self.to_mont(&base.rem(&self.m)),
+            exp,
+            |a, b| self.mont_mul(a, b),
+        );
+        self.from_mont(&result)
+    }
+
+    /// Fixed-window exponentiation in Montgomery form, table included.
+    fn pow_mod_window(&self, base: &Uint, exp: &Uint, window: u32) -> Uint {
+        let result = crate::fixed_window(
+            self.to_mont(&Uint::one()),
+            self.to_mont(&base.rem(&self.m)),
+            exp,
+            window,
+            |a, b| self.mont_mul(a, b),
+        );
+        self.from_mont(&result)
+    }
+
     /// Steady-state cost of one Montgomery multiplication (inputs
     /// already in Montgomery form): 1 full product + 2 REDC products
     /// + 1 conditional subtraction.

@@ -15,6 +15,16 @@
 //! re-verify with [`OpExecutor::verify`], which recomputes one gold
 //! path from scratch.
 //!
+//! The pairs are independent in their algorithms, not always in their
+//! arithmetic. `modexp`'s two reductions share nothing. The EC checks
+//! (double-and-add against the ladder, commutativity plus the curve
+//! equation) and the client's EC verify all run on one field layer,
+//! [`cim_modmul::fp`]'s fixed-width Montgomery field, so they catch a
+//! wrong group formula but not a wrong field operation. That layer is
+//! checked against [`Uint`] arithmetic by its own tests, and the
+//! served payloads of a fixed trace are pinned byte for byte
+//! (`tests/responses_pinned.rs`).
+//!
 //! The executor holds [`Curve`] contexts, which are `Rc`-based and
 //! hence `!Send`: the server gives each worker thread its own
 //! executor instead of sharing one.
@@ -286,6 +296,39 @@ mod tests {
             };
             let out = exec.execute(&op).expect("modexp must execute");
             assert!(exec.verify(&op, &out), "{}", field.label());
+        }
+    }
+
+    #[test]
+    fn montgomery_pow_matches_barrett_on_every_field() {
+        let exec = OpExecutor::new();
+        let mut rng = UintRng::seeded(26);
+        let mut exps: Vec<Uint> = [0u64, 1, 2].into_iter().map(Uint::from_u64).collect();
+        for k in [1, 63, 64, 255, 381, MAX_EXP_BITS] {
+            exps.push(Uint::pow2(k).sub(&Uint::one()));
+        }
+        for bits in [17, 700, MAX_EXP_BITS] {
+            exps.push(rng.uniform(bits));
+        }
+        for field in FieldId::ALL {
+            let i = field.code() as usize;
+            let m = field.modulus();
+            for base in [
+                Uint::zero(),
+                Uint::one(),
+                m.sub(&Uint::one()),
+                rng.below(&m),
+            ] {
+                for exp in &exps {
+                    assert_eq!(
+                        exec.mont[i].pow_mod(&base, exp),
+                        exec.barrett[i].pow_mod(&base, exp),
+                        "{} base {base} exp bits {}",
+                        field.label(),
+                        exp.bit_len()
+                    );
+                }
+            }
         }
     }
 
