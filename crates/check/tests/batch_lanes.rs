@@ -1,5 +1,5 @@
 //! Lane triangulation for bit-sliced batch execution: every lane of a
-//! [`RowMultiplier::run_batch_in`] batch is checked three ways — its
+//! [`RowMultiplier::run_lanes_in`] batch is checked three ways — its
 //! product against the software gold multiplier, its product / cycles /
 //! per-cell state / wear against a solo run on the per-cell scalar
 //! backend, and its product against a solo run on the process-default
@@ -61,9 +61,11 @@ fn triangulate(batch: &LaneBatch, bleed: Option<(usize, usize)>) -> Result<(), S
     let pairs = to_pairs(batch);
     let mut sliced =
         Crossbar::new_sliced(1, cols, pairs.len()).map_err(|e| format!("sliced array: {e}"))?;
-    let (mut products, stats) = mult
-        .run_batch_in(&mut sliced, 0, 0, &pairs)
+    let (a, b) = cim_logic::pair_lanes(&pairs, width);
+    let (lane_words, stats) = mult
+        .run_lanes_in(&mut sliced, 0, 0, &a, &b, pairs.len())
         .map_err(|e| format!("batch run: {e}"))?;
+    let mut products = cim_logic::lane_uints(&lane_words, pairs.len());
     if let Some((i, j)) = bleed {
         products.swap(i, j);
     }
@@ -225,7 +227,8 @@ fn batch_load_trace_matches_solo_load_trace() {
     };
 
     let mut sliced = Crossbar::new_sliced(1, cols, pairs.len()).unwrap();
-    let batch_prog = mult.load_batch_program(0, 0, &pairs);
+    let (a, b) = cim_logic::pair_lanes(&pairs, width);
+    let batch_prog = mult.load_lanes_program(0, 0, &a, &b);
     let (batch_cycles, batch_trace) = run(&mut sliced, &batch_prog);
 
     let mut solo = Crossbar::with_backend(1, cols, BackendKind::Scalar).unwrap();

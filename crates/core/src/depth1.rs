@@ -12,9 +12,10 @@
 //! * stage 3: three adder passes
 //!   (`v = c_h + c_l`, `c̃_m = c_m − v`, final LSB-optimized add).
 
-use crate::postcompute::AdderBodies;
+use crate::postcompute::{Passes, SharedAdder};
+use crate::StageTrace;
 use cim_bigint::Uint;
-use cim_crossbar::{CompiledProgram, Crossbar, CrossbarError, Executor, MicroOp};
+use cim_crossbar::{CompiledProgram, Crossbar, CrossbarError, MicroOp};
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
 use cim_logic::multpim::RowMultiplier;
 use cim_logic::read_row_uint;
@@ -51,15 +52,17 @@ pub struct KaratsubaDepth1Multiplier {
     /// Stage 1's two additions, `a_m` then `b_m`, compiled at
     /// construction.
     additions: [CompiledProgram; 2],
-    /// Stage 3's `1.5n`-bit adder.
-    adder: KoggeStoneAdder,
-    /// Its `Add` and `Sub` bodies, compiled at construction.
-    bodies: AdderBodies,
+    /// Stage 3's `1.5n`-bit adder, its `Add` and `Sub` bodies compiled
+    /// at construction.
+    adder: SharedAdder,
 }
 
 /// Rows of the stage-1 array: `a_l a_h b_l b_h` (0–3), `a_m b_m`
 /// (4–5), scratch (6–17).
 const PRE_ROWS: usize = 4 + 2 + SCRATCH_ROWS;
+
+/// Span names of stage 3's passes: passes 9–11 of the depth-2 table.
+const PASS_NAMES: [&str; 3] = ["pass 1: v", "pass 2: c~_m", "pass 3: c_top"];
 
 impl KaratsubaDepth1Multiplier {
     /// Creates an `n`-bit depth-1 multiplier (`n` even, ≥ 8); its
@@ -90,13 +93,11 @@ impl KaratsubaDepth1Multiplier {
             let program = KoggeStoneAdder::with_layout(n / 2, layout).program(AddOp::Add);
             crate::progcache::compile(program)
         };
-        let adder = crate::postcompute::shared_adder(3 * n / 2);
         Ok(KaratsubaDepth1Multiplier {
             n,
             multiplier: RowMultiplier::new(n / 2 + 1),
             additions: [addition((1, 0, 4))?, addition((3, 2, 5))?],
-            bodies: AdderBodies::new(&adder, cim_mir::OptLevel::O0)?,
-            adder,
+            adder: SharedAdder::new(3 * n / 2, cim_mir::OptLevel::O0)?,
         })
     }
 
@@ -107,7 +108,7 @@ impl KaratsubaDepth1Multiplier {
 
     /// Stage 3's compiled adder body for `op`.
     pub fn adder_program(&self, op: AddOp) -> &CompiledProgram {
-        self.bodies.get(op)
+        self.adder.body(op)
     }
 
     /// Row length of one stage-2 multiplier row: `12·(n/2+1)` —
@@ -173,36 +174,30 @@ impl KaratsubaDepth1Multiplier {
         let a_h = a.shr(h);
         let b_l = b.low_bits(h);
         let b_h = b.shr(h);
-        let mut exec = Executor::new(&mut pre);
-        let pre_track = tracer.track(pid, "stage 1 (precompute)");
-        exec.attach_tracer_at(tracer, pre_track, 0);
-        let pre_span = tracer.span_at(pre_track, "precompute", 0);
-        // Operand writes + both compiled additions: one verified program.
+        let pre_trace = StageTrace {
+            tracer: tracer.clone(),
+            track: tracer.track(pid, "stage 1 (precompute)"),
+            start: 0,
+        };
         let writes: Vec<MicroOp> = [&a_l, &a_h, &b_l, &b_h]
             .iter()
             .enumerate()
             .map(|(i, v)| cim_logic::write_row_uint(i, 0, v, pre_cols))
             .collect();
-        if cfg!(debug_assertions) {
-            let mut stage1 = writes.clone();
-            for addition in &self.additions {
-                stage1.extend_from_slice(addition.ops());
-            }
-            cim_check::debug_assert_verified(
-                &stage1,
-                &cim_check::VerifyConfig::new(PRE_ROWS, pre_cols),
-                "KaratsubaDepth1Multiplier stage 1",
-            );
-        }
-        exec.run(&writes)?;
-        for addition in &self.additions {
-            exec.run_compiled(addition)?;
-        }
-        let a_m = read_row_uint(exec.array(), 4, 0..pre_cols)?;
-        let b_m = read_row_uint(exec.array(), 5, 0..pre_cols)?;
-        exec.step(&MicroOp::reset_region(0..6, 0..pre_cols))?;
-        let pre_cycles = exec.stats().cycles;
-        pre_span.end(pre_cycles);
+        let read = |array: &Crossbar| {
+            let sum = |row| read_row_uint(array, row, 0..pre_cols);
+            Ok((sum(4)?, sum(5)?))
+        };
+        let ((a_m, b_m), pre_stats) = crate::precompute::run_schedule(
+            &mut pre,
+            &writes,
+            &self.additions,
+            6,
+            &pre_trace,
+            None,
+            read,
+        )?;
+        let pre_cycles = pre_stats.cycles;
 
         // ---- Stage 2: three parallel in-row multiplications ----
         let mut mult_array = Crossbar::new(3, self.mult_row_length())?;
@@ -224,36 +219,23 @@ impl KaratsubaDepth1Multiplier {
         }
 
         // ---- Stage 3: three passes on a 1.5n-bit adder ----
-        let w = 3 * n / 2;
-        let mut post = Crossbar::new(8 + SCRATCH_ROWS, w + 1)?;
-        let mut exec = Executor::new(&mut post);
-        let post_track = tracer.track(pid, "stage 3 (postcompute)");
-        let post_start = pre_cycles + mult_cycles;
-        exec.attach_tracer_at(tracer, post_track, post_start);
-        let post_span = tracer.span_at(post_track, "postcompute", post_start);
-        let pass = |exec: &mut Executor<'_>,
-                    name: &'static str,
-                    op: AddOp,
-                    x: &Uint,
-                    y: &Uint|
-         -> Result<Uint, CrossbarError> {
-            let span = tracer.span_at(post_track, name, post_start + exec.stats().cycles);
-            crate::postcompute::run_pass(exec, &self.adder, self.bodies.get(op), x, y)?;
-            span.end(post_start + exec.stats().cycles);
-            let full = read_row_uint(exec.array(), 2, 0..w + 1)?;
-            Ok(match op {
-                AddOp::Add => full,
-                AddOp::Sub => full.low_bits(w),
-            })
+        let mut post = Crossbar::new(crate::postcompute::ROWS, 3 * n / 2 + 1)?;
+        let post_trace = StageTrace {
+            tracer: tracer.clone(),
+            track: tracer.track(pid, "stage 3 (postcompute)"),
+            start: pre_cycles + mult_cycles,
         };
-        let v = pass(&mut exec, "pass 1: v", AddOp::Add, &c_h, &c_l)?;
-        let ct_m = pass(&mut exec, "pass 2: c~_m", AddOp::Sub, &c_m, &v)?;
-        let base_top = c_l.add(&c_h.shl(n)).shr(h);
-        let c_top = pass(&mut exec, "pass 3: c_top", AddOp::Add, &base_top, &ct_m)?;
-        let product = c_top.shl(h).add(&c_l.low_bits(h));
-        exec.step(&MicroOp::reset_region(0..8 + SCRATCH_ROWS, 0..w + 1))?;
-        let post_cycles = exec.stats().cycles;
-        post_span.end(post_start + post_cycles);
+        let passes = |passes: &mut Passes<'_, '_>| {
+            crate::postcompute::recombine_thirds(
+                n,
+                [c_l, c_h, c_m],
+                &PASS_NAMES,
+                |name, op, x, y| passes.run(name, op, x, y),
+            )
+        };
+        let (product, post_stats) =
+            crate::postcompute::run_stage(&mut post, &self.adder, &post_trace, 1, passes)?;
+        let post_cycles = post_stats.cycles;
 
         debug_assert_eq!(product, a * b);
         Ok(Depth1Outcome {

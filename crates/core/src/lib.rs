@@ -61,3 +61,29 @@ pub const PAPER_DEPTH: u32 = 2;
 
 /// Operand sizes evaluated in the paper's Table I.
 pub const PAPER_SIZES: [usize; 4] = [64, 128, 256, 384];
+
+/// Where a stage runner records its spans: the tracer, the stage's
+/// track, and the global cycle of the stage's local cycle 0. Untraced
+/// runs pass [`StageTrace::off`], whose spans cost nothing.
+#[derive(Clone)]
+pub(crate) struct StageTrace {
+    pub(crate) tracer: cim_trace::Tracer,
+    pub(crate) track: cim_trace::TrackId,
+    pub(crate) start: u64,
+}
+
+impl StageTrace {
+    /// A disabled tracer.
+    pub(crate) fn off() -> Self {
+        StageTrace {
+            tracer: cim_trace::Tracer::disabled(),
+            track: cim_trace::TrackId(0),
+            start: 0,
+        }
+    }
+
+    /// Opens span `name` at the stage's local `cycle`.
+    pub(crate) fn span(&self, name: &'static str, cycle: u64) -> cim_trace::SpanGuard {
+        self.tracer.span_at(self.track, name, self.start + cycle)
+    }
+}

@@ -37,22 +37,36 @@
 //! EXPERIMENTS.md).
 
 use crate::chunks::{LeafRows, LEAVES};
+use crate::StageTrace;
 use cim_bigint::Uint;
 use cim_crossbar::{
     CompiledProgram, Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp,
 };
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
-use cim_logic::read_row_uint;
 use cim_mir::OptLevel;
 use cim_trace::{Tracer, TrackId};
+use std::ops::Range;
 
 /// Rows of the stage array: 8 data rows + 12 adder scratch rows.
 pub const ROWS: usize = 8 + SCRATCH_ROWS;
 
+/// Span names of the 11 passes, in the order of the module table.
+const PASS_NAMES: [&str; 11] = [
+    "pass 1: t_l || t_h",
+    "pass 2: c~_lm || c~_hm",
+    "pass 3: t_m",
+    "pass 4: c~_mm",
+    "pass 5: c_l",
+    "pass 6: c_h",
+    "pass 7: u",
+    "pass 8: c_m",
+    "pass 9: v",
+    "pass 10: c~_m",
+    "pass 11: c_top",
+];
+
 /// One shared-adder pass as a verified micro-op program: reset the
 /// adder's I/O rows, write the packed operands, run the addition.
-/// Used by the stage-3 recombination here and by the depth-1 ablation
-/// pipeline.
 ///
 /// The program is self-contained (the resets and writes define every
 /// cell the adder senses), so it is statically verified (`cim-check`,
@@ -63,162 +77,249 @@ pub const ROWS: usize = 8 + SCRATCH_ROWS;
 /// Panics if an operand does not fit in `adder.width() + 1` bits, or
 /// (debug/test builds) if the composed program fails verification.
 pub fn pass_program(adder: &KoggeStoneAdder, op: AddOp, x: &Uint, y: &Uint) -> Vec<MicroOp> {
-    let mut prog = pass_staging(adder, x, y).to_vec();
-    prog.extend(adder.program(op));
-    cim_check::debug_assert_verified(
-        &prog,
-        &cim_check::VerifyConfig::new(adder.required_rows(), adder.required_cols()),
-        "postcompute::pass_program",
-    );
-    prog
+    let staging = pass_staging(adder, x.clone(), y.clone());
+    verified_pass(adder, &staging, &adder.program(op))
 }
 
 /// The operand-dependent staging prefix of one pass: reset the I/O
-/// rows, write the packed operands.
-fn pass_staging(adder: &KoggeStoneAdder, x: &Uint, y: &Uint) -> [MicroOp; 3] {
+/// rows, write the two operand rows.
+fn pass_staging<R: Row>(adder: &KoggeStoneAdder, x: R, y: R) -> [MicroOp; 3] {
     let w = adder.width();
     let layout = adder.layout();
     let cols = layout.col_base..layout.col_base + w + 1;
     [
         MicroOp::reset_rows(&[layout.x_row, layout.y_row, layout.sum_row], cols),
-        cim_logic::write_row_uint(layout.x_row, layout.col_base, x, w + 1),
-        cim_logic::write_row_uint(layout.y_row, layout.col_base, y, w + 1),
+        x.write(layout.x_row, layout.col_base, w + 1),
+        y.write(layout.y_row, layout.col_base, w + 1),
     ]
 }
 
+/// `staging` followed by the adder `body` as one program, checked
+/// (debug/test builds) to pass static verification.
+fn verified_pass(adder: &KoggeStoneAdder, staging: &[MicroOp], body: &[MicroOp]) -> Vec<MicroOp> {
+    let prog = [staging, body].concat();
+    let config = cim_check::VerifyConfig::new(adder.required_rows(), adder.required_cols());
+    cim_check::debug_assert_verified(&prog, &config, "postcompute::pass_program");
+    prog
+}
+
+/// A row of the recombination in one of its two data formats: a
+/// [`Uint`] on a solo array, one lane word per column (`Vec<u64>`) on
+/// a bit-sliced one. The Fig. 7 schedule is written once over these
+/// operations: a shift is a column offset, a truncation a slice, and
+/// an addition done outside the adder joins values in disjoint
+/// columns.
+pub(crate) trait Row: Sized {
+    /// A zeroed `cols`-column row holding every `(offset, value)` part;
+    /// the parts lie in disjoint columns.
+    fn place(cols: usize, parts: &[(usize, &Self)]) -> Self;
+    /// Columns `cols` of the row, moved down to column 0.
+    fn slice(&self, cols: Range<usize>) -> Self;
+    /// Sets the zero columns `cols` to one in the lanes of `active`.
+    fn fill_ones(&mut self, cols: Range<usize>, active: u64);
+    /// Keeps the low `cols` columns.
+    fn truncate(&mut self, cols: usize);
+    /// The write of the row into `cols` columns of `row` from column
+    /// `col`.
+    fn write(self, row: usize, col: usize, cols: usize) -> MicroOp;
+    /// Senses all columns of `row` in the first `lanes` lanes.
+    fn read(array: &Crossbar, row: usize, lanes: usize) -> Result<Self, CrossbarError>;
+}
+
+impl Row for Uint {
+    fn place(_cols: usize, parts: &[(usize, &Self)]) -> Self {
+        parts
+            .iter()
+            .fold(Uint::zero(), |row, &(at, value)| row.add(&value.shl(at)))
+    }
+
+    fn slice(&self, cols: Range<usize>) -> Self {
+        self.shr(cols.start).low_bits(cols.len())
+    }
+
+    fn fill_ones(&mut self, cols: Range<usize>, _active: u64) {
+        *self = self.add(&Uint::pow2(cols.end).sub(&Uint::pow2(cols.start)));
+    }
+
+    fn truncate(&mut self, cols: usize) {
+        *self = self.low_bits(cols);
+    }
+
+    fn write(self, row: usize, col: usize, cols: usize) -> MicroOp {
+        cim_logic::write_row_uint(row, col, &self, cols)
+    }
+
+    fn read(array: &Crossbar, row: usize, _lanes: usize) -> Result<Self, CrossbarError> {
+        cim_logic::read_row_uint(array, row, 0..array.cols())
+    }
+}
+
+impl Row for Vec<u64> {
+    fn place(cols: usize, parts: &[(usize, &Self)]) -> Self {
+        let mut words = vec![0u64; cols];
+        for &(at, value) in parts {
+            cim_crossbar::lanes::place_cols(&mut words, at, value);
+        }
+        words
+    }
+
+    fn slice(&self, cols: Range<usize>) -> Self {
+        self[cols].to_vec()
+    }
+
+    fn fill_ones(&mut self, cols: Range<usize>, active: u64) {
+        self[cols].fill(active);
+    }
+
+    fn truncate(&mut self, cols: usize) {
+        Vec::truncate(self, cols);
+    }
+
+    fn write(self, row: usize, col: usize, cols: usize) -> MicroOp {
+        debug_assert_eq!(self.len(), cols, "operand rows are {cols} lane words");
+        MicroOp::WriteRowLanes {
+            row,
+            col_offset: col,
+            lane_words: self,
+        }
+    }
+
+    fn read(array: &Crossbar, row: usize, lanes: usize) -> Result<Self, CrossbarError> {
+        cim_logic::read_row_lanes(array, row, 0..array.cols(), lanes)
+    }
+}
+
 /// The `1.5n`-bit adder of a postcompute array for an `n`-bit
-/// multiplication, `width = 1.5n`: operands in rows 0 and 1, the sum
-/// in row 2, scratch in rows 8–19.
-pub(crate) fn shared_adder(width: usize) -> KoggeStoneAdder {
-    KoggeStoneAdder::with_layout(
-        width,
-        AdderLayout {
+/// multiplication, `width = 1.5n` (operands in rows 0 and 1, the sum
+/// in row 2, scratch in rows 8–19), with its `Add` and `Sub` bodies
+/// compiled.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedAdder {
+    adder: KoggeStoneAdder,
+    bodies: [CompiledProgram; 2],
+}
+
+impl SharedAdder {
+    /// The `width`-bit adder, its bodies lowered at `opt`.
+    pub(crate) fn new(width: usize, opt: OptLevel) -> Result<Self, CrossbarError> {
+        let layout = AdderLayout {
             x_row: 0,
             y_row: 1,
             sum_row: 2,
             scratch: std::array::from_fn(|i| 8 + i),
             col_base: 0,
-        },
-    )
-}
-
-/// The `Add` and `Sub` bodies of one adder, compiled.
-#[derive(Debug, Clone)]
-pub(crate) struct AdderBodies([CompiledProgram; 2]);
-
-impl AdderBodies {
-    /// Compiles both bodies of `adder` lowered at `opt`.
-    pub(crate) fn new(adder: &KoggeStoneAdder, opt: OptLevel) -> Result<Self, CrossbarError> {
-        Ok(AdderBodies([
-            crate::progcache::compile(adder.program_opt(AddOp::Add, opt))?,
-            crate::progcache::compile(adder.program_opt(AddOp::Sub, opt))?,
-        ]))
+        };
+        let adder = KoggeStoneAdder::with_layout(width, layout);
+        let compile = |op| crate::progcache::compile(adder.program_opt(op, opt));
+        let bodies = [compile(AddOp::Add)?, compile(AddOp::Sub)?];
+        Ok(SharedAdder { adder, bodies })
     }
 
-    /// The body for `op`.
-    pub(crate) fn get(&self, op: AddOp) -> &CompiledProgram {
-        match op {
-            AddOp::Add => &self.0[0],
-            AddOp::Sub => &self.0[1],
+    /// The compiled body for `op`.
+    pub(crate) fn body(&self, op: AddOp) -> &CompiledProgram {
+        &self.bodies[usize::from(op == AddOp::Sub)]
+    }
+}
+
+/// The shared-adder passes of one stage run on its array, which spans
+/// the adder's `w + 1` columns.
+pub(crate) struct Passes<'e, 'a> {
+    exec: Executor<'e>,
+    adder: &'a SharedAdder,
+    trace: &'a StageTrace,
+    lanes: usize,
+}
+
+impl Passes<'_, '_> {
+    /// One pass in span `name`: stage `x` and `y`, run the compiled
+    /// `op` body — op for op [`pass_program`] when the body is the `O0`
+    /// program — and read the sum row; a difference keeps its low
+    /// `w` columns.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CrossbarError`] from execution.
+    pub(crate) fn run<R: Row>(
+        &mut self,
+        name: &'static str,
+        op: AddOp,
+        x: R,
+        y: R,
+    ) -> Result<R, CrossbarError> {
+        let (adder, exec) = (&self.adder.adder, &mut self.exec);
+        let body = self.adder.body(op);
+        let span = self.trace.span(name, exec.stats().cycles);
+        let staging = pass_staging(adder, x, y);
+        if cfg!(debug_assertions) {
+            verified_pass(adder, &staging, body.ops());
         }
+        exec.run(&staging)?;
+        exec.run_compiled(body)?;
+        span.end(self.trace.start + exec.stats().cycles);
+        let mut sum = R::read(exec.array(), adder.layout().sum_row, self.lanes)?;
+        if op == AddOp::Sub {
+            sum.truncate(adder.width());
+        }
+        Ok(sum)
     }
 }
 
-/// Executes one pass as the staging prefix plus `body`, the compiled
-/// adder body — the op sequence is identical to running
-/// [`pass_program`] when `body` is the `O0` program, without cloning
-/// the body per pass.
-pub(crate) fn run_pass(
-    exec: &mut Executor<'_>,
-    adder: &KoggeStoneAdder,
-    body: &CompiledProgram,
-    x: &Uint,
-    y: &Uint,
-) -> Result<(), CrossbarError> {
-    run_staged(
+/// Runs `passes` on `array`, the stage array of `adder`, in its first
+/// `lanes` lanes, inside a `postcompute` span, then the closing reset
+/// wave (1 cc). Returns what `passes` returns and the stage's cycle
+/// statistics.
+///
+/// # Errors
+///
+/// Propagates [`CrossbarError`] from execution.
+pub(crate) fn run_stage<T>(
+    array: &mut Crossbar,
+    adder: &SharedAdder,
+    trace: &StageTrace,
+    lanes: usize,
+    passes: impl FnOnce(&mut Passes<'_, '_>) -> Result<T, CrossbarError>,
+) -> Result<(T, CycleStats), CrossbarError> {
+    let region = MicroOp::reset_region(0..array.rows(), 0..array.cols());
+    let mut exec = Executor::new(array);
+    exec.attach_tracer_at(&trace.tracer, trace.track, trace.start);
+    let stage = trace.span("postcompute", 0);
+    let mut runner = Passes {
         exec,
         adder,
-        body,
-        &pass_staging(adder, x, y),
-        "postcompute::pass_program",
-    )
-}
-
-/// Runs `staging`, then the compiled adder body, after checking
-/// (debug/test builds) that together they are a verified program.
-fn run_staged(
-    exec: &mut Executor<'_>,
-    adder: &KoggeStoneAdder,
-    body: &CompiledProgram,
-    staging: &[MicroOp],
-    what: &str,
-) -> Result<(), CrossbarError> {
-    if cfg!(debug_assertions) {
-        let mut full = staging.to_vec();
-        full.extend_from_slice(body.ops());
-        cim_check::debug_assert_verified(
-            &full,
-            &cim_check::VerifyConfig::new(adder.required_rows(), adder.required_cols()),
-            what,
-        );
-    }
-    exec.run(staging)?;
-    exec.run_compiled(body)
-}
-
-/// Executes one batched pass: the staging of [`pass_staging`] with
-/// the two operand writes carrying one lane word per column, `x` and
-/// `y` as they are (the reset is lane-oblivious), plus the compiled
-/// adder body — op-for-op the shape of [`run_pass`], with every lane
-/// adding its own operands.
-fn run_pass_lanes(
-    exec: &mut Executor<'_>,
-    adder: &KoggeStoneAdder,
-    body: &CompiledProgram,
-    x: Vec<u64>,
-    y: Vec<u64>,
-) -> Result<(), CrossbarError> {
-    let w = adder.width();
-    let layout = adder.layout();
-    debug_assert!(
-        x.len() == w + 1 && y.len() == w + 1,
-        "operand rows are {} lane words",
-        w + 1
-    );
-    let write = |row: usize, lane_words: Vec<u64>| MicroOp::WriteRowLanes {
-        row,
-        col_offset: layout.col_base,
-        lane_words,
+        trace,
+        lanes,
     };
-    let staging = [
-        MicroOp::reset_rows(
-            &[layout.x_row, layout.y_row, layout.sum_row],
-            layout.col_base..layout.col_base + w + 1,
-        ),
-        write(layout.x_row, x),
-        write(layout.y_row, y),
-    ];
-    run_staged(
-        exec,
-        adder,
-        body,
-        &staging,
-        "postcompute::batch_pass_program",
-    )
+    let out = passes(&mut runner)?;
+    let mut exec = runner.exec;
+    exec.step(&region)?;
+    stage.end(trace.start + exec.stats().cycles);
+    Ok((out, *exec.stats()))
 }
 
-/// The columns of `value` below `width`.
+/// Passes 9–11 of the module table and the product assembly, on the
+/// three thirds `c_l`, `c_h` and `c_m` of an `n`-bit multiply on a
+/// `1.5n`-bit adder: `c̃_m = c_m − (c_h + c_l)`, then `c_top` is
+/// `((c_h ‖ c_l) ≫ n/2) + c̃_m`. Only the top `1.5n` bits need that
+/// addition; the low `n/2` bits of the `n`-bit `c_l` pass through.
+/// `pass` runs one pass, named from `names`. Returns the `2n`-column
+/// product. These are also the depth-1 pipeline's three passes.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a column of `value` at `width` or above holds a set bit.
-fn fit(value: &[u64], width: usize) -> &[u64] {
-    let (kept, rest) = value.split_at(width.min(value.len()));
-    assert!(
-        rest.iter().all(|&word| word == 0),
-        "lane words exceed {width} columns"
-    );
-    kept
+/// Propagates the errors of `pass`.
+pub(crate) fn recombine_thirds<R: Row>(
+    n: usize,
+    [c_l, c_h, c_m]: [R; 3],
+    names: &[&'static str],
+    mut pass: impl FnMut(&'static str, AddOp, R, R) -> Result<R, CrossbarError>,
+) -> Result<R, CrossbarError> {
+    let row = |parts: &[(usize, &R)]| R::place(3 * n / 2 + 1, parts);
+    let v = pass(names[0], AddOp::Add, row(&[(0, &c_h)]), row(&[(0, &c_l)]))?;
+    let ct_m = pass(names[1], AddOp::Sub, c_m, v)?;
+    let base_top = row(&[(0, &c_l.slice(n / 2..n)), (n / 2, &c_h)]);
+    let c_top = pass(names[2], AddOp::Add, base_top, row(&[(0, &ct_m)]))?;
+    let low = c_l.slice(0..n / 2);
+    Ok(R::place(2 * n, &[(0, &low), (n / 2, &c_top)]))
 }
 
 /// Output of one postcomputation run.
@@ -258,11 +359,9 @@ pub struct BatchPostcomputeOutput<P = Vec<Uint>> {
 pub struct PostcomputeStage {
     n: usize,
     opt: OptLevel,
-    /// The shared adder every pass runs.
-    adder: KoggeStoneAdder,
-    /// Its `Add` and `Sub` bodies lowered at `opt`, compiled at
-    /// construction.
-    bodies: AdderBodies,
+    /// The shared adder every pass runs, its `Add` and `Sub` bodies
+    /// lowered at `opt` and compiled at construction.
+    adder: SharedAdder,
 }
 
 impl PostcomputeStage {
@@ -297,14 +396,8 @@ impl PostcomputeStage {
             n >= 8 && n.is_multiple_of(4),
             "operand width must be a multiple of 4, at least 8"
         );
-        let adder = shared_adder(3 * n / 2);
-        let bodies = AdderBodies::new(&adder, opt)?;
-        Ok(PostcomputeStage {
-            n,
-            opt,
-            adder,
-            bodies,
-        })
+        let adder = SharedAdder::new(3 * n / 2, opt)?;
+        Ok(PostcomputeStage { n, opt, adder })
     }
 
     /// The optimization level the stage's adder programs are lowered at.
@@ -333,14 +426,14 @@ impl PostcomputeStage {
     /// The shared `1.5n`-bit adder every pass runs: operands in rows 0
     /// and 1, the sum in row 2, scratch in rows 8–19.
     pub fn adder(&self) -> &KoggeStoneAdder {
-        &self.adder
+        &self.adder.adder
     }
 
     /// The compiled body of the shared adder for `op`, lowered at the
     /// stage's opt level — what every `op` pass runs after staging its
     /// operands.
     pub fn adder_program(&self, op: AddOp) -> &CompiledProgram {
-        self.bodies.get(op)
+        self.adder.body(op)
     }
 
     /// The paper's closed-form latency:
@@ -394,12 +487,11 @@ impl PostcomputeStage {
     }
 
     /// [`PostcomputeStage::run_batch`] on product rows in lane words
-    /// for the first `lanes` lanes: every one of the 11 shared-adder
-    /// passes stages lane-word operands and runs the *same* compiled
-    /// adder body, so the cycle count equals
-    /// [`PostcomputeStage::latency`] regardless of the lane count.
-    /// Between passes the recombination is column placement on the
-    /// lane words; the result is the `2n`-column product row.
+    /// for the first `lanes` lanes: the solo schedule, with every one
+    /// of the 11 shared-adder passes staging lane-word operands and
+    /// running the *same* compiled adder body, so the cycle count
+    /// equals [`PostcomputeStage::latency`] regardless of the lane
+    /// count. The result is the `2n`-column product row.
     ///
     /// # Errors
     ///
@@ -415,125 +507,22 @@ impl PostcomputeStage {
         lanes: usize,
     ) -> Result<BatchPostcomputeOutput<Vec<u64>>, CrossbarError> {
         assert!((1..=64).contains(&lanes), "batch must hold 1..=64 lanes");
-        let w = self.adder_width();
-        let mut array = Crossbar::new_sliced(ROWS, w + 1, lanes)?;
-        let mut exec = Executor::new(&mut array);
-        let product = self.recombine_lanes(products, lanes, |op, x, y| {
-            run_pass_lanes(&mut exec, &self.adder, self.adder_program(op), x, y)?;
-            cim_logic::read_row_lanes(exec.array(), 2, 0..w + 1, lanes)
-        })?;
-
-        // Reset the stage array for the next batch — 1 cc.
-        exec.step(&MicroOp::reset_region(0..ROWS, 0..w + 1))?;
-        let stats = *exec.stats();
-        let endurance = EnduranceReport::per_lane(&array);
+        let widths = crate::chunks::leaf_widths(self.n);
+        for (row, width) in products.iter().zip(widths) {
+            let rest = row.get(2 * width..).unwrap_or_default();
+            assert!(
+                rest.iter().all(|&word| word == 0),
+                "lane words exceed {} columns",
+                2 * width
+            );
+        }
+        let mut array = Crossbar::new_sliced(ROWS, self.adder_width() + 1, lanes)?;
+        let (products, stats) = self.run_on(&mut array, products, &StageTrace::off(), lanes)?;
         Ok(BatchPostcomputeOutput {
-            products: product,
+            products,
             stats,
-            endurance,
+            endurance: EnduranceReport::per_lane(&array),
         })
-    }
-
-    /// The 11 passes of the module table on lane words. `pass(op, x,
-    /// y)` runs one shared-adder pass on two `1.5n + 1`-column operand
-    /// rows and returns its sum row. The operands are the paper's
-    /// concatenations and shifts (Fig. 7) as column placements into
-    /// zeroed rows: a shift is a column offset, a truncation a slice,
-    /// and an addition done outside the adder joins values in disjoint
-    /// columns, so it is an OR. The borrow-blocking gap bits
-    /// of pass 2 are set in the `lanes` active lanes only, so every
-    /// staged row is exactly the lane-wise transpose of the per-lane
-    /// operands. Returns the `2n`-column product row.
-    fn recombine_lanes(
-        &self,
-        c: &LeafRows,
-        lanes: usize,
-        mut pass: impl FnMut(AddOp, Vec<u64>, Vec<u64>) -> Result<Vec<u64>, CrossbarError>,
-    ) -> Result<Vec<u64>, CrossbarError> {
-        use cim_crossbar::lanes::place_cols;
-        let n = self.n;
-        let q = n / 4;
-        let w = self.adder_width(); // 6q
-        let seg = w / 2; // 3q
-        let cap = 2 * q + 2; // max width of c_lm / c_hm
-        let active = u64::MAX >> (64 - lanes);
-
-        // Each product in its own width, twice its leaf's.
-        let widths = crate::chunks::leaf_widths(n);
-        let [c_ll, c_lh, c_lm, c_hl, c_hh, c_hm, c_ml, c_mh, c_mm]: [&[u64]; LEAVES] =
-            std::array::from_fn(|i| fit(&c[i], 2 * widths[i]));
-        // An operand row holding `parts` (column offset, value).
-        let row = |parts: &[(usize, &[u64])]| -> Vec<u64> {
-            let mut words = vec![0u64; w + 1];
-            for &(at, value) in parts {
-                place_cols(&mut words, at, value);
-            }
-            words
-        };
-        // One pass; a difference keeps its low `w` columns.
-        let mut adder = |op: AddOp, x: Vec<u64>, y: Vec<u64>| -> Result<Vec<u64>, CrossbarError> {
-            let mut sum = pass(op, x, y)?;
-            if op == AddOp::Sub {
-                sum.truncate(w);
-            }
-            Ok(sum)
-        };
-
-        // Pass 1: t_l ‖ t_h (batched add).
-        let s1 = adder(
-            AddOp::Add,
-            row(&[(0, c_ll), (seg, c_hl)]),
-            row(&[(0, c_lh), (seg, c_hh)]),
-        )?;
-
-        // Pass 2: c̃_lm ‖ c̃_hm (batched sub; minuend gap bits = 1).
-        // The subtrahend t_l + t_h·2^seg is the pass-1 sum as it is.
-        let mut x2 = row(&[(0, c_lm), (seg, c_hm)]);
-        x2[cap..seg].fill(active);
-        x2[seg + cap..w].fill(active);
-        let s2 = adder(AddOp::Sub, x2, s1)?;
-        let (ct_lm, ct_hm) = (&s2[..cap], &s2[seg..seg + cap]);
-
-        // Pass 3: t_m = c_ml + c_mh.
-        let t_m = adder(AddOp::Add, row(&[(0, c_ml)]), row(&[(0, c_mh)]))?;
-
-        // Pass 4: c̃_mm = c_mm − t_m.
-        let ct_mm = adder(AddOp::Sub, row(&[(0, c_mm)]), t_m)?;
-
-        // Pass 5: c_l = (c_lh ‖ c_ll) + c̃_lm·2^q.
-        let c_l = adder(
-            AddOp::Add,
-            row(&[(0, c_ll), (2 * q, c_lh)]),
-            row(&[(q, ct_lm)]),
-        )?;
-
-        // Pass 6: c_h likewise.
-        let c_h = adder(
-            AddOp::Add,
-            row(&[(0, c_hl), (2 * q, c_hh)]),
-            row(&[(q, ct_hm)]),
-        )?;
-
-        // Passes 7–8: c_m in two additions.
-        let u = adder(AddOp::Add, row(&[(0, c_ml)]), row(&[(2 * q, c_mh)]))?;
-        let c_m = adder(AddOp::Add, u, row(&[(q, &ct_mm)]))?;
-
-        // Passes 9–10: c̃_m = c_m − (c_h + c_l).
-        let v = adder(AddOp::Add, row(&[(0, &c_h)]), row(&[(0, &c_l)]))?;
-        let ct_m = adder(AddOp::Sub, c_m, v)?;
-
-        // Pass 11 (LSB optimization): (c_h ‖ c_l) ≫ n/2, c_l being n
-        // bits wide.
-        let c_l = fit(&c_l, n);
-        let c_top = adder(
-            AddOp::Add,
-            row(&[(0, &c_l[n / 2..]), (n / 2, &c_h)]),
-            row(&[(0, &ct_m)]),
-        )?;
-        let mut product = vec![0u64; 2 * n];
-        place_cols(&mut product, 0, &c_l[..n / 2]);
-        place_cols(&mut product, n / 2, &c_top);
-        Ok(product)
     }
 
     /// [`PostcomputeStage::run`] with tracing: the stage is wrapped in
@@ -556,118 +545,95 @@ impl PostcomputeStage {
         track: TrackId,
         start_cycle: u64,
     ) -> Result<PostcomputeOutput, CrossbarError> {
+        let trace = StageTrace {
+            tracer: tracer.clone(),
+            track,
+            start: start_cycle,
+        };
+        let mut array = Crossbar::new(ROWS, self.adder_width() + 1)?;
+        let (product, stats) = self.run_on(&mut array, products, &trace, 1)?;
+        Ok(PostcomputeOutput {
+            product,
+            stats,
+            endurance: EnduranceReport::from_array(&array),
+        })
+    }
+
+    /// The stage on `array` in its first `lanes` lanes: the
+    /// recombination's passes, then the reset wave.
+    fn run_on<R: Row>(
+        &self,
+        array: &mut Crossbar,
+        products: &[R; LEAVES],
+        trace: &StageTrace,
+        lanes: usize,
+    ) -> Result<(R, CycleStats), CrossbarError> {
+        let active = u64::MAX >> (64 - lanes);
+        run_stage(array, &self.adder, trace, lanes, |passes| {
+            self.recombine(products, active, |name, op, x, y| {
+                passes.run(name, op, x, y)
+            })
+        })
+    }
+
+    /// The 11 passes of the module table on the nine products `c`
+    /// (leaf order) in either row format; `pass(name, op, x, y)` runs
+    /// one shared-adder pass on two `1.5n + 1`-column operand rows and
+    /// returns its sum row. The operands are the paper's
+    /// concatenations and shifts (Fig. 7) as column placements into
+    /// zeroed rows. The borrow-blocking gap bits of pass 2 are set in
+    /// the lanes of `active` only, so on a bit-sliced array every
+    /// staged row is exactly the lane-wise transpose of the per-lane
+    /// rows. Returns the `2n`-column product.
+    fn recombine<R: Row>(
+        &self,
+        c: &[R; LEAVES],
+        active: u64,
+        mut pass: impl FnMut(&'static str, AddOp, R, R) -> Result<R, CrossbarError>,
+    ) -> Result<R, CrossbarError> {
         let n = self.n;
         let q = n / 4;
         let w = self.adder_width(); // 6q
         let seg = w / 2; // 3q
         let cap = 2 * q + 2; // max width of c_lm / c_hm
-
-        let [c_ll, c_lh, c_lm, c_hl, c_hh, c_hm, c_ml, c_mh, c_mm] = products.clone();
-
-        let mut array = Crossbar::new(ROWS, w + 1)?;
-        let mut exec = Executor::new(&mut array);
-        exec.attach_tracer_at(tracer, track, start_cycle);
-        let stage = tracer.span_at(track, "postcompute", start_cycle);
-
-        // One adder pass: reset I/O rows, write packed operands, run
-        // the compiled adder body — op-identical to `pass_program` at
-        // `O0`, wrapped in a named span.
-        let pass = |exec: &mut Executor<'_>,
-                    name: &'static str,
-                    op: AddOp,
-                    x: &Uint,
-                    y: &Uint|
-         -> Result<Uint, CrossbarError> {
-            let span = tracer.span_at(track, name, start_cycle + exec.stats().cycles);
-            run_pass(exec, &self.adder, self.adder_program(op), x, y)?;
-            span.end(start_cycle + exec.stats().cycles);
-            let full = read_row_uint(exec.array(), 2, 0..w + 1)?;
-            Ok(match op {
-                AddOp::Add => full,
-                AddOp::Sub => full.low_bits(w),
-            })
-        };
-
-        // Ones in [from, to) — gap filler blocking borrow propagation
-        // between the segments of a batched subtraction.
-        let gap_ones = |from: usize, to: usize| Uint::pow2(to).sub(&Uint::pow2(from));
+        let [c_ll, c_lh, c_lm, c_hl, c_hh, c_hm, c_ml, c_mh, c_mm] = c;
+        let row = |parts: &[(usize, &R)]| R::place(w + 1, parts);
+        let names = PASS_NAMES;
 
         // Pass 1: t_l ‖ t_h (batched add).
-        let s1 = pass(
-            &mut exec,
-            "pass 1: t_l || t_h",
-            AddOp::Add,
-            &c_ll.add(&c_hl.shl(seg)),
-            &c_lh.add(&c_hh.shl(seg)),
-        )?;
-        let t_l = s1.low_bits(seg);
-        let t_h = s1.shr(seg);
+        let x1 = row(&[(0, c_ll), (seg, c_hl)]);
+        let s1 = pass(names[0], AddOp::Add, x1, row(&[(0, c_lh), (seg, c_hh)]))?;
 
         // Pass 2: c̃_lm ‖ c̃_hm (batched sub; minuend gap bits = 1).
-        let x2 = c_lm
-            .add(&gap_ones(cap, seg))
-            .add(&c_hm.shl(seg))
-            .add(&gap_ones(seg + cap, w));
-        let s2 = pass(
-            &mut exec,
-            "pass 2: c~_lm || c~_hm",
-            AddOp::Sub,
-            &x2,
-            &t_l.add(&t_h.shl(seg)),
-        )?;
-        let ct_lm = s2.low_bits(cap);
-        let ct_hm = s2.shr(seg).low_bits(cap);
+        // The subtrahend t_l + t_h·2^seg is the pass-1 sum as it is.
+        let mut x2 = row(&[(0, c_lm), (seg, c_hm)]);
+        x2.fill_ones(cap..seg, active);
+        x2.fill_ones(seg + cap..w, active);
+        let s2 = pass(names[1], AddOp::Sub, x2, s1)?;
+        let (ct_lm, ct_hm) = (s2.slice(0..cap), s2.slice(seg..seg + cap));
 
         // Pass 3: t_m = c_ml + c_mh.
-        let t_m = pass(&mut exec, "pass 3: t_m", AddOp::Add, &c_ml, &c_mh)?;
+        let t_m = pass(names[2], AddOp::Add, row(&[(0, c_ml)]), row(&[(0, c_mh)]))?;
 
         // Pass 4: c̃_mm = c_mm − t_m.
-        let ct_mm = pass(&mut exec, "pass 4: c~_mm", AddOp::Sub, &c_mm, &t_m)?;
+        let ct_mm = pass(names[3], AddOp::Sub, row(&[(0, c_mm)]), t_m)?;
 
         // Pass 5: c_l = (c_lh ‖ c_ll) + c̃_lm·2^q.
-        let c_l = pass(
-            &mut exec,
-            "pass 5: c_l",
-            AddOp::Add,
-            &c_ll.add(&c_lh.shl(2 * q)),
-            &ct_lm.shl(q),
-        )?;
+        let x5 = row(&[(0, c_ll), (2 * q, c_lh)]);
+        let c_l = pass(names[4], AddOp::Add, x5, row(&[(q, &ct_lm)]))?;
 
         // Pass 6: c_h likewise.
-        let c_h = pass(
-            &mut exec,
-            "pass 6: c_h",
-            AddOp::Add,
-            &c_hl.add(&c_hh.shl(2 * q)),
-            &ct_hm.shl(q),
-        )?;
+        let x6 = row(&[(0, c_hl), (2 * q, c_hh)]);
+        let c_h = pass(names[5], AddOp::Add, x6, row(&[(q, &ct_hm)]))?;
 
         // Passes 7–8: c_m needs two additions (c_ml is n/2+2 bits wide,
         // so appending c_mh is not possible).
-        let u = pass(&mut exec, "pass 7: u", AddOp::Add, &c_ml, &c_mh.shl(2 * q))?;
-        let c_m = pass(&mut exec, "pass 8: c_m", AddOp::Add, &u, &ct_mm.shl(q))?;
+        let x7 = row(&[(0, c_ml)]);
+        let u = pass(names[6], AddOp::Add, x7, row(&[(2 * q, c_mh)]))?;
+        let c_m = pass(names[7], AddOp::Add, u, row(&[(q, &ct_mm)]))?;
 
-        // Passes 9–10: c̃_m = c_m − (c_h + c_l).
-        let v = pass(&mut exec, "pass 9: v", AddOp::Add, &c_h, &c_l)?;
-        let ct_m = pass(&mut exec, "pass 10: c~_m", AddOp::Sub, &c_m, &v)?;
-
-        // Pass 11 (LSB optimization): only the top 1.5n bits need the
-        // final addition; the low n/2 bits of c_l pass through.
-        let base_top = c_l.add(&c_h.shl(n)).shr(n / 2);
-        let c_top = pass(&mut exec, "pass 11: c_top", AddOp::Add, &base_top, &ct_m)?;
-        let product = c_top.shl(n / 2).add(&c_l.low_bits(n / 2));
-
-        // Reset the stage array for the next multiplication — 1 cc.
-        exec.step(&MicroOp::reset_region(0..ROWS, 0..w + 1))?;
-        stage.end(start_cycle + exec.stats().cycles);
-
-        let stats = *exec.stats();
-        let endurance = EnduranceReport::from_array(&array);
-        Ok(PostcomputeOutput {
-            product,
-            stats,
-            endurance,
-        })
+        // Passes 9–11.
+        recombine_thirds(n, [c_l, c_h, c_m], &names[8..], pass)
     }
 }
 
@@ -726,53 +692,30 @@ mod tests {
         }
     }
 
-    /// The per-lane recombination of the 11 passes as `Uint`
-    /// arithmetic (the module table), with every sum computed in
-    /// software: each pass's `(op, x, y)` operands for one lane.
-    fn uint_pass_operands(products: &[Uint; LEAVES], n: usize) -> Vec<(AddOp, Uint, Uint)> {
-        let q = n / 4;
-        let w = 6 * q;
-        let seg = w / 2;
-        let cap = 2 * q + 2;
-        let [c_ll, c_lh, c_lm, c_hl, c_hh, c_hm, c_ml, c_mh, c_mm] = products.clone();
-        let gap_ones = |from: usize, to: usize| Uint::pow2(to).sub(&Uint::pow2(from));
-        let mut passes = Vec::new();
-        let mut pass = |op: AddOp, x: Uint, y: Uint| -> Uint {
-            let sum = match op {
-                AddOp::Add => x.add(&y),
-                AddOp::Sub => x.sub(&y).low_bits(w),
-            };
-            passes.push((op, x, y));
-            sum
-        };
-        let s1 = pass(
-            AddOp::Add,
-            c_ll.add(&c_hl.shl(seg)),
-            c_lh.add(&c_hh.shl(seg)),
-        );
-        let (t_l, t_h) = (s1.low_bits(seg), s1.shr(seg));
-        let x2 = c_lm
-            .add(&gap_ones(cap, seg))
-            .add(&c_hm.shl(seg))
-            .add(&gap_ones(seg + cap, w));
-        let s2 = pass(AddOp::Sub, x2, t_l.add(&t_h.shl(seg)));
-        let (ct_lm, ct_hm) = (s2.low_bits(cap), s2.shr(seg).low_bits(cap));
-        let t_m = pass(AddOp::Add, c_ml.clone(), c_mh.clone());
-        let ct_mm = pass(AddOp::Sub, c_mm, t_m);
-        let c_l = pass(AddOp::Add, c_ll.add(&c_lh.shl(2 * q)), ct_lm.shl(q));
-        let c_h = pass(AddOp::Add, c_hl.add(&c_hh.shl(2 * q)), ct_hm.shl(q));
-        let u = pass(AddOp::Add, c_ml, c_mh.shl(2 * q));
-        let c_m = pass(AddOp::Add, u, ct_mm.shl(q));
-        let v = pass(AddOp::Add, c_h.clone(), c_l.clone());
-        let ct_m = pass(AddOp::Sub, c_m, v);
-        pass(AddOp::Add, c_l.add(&c_h.shl(n)).shr(n / 2), ct_m);
-        passes
+    /// Runs the recombination on `array` in its first `lanes` lanes and
+    /// returns every pass's staged `(op, x, y)` rows and the product.
+    fn staged_rows<R: Row + Clone>(
+        stage: &PostcomputeStage,
+        array: &mut Crossbar,
+        products: &[R; LEAVES],
+        lanes: usize,
+    ) -> (Vec<(AddOp, R, R)>, R) {
+        let mut staged = Vec::new();
+        let active = u64::MAX >> (64 - lanes);
+        let (product, _) = run_stage(array, &stage.adder, &StageTrace::off(), lanes, |passes| {
+            stage.recombine(products, active, |name, op, x, y| {
+                staged.push((op, x.clone(), y.clone()));
+                passes.run(name, op, x, y)
+            })
+        })
+        .unwrap();
+        (staged, product)
     }
 
-    /// Every operand row the lane-word recombination stages is the
-    /// lane-wise transpose of the per-lane `Uint` operand — inactive
-    /// lane bits included, which must be zero (a gap filled with
-    /// `u64::MAX` would set them).
+    /// Every operand row the recombination stages on lane words is the
+    /// lane-wise transpose of the rows it stages for each lane's
+    /// `Uint`s — inactive lane bits included, which must be zero (a
+    /// gap filled with `u64::MAX` would set them).
     #[test]
     fn staged_lane_payloads_are_the_transposed_uint_operands() {
         let mut rng = UintRng::seeded(53);
@@ -787,26 +730,24 @@ mod tests {
                     _ => products_of(&rng.uniform(n), &rng.uniform(n), n),
                 })
                 .collect();
+            let solo: Vec<_> = sets
+                .iter()
+                .map(|set| {
+                    let mut array = Crossbar::new(ROWS, w + 1).unwrap();
+                    staged_rows(&stage, &mut array, set, 1)
+                })
+                .collect();
             let rows = crate::chunks::leaf_rows(&sets, n / 2 + 4);
             let mut array = Crossbar::new_sliced(ROWS, w + 1, lanes).unwrap();
-            let mut exec = Executor::new(&mut array);
-            let mut staged = Vec::new();
-            let product = stage
-                .recombine_lanes(&rows, lanes, |op, x, y| {
-                    staged.push((op, x.clone(), y.clone()));
-                    run_pass_lanes(&mut exec, stage.adder(), stage.adder_program(op), x, y)?;
-                    cim_logic::read_row_lanes(exec.array(), 2, 0..w + 1, lanes)
-                })
-                .unwrap();
-            let expected: Vec<_> = sets.iter().map(|set| uint_pass_operands(set, n)).collect();
+            let (staged, product) = staged_rows(&stage, &mut array, &rows, lanes);
             let transposed = |k: usize, side: fn(&(AddOp, Uint, Uint)) -> &Uint| {
-                let refs: Vec<&[u64]> = expected.iter().map(|p| side(&p[k]).limbs()).collect();
+                let refs: Vec<&[u64]> = solo.iter().map(|(p, _)| side(&p[k]).limbs()).collect();
                 cim_crossbar::lanes::transpose_lanes(&refs, w + 1)
             };
             assert_eq!(staged.len(), 11, "n = {n}");
             for (k, (op, x, y)) in staged.iter().enumerate() {
                 let what = format!("n = {n}, {lanes} lanes, pass {}", k + 1);
-                assert!(expected.iter().all(|p| p[k].0 == *op), "{what}: op");
+                assert!(solo.iter().all(|(p, _)| p[k].0 == *op), "{what}: op");
                 assert_eq!(*x, transposed(k, |p| &p.1), "{what}: x row");
                 assert_eq!(*y, transposed(k, |p| &p.2), "{what}: y row");
                 let inactive = !(u64::MAX >> (64 - lanes));
@@ -816,6 +757,8 @@ mod tests {
                 .iter()
                 .map(|set| crate::chunks::combine_products(set, n / 4))
                 .collect();
+            let solo_products: Vec<Uint> = solo.into_iter().map(|(_, p)| p).collect();
+            assert_eq!(solo_products, golds, "n = {n}");
             assert_eq!(cim_logic::lane_uints(&product, lanes), golds, "n = {n}");
             assert_eq!(product.len(), 2 * n);
         }

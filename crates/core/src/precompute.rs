@@ -17,13 +17,14 @@
 //! (8 input-row writes, 10 sequential additions, 1 reset wave.)
 
 use crate::chunks::{decompose_operand, LeafRows, LEAVES};
+use crate::postcompute::Row;
+use crate::StageTrace;
 use cim_bigint::Uint;
 use cim_crossbar::{
     CompiledProgram, Crossbar, CrossbarError, CycleStats, EnduranceReport, Executor, MicroOp,
     Region,
 };
 use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
-use cim_logic::read_row_uint;
 use cim_mir::{MirProgram, OptLevel, TileLimits};
 use cim_trace::{Tracer, TrackId};
 use std::sync::{Arc, OnceLock};
@@ -76,40 +77,21 @@ pub struct PrecomputeStage {
     n: usize,
     opt: OptLevel,
     /// The ten tree additions of a multiply, compiled at construction.
-    suffix: SuffixProgram,
+    suffix: Suffix,
     /// The five `a`-side additions of a square, compiled on first use
     /// so a stage that never squares never compiles them.
-    square_suffix: OnceLock<Result<SuffixProgram, CrossbarError>>,
+    square_suffix: OnceLock<Result<Suffix, CrossbarError>>,
 }
 
 /// A compiled addition suffix: one program per addition, in execution
 /// order, so the runners attribute trace spans per addition even when
-/// optimization leaves the additions with different lengths.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SuffixProgram {
-    /// The per-addition programs, pieces of one op buffer.
-    additions: Arc<[CompiledProgram]>,
-}
+/// optimization leaves the additions with different lengths. The
+/// programs are pieces of one op buffer.
+type Suffix = Arc<[CompiledProgram]>;
 
-impl SuffixProgram {
-    /// Compiles the concatenated per-addition programs `ops`, where
-    /// `ends[i]` is one past the last op of addition `i`.
-    fn new(ops: Vec<MicroOp>, ends: &[usize]) -> Result<Self, CrossbarError> {
-        let additions = crate::progcache::compile_split(ops, ends)?;
-        Ok(SuffixProgram {
-            additions: additions.into(),
-        })
-    }
-
-    /// The additions' ops, concatenated.
-    fn ops(&self) -> impl Iterator<Item = &MicroOp> {
-        self.additions.iter().flat_map(|p| p.ops().iter())
-    }
-
-    /// Cycles of the whole suffix.
-    fn cycles(&self) -> u64 {
-        self.additions.iter().map(|p| p.stats().cycles).sum()
-    }
+/// Cycles of a whole suffix.
+fn suffix_cycles(suffix: &Suffix) -> u64 {
+    suffix.iter().map(|p| p.stats().cycles).sum()
 }
 
 // Row map.
@@ -220,7 +202,7 @@ impl PrecomputeStage {
     /// and 1 reset wave. At `O0` this is the paper's
     /// `8 + 10·(17 + 11·⌈log2(n/4+1)⌉) + 1`.
     pub fn latency(&self) -> u64 {
-        8 + self.suffix.cycles() + 1
+        8 + suffix_cycles(&self.suffix) + 1
     }
 
     /// Rows of the stage array holding the 18 leaf operands after a
@@ -239,7 +221,7 @@ impl PrecomputeStage {
     /// Panics if the square suffix fails to compile (see
     /// [`PrecomputeStage::with_opt_level`]).
     pub fn square_latency(&self) -> u64 {
-        8 + self.compiled_square_suffix().cycles() + 1
+        8 + suffix_cycles(self.compiled_square_suffix()) + 1
     }
 
     /// The compiled programs the stage runs for its tree additions, in
@@ -252,16 +234,15 @@ impl PrecomputeStage {
     /// Panics as [`PrecomputeStage::square_latency`] does, with
     /// `square`.
     pub fn addition_programs(&self, square: bool) -> Arc<[CompiledProgram]> {
-        let suffix = if square {
+        Arc::clone(if square {
             self.compiled_square_suffix()
         } else {
             &self.suffix
-        };
-        Arc::clone(&suffix.additions)
+        })
     }
 
     /// The five additions of a square, compiled on the first call.
-    fn square_suffix(&self) -> Result<&SuffixProgram, CrossbarError> {
+    fn square_suffix(&self) -> Result<&Suffix, CrossbarError> {
         self.square_suffix
             .get_or_init(|| addition_suffix(self.n, self.opt, 5))
             .as_ref()
@@ -269,7 +250,7 @@ impl PrecomputeStage {
     }
 
     /// [`PrecomputeStage::square_suffix`] for the infallible accessors.
-    fn compiled_square_suffix(&self) -> &SuffixProgram {
+    fn compiled_square_suffix(&self) -> &Suffix {
         self.square_suffix()
             .unwrap_or_else(|e| panic!("precompute square suffix: {e}"))
     }
@@ -382,63 +363,63 @@ impl PrecomputeStage {
             b.len()
         );
         let mut array = Crossbar::new_sliced(ROWS, cols, lanes)?;
-        let mut exec = Executor::new(&mut array);
-        // The chunk writes and the compiled suffix run back to back.
         let writes = self.chunk_writes_lanes(a, b);
-        let suffix = self.verified(&writes, &self.suffix, "PrecomputeStage::batch_program");
-        exec.run(&writes)?;
-        for addition in suffix.additions.iter() {
-            exec.run_compiled(addition)?;
-        }
-
         // One word-level read per leaf row hands it on as it is.
-        let mut a_leaves = LeafRows::default();
-        let mut b_leaves = LeafRows::default();
-        for i in 0..LEAVES {
-            a_leaves[i] = cim_logic::read_row_lanes(exec.array(), A_LEAF_ROWS[i], 0..cols, lanes)?;
-            b_leaves[i] = cim_logic::read_row_lanes(exec.array(), B_LEAF_ROWS[i], 0..cols, lanes)?;
-        }
-
-        exec.step(&MicroOp::reset_region(0..RESULT_BASE + 10, 0..cols))?;
-        let stats = *exec.stats();
-        let endurance = EnduranceReport::per_lane(&array);
+        let sides = [A_LEAF_ROWS, B_LEAF_ROWS];
+        let ([a_leaves, b_leaves], stats) = self.run_on(
+            &mut array,
+            &writes,
+            &self.suffix,
+            &StageTrace::off(),
+            lanes,
+            sides,
+        )?;
         Ok(BatchPrecomputeOutput {
             a_leaves,
             b_leaves,
             stats,
-            endurance,
+            endurance: EnduranceReport::per_lane(&array),
         })
     }
 
-    /// Returns `suffix` after checking (debug/test builds) that
-    /// `writes` followed by it is a verified program — the op sequence
-    /// the stage runners execute.
-    fn verified<'a>(
+    /// The stage on `array` in its first `lanes` lanes: [`run_schedule`]
+    /// with the stage's rows and addition names. Returns the leaves in
+    /// the rows of each of `sides`, read before the reset wave, and the
+    /// stage's cycle statistics.
+    fn run_on<R: Row + Default, const S: usize>(
         &self,
+        array: &mut Crossbar,
         writes: &[MicroOp],
-        suffix: &'a SuffixProgram,
-        what: &str,
-    ) -> &'a SuffixProgram {
-        if cfg!(debug_assertions) {
-            let mut prog = writes.to_vec();
-            prog.extend(suffix.ops().cloned());
-            cim_check::debug_assert_verified(
-                &prog,
-                &cim_check::VerifyConfig::new(ROWS, self.cols()),
-                what,
-            );
-        }
-        suffix
+        suffix: &Suffix,
+        trace: &StageTrace,
+        lanes: usize,
+        sides: [[usize; LEAVES]; S],
+    ) -> Result<([[R; LEAVES]; S], CycleStats), CrossbarError> {
+        let read = |array: &Crossbar| {
+            let mut leaves: [[R; LEAVES]; S] = std::array::from_fn(|_| Default::default());
+            for (side, rows) in leaves.iter_mut().zip(&sides) {
+                for (leaf, &row) in side.iter_mut().zip(rows) {
+                    *leaf = R::read(array, row, lanes)?;
+                }
+            }
+            Ok(leaves)
+        };
+        let names = Some(&ADDITION_NAMES[..]);
+        run_schedule(array, writes, suffix, RESULT_BASE + 10, trace, names, read)
     }
 
     /// Composes the chunk writes and the given additions into one
     /// program and statically verifies it (debug/test builds). The
     /// composed program needs no preload declarations: the chunk
     /// writes define every operand the additions consume.
-    fn compose_program(&self, chunks: &[&Uint], suffix: &SuffixProgram) -> Vec<MicroOp> {
+    fn compose_program(&self, chunks: &[&Uint], suffix: &Suffix) -> Vec<MicroOp> {
         let mut prog = self.chunk_writes(chunks);
-        let suffix = self.verified(&prog, suffix, "PrecomputeStage::program");
-        prog.extend(suffix.ops().cloned());
+        prog.extend(suffix.iter().flat_map(|p| p.ops().iter().cloned()));
+        cim_check::debug_assert_verified(
+            &prog,
+            &cim_check::VerifyConfig::new(ROWS, self.cols()),
+            "PrecomputeStage::program",
+        );
         prog
     }
 
@@ -487,36 +468,29 @@ impl PrecomputeStage {
     pub fn run_square(&self, a: &Uint) -> Result<PrecomputeOutput, CrossbarError> {
         let cols = self.cols();
         let da = decompose_operand(a, self.n);
-        let mut array = Crossbar::new(ROWS, cols)?;
-        let mut exec = Executor::new(&mut array);
         // The same four chunks go into BOTH operand banks (the paper's
         // write circuit can drive two word lines with the same word,
         // so this still charges 8 write cycles — kept identical to the
         // general case for a conservative count), then the five a-side
-        // additions — together one verified program.
+        // additions.
         let chunks: Vec<&Uint> = da.chunks.iter().chain(da.chunks.iter()).collect();
         let writes = self.chunk_writes(&chunks);
-        let suffix = self.verified(&writes, self.square_suffix()?, "PrecomputeStage::program");
-        exec.run(&writes)?;
-        for addition in suffix.additions.iter() {
-            exec.run_compiled(addition)?;
-        }
-        let read_leaf = |exec: &Executor<'_>, row: usize| -> Result<Uint, CrossbarError> {
-            read_row_uint(exec.array(), row, 0..cols)
-        };
-        let mut a_leaves: [Uint; LEAVES] = Default::default();
-        for i in 0..LEAVES {
-            a_leaves[i] = read_leaf(&exec, A_LEAF_ROWS[i])?;
-        }
-        exec.step(&MicroOp::reset_region(0..RESULT_BASE + 10, 0..cols))?;
-        let stats = *exec.stats();
-        let endurance = EnduranceReport::from_array(&array);
+        let mut array = Crossbar::new(ROWS, cols)?;
+        let suffix = self.square_suffix()?;
+        let ([a_leaves], stats) = self.run_on(
+            &mut array,
+            &writes,
+            suffix,
+            &StageTrace::off(),
+            1,
+            [A_LEAF_ROWS],
+        )?;
         debug_assert_eq!(a_leaves, da.leaves);
         Ok(PrecomputeOutput {
             b_leaves: a_leaves.clone(),
             a_leaves,
             stats,
-            endurance,
+            endurance: EnduranceReport::from_array(&array),
         })
     }
 
@@ -556,53 +530,22 @@ impl PrecomputeStage {
         track: TrackId,
         start_cycle: u64,
     ) -> Result<PrecomputeOutput, CrossbarError> {
-        let n = self.n;
         let cols = self.cols();
-        let da = decompose_operand(a, n);
-        let db = decompose_operand(b, n);
-
-        let mut array = Crossbar::new(ROWS, cols)?;
-        let mut exec = Executor::new(&mut array);
-        exec.attach_tracer_at(tracer, track, start_cycle);
-        let stage = tracer.span_at(track, "precompute", start_cycle);
-
-        // (i)+(ii) The 8 chunk writes and the ten tree additions —
-        // 8 + 10·adder cc. The operand writes are rebuilt per call;
-        // the addition suffix is the stage's own, one compiled
-        // program per addition, so each addition's op events
-        // nest under its own span. The op sequence is identical to
-        // [`PrecomputeStage::program`] (checked in debug/test builds
-        // by the same static verification).
+        let da = decompose_operand(a, self.n);
+        let db = decompose_operand(b, self.n);
         let chunks: Vec<&Uint> = da.chunks.iter().chain(db.chunks.iter()).collect();
-        let writes_prog = self.chunk_writes(&chunks);
-        let suffix = self.verified(&writes_prog, &self.suffix, "PrecomputeStage::program");
-        let writes = tracer.span_at(track, "write chunks", start_cycle);
-        exec.run(&writes_prog)?;
-        writes.end(start_cycle + exec.stats().cycles);
-        for (addition, name) in suffix.additions.iter().zip(ADDITION_NAMES) {
-            let span = tracer.span_at(track, name, start_cycle + exec.stats().cycles);
-            exec.run_compiled(addition)?;
-            span.end(start_cycle + exec.stats().cycles);
-        }
-
-        // Read the 18 leaves (handoff — charged at the pipeline level).
-        let read_leaf = |exec: &Executor<'_>, row: usize| -> Result<Uint, CrossbarError> {
-            read_row_uint(exec.array(), row, 0..cols)
+        let writes = self.chunk_writes(&chunks);
+        let trace = StageTrace {
+            tracer: tracer.clone(),
+            track,
+            start: start_cycle,
         };
-        let mut a_leaves: [Uint; LEAVES] = Default::default();
-        let mut b_leaves: [Uint; LEAVES] = Default::default();
-        for i in 0..LEAVES {
-            a_leaves[i] = read_leaf(&exec, A_LEAF_ROWS[i])?;
-            b_leaves[i] = read_leaf(&exec, B_LEAF_ROWS[i])?;
-        }
-
-        // (iii) Reset the input/result region for the next
-        // multiplication — 1 cc.
-        exec.step(&MicroOp::reset_region(0..RESULT_BASE + 10, 0..cols))?;
-        stage.end(start_cycle + exec.stats().cycles);
-
-        let stats = *exec.stats();
-        let endurance = EnduranceReport::from_array(&array);
+        let mut array = Crossbar::new(ROWS, cols)?;
+        // The 18 leaves are read before the reset wave (the handoff is
+        // charged at the pipeline level).
+        let sides = [A_LEAF_ROWS, B_LEAF_ROWS];
+        let ([a_leaves, b_leaves], stats) =
+            self.run_on(&mut array, &writes, &self.suffix, &trace, 1, sides)?;
         // Sanity: the stage must agree with the software decomposition.
         debug_assert_eq!(a_leaves, da.leaves);
         debug_assert_eq!(b_leaves, db.leaves);
@@ -610,9 +553,63 @@ impl PrecomputeStage {
             a_leaves,
             b_leaves,
             stats,
-            endurance,
+            endurance: EnduranceReport::from_array(&array),
         })
     }
+}
+
+/// The precompute schedule on `array`, inside a `precompute` span of
+/// `trace`: the operand `writes` (8 cc for the stage's chunks), each
+/// compiled addition in turn, the leaf reads `read`, and one reset
+/// wave over rows `0..reset_rows` (1 cc). With `names`, the writes
+/// (`write chunks`) and each addition (`names[i]`) get a child span,
+/// under which the executor's per-op events nest. The writes and the
+/// additions together are checked (debug/test builds) to be a verified
+/// program. Returns what `read` sensed and the stage's cycle
+/// statistics.
+///
+/// # Errors
+///
+/// Propagates [`CrossbarError`] from execution and from `read`.
+pub(crate) fn run_schedule<L>(
+    array: &mut Crossbar,
+    writes: &[MicroOp],
+    additions: &[CompiledProgram],
+    reset_rows: usize,
+    trace: &StageTrace,
+    names: Option<&[&'static str]>,
+    read: impl FnOnce(&Crossbar) -> Result<L, CrossbarError>,
+) -> Result<(L, CycleStats), CrossbarError> {
+    let (rows, cols) = (array.rows(), array.cols());
+    if cfg!(debug_assertions) {
+        let mut prog = writes.to_vec();
+        prog.extend(additions.iter().flat_map(|p| p.ops().iter().cloned()));
+        let config = cim_check::VerifyConfig::new(rows, cols);
+        cim_check::debug_assert_verified(&prog, &config, "precompute schedule");
+    }
+    let mut exec = Executor::new(array);
+    exec.attach_tracer_at(&trace.tracer, trace.track, trace.start);
+    let stage = trace.span("precompute", 0);
+    let open = |name: Option<&'static str>, exec: &Executor<'_>| {
+        name.map(|name| trace.span(name, exec.stats().cycles))
+    };
+    let close = |span: Option<cim_trace::SpanGuard>, exec: &Executor<'_>| {
+        if let Some(span) = span {
+            span.end(trace.start + exec.stats().cycles);
+        }
+    };
+    let span = open(names.map(|_| "write chunks"), &exec);
+    exec.run(writes)?;
+    close(span, &exec);
+    for (i, addition) in additions.iter().enumerate() {
+        let span = open(names.map(|names| names[i]), &exec);
+        exec.run_compiled(addition)?;
+        close(span, &exec);
+    }
+    let out = read(exec.array())?;
+    exec.step(&MicroOp::reset_region(0..reset_rows, 0..cols))?;
+    stage.end(trace.start + exec.stats().cycles);
+    Ok((out, *exec.stats()))
 }
 
 /// The layout of the addition with result row `sum` on the shared
@@ -644,11 +641,7 @@ fn adder_for(width: usize, x: usize, y: usize, sum: usize) -> KoggeStoneAdder {
 /// addition is then re-packed into co-issue bundles individually
 /// (bundles never straddle addition boundaries, preserving
 /// per-addition trace attribution).
-fn addition_suffix(
-    n: usize,
-    opt: OptLevel,
-    additions: usize,
-) -> Result<SuffixProgram, CrossbarError> {
+fn addition_suffix(n: usize, opt: OptLevel, additions: usize) -> Result<Suffix, CrossbarError> {
     let (width, cols) = (n / 4 + 1, n / 4 + 2);
     let parts: Vec<_> = ADDITIONS[..additions]
         .iter()
@@ -661,7 +654,7 @@ fn addition_suffix(
             ops.extend(part);
             ends.push(ops.len());
         }
-        return SuffixProgram::new(ops, &ends);
+        return Ok(crate::progcache::compile_split(ops, &ends)?.into());
     }
     // Tag every op with its addition, fuse, and eliminate dead
     // writes across the whole suffix. Live-out: the ten result
@@ -696,7 +689,7 @@ fn addition_suffix(
         }
         ends.push(ops.len());
     }
-    SuffixProgram::new(ops, &ends)
+    Ok(crate::progcache::compile_split(ops, &ends)?.into())
 }
 
 #[cfg(test)]
@@ -762,7 +755,8 @@ mod tests {
     /// The chunk writes stage each chunk row as the lane-wise
     /// transpose of that chunk of every lane, and the leaf rows the
     /// stage hands on are the transposed leaves — exactly the payloads
-    /// the row multipliers' `load_batch_program` builds from them.
+    /// the row multipliers load from the per-lane leaves transposed by
+    /// `pair_lanes`.
     #[test]
     fn staged_lane_payloads_are_the_transposed_uint_operands() {
         use cim_crossbar::lanes::transpose_lanes;
@@ -813,9 +807,10 @@ mod tests {
                     .zip(&db)
                     .map(|(x, y)| (x.leaves[i].clone(), y.leaves[i].clone()))
                     .collect();
+                let (x, y) = cim_logic::pair_lanes(&leaf_pairs, cols);
                 assert_eq!(
                     mult.load_lanes_program(i, 0, &out.a_leaves[i], &out.b_leaves[i]),
-                    mult.load_batch_program(i, 0, &leaf_pairs),
+                    mult.load_lanes_program(i, 0, &x, &y),
                     "n = {n}, leaf {i}"
                 );
             }

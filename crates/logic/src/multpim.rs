@@ -32,11 +32,20 @@
 //! (the product `a·b` and the last active iteration's carries) are
 //! stored once. A row with a stuck-at fault runs the cell-serial
 //! reference loop instead, so pinned reads feed back into the sums.
+//!
+//! ### Batches
+//!
+//! On a bit-sliced array one row holds up to 64 multiplications, one
+//! per lane, at the cycle cost of one:
+//! [`RowMultiplier::load_lanes_program`] and
+//! [`RowMultiplier::run_lanes_in`] take both operands as lane words
+//! (one word per column, bit `l` for lane `l`) and return the product
+//! region the same way. [`crate::pair_lanes`] and [`crate::lane_uints`]
+//! transpose per-lane integers in and out; the multiplier stage keeps
+//! its batches in lane words from end to end.
 
 use cim_bigint::Uint;
-use cim_crossbar::{
-    BackendKind, Crossbar, CrossbarError, EnduranceReport, Executor, MicroOp, Region,
-};
+use cim_crossbar::{BackendKind, Crossbar, CrossbarError, Executor, MicroOp, Region};
 
 /// Cells per row required for one `w`-bit in-row multiplier
 /// (paper: `12·(n/4+2)` for the stage's `w = n/4+2`-bit operands).
@@ -202,35 +211,12 @@ impl RowMultiplier {
         ))
     }
 
-    /// The batch operand-loading prologue: each `(a, b)` pair is
-    /// transposed into per-column lane words (bit `l` of the word for
-    /// column `j` = bit `j` of lane `l`'s operand) and loaded by
-    /// [`RowMultiplier::load_lanes_program`] — the same three micro-ops
-    /// that load one instance load up to 64: identical cycle cost,
-    /// identical trace shape, identical per-cell wear.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs` is empty, an operand exceeds `width` bits or
-    /// more than 64 pairs are given.
-    pub fn load_batch_program(
-        &self,
-        row: usize,
-        col_base: usize,
-        pairs: &[(Uint, Uint)],
-    ) -> Vec<MicroOp> {
-        assert!(
-            !pairs.is_empty() && pairs.len() <= 64,
-            "batch must hold 1..=64 lanes"
-        );
-        let (a, b) = crate::pair_lanes(pairs, self.width);
-        self.load_lanes_program(row, col_base, &a, &b)
-    }
-
-    /// The batch operand-loading prologue on operands already in lane
-    /// words (`width` words each, bit `l` of word `j` = bit `j` of
-    /// lane `l`'s operand): both rows are written as they are, plus the
-    /// reset wave over the shared product region.
+    /// The batch operand-loading prologue on operands in lane words
+    /// (`width` words each, bit `l` of word `j` = bit `j` of lane `l`'s
+    /// operand): both rows are written as they are, plus the reset wave
+    /// over the shared product region — the same three micro-ops that
+    /// load one instance load up to 64, with identical cycle cost,
+    /// trace shape and per-cell wear.
     ///
     /// # Panics
     ///
@@ -258,46 +244,21 @@ impl RowMultiplier {
         cim_check::debug_assert_verified(
             &prog,
             &cim_check::VerifyConfig::new(row + 1, col_base + self.required_cols()),
-            "RowMultiplier::load_batch_program",
+            "RowMultiplier::load_lanes_program",
         );
         prog
     }
 
     /// Runs up to 64 independent multiplications in row `row` of a
-    /// bit-sliced array — lane `l` computes `pairs[l].0 · pairs[l].1`.
-    /// One loading prologue and one shift-add pass execute every lane
-    /// in the same `O(w)` bulk operations a single instance takes, so
-    /// the analytic latency (and the trace shape) is identical to
+    /// bit-sliced array on operands in lane words (`width` words each,
+    /// bit `l` of word `j` = bit `j` of lane `l`'s operand; see
+    /// [`crate::pair_lanes`]) for the first `lanes` lanes. One loading
+    /// prologue and one shift-add pass execute every lane in the same
+    /// `O(w)` bulk operations a single instance takes, so the analytic
+    /// latency (and the trace shape) is identical to
     /// [`RowMultiplier::run_in`]; throughput scales with the lane
     /// count. Per lane, the final cell values and per-cell wear are
-    /// bit-identical to a solo run with the same operands. This is
-    /// [`RowMultiplier::run_lanes_in`] with the operands transposed in
-    /// and the products transposed out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrossbarError::LaneOutOfRange`] if more pairs are
-    /// given than the array has lanes, and propagates geometry errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs` is empty or an operand exceeds `width` bits.
-    pub fn run_batch_in(
-        &self,
-        array: &mut Crossbar,
-        row: usize,
-        col_base: usize,
-        pairs: &[(Uint, Uint)],
-    ) -> Result<(Vec<Uint>, RowMultStats), CrossbarError> {
-        // Refused before the transposes, which take at most 64 lanes.
-        check_lanes(array, pairs.len())?;
-        let (a, b) = crate::pair_lanes(pairs, self.width);
-        let (product, stats) = self.run_lanes_in(array, row, col_base, &a, &b, pairs.len())?;
-        Ok((crate::lane_uints(&product, pairs.len()), stats))
-    }
-
-    /// [`RowMultiplier::run_batch_in`] on operands in lane words
-    /// (`width` words each) for the first `lanes` lanes: returns the
+    /// bit-identical to a solo run with the same operands. Returns the
     /// `2·width`-column product region as lane words, bits of lanes at
     /// `lanes` and above cleared.
     ///
@@ -570,22 +531,6 @@ impl RowMultiplier {
         let mut array = Crossbar::new(1, self.required_cols())?;
         self.run_in(&mut array, 0, 0, a, b)
     }
-
-    /// Standalone multiplication that also returns the endurance
-    /// report of the row (for the write-count comparisons of Table I).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrossbarError`] from execution.
-    pub fn multiply_with_endurance(
-        &self,
-        a: &Uint,
-        b: &Uint,
-    ) -> Result<(Uint, RowMultStats, EnduranceReport), CrossbarError> {
-        let mut array = Crossbar::new(1, self.required_cols())?;
-        let (product, stats) = self.run_in(&mut array, 0, 0, a, b)?;
-        Ok((product, stats, EnduranceReport::from_array(&array)))
-    }
 }
 
 /// The per-cell wear pulses the shift-add's iteration writes leave on
@@ -643,6 +588,19 @@ fn check_lanes(array: &Crossbar, lanes: usize) -> Result<(), CrossbarError> {
 mod tests {
     use super::*;
     use cim_bigint::rng::{corner_cases, UintRng};
+
+    /// Runs `pairs` as one batch in row 0 of `array`, lane `l` taking
+    /// `pairs[l]`: the operands transposed into lane words, the products
+    /// transposed back per lane.
+    fn run_pairs(
+        m: &RowMultiplier,
+        array: &mut Crossbar,
+        pairs: &[(Uint, Uint)],
+    ) -> Result<(Vec<Uint>, RowMultStats), CrossbarError> {
+        let (a, b) = crate::pair_lanes(pairs, m.width());
+        let (products, stats) = m.run_lanes_in(array, 0, 0, &a, &b, pairs.len())?;
+        Ok((crate::lane_uints(&products, pairs.len()), stats))
+    }
 
     #[test]
     fn exhaustive_4_bit() {
@@ -723,7 +681,9 @@ mod tests {
     fn per_cell_writes_scale_linearly_with_width() {
         let m = RowMultiplier::new(16);
         let ones = Uint::from_u64(0xFFFF);
-        let (_, _, report) = m.multiply_with_endurance(&ones, &ones).unwrap();
+        let mut row = Crossbar::new(1, m.required_cols()).unwrap();
+        m.run_in(&mut row, 0, 0, &ones, &ones).unwrap();
+        let report = cim_crossbar::EnduranceReport::from_array(&row);
         // Worst case: every iteration active; accumulator cells sit in
         // up to w sliding windows and the carry cells are reused every
         // iteration → O(w) per-cell writes, matching MultPIM's 4n scaling.
@@ -858,8 +818,8 @@ mod tests {
         let cols = m.required_cols();
         let first: Vec<(Uint, Uint)> = pairs.iter().rev().cloned().collect();
         let mut batch = Crossbar::new_sliced(1, cols, pairs.len()).unwrap();
-        m.run_batch_in(&mut batch, 0, 0, &first).unwrap();
-        let (products, stats) = m.run_batch_in(&mut batch, 0, 0, pairs).unwrap();
+        run_pairs(m, &mut batch, &first).unwrap();
+        let (products, stats) = run_pairs(m, &mut batch, pairs).unwrap();
         assert_eq!(stats.cycles, m.latency());
         for (lane, (a, b)) in pairs.iter().enumerate() {
             for kind in [BackendKind::Scalar, BackendKind::Packed] {
@@ -974,7 +934,7 @@ mod tests {
             (zero.clone(), zero.clone()),
             (zero.clone(), zero),
         ];
-        let (products, _) = m.run_batch_in(&mut array, 0, 0, &pairs).unwrap();
+        let (products, _) = run_pairs(&m, &mut array, &pairs).unwrap();
         assert_eq!(products[0], Uint::from_u64(35), "healthy lane unaffected");
         assert_eq!(
             products[1],
@@ -990,7 +950,7 @@ mod tests {
         let mut array = Crossbar::new_sliced(1, m.required_cols(), 2).unwrap();
         let one = Uint::from_u64(1);
         let pairs = vec![(one.clone(), one.clone()); 3];
-        assert!(m.run_batch_in(&mut array, 0, 0, &pairs).is_err());
+        assert!(run_pairs(&m, &mut array, &pairs).is_err());
     }
 
     #[test]
