@@ -4,8 +4,14 @@
 //! wear-leveling scan the availability frontier, least-loaded scans
 //! load counters), so this bounds the simulator's own overhead per
 //! scheduled multiplication.
+//!
+//! `fleet_batch` is the shape the serving fleet submits: one closed
+//! batch of 4,118 same-class jobs (the mean batch of the zkEVM serving
+//! benchmark), all arriving at cycle 0, on a 4-tile wear-leveling farm,
+//! through both the sequential and the parallel path. Divide by 4,118
+//! for the scheduler's cost per job.
 
-use cim_sched::{FarmConfig, JobMix, Policy, Scheduler};
+use cim_sched::{Algo, FarmConfig, JobMix, Policy, Scheduler};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_policies(c: &mut Criterion) {
@@ -31,5 +37,29 @@ fn bench_policies(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_policies);
+fn bench_fleet_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fleet_batch");
+    group.sample_size(10);
+    let jobs = JobMix::uniform(256, Algo::Karatsuba, 0).generate(4_118, 7);
+    let config = FarmConfig::new(4, Policy::WearLeveling);
+    group.bench_function("run", |bench| {
+        bench.iter(|| {
+            let report = Scheduler::new(config)
+                .run(black_box(&jobs))
+                .expect("analytic profiles cannot fail");
+            black_box(report.makespan_cycles)
+        })
+    });
+    group.bench_function("run_parallel", |bench| {
+        bench.iter(|| {
+            let report = Scheduler::new(config)
+                .run_parallel(black_box(&jobs))
+                .expect("analytic profiles cannot fail");
+            black_box(report.makespan_cycles)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_policies, bench_fleet_batch);
 criterion_main!(benches);

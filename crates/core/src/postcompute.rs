@@ -453,7 +453,8 @@ impl PostcomputeStage {
     ///
     /// # Panics
     ///
-    /// Panics if a product exceeds its maximal width (`n/2 + 4` bits).
+    /// Panics if a product exceeds twice its leaf's width
+    /// ([`crate::chunks::leaf_widths`]; at most `n/2 + 4` bits).
     pub fn run(&self, products: &[Uint; LEAVES]) -> Result<PostcomputeOutput, CrossbarError> {
         self.run_traced(products, &Tracer::disabled(), TrackId(0), 0)
     }
@@ -537,7 +538,8 @@ impl PostcomputeStage {
     ///
     /// # Panics
     ///
-    /// Panics if a product exceeds its maximal width (`n/2 + 4` bits).
+    /// Panics if a product exceeds twice its leaf's width
+    /// ([`crate::chunks::leaf_widths`]; at most `n/2 + 4` bits).
     pub fn run_traced(
         &self,
         products: &[Uint; LEAVES],
@@ -545,6 +547,13 @@ impl PostcomputeStage {
         track: TrackId,
         start_cycle: u64,
     ) -> Result<PostcomputeOutput, CrossbarError> {
+        for (c, width) in products.iter().zip(crate::chunks::leaf_widths(self.n)) {
+            assert!(
+                c.bit_len() <= 2 * width,
+                "product exceeds {} bits",
+                2 * width
+            );
+        }
         let trace = StageTrace {
             tracer: tracer.clone(),
             track,
@@ -813,5 +822,15 @@ mod tests {
     #[should_panic(expected = "at least 8")]
     fn rejects_tiny_widths() {
         let _ = PostcomputeStage::new(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "product exceeds 32 bits")]
+    fn solo_run_rejects_a_product_wider_than_its_leaf() {
+        // At n = 64 `c_ll` is the product of two 16-bit leaves; 2^48
+        // would overlap the `c_hl` segment of pass 1.
+        let mut products: [Uint; LEAVES] = std::array::from_fn(|_| Uint::zero());
+        products[0] = Uint::pow2(48);
+        let _ = PostcomputeStage::new(64).unwrap().run(&products);
     }
 }

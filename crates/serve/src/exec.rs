@@ -5,7 +5,8 @@
 //!
 //! * `mul` — Karatsuba ([`cim_bigint::mul::karatsuba`]) against
 //!   schoolbook ([`cim_bigint::mul::schoolbook`]);
-//! * `modexp` — Montgomery REDC against Barrett reduction;
+//! * `modexp` — the fixed-width Montgomery limb field
+//!   ([`cim_modmul::fp`]) against Barrett reduction over [`Uint`];
 //! * `ec_add` — Jacobian addition, checked commutatively and against
 //!   the curve equation;
 //! * `ec_mul` — double-and-add against the Montgomery ladder.
@@ -13,7 +14,10 @@
 //! A disagreement turns into a [`Response::Error`], never a wrong
 //! `Ok` — the serving layer's correctness contract. Clients can
 //! re-verify with [`OpExecutor::verify`], which recomputes one gold
-//! path from scratch.
+//! path from scratch: schoolbook for `mul`, Barrett for `modexp`, the
+//! ladder or a fresh addition for the curve operations. A served point
+//! is compared with the recomputed one projectively, so the client
+//! check never inverts.
 //!
 //! The pairs are independent in their algorithms, not always in their
 //! arithmetic. `modexp`'s two reductions share nothing. The EC checks
@@ -36,7 +40,7 @@ use cim_bigint::Uint;
 use cim_modmul::barrett::BarrettContext;
 use cim_modmul::ec::{Curve, Point};
 use cim_modmul::fields::FieldId;
-use cim_modmul::montgomery::MontgomeryContext;
+use cim_modmul::fp::FpContext;
 use cim_modmul::ModularReducer;
 use cim_sched::validate_width;
 
@@ -101,7 +105,7 @@ pub fn validate(op: &Op) -> Result<(), String> {
 
 /// Per-thread arithmetic contexts for every field in the catalogue.
 pub struct OpExecutor {
-    mont: Vec<MontgomeryContext>,
+    fields: Vec<FpContext>,
     barrett: Vec<BarrettContext>,
     curves: Vec<Option<Curve>>,
 }
@@ -111,9 +115,9 @@ impl OpExecutor {
     /// the Montgomery/Barrett precomputation once; `execute` calls are
     /// then allocation-light.
     pub fn new() -> Self {
-        let mont = FieldId::ALL
+        let fields = FieldId::ALL
             .iter()
-            .map(|f| MontgomeryContext::new(f.modulus()).expect("catalogue moduli are odd"))
+            .map(|f| FpContext::new(f.modulus()).expect("catalogue moduli are odd, ≤ 384 bits"))
             .collect();
         let barrett = FieldId::ALL
             .iter()
@@ -135,7 +139,7 @@ impl OpExecutor {
             })
             .collect();
         OpExecutor {
-            mont,
+            fields,
             barrett,
             curves,
         }
@@ -162,6 +166,29 @@ impl OpExecutor {
         }
     }
 
+    /// Whether `served` is exactly the encoding of `expect`, decided
+    /// without converting `expect` to affine: the identity must be
+    /// [`EcPoint::infinity`] itself, and a finite point must have
+    /// canonical coordinates (`x, y < p`) that decode on the curve to
+    /// the same group element.
+    fn encodes(&self, curve: &Curve, served: &EcPoint, expect: &Point) -> bool {
+        if served.infinity {
+            return *served == EcPoint::infinity() && expect.is_infinity();
+        }
+        let p = curve.modulus();
+        served.x < *p
+            && served.y < *p
+            && curve
+                .point(&served.x, &served.y)
+                .is_some_and(|q| curve.points_equal(&q, expect))
+    }
+
+    /// `base^exp` mod the modulus of field `i`, on the limb field.
+    fn pow_mod(&self, i: usize, base: &Uint, exp: &Uint) -> Uint {
+        let f = &self.fields[i];
+        f.to_uint(&f.pow(&f.from_uint(base), exp))
+    }
+
     /// Computes `op` and cross-checks it against an independent
     /// implementation.
     ///
@@ -183,7 +210,7 @@ impl OpExecutor {
             }
             Op::ModExp { field, base, exp } => {
                 let i = field.code() as usize;
-                let fast = self.mont[i].pow_mod(base, exp);
+                let fast = self.pow_mod(i, base, exp);
                 let gold = self.barrett[i].pow_mod(base, exp);
                 if fast != gold {
                     return Err("gold mismatch: montgomery vs barrett".to_string());
@@ -239,8 +266,7 @@ impl OpExecutor {
                 else {
                     return false;
                 };
-                let expect = self.encode_point(curve, &curve.add(&pp, &qq));
-                expect == *out
+                self.encodes(curve, out, &curve.add(&pp, &qq))
             }
             (Op::EcMul { field, k, p }, ResponsePayload::Point(out)) => {
                 let Some(curve) = self.curve(*field) else {
@@ -249,8 +275,7 @@ impl OpExecutor {
                 let Ok(pp) = self.decode_point(curve, p) else {
                     return false;
                 };
-                let expect = self.encode_point(curve, &curve.scalar_mul_ladder(k, &pp));
-                expect == *out
+                self.encodes(curve, out, &curve.scalar_mul_ladder(k, &pp))
             }
             // Shape mismatch: a point for a scalar op or vice versa.
             _ => false,
@@ -313,15 +338,18 @@ mod tests {
         for field in FieldId::ALL {
             let i = field.code() as usize;
             let m = field.modulus();
+            // Requests may carry any base; both paths reduce it first.
             for base in [
                 Uint::zero(),
                 Uint::one(),
                 m.sub(&Uint::one()),
                 rng.below(&m),
+                m.clone(),
+                rng.uniform(2 * m.bit_len()),
             ] {
                 for exp in &exps {
                     assert_eq!(
-                        exec.mont[i].pow_mod(&base, exp),
+                        exec.pow_mod(i, &base, exp),
                         exec.barrett[i].pow_mod(&base, exp),
                         "{} base {base} exp bits {}",
                         field.label(),
@@ -371,6 +399,75 @@ mod tests {
             match exec.execute(&cancel).expect("cancelling add") {
                 ResponsePayload::Point(out) => assert!(out.infinity),
                 other => panic!("expected a point, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn verify_rejects_mutated_points() {
+        let exec = OpExecutor::new();
+        for field in [FieldId::Bn254Base, FieldId::Bls12_381Base] {
+            let curve = exec.curve(field).expect("serving curve");
+            let m = curve.modulus();
+            let affine = |pt: &Point| {
+                let (x, y) = curve.to_affine(pt).expect("finite");
+                EcPoint::affine(x, y)
+            };
+            let base = curve.find_point();
+            let p = affine(&base);
+            let q = affine(&curve.double(&base));
+            let ops = [
+                Op::EcAdd {
+                    field,
+                    p: p.clone(),
+                    q: q.clone(),
+                },
+                Op::EcMul {
+                    field,
+                    k: Uint::from_u64(5),
+                    p: p.clone(),
+                },
+                Op::EcAdd {
+                    field,
+                    p: p.clone(),
+                    q: affine(&curve.neg(&base)),
+                },
+            ];
+            for op in &ops {
+                let Ok(ResponsePayload::Point(out)) = exec.execute(op) else {
+                    panic!("{op:?} must serve a point");
+                };
+                assert!(exec.verify(op, &ResponsePayload::Point(out.clone())));
+                let mut mutants = Vec::new();
+                if out.infinity {
+                    mutants.push(EcPoint::affine(out.x.clone(), out.y.clone()));
+                    for (x, y) in [(1, 0), (0, 1), (1, 1)] {
+                        mutants.push(EcPoint {
+                            infinity: true,
+                            ..EcPoint::affine(Uint::from_u64(x), Uint::from_u64(y))
+                        });
+                    }
+                    mutants.push(p.clone());
+                } else {
+                    mutants.push(EcPoint::affine(out.x.add(m), out.y.clone()));
+                    mutants.push(EcPoint::affine(out.x.clone(), out.y.add(m)));
+                    mutants.push(EcPoint::affine(out.x.add(m), out.y.add(m)));
+                    mutants.push(EcPoint {
+                        infinity: true,
+                        ..out.clone()
+                    });
+                    mutants.push(EcPoint::infinity());
+                    // A different on-curve point: the negation.
+                    mutants.push(EcPoint::affine(out.x.clone(), m.sub(&out.y)));
+                    mutants.push(if out == p { q.clone() } else { p.clone() });
+                }
+                for mutant in mutants {
+                    assert!(
+                        !exec.verify(op, &ResponsePayload::Point(mutant.clone())),
+                        "{} accepted {mutant:?} for {op:?}",
+                        field.label()
+                    );
+                }
             }
         }
     }
