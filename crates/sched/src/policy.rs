@@ -82,7 +82,6 @@ mod tests {
     use super::*;
     use crate::job::{Algo, Job};
     use crate::profile::JobProfile;
-    use cim_crossbar::EnergyParams;
 
     fn farm(n: usize) -> Vec<Tile> {
         (0..n).map(|i| Tile::new(i, 8)).collect()
@@ -99,7 +98,7 @@ mod tests {
             arrival: 0,
         };
         assert_eq!(Policy::Fifo.pick(&tiles, 0), 0);
-        tiles[0].execute(&job, &profile, false, &EnergyParams::default());
+        tiles[0].place(&job, &profile, false);
         assert_eq!(Policy::Fifo.pick(&tiles, 0), 1);
     }
 
@@ -113,7 +112,7 @@ mod tests {
             algo: Algo::Karatsuba,
             arrival: 0,
         };
-        tiles[0].execute(&job, &big, false, &EnergyParams::default());
+        tiles[0].place(&job, &big, false);
         assert_eq!(Policy::LeastLoaded.pick(&tiles, 0), 1);
     }
 
@@ -127,7 +126,7 @@ mod tests {
             algo: Algo::Karatsuba,
             arrival: 0,
         };
-        tiles[0].execute(&job, &profile, true, &EnergyParams::default());
+        tiles[0].place(&job, &profile, true);
         // Both tiles are free far in the future; tile 1 has no wear.
         let later = tiles[0].drained_at();
         assert_eq!(Policy::WearLeveling.pick(&tiles, later), 1);

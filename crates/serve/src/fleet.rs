@@ -7,10 +7,10 @@
 //! `max(farm_clock, batch_ready)`, and advances the clock by the
 //! batch's makespan — so the fleet timing model is the same
 //! cycle-domain arithmetic the scheduler itself uses, end to end.
-//! Small batches run on the scheduler's sequential path; large ones
-//! take [`Scheduler::run_parallel`], whose report is byte-identical,
-//! so the threshold is a pure wall-time knob that cannot change any
-//! simulated number.
+//! Small batches go through [`Scheduler::run`]; large ones take
+//! [`Scheduler::run_parallel`], which calibrates the batch's classes
+//! first and returns a byte-identical report, so the threshold is a
+//! pure wall-time knob that cannot change any simulated number.
 
 use crate::batcher::Batch;
 use crate::protocol::OpKind;
@@ -26,8 +26,8 @@ pub struct FleetConfig {
     pub tiles_per_farm: usize,
     /// Tile-selection policy inside each farm.
     pub policy: Policy,
-    /// Batches expanding to at least this many jobs use the
-    /// scheduler's parallel path (wall-time only; reports identical).
+    /// Batches expanding to at least this many jobs go through
+    /// [`Scheduler::run_parallel`] (wall-time only; reports identical).
     pub parallel_threshold: usize,
 }
 
