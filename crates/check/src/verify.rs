@@ -360,20 +360,17 @@ impl AbstractState {
                     return;
                 }
             }
-            let fps: Vec<_> = inner.iter().map(MicroOp::footprint).collect();
-            for (i, a) in fps.iter().enumerate() {
-                for (j, b) in fps.iter().enumerate() {
+            for (i, a) in inner.iter().enumerate() {
+                for (j, b) in inner.iter().enumerate() {
                     if i == j {
                         continue;
                     }
                     // A write colliding with another op's read *or*
                     // write breaks same-cycle determinism; shared
                     // reads are fine (one driven line, many gates).
-                    let collides = a.writes.iter().any(|w| {
-                        b.writes
-                            .iter()
-                            .chain(b.reads.iter())
-                            .any(|r| w.intersects(r))
+                    let collides = a.any_region(true, |w| {
+                        b.any_region(true, |r| w.intersects(&r))
+                            || b.any_region(false, |r| w.intersects(&r))
                     });
                     if collides {
                         violations.push(Violation::BundleConflict {
@@ -424,20 +421,27 @@ impl AbstractState {
             }
         }
 
-        // Bounds, from the op's metadata footprint.
-        let fp = op.footprint();
-        if fp.row_bound() > self.rows {
+        // Bounds, over every region the op touches.
+        let (mut row_bound, mut col_bound) = (0, 0);
+        for writes in [false, true] {
+            op.any_region(writes, |r| {
+                row_bound = row_bound.max(r.rows.end);
+                col_bound = col_bound.max(r.cols.end);
+                false
+            });
+        }
+        if row_bound > self.rows {
             violations.push(Violation::RowOutOfRange {
                 op: index,
-                row: fp.row_bound() - 1,
+                row: row_bound - 1,
                 rows: self.rows,
             });
             return;
         }
-        if fp.col_bound() > self.cols {
+        if col_bound > self.cols {
             violations.push(Violation::ColOutOfRange {
                 op: index,
-                col: fp.col_bound() - 1,
+                col: col_bound - 1,
                 cols: self.cols,
             });
             return;
@@ -467,11 +471,13 @@ impl AbstractState {
 
         // Read-before-init over every sensed cell (one report per op,
         // the first uninitialized cell in region, row, column order).
-        let first_uninit = fp.reads.iter().find_map(|region| {
-            region
+        let mut first_uninit = None;
+        op.any_region(false, |region| {
+            first_uninit = region
                 .rows
                 .clone()
-                .find_map(|r| Some((r, self.first_uninit(r, &region.cols)?)))
+                .find_map(|r| Some((r, self.first_uninit(r, &region.cols)?)));
+            first_uninit.is_some()
         });
         if let Some((row, col)) = first_uninit {
             violations.push(Violation::ReadBeforeInit {

@@ -374,11 +374,12 @@ impl MicroOp {
     /// prospective [`MicroOp::Parallel`] bundle), or `None` when the
     /// bundle is legal: non-empty, no nesting, every op in the
     /// co-issue class, and pairwise independent (no op's writes
-    /// intersect another op's reads or writes). Shared read regions
-    /// are allowed. Used by the executor at issue time and by the
-    /// `cim-mir` scheduler when packing, so it allocates nothing: it
-    /// compares the ops' spans in place. The static verifier in
-    /// `cim-check` re-implements the same rules independently.
+    /// intersect another op's reads or writes, see
+    /// [`MicroOp::conflicts`]). Shared read regions are allowed. Used
+    /// by the executor at issue time and when a program is compiled,
+    /// so it allocates nothing unless it reports a violation. The
+    /// static verifier in `cim-check` re-implements the same rules
+    /// independently.
     pub fn bundle_conflict(ops: &[MicroOp]) -> Option<String> {
         if ops.is_empty() {
             return Some("bundle is empty".to_string());
@@ -393,14 +394,7 @@ impl MicroOp {
         }
         for (i, a) in ops.iter().enumerate() {
             for (j, b) in ops.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let hits_b = &mut |w: Region| {
-                    b.any_co_issue_region(true, &mut |r| w.intersects(&r))
-                        || b.any_co_issue_region(false, &mut |r| w.intersects(&r))
-                };
-                if a.any_co_issue_region(true, hits_b) {
+                if i != j && MicroOp::conflicts(a, b) {
                     return Some(format!("ops {i} and {j} touch the same cells"));
                 }
             }
@@ -408,22 +402,57 @@ impl MicroOp {
         None
     }
 
-    /// Visits the regions [`MicroOp::footprint`] lists for a co-issue
-    /// class op — the written ones if `writes`, else the read ones —
-    /// in order and without allocating, until `f` returns `true`.
-    /// Returns whether it did.
-    fn any_co_issue_region<F: FnMut(Region) -> bool>(&self, writes: bool, f: &mut F) -> bool {
+    /// Whether `a` writes a cell that `b` reads or writes. Two ops may
+    /// share an issue slot only if this holds neither way round, and
+    /// for two ops in program order it holds either way round exactly
+    /// when the later one has a hazard on the earlier.
+    pub fn conflicts(a: &MicroOp, b: &MicroOp) -> bool {
+        a.any_region(true, |w| {
+            b.any_region(true, |r| w.intersects(&r)) || b.any_region(false, |r| w.intersects(&r))
+        })
+    }
+
+    /// Visits the regions this op writes (`writes`) or reads, in the
+    /// order [`MicroOp::footprint`] lists them and without allocating,
+    /// until `f` returns `true`. Returns whether it did. A bundle
+    /// visits its inner ops' regions in order.
+    ///
+    /// This is the one enumeration of an op's cells: the footprint,
+    /// the co-issue rules, the `cim-mir` passes and the `cim-check`
+    /// verifier all walk it.
+    pub fn any_region<F: FnMut(Region) -> bool>(&self, writes: bool, mut f: F) -> bool {
+        self.visit_regions(writes, &mut f)
+    }
+
+    fn visit_regions<F: FnMut(Region) -> bool>(&self, writes: bool, f: &mut F) -> bool {
+        let row_span = |row: usize, cols: &ColRange| Region::new(row..row + 1, cols.clone());
         match self {
+            MicroOp::WriteRow {
+                row,
+                col_offset,
+                bits,
+            } => writes && f(row_span(*row, &(*col_offset..col_offset + bits.len()))),
+            MicroOp::WriteRowLanes {
+                row,
+                col_offset,
+                lane_words,
+            } => {
+                writes
+                    && f(row_span(
+                        *row,
+                        &(*col_offset..col_offset + lane_words.len()),
+                    ))
+            }
+            MicroOp::ReadRow { row, cols } => !writes && f(row_span(*row, cols)),
             MicroOp::InitRows { rows, cols } | MicroOp::ResetRows { rows, cols } => {
-                writes && rows.iter().any(|&r| f(Region::new(r..r + 1, cols.clone())))
+                writes && rows.iter().any(|&r| f(row_span(r, cols)))
             }
             MicroOp::ResetRegion(region) => writes && f(region.clone()),
             MicroOp::NorRows { inputs, out, cols } => {
-                let row = |r: usize| Region::new(r..r + 1, cols.clone());
                 if writes {
-                    f(row(*out))
+                    f(row_span(*out, cols))
                 } else {
-                    inputs.iter().any(|&r| f(row(r)))
+                    inputs.iter().any(|&r| f(row_span(r, cols)))
                 }
             }
             MicroOp::NorCols {
@@ -459,12 +488,17 @@ impl MicroOp {
                         .any(|&off| f(Region::new(rows.clone(), base + off..base + off + 1)))
                 })
             }
-            _ => unreachable!("serial-only ops are rejected before the pairwise check"),
+            MicroOp::Shift { src, dst, cols, .. } => {
+                f(row_span(if writes { *dst } else { *src }, cols))
+            }
+            MicroOp::Parallel(ops) => ops.iter().any(|op| op.visit_regions(writes, f)),
         }
     }
 
     /// The cells this op senses (reads) and drives (writes), as
     /// rectangular regions — the metadata static analyzers build on.
+    /// [`MicroOp::any_region`] walks the same regions without
+    /// allocating.
     ///
     /// Regions are exact except for a [`MicroOp::NorColsPartitioned`]
     /// with inconsistent geometry (zero or non-dividing partition
@@ -472,98 +506,17 @@ impl MicroOp {
     /// span is conservatively reported as both read and written; the
     /// executor rejects such an op before touching any cell anyway.
     pub fn footprint(&self) -> OpFootprint {
-        let row_span = |row: usize, cols: &ColRange| Region::new(row..row + 1, cols.clone());
-        match self {
-            MicroOp::WriteRow {
-                row,
-                col_offset,
-                bits,
-            } => OpFootprint {
-                reads: Vec::new(),
-                writes: vec![row_span(*row, &(*col_offset..col_offset + bits.len()))],
-            },
-            MicroOp::WriteRowLanes {
-                row,
-                col_offset,
-                lane_words,
-            } => OpFootprint {
-                reads: Vec::new(),
-                writes: vec![row_span(
-                    *row,
-                    &(*col_offset..col_offset + lane_words.len()),
-                )],
-            },
-            MicroOp::ReadRow { row, cols } => OpFootprint {
-                reads: vec![row_span(*row, cols)],
-                writes: Vec::new(),
-            },
-            MicroOp::InitRows { rows, cols } | MicroOp::ResetRows { rows, cols } => OpFootprint {
-                reads: Vec::new(),
-                writes: rows.iter().map(|&r| row_span(r, cols)).collect(),
-            },
-            MicroOp::ResetRegion(region) => OpFootprint {
-                reads: Vec::new(),
-                writes: vec![region.clone()],
-            },
-            MicroOp::NorRows { inputs, out, cols } => OpFootprint {
-                reads: inputs.iter().map(|&r| row_span(r, cols)).collect(),
-                writes: vec![row_span(*out, cols)],
-            },
-            MicroOp::NorCols {
-                in_cols,
-                out_col,
-                rows,
-            } => OpFootprint {
-                reads: in_cols
-                    .iter()
-                    .map(|&c| Region::new(rows.clone(), c..c + 1))
-                    .collect(),
-                writes: vec![Region::new(rows.clone(), *out_col..out_col + 1)],
-            },
-            MicroOp::NorColsPartitioned {
-                rows,
-                cols,
-                part_width,
-                in_offsets,
-                out_offset,
-            } => {
-                if !partition_geometry_ok(cols, *part_width, in_offsets, *out_offset) {
-                    let whole = Region::new(rows.clone(), cols.clone());
-                    return OpFootprint {
-                        reads: vec![whole.clone()],
-                        writes: vec![whole],
-                    };
-                }
-                let bases = (cols.start..cols.end).step_by(*part_width);
-                OpFootprint {
-                    reads: bases
-                        .clone()
-                        .flat_map(|base| {
-                            in_offsets.iter().map(move |&off| {
-                                Region::new(rows.clone(), base + off..base + off + 1)
-                            })
-                        })
-                        .collect(),
-                    writes: bases
-                        .map(|base| {
-                            Region::new(rows.clone(), base + out_offset..base + out_offset + 1)
-                        })
-                        .collect(),
-                }
-            }
-            MicroOp::Shift { src, dst, cols, .. } => OpFootprint {
-                reads: vec![row_span(*src, cols)],
-                writes: vec![row_span(*dst, cols)],
-            },
-            MicroOp::Parallel(ops) => {
-                let mut fp = OpFootprint::default();
-                for op in ops {
-                    let inner = op.footprint();
-                    fp.reads.extend(inner.reads);
-                    fp.writes.extend(inner.writes);
-                }
-                fp
-            }
+        let collect = |writes: bool| {
+            let mut regions = Vec::new();
+            self.any_region(writes, |r| {
+                regions.push(r);
+                false
+            });
+            regions
+        };
+        OpFootprint {
+            reads: collect(false),
+            writes: collect(true),
         }
     }
 }

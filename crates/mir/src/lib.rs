@@ -24,8 +24,9 @@
 //!   limits and compacts non-interface rows into the lowest free
 //!   word lines.
 //!
-//! Every dependence decision is derived from [`MicroOp::footprint`]
-//! (the def-use information of the SSA view): op `j` depends on op
+//! Every dependence decision is derived from the regions
+//! [`MicroOp::any_region`] visits (the def-use information of the SSA
+//! view): op `j` depends on op
 //! `i < j` iff `i`'s writes intersect `j`'s reads or writes, or `i`'s
 //! reads intersect `j`'s writes. MAGIC outputs count as *reads* too —
 //! the gate physically senses its output cell, which is what makes
@@ -38,7 +39,8 @@
 //! ignores conflicts, a placement that aliases rows) proving the
 //! oracle rejects every broken rewrite.
 
-use cim_crossbar::{MicroOp, OpFootprint, Region, WordSpan};
+use cim_crossbar::{MicroOp, Region, WordSpan};
+use std::borrow::Cow;
 use std::fmt;
 
 pub mod rowmul;
@@ -231,15 +233,14 @@ pub fn program_cycles(ops: &[MicroOp]) -> u64 {
 /// Total cell-writes a lowered program performs (area × waves; a
 /// bundle writes what its inner ops write).
 pub fn program_writes(ops: &[MicroOp]) -> u64 {
-    ops.iter()
-        .map(|op| {
-            op.footprint()
-                .writes
-                .iter()
-                .map(|r| (r.rows.len() * r.cols.len()) as u64)
-                .sum::<u64>()
-        })
-        .sum()
+    let mut writes = 0;
+    for op in ops {
+        op.any_region(true, |r| {
+            writes += r.cells() as u64;
+            false
+        });
+    }
+    writes
 }
 
 impl MirProgram {
@@ -298,7 +299,7 @@ impl MirProgram {
             OptLevel::O3 => {
                 let packed = parallel_pack(&dead_write_elim(self), limits);
                 let pinned = self.interface_rows();
-                let (placed, _map) = place(&packed, self.rows, limits, &pinned)
+                let (placed, _map) = place_cow(Cow::Owned(packed), self.rows, limits, &pinned)
                     .expect("placement must fit the stage tile");
                 placed
             }
@@ -319,21 +320,22 @@ impl MirProgram {
         }
         let mut written = vec![false; self.rows];
         for op in &self.insts {
-            let fp = op.footprint();
-            for region in &fp.reads {
-                for r in region.rows.clone() {
-                    if r < self.rows && !written[r] {
-                        pinned[r] = true;
-                    }
+            op.any_region(false, |region| {
+                for r in region.rows.start..region.rows.end.min(self.rows) {
+                    pinned[r] |= !written[r];
                 }
-            }
-            for region in &fp.writes {
-                for r in region.rows.clone() {
-                    if r < self.rows {
-                        written[r] = true;
-                    }
+                false
+            });
+            op.any_region(true, |region| {
+                for w in written
+                    .iter_mut()
+                    .take(region.rows.end)
+                    .skip(region.rows.start)
+                {
+                    *w = true;
                 }
-            }
+                false
+            });
         }
         (0..self.rows).filter(|&r| pinned[r]).collect()
     }
@@ -343,35 +345,27 @@ impl MirProgram {
 // Dependence analysis
 // ---------------------------------------------------------------------
 
-/// The regions an op *effectively* reads: declared reads plus, for
-/// MAGIC ops, the written cells (the gate senses its output, so the
-/// init wave that preconditions it is a true dependence).
-fn effective_reads<'a>(op: &MicroOp, fp: &'a OpFootprint) -> impl Iterator<Item = &'a Region> {
-    let outputs: &[Region] = if op.is_magic() { &fp.writes } else { &[] };
-    fp.reads.iter().chain(outputs)
-}
-
-/// Hazard state of one column segment of a row band: the op that last
-/// wrote all of its cells and the ops that read all of them since.
+/// One column segment of a row band and what it holds about the
+/// cells it covers (see [`Frontier`]).
 #[derive(Debug, Clone)]
-struct Segment {
+struct Segment<T> {
     start: usize,
     end: usize,
-    writer: Option<usize>,
-    readers: Vec<usize>,
+    val: T,
 }
 
-/// The dependence frontier of one row band: disjoint column segments
-/// sorted by start. Columns no op has touched have no segment.
-#[derive(Debug, Clone, Default)]
-struct Band {
-    segs: Vec<Segment>,
+/// One row band of a [`Frontier`]: disjoint column segments sorted by
+/// start. Columns no op has touched have no segment.
+#[derive(Debug, Clone)]
+struct Band<T> {
+    segs: Vec<Segment<T>>,
 }
 
-impl Band {
+impl<T: Clone + Default> Band<T> {
     /// Splits and fills segments so that a run of them covers exactly
     /// `lo..hi` (`lo < hi`), and returns the run's index range. A split
-    /// half inherits its parent's writer and readers.
+    /// half inherits its parent's value; a filled gap holds
+    /// `T::default()`.
     fn cover(&mut self, lo: usize, hi: usize) -> std::ops::Range<usize> {
         let mut i = self.segs.partition_point(|s| s.end <= lo);
         if i < self.segs.len() && self.segs[i].start < lo {
@@ -396,8 +390,7 @@ impl Band {
                 let fresh = Segment {
                     start: pos,
                     end,
-                    writer: None,
-                    readers: Vec::new(),
+                    val: T::default(),
                 };
                 self.segs.insert(i, fresh);
             }
@@ -408,31 +401,41 @@ impl Band {
     }
 }
 
-/// The dependence frontier of a program: its rows cut into *bands* at
+/// The hazard frontier of a program: its rows cut into *bands* at
 /// every region's row bounds, so each region covers a band wholly or
-/// not at all, and one [`Band`] of column segments per band.
-struct Frontier {
+/// not at all, and one [`Band`] of column segments per band, each
+/// segment holding a `T` about the last write and the reads since.
+/// [`dependence_preds`] keeps the ops themselves, [`parallel_pack`]
+/// only the slots they were issued in.
+struct Frontier<T> {
     cuts: Vec<usize>,
-    bands: Vec<Band>,
+    bands: Vec<Band<T>>,
 }
 
-impl Frontier {
-    fn new(fps: &[OpFootprint]) -> Self {
-        let mut cuts: Vec<usize> = fps
-            .iter()
-            .flat_map(|fp| fp.reads.iter().chain(&fp.writes))
-            .filter(|r| r.cells() > 0)
-            .flat_map(|r| [r.rows.start, r.rows.end])
-            .collect();
+impl<T: Clone + Default> Frontier<T> {
+    fn new(ops: &[MicroOp]) -> Self {
+        let mut cuts = Vec::new();
+        for op in ops {
+            for writes in [false, true] {
+                op.any_region(writes, |r| {
+                    if r.cells() > 0 {
+                        cuts.extend([r.rows.start, r.rows.end]);
+                    }
+                    false
+                });
+            }
+        }
         cuts.sort_unstable();
         cuts.dedup();
-        let bands = vec![Band::default(); cuts.len().saturating_sub(1)];
+        let band = Band { segs: Vec::new() };
+        let bands = vec![band; cuts.len().saturating_sub(1)];
         Frontier { cuts, bands }
     }
 
-    /// Calls `f` on every segment of `region`'s cells (none for an
-    /// empty region), splitting segments at the region's bounds.
-    fn for_each(&mut self, region: &Region, mut f: impl FnMut(&mut Segment)) {
+    /// Calls `f` on the value of every segment of `region`'s cells
+    /// (none for an empty region), splitting segments at the region's
+    /// bounds.
+    fn for_each(&mut self, region: &Region, mut f: impl FnMut(&mut T)) {
         if region.cells() == 0 {
             return;
         }
@@ -445,9 +448,28 @@ impl Frontier {
         };
         for b in first..last {
             let run = self.bands[b].cover(region.cols.start, region.cols.end);
-            self.bands[b].segs[run].iter_mut().for_each(&mut f);
+            for seg in &mut self.bands[b].segs[run] {
+                f(&mut seg.val);
+            }
         }
     }
+
+    /// [`Frontier::for_each`] over every region `op` writes
+    /// (`writes`) or reads.
+    fn for_each_of(&mut self, op: &MicroOp, writes: bool, mut f: impl FnMut(&mut T)) {
+        op.any_region(writes, |region| {
+            self.for_each(&region, &mut f);
+            false
+        });
+    }
+}
+
+/// What [`dependence_preds`] keeps per segment: the op that last wrote
+/// all of its cells and the ops that read all of them since.
+#[derive(Debug, Clone, Default)]
+struct Hazards {
+    writer: Option<usize>,
+    readers: Vec<usize>,
 }
 
 /// Predecessor sets of the program's dependence DAG, each ascending.
@@ -462,43 +484,34 @@ impl Frontier {
 ///
 /// The frontier is kept per row band as sorted column segments, which
 /// makes the pass linear in the program's regions times the segments
-/// they cover.
+/// they cover. [`parallel_pack`] walks the same frontier holding slots
+/// instead of ops, so it never builds these sets.
 pub fn dependence_preds(ops: &[MicroOp]) -> Vec<Vec<usize>> {
-    let fps: Vec<OpFootprint> = ops.iter().map(MicroOp::footprint).collect();
-    let mut frontier = Frontier::new(&fps);
+    let mut frontier = Frontier::<Hazards>::new(ops);
     let mut deps = Vec::with_capacity(ops.len());
     let mut preds = Vec::new();
-    // A MAGIC op also senses its output cells (see `effective_reads`),
-    // but visiting them as writes already names their last writer and
-    // leaves no reader on them, so only declared reads are visited as
-    // reads.
-    for (j, fp) in fps.iter().enumerate() {
+    // A MAGIC op also senses its output cells, but visiting them as
+    // writes already names their last writer and leaves no reader on
+    // them, so only declared reads are visited as reads.
+    for (j, op) in ops.iter().enumerate() {
         preds.clear();
-        for region in &fp.reads {
-            frontier.for_each(region, |seg| preds.extend(seg.writer));
-        }
-        for region in &fp.writes {
-            frontier.for_each(region, |seg| {
-                preds.extend(seg.writer);
-                preds.extend_from_slice(&seg.readers);
-            });
-        }
+        frontier.for_each_of(op, false, |h| preds.extend(h.writer));
+        frontier.for_each_of(op, true, |h| {
+            preds.extend(h.writer);
+            preds.extend_from_slice(&h.readers);
+        });
         preds.sort_unstable();
         preds.dedup();
         deps.push(preds.clone());
-        for region in &fp.reads {
-            frontier.for_each(region, |seg| {
-                if seg.readers.last() != Some(&j) {
-                    seg.readers.push(j);
-                }
-            });
-        }
-        for region in &fp.writes {
-            frontier.for_each(region, |seg| {
-                seg.writer = Some(j);
-                seg.readers.clear();
-            });
-        }
+        frontier.for_each_of(op, false, |h| {
+            if h.readers.last() != Some(&j) {
+                h.readers.push(j);
+            }
+        });
+        frontier.for_each_of(op, true, |h| {
+            h.writer = Some(j);
+            h.readers.clear();
+        });
     }
     deps
 }
@@ -523,20 +536,27 @@ pub fn dead_write_mask(prog: &MirProgram) -> Vec<bool> {
     }
     let mut keep = vec![true; prog.insts.len()];
     for (i, op) in prog.insts.iter().enumerate().rev() {
-        let fp = op.footprint();
         // Removable candidates: ops with no observable effect beyond
         // their writes. Reads (sensing) and bundles are kept as units.
         let removable = !matches!(op, MicroOp::ReadRow { .. } | MicroOp::Parallel(_));
-        if removable && !fp.writes.is_empty() && !fp.writes.iter().any(|w| needed.any(w)) {
+        if removable && op.any_region(true, |_| true) && !op.any_region(true, |w| needed.any(&w)) {
             keep[i] = false;
             continue;
         }
-        // needed = (needed − defs) ∪ uses.
-        for w in &fp.writes {
-            needed.fill(w, false);
-        }
-        for u in effective_reads(op, &fp) {
-            needed.fill(u, true);
+        // needed = (needed − defs) ∪ uses. A MAGIC op's uses include
+        // its outputs: the gate senses them, so the init wave that
+        // preconditions them is live.
+        op.any_region(true, |w| {
+            needed.fill(&w, false);
+            false
+        });
+        let mut uses = |u: Region| {
+            needed.fill(&u, true);
+            false
+        };
+        op.any_region(false, &mut uses);
+        if op.is_magic() {
+            op.any_region(true, &mut uses);
         }
     }
     keep
@@ -613,54 +633,77 @@ pub fn dead_write_elim(prog: &MirProgram) -> MirProgram {
 // Pass: NOR-level parallel re-packing (co-issue scheduling)
 // ---------------------------------------------------------------------
 
+/// What [`parallel_pack`] keeps per segment: the earliest slot a later
+/// op may take after the segment's last writer (its slot + 1), and
+/// after the reads since that write (the highest reader slot + 1); 0
+/// where there is none.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotBounds {
+    after_write: usize,
+    after_reads: usize,
+}
+
 /// Earliest-slot list scheduler: walks the instruction stream in
-/// order, places every op into the first issue slot at or after all
-/// its dependence predecessors that it can legally share (co-issue
-/// class, pairwise cell-disjointness via [`MicroOp::bundle_conflict`],
-/// bundle width ≤ `limits.partitions`), and emits multi-op slots as
+/// order, places every op into the first issue slot after all its
+/// hazards that it can legally share (co-issue class, bundle width ≤
+/// `limits.partitions`), and emits multi-op slots as
 /// [`MicroOp::Parallel`] bundles. Serial-periphery ops (writes, reads,
 /// shifts) always occupy a slot alone.
+///
+/// An op's earliest slot comes from a frontier of slot numbers: a
+/// read must follow the cell's last writer, a write must also follow
+/// the cell's readers since. This is the schedule the
+/// [`dependence_preds`] sets give (and the full pairwise hazard set
+/// gives): slots rise strictly along every hazard edge, so a hazard
+/// the frontier implies only transitively never sets the maximum.
+/// A hazard is exactly a [`MicroOp::conflicts`] either way round, so
+/// every op an op conflicts with sits in an earlier slot and a bundle
+/// needs no pairwise check.
 pub fn parallel_pack(prog: &MirProgram, limits: &TileLimits) -> Vec<MicroOp> {
-    let deps = dependence_preds(&prog.insts);
-    let mut slots: Vec<Vec<MicroOp>> = Vec::new();
-    let mut slot_of = vec![0usize; prog.insts.len()];
-    for (i, op) in prog.insts.iter().enumerate() {
-        // Slots rise strictly along every predecessor edge, so a hazard
-        // that `deps` implies only transitively never sets the maximum:
-        // the schedule is the one the full pairwise hazard set gives.
-        let earliest = deps[i].iter().map(|&p| slot_of[p] + 1).max().unwrap_or(0);
-        let mut chosen = None;
-        if op.can_co_issue() {
-            for (s, slot) in slots.iter().enumerate().skip(earliest) {
-                if slot.len() < limits.partitions && slot.iter().all(MicroOp::can_co_issue) {
-                    let mut candidate = slot.clone();
-                    candidate.push(op.clone());
-                    if MicroOp::bundle_conflict(&candidate).is_none() {
-                        chosen = Some(s);
-                        break;
-                    }
-                }
-            }
-        }
+    let ops = &prog.insts;
+    let mut frontier = Frontier::<SlotBounds>::new(ops);
+    // Each slot's members, as indices into `ops`.
+    let mut slots: Vec<Vec<usize>> = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let mut earliest = 0;
+        frontier.for_each_of(op, false, |b| earliest = earliest.max(b.after_write));
+        frontier.for_each_of(op, true, |b| {
+            earliest = earliest.max(b.after_write).max(b.after_reads);
+        });
+        // A serial op sits alone in its slot, so a slot whose first
+        // member co-issues holds only co-issue ops.
+        let chosen = if op.can_co_issue() {
+            (earliest..slots.len())
+                .find(|&s| slots[s].len() < limits.partitions && ops[slots[s][0]].can_co_issue())
+        } else {
+            None
+        };
+        // Every hazard is an op already placed, so `earliest` is at
+        // most the slot count and a new slot is never too early.
         let s = chosen.unwrap_or_else(|| {
             slots.push(Vec::new());
             slots.len() - 1
         });
-        // A new slot index can be below `earliest` only if `earliest`
-        // exceeded the current slot count, which cannot happen:
-        // predecessors were all placed in existing slots.
-        debug_assert!(s >= earliest || !slots[s].is_empty());
-        slots[s].push(op.clone());
-        slot_of[i] = s;
+        // Every earlier op that shares a cell with `op` sits in a slot
+        // below `earliest`, so no member of slot `s` conflicts with it.
+        debug_assert!(slots[s]
+            .iter()
+            .all(|&m| !MicroOp::conflicts(&ops[m], op) && !MicroOp::conflicts(op, &ops[m])));
+        debug_assert!(s >= earliest);
+        slots[s].push(i);
+        frontier.for_each_of(op, false, |b| b.after_reads = b.after_reads.max(s + 1));
+        frontier.for_each_of(op, true, |b| {
+            *b = SlotBounds {
+                after_write: s + 1,
+                after_reads: 0,
+            }
+        });
     }
     slots
         .into_iter()
-        .map(|mut slot| {
-            if slot.len() == 1 {
-                slot.pop().expect("non-empty slot")
-            } else {
-                MicroOp::parallel(slot)
-            }
+        .map(|slot| match slot[..] {
+            [only] => ops[only].clone(),
+            _ => MicroOp::parallel(slot.iter().map(|&m| ops[m].clone()).collect()),
         })
         .collect()
 }
@@ -672,11 +715,14 @@ pub fn parallel_pack(prog: &MirProgram, limits: &TileLimits) -> Vec<MicroOp> {
 fn remap_rows_in_op(op: &MicroOp, map: &[usize], index: usize) -> Result<MicroOp, PlaceError> {
     let m = |r: usize| map[r];
     let m_range = |range: &std::ops::Range<usize>| -> Result<std::ops::Range<usize>, PlaceError> {
+        // An empty range names no row to move.
+        if range.is_empty() {
+            return Ok(range.clone());
+        }
         let mut mapped: Vec<usize> = range.clone().map(m).collect();
         mapped.sort_unstable();
         if mapped.windows(2).all(|w| w[1] == w[0] + 1) {
-            let start = mapped.first().copied().unwrap_or(0);
-            Ok(start..start + mapped.len())
+            Ok(mapped[0]..mapped[0] + mapped.len())
         } else {
             Err(PlaceError::NonContiguousRange { op: index })
         }
@@ -781,17 +827,32 @@ pub fn place(
     limits: &TileLimits,
     pinned: &[usize],
 ) -> Result<(Vec<MicroOp>, Vec<usize>), PlaceError> {
+    place_cow(Cow::Borrowed(ops), rows, limits, pinned)
+}
+
+/// [`place`] over borrowed or owned ops: an owned program whose rows
+/// all stay put is returned as it is, without a copy.
+fn place_cow(
+    ops: Cow<'_, [MicroOp]>,
+    rows: usize,
+    limits: &TileLimits,
+    pinned: &[usize],
+) -> Result<(Vec<MicroOp>, Vec<usize>), PlaceError> {
     let mut used = vec![false; rows];
     let mut col_bound = 0usize;
-    for op in ops {
-        let fp = op.footprint();
-        col_bound = col_bound.max(fp.col_bound());
-        for region in fp.reads.iter().chain(fp.writes.iter()) {
-            for r in region.rows.clone() {
-                if r < rows {
-                    used[r] = true;
+    for op in ops.iter() {
+        for writes in [false, true] {
+            op.any_region(writes, |region| {
+                col_bound = col_bound.max(region.cols.end);
+                for u in used
+                    .iter_mut()
+                    .take(region.rows.end)
+                    .skip(region.rows.start)
+                {
+                    *u = true;
                 }
-            }
+                false
+            });
         }
     }
     let used_count = used.iter().filter(|&&u| u).count();
@@ -824,6 +885,11 @@ pub fn place(
             map[r] = next_free;
             taken[next_free] = true;
         }
+    }
+    // When no row moves (every adder program: all its rows are
+    // interface rows) the remap would copy each op unchanged.
+    if map.iter().enumerate().all(|(r, &m)| r == m) {
+        return Ok((ops.into_owned(), map));
     }
     let placed = ops
         .iter()

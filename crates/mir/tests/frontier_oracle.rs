@@ -7,8 +7,9 @@
 //! * [`dependence_preds`] returns a last-writer/readers frontier; the
 //!   reference compares every pair of ops. The frontier must be a
 //!   subset of the pairwise hazards with the same transitive closure.
-//! * [`parallel_pack`] must emit exactly what the same scheduler emits
-//!   when fed the pairwise hazard set.
+//! * [`parallel_pack`] reads earliest slots from a frontier of slot
+//!   numbers; it must emit exactly what the same scheduler emits when
+//!   fed the pairwise hazard set.
 
 #[path = "../../check/tests/support/wild.rs"]
 mod wild;
@@ -242,11 +243,64 @@ fn wild_programs_agree() {
 #[test]
 fn kogge_stone_programs_agree() {
     use cim_logic::kogge_stone::{AddOp, KoggeStoneAdder};
-    for width in [1usize, 7, 63, 64, 65, 200] {
+    // 513 and 3072 bits are the precompute and postcompute adders of a
+    // 2048-bit multiplier.
+    for width in [1usize, 7, 63, 64, 65, 200, 513, 3072] {
         let adder = KoggeStoneAdder::new(width);
         for op in [AddOp::Add, AddOp::Sub] {
             assert_agrees(&adder.mir_program(op));
         }
+    }
+}
+
+/// A precompute-shaped suffix: ten additions on a 30-row array (eight
+/// operand rows, ten result rows, twelve scratch rows every addition
+/// shares), dead-write eliminated as a whole and then packed addition
+/// by addition, as the precompute stage compiles it.
+#[test]
+fn precompute_suffix_fragments_agree() {
+    use cim_logic::kogge_stone::{AddOp, AdderLayout, KoggeStoneAdder, SCRATCH_ROWS};
+    const ADDITIONS: [(usize, usize, usize); 10] = [
+        (1, 0, 8),
+        (3, 2, 9),
+        (2, 0, 10),
+        (3, 1, 11),
+        (10, 11, 12),
+        (5, 4, 13),
+        (7, 6, 14),
+        (6, 4, 15),
+        (7, 5, 16),
+        (15, 16, 17),
+    ];
+    let (width, rows, scratch_base) = (513, 8 + 10 + SCRATCH_ROWS, 18);
+    let cols = width + 1;
+    let mut tags = Vec::new();
+    let mut fused = Vec::new();
+    for (i, &(x_row, y_row, sum_row)) in ADDITIONS.iter().enumerate() {
+        let layout = AdderLayout {
+            x_row,
+            y_row,
+            sum_row,
+            scratch: std::array::from_fn(|k| scratch_base + k),
+            col_base: 0,
+        };
+        let part = KoggeStoneAdder::with_layout(width, layout).program(AddOp::Add);
+        tags.extend(std::iter::repeat_n(i, part.len()));
+        fused.extend(part);
+    }
+    let live = vec![
+        Region::new(8..18, 0..cols),
+        Region::new(scratch_base..rows, 0..cols),
+    ];
+    let whole = MirProgram::from_ops(rows, cols, fused, live);
+    let keep = dead_write_mask(&whole);
+    assert_eq!(keep, reference_dead_write_mask(&whole));
+    for i in 0..ADDITIONS.len() {
+        let kept: Vec<MicroOp> = (0..whole.len())
+            .filter(|&j| keep[j] && tags[j] == i)
+            .map(|j| whole.ops()[j].clone())
+            .collect();
+        assert_agrees(&MirProgram::from_ops(rows, cols, kept, Vec::new()));
     }
 }
 
