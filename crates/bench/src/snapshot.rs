@@ -34,7 +34,6 @@
 
 use cim_bigint::rng::UintRng;
 use cim_crossbar::EnergyParams;
-use cim_metrics::jsonval::JsonValue;
 use cim_metrics::MetricsHub;
 use cim_mir::OptLevel;
 use cim_obs::journal::{FlightRecorder, RecorderConfig};
@@ -44,6 +43,7 @@ use cim_sched::{FarmConfig, JobMix, JobProfile, Policy, Scheduler};
 use cim_serve::loadgen::{run, LoadgenConfig, Observers};
 use cim_serve::FleetConfig as ServeFleetConfig;
 use cim_trace::json::JsonWriter;
+use cim_trace::json::{self, JsonValue};
 use karatsuba_cim::cost::HANDOFF_CYCLES;
 use karatsuba_cim::multiplier::KaratsubaCimMultiplier;
 use karatsuba_cim::multiply::MultiplyStage;
@@ -491,7 +491,7 @@ impl BenchSnapshot {
     ///
     /// Malformed JSON or a wrong/missing schema marker.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let root = JsonValue::parse(text)?;
+        let root = json::parse(text)?;
         let schema = root
             .get("schema")
             .and_then(JsonValue::as_str)

@@ -1,7 +1,8 @@
-//! Pins the committed benchmark artifacts: every `BENCH_PR*.json`
-//! snapshot parses, their trajectory keeps its lineage, and the
-//! trajectory regenerated from them is valid JSON equal byte for byte
-//! to the committed `BENCH_TRAJECTORY.json`.
+//! Pins the committed benchmark artifacts: every `*.json` at the repo
+//! root parses, every `BENCH_PR*.json` snapshot reads back, their
+//! trajectory keeps its lineage, and the trajectory regenerated from
+//! them is valid JSON equal byte for byte to the committed
+//! `BENCH_TRAJECTORY.json`.
 
 use cim_bench::snapshot::BenchSnapshot;
 use cim_bench::trajectory::build;
@@ -36,4 +37,25 @@ fn committed_trajectory_is_regenerated_exactly() {
         json == TRAJECTORY,
         "BENCH_TRAJECTORY.json is stale; regenerate it with bench_check --trajectory"
     );
+}
+
+#[test]
+fn every_root_json_artifact_parses() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(root).expect("repo root is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let text = std::fs::read_to_string(&path).expect("artifact is readable");
+            cim_trace::json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            names.push(path.file_name().unwrap().to_string_lossy().into_owned());
+        }
+    }
+    for expected in [
+        "BENCHMARK.json",
+        "BENCH_PERF_PR22.json",
+        "BENCH_TRAJECTORY.json",
+    ] {
+        assert!(names.iter().any(|n| n == expected), "{expected} not found");
+    }
 }

@@ -13,17 +13,15 @@
 //! must leave the same result, statistics, read buffer and cells (raw
 //! value, per-cell wear and fault, in every lane). Hand-made programs
 //! cover a strict-init failure inside a bundle and after it, illegal
-//! bundles, and observed executors (trace recording, a tracer and a
-//! meter), which must emit the same events and counters as `run`.
+//! bundles, and traced executors, which must emit the same events as
+//! `run`.
 
 use cim_crossbar::{
-    Cell, CompiledProgram, Crossbar, CrossbarError, CycleStats, ExecConfig, Executor, Fault,
-    MeterSpec, MicroOp, TraceEntry,
+    Cell, CompiledProgram, Crossbar, CrossbarError, CycleStats, Executor, Fault, MicroOp,
 };
 use cim_logic::kogge_stone::AddOp;
-use cim_metrics::{Labels, MetricsHub};
 use cim_mir::OptLevel;
-use cim_trace::Tracer;
+use cim_trace::{EventKind, Tracer};
 use karatsuba_cim::depth1::KaratsubaDepth1Multiplier;
 use karatsuba_cim::postcompute::PostcomputeStage;
 use karatsuba_cim::precompute::{PrecomputeStage, ROWS as PRE_ROWS};
@@ -284,37 +282,27 @@ fn illegal_bundles_are_refused_with_the_error_run_returns() {
     }
 }
 
-/// The tracer's events, the meter's counters, the recorded trace
-/// entries and the statistics of one observed run.
-type Observed = (
-    cim_trace::Trace,
-    cim_metrics::Snapshot,
-    Vec<TraceEntry>,
-    CycleStats,
-);
-
-/// Runs `program` on a fresh packed array with trace recording, a
-/// tracer and a meter attached.
-fn observed(program: &CompiledProgram, rows: usize, cols: usize, compiled: bool) -> Observed {
+/// Runs `program` on a fresh packed array with a recording tracer
+/// attached; returns the tracer's events and the statistics.
+fn observed(
+    program: &CompiledProgram,
+    rows: usize,
+    cols: usize,
+    compiled: bool,
+) -> (cim_trace::Trace, CycleStats) {
     let mut x = array(Backend::Packed, rows, cols, rows, false, 7);
     let tracer = Tracer::recording();
     let track = tracer.track(tracer.process("xbar"), "ops");
-    let hub = MetricsHub::recording();
-    let config = ExecConfig {
-        strict_init: true,
-        record_trace: true,
-    };
-    let mut exec = Executor::with_config(&mut x, config);
+    let mut exec = Executor::new(&mut x);
     exec.attach_tracer_at(&tracer, track, 5);
-    exec.attach_meter(&MeterSpec::new(&hub, Labels::new().with("tile", 0)));
     if compiled {
         exec.run_compiled(program).unwrap();
     } else {
         exec.run(program.ops()).unwrap();
     }
-    let (entries, stats) = (exec.trace().to_vec(), *exec.stats());
+    let stats = *exec.stats();
     drop(exec);
-    (tracer.finish().unwrap(), hub.snapshot(), entries, stats)
+    (tracer.finish().unwrap(), stats)
 }
 
 #[test]
@@ -324,10 +312,16 @@ fn observed_runs_emit_what_run_emits() {
     let cols = post.adder_width() + 1;
     let run = observed(body, 20, cols, false);
     let compiled = observed(body, 20, cols, true);
-    assert!(!run.0.events.is_empty() && !run.2.is_empty());
-    assert_eq!(run.3, *body.stats());
+    let spans = run
+        .0
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Complete { .. }))
+        .count();
+    assert_eq!(spans as u64, body.stats().ops, "one span per executed gate");
+    assert_eq!(run.1, *body.stats());
     assert!(
         run == compiled,
-        "an observed run_compiled must observe what run does"
+        "a traced run_compiled must observe what run does"
     );
 }

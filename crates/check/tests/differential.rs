@@ -6,20 +6,18 @@
 //! statically-predicted write pressure, cell for cell.
 
 use cim_check::{verify, GoldMatrix, ProgramGen, VerifyConfig};
-use cim_crossbar::{BackendKind, Crossbar, ExecConfig, Executor, MicroOp};
+use cim_crossbar::{BackendKind, Crossbar, Executor, MicroOp};
+use cim_trace::{EventKind, Tracer};
 use proptest::prelude::*;
 
-/// Sensed reads, cycle count, and trace length of one executor run of
-/// `program` on an array with the given backend.
+/// Sensed reads, cycle count, and traced op count of one executor run
+/// of `program` on an array with the given backend.
 fn run_exec(array: &mut Crossbar, program: &[MicroOp], seed: u64) -> (Vec<Vec<bool>>, u64, usize) {
     let kind = array.backend_kind();
-    let mut exec = Executor::with_config(
-        array,
-        ExecConfig {
-            strict_init: true,
-            record_trace: true,
-        },
-    );
+    let tracer = Tracer::recording();
+    let track = tracer.track(tracer.process("xbar"), "ops");
+    let mut exec = Executor::new(array);
+    exec.attach_tracer(&tracer, track);
     let mut reads: Vec<Vec<bool>> = Vec::new();
     for op in program {
         exec.step(op).unwrap_or_else(|e| {
@@ -30,7 +28,13 @@ fn run_exec(array: &mut Crossbar, program: &[MicroOp], seed: u64) -> (Vec<Vec<bo
         }
     }
     let cycles = exec.stats().cycles;
-    let trace_len = exec.trace().len();
+    let trace_len = tracer
+        .finish()
+        .expect("recording tracer")
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Complete { .. }))
+        .count();
     (reads, cycles, trace_len)
 }
 

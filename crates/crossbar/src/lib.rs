@@ -73,7 +73,7 @@ pub use compiled::CompiledProgram;
 pub use endurance::{EnduranceReport, CELL_ENDURANCE_WRITES};
 pub use energy::{EnergyParams, EnergyReport};
 pub use error::{Axis, CrossbarError};
-pub use exec::{ExecConfig, Executor, OpTrace, TraceEntry};
+pub use exec::{ExecConfig, Executor};
 pub use geometry::{ColRange, Region, WordSpan};
 pub use isa::{MicroOp, OpFootprint, RowBits};
 pub use meter::MeterSpec;

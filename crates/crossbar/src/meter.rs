@@ -4,19 +4,17 @@
 //! to publish into the metrics plane: the [`MetricsHub`] handle, the
 //! base [`Labels`] identifying the component (`tile`, `stage`, …), and
 //! the [`EnergyParams`] used to convert cycle statistics to energy.
-//! Attach it to an [`crate::Executor`] with
-//! [`crate::Executor::attach_meter`] and per-op-class cycle/op
-//! counters update live as the program runs; call
-//! [`crate::Executor::publish_energy`] at the end of a program to emit
-//! the derived energy breakdown and utilization.
 //!
-//! Metering follows the same neutrality rule as tracing: it only
-//! observes — cycle statistics, wear counts and array contents are
-//! bit-identical with metering on and off (asserted by tests).
+//! Metering reads the [`CycleStats`] a run already keeps: after a
+//! program, [`MeterSpec::publish_stats`] emits its per-op-class cycle
+//! and op counters and [`MeterSpec::publish_energy`] the derived
+//! energy breakdown and utilization. The executor itself never meters,
+//! so metering cannot perturb a cycle, a wear count or a cell, and a
+//! metered run executes the same compiled plan as an unmetered one.
 
 use crate::energy::{EnergyParams, EnergyReport};
 use crate::stats::{CycleStats, OpClass};
-use cim_metrics::{Counter, Labels, MetricsHub};
+use cim_metrics::{Labels, MetricsHub};
 
 /// Family: total crossbar cycles by op class (counter).
 pub const METRIC_XBAR_CYCLES: &str = "cim_xbar_cycles_total";
@@ -68,8 +66,7 @@ impl MeterSpec {
     }
 
     /// Publishes `stats` as one-shot increments of the per-class cycle
-    /// and op counters — the path for code that aggregates a
-    /// [`CycleStats`] itself rather than metering an executor live.
+    /// and op counters.
     pub fn publish_stats(&self, stats: &CycleStats) {
         if !self.is_enabled() {
             return;
@@ -114,39 +111,6 @@ impl MeterSpec {
             );
         }
         report
-    }
-}
-
-/// Live per-op-class counter handles, pre-registered at attach time so
-/// the per-op hot path is two indexed adds.
-#[derive(Debug)]
-pub(crate) struct AttachedMeter {
-    pub(crate) spec: MeterSpec,
-    cycles: [Counter; 5],
-    ops: [Counter; 5],
-}
-
-impl AttachedMeter {
-    pub(crate) fn new(spec: &MeterSpec) -> Self {
-        let handle = |family: &str, help: &str, class: OpClass| {
-            spec.hub.counter(
-                family,
-                help,
-                &spec.labels.clone().with("op_class", class.label()),
-            )
-        };
-        AttachedMeter {
-            spec: spec.clone(),
-            cycles: OpClass::ALL.map(|c| handle(METRIC_XBAR_CYCLES, HELP_CYCLES, c)),
-            ops: OpClass::ALL.map(|c| handle(METRIC_XBAR_OPS, HELP_OPS, c)),
-        }
-    }
-
-    /// Records one executed op.
-    pub(crate) fn record(&self, class: OpClass, cycles: u64) {
-        let i = class.index();
-        self.cycles[i].add_u64(cycles);
-        self.ops[i].inc();
     }
 }
 
@@ -217,12 +181,5 @@ mod tests {
         spec.publish_stats(&sample_stats());
         let report = spec.publish_energy(&sample_stats(), 64);
         assert!(report.total_pj() > 0.0, "energy math works without a hub");
-    }
-
-    #[test]
-    fn op_class_index_matches_all_order() {
-        for (i, class) in OpClass::ALL.iter().enumerate() {
-            assert_eq!(class.index(), i);
-        }
     }
 }

@@ -25,18 +25,6 @@ impl OpClass {
         OpClass::Shift,
     ];
 
-    /// Position of this class in [`OpClass::ALL`] — the index used by
-    /// per-class metric handle arrays.
-    pub fn index(self) -> usize {
-        match self {
-            OpClass::Write => 0,
-            OpClass::Read => 1,
-            OpClass::Init => 2,
-            OpClass::Magic => 3,
-            OpClass::Shift => 4,
-        }
-    }
-
     /// Short lowercase label (`"write"`, `"read"`, …).
     pub fn label(self) -> &'static str {
         match self {

@@ -126,13 +126,7 @@ impl TmrAdder {
             array.write_row(base + 1, 0, &y.to_bits(self.required_cols()))?;
         }
         // Lenient mode: faults manifest physically instead of erroring.
-        let mut exec = Executor::with_config(
-            &mut array,
-            ExecConfig {
-                strict_init: false,
-                record_trace: false,
-            },
-        );
+        let mut exec = Executor::with_config(&mut array, ExecConfig { strict_init: false });
         for lane in 0..3 {
             let base = lane * LANE_ROWS;
             let adder = KoggeStoneAdder::with_layout(

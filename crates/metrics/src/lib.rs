@@ -4,10 +4,9 @@
 //! ([`MetricsHub`]) of named counters, gauges and log-bucketed
 //! [`Histogram`]s with canonical [`Labels`], a Prometheus
 //! text-exposition writer ([`prometheus::render`]) with a matching
-//! grammar checker ([`prometheus::check`]), a deterministic JSON
-//! snapshot writer ([`Snapshot::to_json`], reusing `cim_trace::json`),
-//! and a [`MetricsSink`] bridge that folds trace span completions into
-//! duration histograms.
+//! grammar checker ([`prometheus::check`]), and a deterministic JSON
+//! snapshot writer ([`Snapshot::to_json`], reusing `cim_trace::json`,
+//! whose `parse` reads snapshots back).
 //!
 //! ## Design rules
 //!
@@ -42,15 +41,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bridge;
 mod histogram;
-pub mod jsonval;
 mod labels;
 pub mod prometheus;
 mod registry;
 mod snapshot;
 
-pub use bridge::{publish_histogram, MetricsSink, SPAN_CYCLES_METRIC};
 pub use histogram::{bucket_bounds, bucket_index, Histogram, LINEAR_CUTOFF, SUBBUCKETS};
 pub use labels::{escape_label_value, Labels};
 pub use registry::{

@@ -290,11 +290,6 @@ impl Counter {
             }
         });
     }
-
-    /// Adds an unsigned integer amount.
-    pub fn add_u64(&self, v: u64) {
-        self.add(v as f64);
-    }
 }
 
 /// Handle to one gauge time series; no-op when the hub is disabled.
@@ -390,7 +385,7 @@ mod tests {
             "ops",
             &Labels::new().with("op_class", "read"),
         );
-        w.add_u64(3);
+        w.add(3.0);
         r.inc();
         // Re-attaching by the same (name, labels) hits the same slot.
         hub.add_counter(

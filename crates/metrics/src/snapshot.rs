@@ -193,6 +193,24 @@ mod tests {
     }
 
     #[test]
+    fn round_trips_the_metrics_snapshot() {
+        let hub = MetricsHub::recording();
+        hub.add_counter("cim_x_total", "x", &Labels::new().with("k", "v\n"), 2.5);
+        hub.observe("cim_h", "h", &Labels::new(), 40);
+        let json = hub.snapshot().to_json();
+        let v = cim_trace::json::parse(&json).unwrap();
+        let fams = v.get("families").unwrap().as_array().unwrap();
+        assert_eq!(fams.len(), 2);
+        assert_eq!(fams[1].get("name").unwrap().as_str(), Some("cim_x_total"));
+        let sample = &fams[1].get("samples").unwrap().as_array().unwrap()[0];
+        assert_eq!(sample.get("value").unwrap().as_f64(), Some(2.5));
+        assert_eq!(
+            sample.get("labels").unwrap().get("k").unwrap().as_str(),
+            Some("v\n")
+        );
+    }
+
+    #[test]
     fn empty_snapshot_serializes() {
         let s = Snapshot::default().to_json();
         assert_eq!(s, r#"{"families":[]}"#);

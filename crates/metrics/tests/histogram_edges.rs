@@ -3,10 +3,10 @@
 //! high-label-cardinality round trip through the JSON snapshot and
 //! the Prometheus exposition.
 
-use cim_metrics::jsonval::JsonValue;
 use cim_metrics::{
     bucket_bounds, bucket_index, Histogram, Labels, MetricsHub, LINEAR_CUTOFF, SUBBUCKETS,
 };
+use cim_trace::json::{parse, JsonValue};
 
 #[test]
 fn percentile_at_linear_cutoff_boundary() {
@@ -137,7 +137,7 @@ fn high_label_cardinality_round_trips_through_snapshot_json() {
     // JSON side: parse the snapshot back and find every series with
     // its exact count/sum.
     let json = snap.to_json();
-    let root = JsonValue::parse(&json).expect("snapshot JSON parses");
+    let root = parse(&json).expect("snapshot JSON parses");
     let families = root.get("families").and_then(JsonValue::as_array).unwrap();
     let fam = families
         .iter()

@@ -7,8 +7,9 @@
 //! is fixed, events are written in emission order after a fixed
 //! metadata prologue, and no wall-clock value is ever sampled.
 
-use crate::json::{self, JsonWriter};
+use crate::json::{self, JsonValue, JsonWriter};
 use crate::model::{Args, EventKind, Trace};
+use std::collections::BTreeMap;
 
 /// Serializes `trace` as Chrome Trace Event JSON.
 pub fn to_chrome_json(trace: &Trace) -> String {
@@ -157,75 +158,32 @@ pub struct ChromeTraceSummary {
 }
 
 /// Validates that `json` is well-formed Chrome Trace Event JSON: the
-/// whole text parses as JSON, a `traceEvents` array is present, every
-/// event carries `ph`/`ts`-compatible fields, and `B`/`E` events
-/// balance per `(pid, tid)` stack.
+/// whole text parses as JSON, a top-level `traceEvents` array is
+/// present, every event carries its required fields (`ph`, `name`,
+/// unsigned integer `pid`/`tid`, `ts` except on metadata, `dur` on
+/// `X`), and `B`/`E` events balance per `(pid, tid)` stack.
 ///
-/// This is the schema gate CI runs over `trace_dump` artifacts. The
-/// scan is textual (no DOM): it re-parses the event array with the
-/// same strict parser used by [`crate::json::check`] plus a shallow
-/// field scan per event object.
+/// This is the schema gate CI runs over `trace_dump` artifacts. It
+/// reads the tree [`crate::json::parse`] builds, so only an event's
+/// own top-level keys count, never keys nested in its `args`.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violation.
 pub fn validate_chrome_trace(json_text: &str) -> Result<ChromeTraceSummary, String> {
-    json::check(json_text).map_err(|e| format!("not valid JSON: {e}"))?;
-
-    let events_start = json_text
-        .find("\"traceEvents\"")
-        .ok_or("missing traceEvents key")?;
-    let array_start = json_text[events_start..]
-        .find('[')
-        .map(|i| events_start + i)
+    let root = json::parse(json_text).map_err(|e| format!("not valid JSON: {e}"))?;
+    let events = root
+        .get("traceEvents")
+        .ok_or("missing traceEvents key")?
+        .as_array()
         .ok_or("traceEvents is not an array")?;
 
     let mut summary = ChromeTraceSummary::default();
     // Depth of open B spans per (pid, tid).
-    let mut stacks: std::collections::HashMap<(u64, u64), i64> = std::collections::HashMap::new();
-
-    let bytes = json_text.as_bytes();
-    let mut pos = array_start + 1;
-    let mut depth = 0usize;
-    let mut obj_start = None;
-    let mut in_string = false;
-    let mut escaped = false;
-    loop {
-        let Some(&b) = bytes.get(pos) else {
-            return Err("unterminated traceEvents array".to_string());
-        };
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            pos += 1;
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' => {
-                if depth == 0 {
-                    obj_start = Some(pos);
-                }
-                depth += 1;
-            }
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    let obj = &json_text[obj_start.take().unwrap()..=pos];
-                    check_event(obj, &mut summary, &mut stacks)?;
-                }
-            }
-            b']' if depth == 0 => break,
-            _ => {}
-        }
-        pos += 1;
+    let mut stacks: BTreeMap<(u64, u64), i64> = BTreeMap::new();
+    for (i, event) in events.iter().enumerate() {
+        check_event(i, event, &mut summary, &mut stacks)?;
     }
-
     for ((pid, tid), open) in &stacks {
         if *open != 0 {
             return Err(format!(
@@ -236,52 +194,45 @@ pub fn validate_chrome_trace(json_text: &str) -> Result<ChromeTraceSummary, Stri
     Ok(summary)
 }
 
-/// Extracts the textual value of `"key": <scalar>` from a flat event
-/// object (shallow scan, first match).
-fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = &obj[at..];
-    let rest = rest.trim_start();
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
 fn check_event(
-    obj: &str,
+    i: usize,
+    event: &JsonValue,
     summary: &mut ChromeTraceSummary,
-    stacks: &mut std::collections::HashMap<(u64, u64), i64>,
+    stacks: &mut BTreeMap<(u64, u64), i64>,
 ) -> Result<(), String> {
     summary.events += 1;
-    let ph = field(obj, "ph").ok_or_else(|| format!("event missing ph: {obj}"))?;
-    let ph = ph.trim_matches('"');
-    // Metadata records carry no timestamp in the Trace Event format.
-    let required: &[&str] = if ph == "M" {
-        &["pid", "tid"]
-    } else {
-        &["ts", "pid", "tid"]
+    let uint = |key: &str| -> Result<u64, String> {
+        let v = event
+            .get(key)
+            .ok_or_else(|| format!("event {i} missing {key}"))?;
+        v.as_u64()
+            .ok_or_else(|| format!("event {i} field {key} is not an unsigned integer"))
     };
-    for key in required {
-        let v = field(obj, key).ok_or_else(|| format!("event missing {key}: {obj}"))?;
-        v.parse::<u64>()
-            .map_err(|_| format!("event field {key} is not an unsigned integer: {obj}"))?;
+    let ph = event
+        .get("ph")
+        .ok_or_else(|| format!("event {i} missing ph"))?;
+    let ph = ph
+        .as_str()
+        .ok_or_else(|| format!("unknown event phase {ph:?} in event {i}"))?;
+    // Metadata records carry no timestamp in the Trace Event format.
+    if ph != "M" {
+        uint("ts")?;
     }
-    if field(obj, "name").is_none() {
-        return Err(format!("event missing name: {obj}"));
+    let pid = uint("pid")?;
+    let tid = uint("tid")?;
+    if event.get("name").is_none() {
+        return Err(format!("event {i} missing name"));
     }
-    let pid: u64 = field(obj, "pid").unwrap().parse().unwrap();
-    let tid: u64 = field(obj, "tid").unwrap().parse().unwrap();
     match ph {
         "M" => summary.metadata += 1,
         "X" => {
-            field(obj, "dur")
-                .and_then(|d| d.parse::<u64>().ok())
-                .ok_or_else(|| format!("X event missing integer dur: {obj}"))?;
+            event
+                .get("dur")
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| format!("X event {i} missing integer dur"))?;
             summary.complete_spans += 1;
         }
-        "B" => {
-            *stacks.entry((pid, tid)).or_insert(0) += 1;
-        }
+        "B" => *stacks.entry((pid, tid)).or_insert(0) += 1,
         "E" => {
             let open = stacks.entry((pid, tid)).or_insert(0);
             *open -= 1;
@@ -292,7 +243,7 @@ fn check_event(
         }
         "C" => summary.counters += 1,
         "i" => summary.instants += 1,
-        other => return Err(format!("unknown event phase {other:?}: {obj}")),
+        other => return Err(format!("unknown event phase {other:?} in event {i}")),
     }
     Ok(())
 }
@@ -357,5 +308,50 @@ mod tests {
             .unwrap_err()
             .contains("missing name"));
         assert!(validate_chrome_trace("not json").is_err());
+        let json_text = r#"{"traceEvents":[{"name":"x","ph":"i","ts":-1,"pid":0,"tid":0}]}"#;
+        assert!(validate_chrome_trace(json_text)
+            .unwrap_err()
+            .contains("ts is not an unsigned integer"));
+        let json_text = r#"{"traceEvents":[{"name":"x","ph":"Q","ts":1,"pid":0,"tid":0}]}"#;
+        assert!(validate_chrome_trace(json_text)
+            .unwrap_err()
+            .contains("unknown event phase"));
+        let json_text = r#"{"traceEvents":[{"name":"x","ts":1,"pid":0,"tid":0}]}"#;
+        assert!(validate_chrome_trace(json_text)
+            .unwrap_err()
+            .contains("missing ph"));
+        assert!(validate_chrome_trace(r#"{"events":[]}"#)
+            .unwrap_err()
+            .contains("missing traceEvents"));
+    }
+
+    #[test]
+    fn validator_reads_top_level_keys_not_args() {
+        // `args` first, carrying keys that shadow the event's own: the
+        // event is a complete span on pid 1, named by its own `name`.
+        let json_text = r#"{"traceEvents":[
+            {"args":{"ph":"B","pid":"x","name":1},"name":"x","ph":"X","ts":1,"dur":1,"pid":1,"tid":0},
+            {"args":{"ph":"E","pid":7},"name":"y","ph":"B","ts":2,"pid":0,"tid":0},
+            {"args":{"ph":"B"},"name":"","ph":"E","ts":3,"pid":0,"tid":0},
+            {"args":{"name":"p"},"ph":"M","name":"process_name","pid":1,"tid":0}
+        ]}"#;
+        let s = validate_chrome_trace(json_text).unwrap();
+        assert_eq!(
+            s,
+            ChromeTraceSummary {
+                events: 4,
+                complete_spans: 1,
+                span_pairs: 1,
+                counters: 0,
+                instants: 0,
+                metadata: 1,
+            }
+        );
+        // An event whose only `name` sits inside its `args` has none.
+        let json_text =
+            r#"{"traceEvents":[{"args":{"name":"x"},"ph":"i","ts":1,"pid":0,"tid":0}]}"#;
+        assert!(validate_chrome_trace(json_text)
+            .unwrap_err()
+            .contains("missing name"));
     }
 }

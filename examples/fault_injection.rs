@@ -27,13 +27,8 @@ fn add_with_fault(
     }
     // Strict init checking must be off: a stuck-at-0 output cell looks
     // "uninitialized" to the checker — exactly the physical situation.
-    let mut exec = Executor::with_config(
-        &mut array,
-        cim_crossbar::ExecConfig {
-            strict_init: false,
-            record_trace: false,
-        },
-    );
+    let mut exec =
+        Executor::with_config(&mut array, cim_crossbar::ExecConfig { strict_init: false });
     exec.run(&adder.program(AddOp::Add))?;
     let bits = exec.array().read_row_bits(2, 0..width + 1)?;
     Ok(Uint::from_bits(&bits))

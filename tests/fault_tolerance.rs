@@ -22,13 +22,7 @@ fn stuck_fault_corrupts_carry_chain() {
         array.write_row(1, 0, &b.to_bits(width + 1)).unwrap();
         // Fault in the generate row of bank A (scratch role 1 → row 4).
         array.inject_fault(4, col, Some(Fault::StuckAt0)).unwrap();
-        let mut exec = Executor::with_config(
-            &mut array,
-            ExecConfig {
-                strict_init: false,
-                record_trace: false,
-            },
-        );
+        let mut exec = Executor::with_config(&mut array, ExecConfig { strict_init: false });
         exec.run(&adder.program(AddOp::Add)).unwrap();
         let bits = exec.array().read_row_bits(2, 0..width + 1).unwrap();
         if Uint::from_bits(&bits) != Uint::from_u64(256) {

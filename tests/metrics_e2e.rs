@@ -98,7 +98,6 @@ fn metrics_pipeline_is_deterministic() {
     );
     // The JSON snapshot is well-formed and machine-readable.
     cim_trace::json::check(&json_a).expect("snapshot JSON parses");
-    cim_metrics::jsonval::JsonValue::parse(&json_a).expect("snapshot JSON parses structurally");
 }
 
 #[test]
