@@ -327,6 +327,81 @@ mod tests {
         );
     }
 
+    /// The report of `lanes` lanes of `array` summed cell by cell from
+    /// the per-cell reads.
+    fn walked_reports(array: &Crossbar, lanes: usize) -> Vec<EnduranceReport> {
+        (0..lanes)
+            .map(|lane| {
+                let mut report = EnduranceReport {
+                    max_writes: 0,
+                    total_writes: 0,
+                    cells_touched: 0,
+                    cells_total: array.cell_count(),
+                };
+                for r in 0..array.rows() {
+                    for c in 0..array.cols() {
+                        let w = array.lane_cell(lane, r, c).unwrap().writes();
+                        report.max_writes = report.max_writes.max(w);
+                        report.total_writes += w;
+                        report.cells_touched += usize::from(w > 0);
+                    }
+                }
+                report
+            })
+            .collect()
+    }
+
+    /// On real multiply-stage arrays — 64 lanes at 384 bits on the
+    /// sliced backend, 2048 bits on the packed one — the reports the
+    /// crossbar folds from the row multipliers' window records equal
+    /// reports summed cell by cell, and so do the stages' own.
+    #[test]
+    fn stage_endurance_equals_a_per_cell_walk() {
+        use cim_mir::OptLevel;
+        let mut rng = UintRng::seeded(47);
+        let (n, lanes) = (384, 64);
+        let pairs: Vec<(Uint, Uint)> = (0..lanes)
+            .map(|_| (rng.uniform(n), rng.uniform(n)))
+            .collect();
+        let (a, b) = cim_logic::pair_lanes(&pairs, n);
+        let pre = crate::precompute::PrecomputeStage::with_opt_level(n, OptLevel::O3).unwrap();
+        let leaves = pre.run_batch_lanes(&a, &b, lanes).unwrap();
+        let stage = MultiplyStage::with_opt_level(n, OptLevel::O3).unwrap();
+        let mut array =
+            Crossbar::new_sliced(LEAVES, stage.multiplier.required_cols(), lanes).unwrap();
+        for i in 0..LEAVES {
+            let (a, b) = (&leaves.a_leaves[i], &leaves.b_leaves[i]);
+            stage
+                .multiplier
+                .run_lanes_in(&mut array, i, 0, a, b, lanes)
+                .unwrap();
+        }
+        let walked = walked_reports(&array, lanes);
+        assert_eq!(EnduranceReport::per_lane(&array), walked);
+        let out = stage
+            .run_batch_lanes(&leaves.a_leaves, &leaves.b_leaves, lanes)
+            .unwrap();
+        assert_eq!(out.endurance, walked);
+
+        let n = 2048;
+        let (a, b) = (rng.exact_bits(n), rng.exact_bits(n));
+        let (da, db) = (decompose_operand(&a, n), decompose_operand(&b, n));
+        let stage = MultiplyStage::with_opt_level(n, OptLevel::O3).unwrap();
+        let mut array = Crossbar::new(LEAVES, stage.multiplier.required_cols()).unwrap();
+        for i in 0..LEAVES {
+            stage
+                .multiplier
+                .run_in(&mut array, i, 0, &da.leaves[i], &db.leaves[i])
+                .unwrap();
+        }
+        let walked = walked_reports(&array, 1);
+        assert_eq!(EnduranceReport::from_array(&array), walked[0]);
+        assert_eq!(
+            stage.run(&da.leaves, &db.leaves).unwrap().endurance,
+            walked[0]
+        );
+    }
+
     #[test]
     fn per_row_wear_is_bounded() {
         let n = 64;

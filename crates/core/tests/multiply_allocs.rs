@@ -5,8 +5,9 @@
 //! Each bound is the measured warm count of the current code plus a
 //! small margin, separately for debug builds (which also verify every
 //! prologue program) and release builds: a change that makes the
-//! stage allocate per lane again, or grow its wear blocks back to the
-//! whole row, fails here.
+//! stage allocate per lane again, or lay its shift-add wear down as
+//! per-cell blocks or per-offset entries instead of window records,
+//! fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -103,17 +104,19 @@ fn batch_multiply_stage_allocations_per_op() {
             .run_batch_lanes(&leaves.a_leaves, &leaves.b_leaves, lanes)
             .unwrap()
     });
-    // Measured 589 (debug) and 490 (release); 3,954 in release while
+    // Measured 454 (debug) and 382 (release); 490 in release while
+    // each set multiplier bit pushed a masked wear entry, 3,954 while
     // the closed form built per-lane integers.
-    let limit = bound(650, 540);
+    let limit = bound(501, 421);
     assert!(
         allocs <= limit,
         "{allocs} allocations per 64 × {n}-bit multiply stage, budget {limit}"
     );
 }
 
-/// One warm 2048-bit O3 solo multiply stage: its wear blocks span
-/// each row's product and carry cells, not the whole row.
+/// One warm 2048-bit O3 solo multiply stage: each row's shift-add wear
+/// is three window records over one copy of the multiplier's bits,
+/// not a dense block of counters.
 #[test]
 fn solo_multiply_stage_bytes_per_op() {
     let n = 2048;
@@ -122,9 +125,10 @@ fn solo_multiply_stage_bytes_per_op() {
     let (da, db) = (decompose_operand(&a, n), decompose_operand(&b, n));
     let stage = MultiplyStage::with_opt_level(n, OptLevel::O3).unwrap();
     let (_, bytes) = per_call(3, || stage.run(&da.leaves, &db.leaves).unwrap());
-    // Measured 358,920 (debug) and 285,768 (release); 508,608 in
-    // release while a dense add grew the block over the whole row.
-    let limit = bound(380_000, 300_000);
+    // Measured 177,480 (debug) and 105,192 (release); 285,768 in
+    // release while each row added a dense block over its product and
+    // carry cells, 508,608 while that block grew over the whole row.
+    let limit = bound(187_900, 110_400);
     assert!(
         bytes <= limit,
         "{bytes} bytes allocated per {n}-bit multiply stage, budget {limit}"

@@ -16,9 +16,9 @@ use crate::geometry::{ColRange, Region};
 use crate::packed::PackedPlanes;
 use crate::plan::Plan;
 use crate::sliced::{SlicedPlanes, MAX_LANES};
-use crate::wear::WearStats;
+use crate::wear::{WearStats, WearWindow, WindowRecord};
 use crate::PRACTICAL_LINE_LIMIT;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Which state backend a [`Crossbar`] uses.
 ///
@@ -485,68 +485,63 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Adds `pulses[j]` write pulses of wear to cell `col_offset + j`
-    /// of `row` (every lane) without changing values — the wear half of
-    /// a sequence of writes whose per-cell pulse counts the controller
-    /// already knows. The packed backend adds them as one dense block
-    /// of its lazy wear plane instead of one range entry per write.
+    /// Records value-dependent wear without touching values — the wear
+    /// half of the masked writes of a sequence whose pattern the
+    /// controller knows from one row of lane words. For each window
+    /// shape, every offset `i < words.len()` pulses the cells of
+    /// `[col + i·stride, col + i·stride + len)` `pulses` times in every
+    /// lane whose bit is set in `words[i]`; on the scalar/packed
+    /// backends lane 0 takes offset `i` iff bit 0 of `words[i]` is set.
+    ///
+    /// The scalar backend adds the pulses cell by cell. The packed and
+    /// sliced backends keep one window record per shape, the shapes
+    /// sharing `words`, and fold it in closed form per lane
+    /// (see [`crate::EnduranceReport::per_lane`]); every per-cell read
+    /// expands it exactly. A shape with `len == 0` records nothing.
     ///
     /// # Errors
     ///
-    /// Returns an error if the span exceeds the array.
-    pub fn wear_row_dense(
+    /// Returns an error if a window reaches past the array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shape's stride is neither 0 nor 1.
+    pub fn wear_row_windows(
         &mut self,
         row: usize,
-        col_offset: usize,
-        pulses: &[u64],
+        words: Arc<[u64]>,
+        windows: &[WearWindow],
     ) -> Result<(), CrossbarError> {
         self.check_row(row)?;
-        self.check_cols(&(col_offset..col_offset + pulses.len()))?;
-        match &mut self.state {
-            Backing::Scalar(cells) => {
-                let start = row * self.cols + col_offset;
-                for (cell, &p) in cells[start..start + pulses.len()].iter_mut().zip(pulses) {
-                    cell.add_wear(p);
-                }
+        for w in windows {
+            assert!(
+                w.stride <= 1,
+                "window stride must be 0 or 1, got {}",
+                w.stride
+            );
+            if w.len > 0 && !words.is_empty() {
+                self.check_cols(&w.hull(words.len()))?;
             }
-            Backing::Packed(p) => p.wear.add_dense(row, col_offset, pulses),
-            Backing::Sliced(p) => p.wear_uniform_dense(row, col_offset, pulses),
         }
-        Ok(())
-    }
-
-    /// Records `pulses` write pulses of wear over the span for the
-    /// lanes in `mask` — the wear half of that many
-    /// [`Crossbar::write_row_lanes_masked`] calls — without touching
-    /// values. The sliced backend keeps them as one lane-masked entry.
-    /// On the scalar/packed backends the cells wear iff bit 0 of
-    /// `mask` is set.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the span exceeds the array.
-    pub fn wear_row_lanes_masked(
-        &mut self,
-        row: usize,
-        cols: ColRange,
-        mask: u64,
-        pulses: u64,
-    ) -> Result<(), CrossbarError> {
-        self.check_row(row)?;
-        let cols = self.check_cols(&cols)?;
-        match &mut self.state {
-            Backing::Sliced(p) => p.wear_masked(row, cols, mask, pulses),
-            Backing::Packed(p) => {
-                if mask & 1 == 1 {
-                    p.wear.add(row, cols, pulses);
-                }
-            }
-            Backing::Scalar(cells) => {
-                if mask & 1 == 1 {
-                    for col in cols {
-                        cells[row * self.cols + col].add_wear(pulses);
+        let active = match &self.state {
+            Backing::Sliced(p) => p.active_mask(),
+            _ => 1,
+        };
+        if words.iter().all(|&w| w & active == 0) {
+            return Ok(());
+        }
+        for &window in windows.iter().filter(|w| w.len > 0 && w.pulses > 0) {
+            let record = WindowRecord::new(window, Arc::clone(&words));
+            match &mut self.state {
+                Backing::Scalar(cells) => {
+                    for (cols, _) in record.entries().filter(|&(_, m)| m & 1 == 1) {
+                        for cell in &mut cells[row * self.cols..][cols] {
+                            cell.add_wear(window.pulses);
+                        }
                     }
                 }
+                Backing::Packed(p) => p.wear.add_record(row, record),
+                Backing::Sliced(p) => p.add_record(row, record),
             }
         }
         Ok(())
@@ -1614,41 +1609,82 @@ mod tests {
         }
     }
 
-    /// A dense wear add leaves each cell the pulses one `wear_region`
-    /// per cell would, after and before range writes, and the
-    /// endurance stats agree on every backend.
+    /// Window records leave each cell the pulses one `wear_region`
+    /// per window would, after and before range writes, and the
+    /// endurance stats agree on every backend. A window past the array
+    /// errors, a stride above 1 panics.
     #[test]
-    fn dense_wear_equals_per_cell_wear_on_all_backends() {
-        let pulses: Vec<u64> = (0..130).map(|j| (j * 7 % 5) as u64).collect();
+    fn window_wear_equals_per_cell_wear_on_all_backends() {
+        let words: Vec<u64> = (0..40u64).map(|i| u64::from(i % 3 != 1)).collect();
+        let windows = [
+            WearWindow {
+                col: 30,
+                len: 41,
+                stride: 1,
+                pulses: 1,
+            },
+            WearWindow {
+                col: 111,
+                len: 20,
+                stride: 0,
+                pulses: 3,
+            },
+            WearWindow {
+                col: 140,
+                len: 0,
+                stride: 0,
+                pulses: 1,
+            },
+        ];
         for kind in [
             BackendKind::Scalar,
             BackendKind::Packed,
             BackendKind::Sliced,
         ] {
-            let mut dense = Crossbar::with_backend(2, 200, kind).unwrap();
-            dense.write_row(1, 0, &[true; 40]).unwrap();
-            let mut cellwise = dense.clone();
-            dense.wear_row_dense(1, 30, &pulses).unwrap();
-            dense.write_row(1, 150, &[false; 50]).unwrap();
-            for (j, &p) in pulses.iter().enumerate() {
-                let region = Region::new(1..2, 30 + j..31 + j);
-                cellwise.wear_region(&region, p).unwrap();
+            let mut records = Crossbar::with_backend(2, 200, kind).unwrap();
+            records.write_row(1, 0, &[true; 40]).unwrap();
+            let mut cellwise = records.clone();
+            records
+                .wear_row_windows(1, words[..].into(), &windows)
+                .unwrap();
+            records.write_row(1, 150, &[false; 50]).unwrap();
+            for (i, _) in words.iter().enumerate().filter(|&(_, &w)| w == 1) {
+                for w in &windows[..2] {
+                    let at = w.col + i * w.stride;
+                    let region = Region::new(1..2, at..at + w.len);
+                    cellwise.wear_region(&region, w.pulses).unwrap();
+                }
             }
             cellwise.write_row(1, 150, &[false; 50]).unwrap();
             for c in 0..200 {
                 assert_eq!(
-                    dense.cell(1, c).unwrap(),
+                    records.cell(1, c).unwrap(),
                     cellwise.cell(1, c).unwrap(),
                     "{kind:?} {c}"
                 );
             }
-            assert_eq!(dense.wear_stats(), cellwise.wear_stats(), "{kind:?}");
+            assert_eq!(records.wear_stats(), cellwise.wear_stats(), "{kind:?}");
             assert_eq!(
-                dense.row_wear_totals(),
+                records.row_wear_totals(),
                 cellwise.row_wear_totals(),
                 "{kind:?}"
             );
-            assert!(dense.wear_row_dense(1, 100, &pulses).is_err());
+            let past = WearWindow {
+                col: 170,
+                ..windows[0]
+            };
+            assert!(records
+                .wear_row_windows(1, words[..].into(), &[past])
+                .is_err());
+            let stride2 = WearWindow {
+                stride: 2,
+                ..windows[1]
+            };
+            let two = words[..2].to_vec();
+            let panicked = std::panic::catch_unwind(move || {
+                records.wear_row_windows(0, two.into(), &[stride2])
+            });
+            assert!(panicked.is_err(), "{kind:?}");
         }
     }
 

@@ -124,7 +124,16 @@ impl EnduranceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Region;
+    use crate::{BackendKind, Region, WearWindow};
+
+    fn window(col: usize, len: usize, stride: usize, pulses: u64) -> WearWindow {
+        WearWindow {
+            col,
+            len,
+            stride,
+            pulses,
+        }
+    }
 
     #[test]
     fn report_on_fresh_array() {
@@ -190,7 +199,8 @@ mod tests {
     }
 
     /// Sliced rows with only uniform wear are folded once for every
-    /// lane, rows with masked entries lane by lane. Either way each
+    /// lane, rows with masked entries or records lane by lane. Either
+    /// way each
     /// lane's report must equal its own [`EnduranceReport::from_lane`]
     /// and a walk over that lane's cells.
     #[test]
@@ -200,9 +210,11 @@ mod tests {
         x.write_row(0, 0, &[true; 70]).unwrap();
         x.init_region(&Region::new(1..3, 3..40)).unwrap();
         x.write_row_lanes_masked(1, 10, &[0; 20], 0b10110).unwrap();
-        x.wear_row_lanes_masked(2, 30..70, 0b1, 1).unwrap();
+        x.wear_row_windows(2, [0b1].into(), &[window(30, 40, 0, 1)])
+            .unwrap();
         x.wear_region(&Region::new(3..4, 60..70), 4).unwrap();
-        x.wear_row_dense(3, 0, &[1, 0, 2]).unwrap();
+        x.wear_row_windows(3, [0b11, 0, 0b101].into(), &[window(0, 3, 1, 2)])
+            .unwrap();
         let per_lane = EnduranceReport::per_lane(&x);
         assert_eq!(per_lane.len(), lanes);
         for (lane, report) in per_lane.iter().enumerate() {
@@ -226,16 +238,89 @@ mod tests {
         assert_eq!(EnduranceReport::from_array(&x), per_lane[0]);
     }
 
-    /// Lane-masked entries carry a pulse count. Random `(range, mask,
-    /// pulses)` entries mixed with uniform adds must leave every lane
-    /// of every cell with the count a per-lane, per-cell counter model
-    /// holds, and every lane's report must be that model's fold. The
-    /// steps also cover the fold's edges: dense uniform adds (uniform
-    /// wear that varies cell by cell under masked entries, zero cells
-    /// among them), narrow uniform spans that leave zero gaps inside
-    /// masked spans, entries that start or end exactly on a uniform
-    /// boundary, entries that abut the previous entry at one column in
-    /// the same lane, and masks with bits above the active lanes.
+    /// A per-lane, per-cell counter model of one array, checked
+    /// against the array's per-cell reads (`lane_writes_at` on the
+    /// sliced backend, `writes_at` as lane 0 on the others) and its
+    /// reports (`per_lane`, `from_lane`, `from_array`).
+    struct Model {
+        cols: usize,
+        counts: Vec<Vec<u64>>,
+    }
+
+    impl Model {
+        fn new(lanes: usize, rows: usize, cols: usize) -> Self {
+            Model {
+                cols,
+                counts: vec![vec![0; rows * cols]; lanes],
+            }
+        }
+
+        /// `pulses` more on `cols` of `row` in the lanes of `mask`.
+        fn add(&mut self, row: usize, cols: std::ops::Range<usize>, mask: u64, pulses: u64) {
+            let lanes = self.counts.iter_mut().enumerate();
+            for (_, counts) in lanes.filter(|(l, _)| mask >> l & 1 == 1) {
+                for c in &mut counts[row * self.cols..][cols.clone()] {
+                    *c += pulses;
+                }
+            }
+        }
+
+        /// What `wear_row_windows(row, words, windows)` lays down.
+        fn windows(&mut self, row: usize, words: &[u64], windows: &[WearWindow]) {
+            for (i, &mask) in words.iter().enumerate() {
+                for w in windows {
+                    let at = w.col + i * w.stride;
+                    self.add(row, at..at + w.len, mask, w.pulses);
+                }
+            }
+        }
+
+        fn check(&self, arrays: &[Crossbar], what: &str) {
+            for x in arrays {
+                let lanes = if x.backend_kind() == BackendKind::Sliced {
+                    self.counts.len()
+                } else {
+                    1
+                };
+                let per_lane = EnduranceReport::per_lane(x);
+                assert_eq!(per_lane.len(), lanes);
+                for (lane, counts) in self.counts.iter().take(lanes).enumerate() {
+                    let what = format!("{what}, {:?}, lane {lane}", x.backend_kind());
+                    let mut walk = WearStats::default();
+                    for (i, &c) in counts.iter().enumerate() {
+                        let cell = x.lane_cell(lane, i / self.cols, i % self.cols).unwrap();
+                        assert_eq!(cell.writes(), c, "{what}, cell {i}");
+                        walk.add_run(c, 1);
+                    }
+                    let expected = EnduranceReport::from_stats(walk, x);
+                    assert_eq!(per_lane[lane], expected, "{what}");
+                    assert_eq!(EnduranceReport::from_lane(x, lane), expected, "{what}");
+                }
+                assert_eq!(EnduranceReport::from_array(x), per_lane[0], "{what}");
+            }
+        }
+    }
+
+    /// Lane-masked entries and window records carry pulse counts.
+    /// Random masked entries, records and uniform adds on a sliced
+    /// array (and, as lane 0, on a packed and a scalar twin) must leave
+    /// every lane of every cell with the count a per-lane, per-cell
+    /// counter model holds, and every lane's report must be that
+    /// model's fold. The steps cover the fold's edges: dense uniform
+    /// adds (uniform wear that varies cell by cell under masked entries
+    /// and records, zero cells among them, enough to compact into a
+    /// block), narrow uniform spans that leave zero gaps inside masked
+    /// spans, entries that start or end exactly on a uniform boundary,
+    /// entries that abut the previous entry at one column in the same
+    /// lane, masks with bits above the active lanes, and records of
+    /// stride 0 and 1 with lanes that take no offset, laid on uniform
+    /// waves (some starting where a record's count turns), beside
+    /// masked entries, inside their hull (the expanded fold) and over
+    /// an earlier record (which expands it). Wear is reset now and
+    /// then, so each record's peak is often the array's max. Before the
+    /// random steps, each lane count sweeps the turns of a few record
+    /// shapes under short uniform waves on fresh rows
+    /// (`record_turns_match_the_model`).
     #[test]
     fn pulse_count_masked_entries_match_a_per_cell_model() {
         let mut state = 0x2545_f491_4f6c_dd1du64;
@@ -247,13 +332,20 @@ mod tests {
         };
         let (rows, cols) = (3, 150);
         for lanes in [1usize, 37, 64] {
-            let mut x = Crossbar::new_sliced(rows, cols, lanes).unwrap();
-            let mut model = vec![vec![0u64; rows * cols]; lanes];
-            // Per row: the columns where a uniform add began or ended,
-            // and the span and mask of the last masked entry.
+            record_turns_match_the_model(lanes, &mut next);
+            let mut arrays = [
+                Crossbar::new_sliced(rows, cols, lanes).unwrap(),
+                Crossbar::with_backend(rows, cols, BackendKind::Packed).unwrap(),
+                Crossbar::with_backend(rows, cols, BackendKind::Scalar).unwrap(),
+            ];
+            let mut model = Model::new(lanes, rows, cols);
+            // Per row: the columns where a uniform add began or ended
+            // or a record's count turns, the span and mask of the last
+            // masked entry, and the last record's shape.
             let mut edges: Vec<Vec<usize>> = vec![vec![0]; rows];
             let mut last: Vec<Option<(usize, usize, u64)>> = vec![None; rows];
-            for step in 0..180 {
+            let mut last_record: Vec<Option<(usize, usize, usize)>> = vec![None; rows];
+            for step in 0..240 {
                 let row = next(rows as u64) as usize;
                 let mut start = next(cols as u64) as usize;
                 let mut end = start + next((cols - start) as u64 + 1) as usize;
@@ -265,35 +357,47 @@ mod tests {
                     3 => !(u64::MAX >> (64 - lanes)) | 1 << next(lanes as u64),
                     _ => next(u64::MAX) | next(u64::MAX),
                 };
-                let add = |model: &mut [Vec<u64>], mask: u64, col: usize, p: u64| {
-                    let lanes = model
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(l, _)| mask >> l & 1 == 1);
-                    for (_, counts) in lanes {
-                        counts[row * cols + col] += p;
-                    }
-                };
-                match step % 6 {
+                match step % 8 {
                     0 => {
                         // A narrow uniform span: zero gaps stay around it.
+                        // Half of them start on an edge, a record's
+                        // plateau edges among them.
+                        if next(2) == 0 {
+                            start =
+                                edges[row][next(edges[row].len() as u64) as usize].min(cols - 1);
+                        }
                         end = (start + 1 + next(12) as usize).min(cols);
-                        x.wear_region(&Region::new(row..row + 1, start..end), pulses)
-                            .unwrap();
-                        (start..end).for_each(|c| add(&mut model, u64::MAX, c, pulses));
+                        for x in &mut arrays {
+                            x.wear_region(&Region::new(row..row + 1, start..end), pulses)
+                                .unwrap();
+                        }
+                        model.add(row, start..end, u64::MAX, pulses);
                         edges[row].extend([start, end]);
                     }
                     1 => {
-                        // Dense uniform pulses, zeros among them.
-                        end = (start + 1 + next(24) as usize).min(cols);
-                        let dense: Vec<u64> = (start..end).map(|_| next(4) * next(2)).collect();
-                        x.wear_row_dense(row, start, &dense).unwrap();
-                        for (c, &p) in (start..end).zip(&dense) {
-                            add(&mut model, u64::MAX, c, p);
+                        // Dense uniform pulses, zeros among them. Every
+                        // 120 steps, eight passes over 40 columns push
+                        // enough entries to compact the row into a block.
+                        let passes = if step % 120 == 1 { 8 } else { 1 };
+                        end = (start + 1 + next(64) as usize).min(cols);
+                        if passes > 1 {
+                            (start, end) = (start.min(cols - 40), start.min(cols - 40) + 40);
+                        }
+                        for c in (0..passes).flat_map(|_| start..end) {
+                            let p = if passes > 1 {
+                                1 + next(3)
+                            } else {
+                                next(4) * next(2)
+                            };
+                            for x in &mut arrays {
+                                x.wear_region(&Region::new(row..row + 1, c..c + 1), p)
+                                    .unwrap();
+                            }
+                            model.add(row, c..c + 1, u64::MAX, p);
                         }
                         edges[row].extend([start, end]);
                     }
-                    k => {
+                    k @ 2..=4 => {
                         let e = &edges[row];
                         match (k, last[row]) {
                             // Starts or ends on a uniform boundary.
@@ -315,34 +419,99 @@ mod tests {
                             end = (start + 1).min(cols);
                             start = end - 1;
                         }
-                        x.wear_row_lanes_masked(row, start..end, mask, pulses)
-                            .unwrap();
-                        (start..end).for_each(|c| add(&mut model, mask, c, pulses));
+                        // A masked entry of `pulses` pulses.
+                        let zeros = vec![0; end - start];
+                        for _ in 0..pulses {
+                            for x in &mut arrays {
+                                x.write_row_lanes_masked(row, start, &zeros, mask).unwrap();
+                            }
+                        }
+                        model.add(row, start..end, mask, pulses);
                         if pulses > 0 {
                             last[row] = Some((start, end, mask));
                         }
                     }
-                }
-                if step % 20 != 19 {
-                    continue;
-                }
-                let per_lane = EnduranceReport::per_lane(&x);
-                for (lane, counts) in model.iter().enumerate() {
-                    let mut walk = WearStats::default();
-                    for (i, &c) in counts.iter().enumerate() {
-                        assert_eq!(
-                            x.lane_cell(lane, i / cols, i % cols).unwrap().writes(),
-                            c,
-                            "{lanes} lanes, step {step}, lane {lane}, cell {i}"
-                        );
-                        walk.add_run(c, 1);
+                    k => {
+                        // A record: a fresh shape, or the last one's
+                        // (which expands that record) with a new stride.
+                        let (col, len, offsets) = match (k, last_record[row]) {
+                            (7, Some(shape)) => shape,
+                            _ => {
+                                let len = 1 + next(40.min(cols - start) as u64) as usize;
+                                let room = cols - start - len + 1;
+                                (start, len, 1 + next(room.min(70) as u64) as usize)
+                            }
+                        };
+                        let stride = next(2) as usize;
+                        let words: Vec<u64> = (0..offsets)
+                            .map(|_| match next(4) {
+                                0 => 0,
+                                1 => mask,
+                                _ => next(u64::MAX) & next(u64::MAX) & mask,
+                            })
+                            .collect();
+                        let shape = [window(col, len, stride, pulses)];
+                        for x in &mut arrays {
+                            x.wear_row_windows(row, words[..].into(), &shape).unwrap();
+                        }
+                        let active = u64::MAX >> (64 - lanes);
+                        if words.iter().any(|&w| w & active != 0) {
+                            model.windows(row, &words, &shape);
+                        }
+                        last_record[row] = Some((col, len, offsets));
+                        let top = col + (offsets - 1) * stride;
+                        edges[row].extend([col, top, col + len, top + len]);
                     }
-                    let expected = EnduranceReport::from_stats(walk, &x);
-                    assert_eq!(
-                        per_lane[lane], expected,
-                        "{lanes} lanes, step {step}, lane {lane}"
-                    );
-                    assert_eq!(EnduranceReport::from_lane(&x, lane), expected);
+                }
+                if step % 10 == 9 {
+                    model.check(&arrays, &format!("{lanes} lanes, step {step}"));
+                }
+                // Fresh wear now and then keeps each record's peak
+                // close to the array's max, where a slip in it shows.
+                if step % 30 == 29 {
+                    arrays.iter_mut().for_each(Crossbar::reset_wear);
+                    model.counts.iter_mut().for_each(|c| c.fill(0));
+                    model.check(&arrays, &format!("{lanes} lanes, reset at step {step}"));
+                }
+            }
+        }
+    }
+
+    /// One record per shape on a fresh row, beside a short uniform wave
+    /// that starts or ends on a column where the record's count turns
+    /// (its first column, the top of its rise, the end of its plateau,
+    /// its last column) or one column either side: each turn of the
+    /// closed form's peak and coverage must match the model, in lanes
+    /// that take offset 0 and lanes that do not.
+    fn record_turns_match_the_model(lanes: usize, next: &mut impl FnMut(u64) -> u64) {
+        let cols = 40;
+        // (col, len, offsets, stride): rising then falling, a plateau
+        // of one column, a flat stride-0 record, a single window.
+        let shapes: [(usize, usize, usize, usize); 4] =
+            [(5, 9, 6, 1), (5, 9, 9, 1), (7, 12, 5, 0), (3, 4, 1, 1)];
+        for (col, len, offsets, stride) in shapes {
+            let top = col + (offsets - 1) * stride;
+            let turns = [col, top, col + len, top + len];
+            for edge in turns.into_iter().flat_map(|e| [e - 1, e, e + 1]) {
+                for wave in [edge.saturating_sub(3)..edge, edge..edge + 3] {
+                    let mut arrays = [
+                        Crossbar::new_sliced(1, cols, lanes).unwrap(),
+                        Crossbar::with_backend(1, cols, BackendKind::Packed).unwrap(),
+                        Crossbar::with_backend(1, cols, BackendKind::Scalar).unwrap(),
+                    ];
+                    let mut model = Model::new(lanes, 1, cols);
+                    let words: Vec<u64> = (0..offsets).map(|_| next(u64::MAX)).collect();
+                    let shape = [window(col, len, stride, 1 + next(2))];
+                    let pulses = 1 + next(3);
+                    for x in &mut arrays {
+                        x.wear_region(&Region::new(0..1, wave.clone()), pulses)
+                            .unwrap();
+                        x.wear_row_windows(0, words[..].into(), &shape).unwrap();
+                    }
+                    model.add(0, wave.clone(), u64::MAX, pulses);
+                    model.windows(0, &words, &shape);
+                    let what = format!("{lanes} lanes, {:?}, wave {wave:?}", shape[0]);
+                    model.check(&arrays, &what);
                 }
             }
         }

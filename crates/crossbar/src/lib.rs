@@ -78,6 +78,7 @@ pub use geometry::{ColRange, Region, WordSpan};
 pub use isa::{MicroOp, OpFootprint, RowBits};
 pub use meter::MeterSpec;
 pub use stats::{CycleStats, OpClass};
+pub use wear::WearWindow;
 
 /// Maximum batch lanes a sliced ([`BackendKind::Sliced`]) array can
 /// carry: one per bit of the `u64` lane word.

@@ -19,7 +19,9 @@
 //!   for lanes whose multiplier bit is set) go through
 //!   [`SlicedPlanes::write_lanes_masked`], which records one
 //!   `(range, lane-mask, pulses)` wear entry instead of per-cell
-//!   counters;
+//!   counters, or, for the closed-form shift-add, through
+//!   [`SlicedPlanes::add_record`]: one window record per region of
+//!   the row, folded per lane in closed form;
 //! * stuck-at faults are per-lane bit masks (`sa0`/`sa1`), lazily
 //!   allocated like the packed backend's.
 //!
@@ -35,7 +37,7 @@
 use crate::cell::{Cell, Fault};
 use crate::geometry::{Beside, ColRange};
 use crate::plan::RowKernels;
-use crate::wear::{WearPlane, WearStats};
+use crate::wear::{overlaps, LaneLimbs, WearPlane, WearStats, WindowRecord};
 
 /// Maximum batch lanes a sliced array carries: the word width.
 pub(crate) const MAX_LANES: usize = 64;
@@ -104,6 +106,9 @@ pub(crate) struct SlicedPlanes {
     uniform: WearPlane,
     /// Lane-masked wear entries, per row, applied after `uniform`.
     masked: Vec<Vec<MaskedWear>>,
+    /// Foldable window records, per row, hulls pairwise disjoint,
+    /// applied after `uniform`.
+    records: Vec<Vec<WindowRecord>>,
 }
 
 impl Clone for SlicedPlanes {
@@ -117,6 +122,7 @@ impl Clone for SlicedPlanes {
             sa1: self.sa1.clone(),
             uniform: self.uniform.clone(),
             masked: self.masked.clone(),
+            records: self.records.clone(),
         }
     }
 }
@@ -142,6 +148,7 @@ impl SlicedPlanes {
             sa1: Vec::new(),
             uniform: WearPlane::new(rows, cols),
             masked: vec![Vec::new(); rows],
+            records: vec![Vec::new(); rows],
         }
     }
 
@@ -351,25 +358,23 @@ impl SlicedPlanes {
         self.uniform.add(row, cols, pulses);
     }
 
-    /// Adds `pulses[j]` write pulses of wear to every lane of cell
-    /// `col_offset + j`, leaving values untouched.
-    pub(crate) fn wear_uniform_dense(&mut self, row: usize, col_offset: usize, pulses: &[u64]) {
-        self.uniform.add_dense(row, col_offset, pulses);
-    }
-
-    /// Records `pulses` masked wear pulses over the span — the wear
-    /// half of as many [`SlicedPlanes::write_lanes_masked`] calls —
-    /// as one entry, without touching values.
-    pub(crate) fn wear_masked(&mut self, row: usize, cols: ColRange, mask: u64, pulses: u64) {
-        if mask == 0 || pulses == 0 || cols.start >= cols.end {
-            return;
+    /// Lays `record`'s pulses on `row` — the wear half of the masked
+    /// writes its windows stand for — without touching values. The row
+    /// keeps its records' hulls pairwise disjoint: one that meets the
+    /// new record's hull first turns every record of the row into
+    /// masked entries, and so does a record that is not foldable.
+    pub(crate) fn add_record(&mut self, row: usize, record: WindowRecord) {
+        let hull = record.hull();
+        if self.records[row].iter().any(|r| overlaps(&r.hull(), &hull)) {
+            for old in std::mem::take(&mut self.records[row]) {
+                self.masked[row].extend(masked_entries(&old));
+            }
         }
-        self.masked[row].push(MaskedWear {
-            start: cols.start as u32,
-            end: cols.end as u32,
-            mask,
-            pulses,
-        });
+        if record.foldable() {
+            self.records[row].push(record);
+        } else {
+            self.masked[row].extend(masked_entries(&record));
+        }
     }
 
     /// Stores one lane word per column for the lanes in `mask` — the
@@ -633,11 +638,16 @@ impl SlicedPlanes {
 
     /// Exact write count of one lane of one cell: uniform pulses plus
     /// the pulses of every masked entry covering the column with the
-    /// lane selected.
+    /// lane selected and of every record window doing so.
     pub(crate) fn lane_writes_at(&self, lane: usize, row: usize, col: usize) -> u64 {
         let bit = 1u64 << lane;
         let col32 = col as u32;
+        let records: u64 = self.records[row]
+            .iter()
+            .map(|r| r.lane_writes_at(lane, col))
+            .sum();
         self.uniform.writes_at(row, col)
+            + records
             + self.masked[row]
                 .iter()
                 .filter(|e| e.start <= col32 && col32 < e.end && e.mask & bit != 0)
@@ -646,93 +656,54 @@ impl SlicedPlanes {
     }
 
     /// `(max, total, touched)` per-cell write statistics of **all**
-    /// lanes in one sweep, as `MAX_LANES` slots (only
-    /// the active ones are meaningful). Rows with only uniform wear
-    /// are folded once and added to every lane at the end. On a row
-    /// with masked entries the uniform wear still counts once for all
-    /// lanes (its total, its touched cells and its max), and each
-    /// entry adds to its lanes:
+    /// lanes in one sweep, as `MAX_LANES` slots (only the active ones
+    /// are meaningful). Rows with only uniform wear are folded once and
+    /// added to every lane at the end. On a row with masked entries or
+    /// records the uniform wear still counts once for all lanes (its
+    /// total, its touched cells and its max), as segments of constant
+    /// wear the per-lane wear is laid on:
     ///
-    /// * `total`: `pulses × len` per selected lane, added at the
-    ///   entry's start (it is additive, so no run is ever closed);
-    /// * `max`: a lane's wear changes only where one of its entries
-    ///   starts or ends or the uniform wear changes, and only a start
-    ///   or a uniform boundary can raise it, so those are the only
-    ///   columns where it is read (at equal columns ends go first);
-    /// * `touched`: the lane's own coverage, counted only inside
-    ///   segments whose uniform wear is zero.
-    ///
-    /// That costs O(entry lanes + uniform segments · lanes) per row
-    /// instead of O(lanes · cols), with no run closed per lane-event.
+    /// * each record folds per lane in closed form
+    ///   ([`WindowRecord::fold`]), `O(segments it meets)` per
+    ///   lane however many windows it stands for. That needs no masked
+    ///   entry inside its hull (records' hulls are disjoint already);
+    ///   otherwise the row's records expand into masked entries first
+    ///   and fold with them, exactly;
+    /// * the masked entries fold in one sweep over their ends
+    ///   ([`LaneSweep::fold_entries`]).
     pub(crate) fn lane_wear_stats_all(&self) -> Vec<WearStats> {
-        let (active, lanes) = (self.active_mask(), self.lanes);
+        let lanes = self.lanes;
         let mut shared = WearStats::default();
-        let mut sweep = LaneSweep::new();
-        let most = self.masked.iter().map(Vec::len).max().unwrap_or(0);
+        let mut sweep = LaneSweep::new(self.active_mask());
         let mut segs: Vec<(usize, usize, u64)> = Vec::new();
-        let (mut starts, mut ends) = (Vec::with_capacity(most), Vec::with_capacity(most));
-        let mut events = Vec::with_capacity(2 * most);
+        let mut expanded: Vec<MaskedWear> = Vec::new();
+        let mut bits = LaneLimbs::default();
         for row in 0..self.rows {
-            let entries = &self.masked[row];
-            if entries.is_empty() {
+            let (masked, records) = (&self.masked[row], &self.records[row]);
+            if masked.is_empty() && records.is_empty() {
                 shared.merge(self.uniform.row_stats(row));
                 continue;
             }
             segs.clear();
-            let mut c = 0usize;
-            self.uniform.for_each_segment(row, |u, n| {
-                shared.add_run(u, n);
-                segs.push((c, c + n, u));
-                c += n;
+            self.uniform.background_segments(row, |s, e, u| {
+                shared.add_run(u, e - s);
+                segs.push((s, e, u));
             });
-            // Starts and ends each sorted by column (stable sorts run
-            // in linear time on the nearly ordered entries the stages
-            // push), then merged with ends first at one column.
-            starts.clear();
-            ends.clear();
-            for e in entries.iter().filter(|e| e.mask & active != 0) {
-                let (mask, len) = (e.mask & active, u64::from(e.end - e.start));
-                let event = |col, start| LaneEvent {
-                    col,
-                    start,
-                    mask,
-                    pulses: e.pulses,
-                    len,
-                };
-                starts.push(event(e.start, true));
-                ends.push(event(e.end, false));
-            }
-            starts.sort_by_key(|e| e.col);
-            ends.sort_by_key(|e| e.col);
-            events.clear();
-            let (mut s, mut t) = (starts.iter().peekable(), ends.iter().peekable());
-            while let Some(&next) = match (s.peek(), t.peek()) {
-                (Some(x), Some(y)) if x.col < y.col => s.next(),
-                (_, Some(_)) => t.next(),
-                _ => s.next(),
-            } {
-                events.push(next);
-            }
-
-            sweep.count = [0; MAX_LANES];
-            let mut events = events.iter().peekable();
-            for &(seg_start, seg_end, u) in &segs {
-                sweep.from[..lanes].fill(seg_start);
-                // Events on the segment's first column settle before
-                // every lane reads its level there.
-                while let Some(e) = events.next_if(|e| e.col as usize == seg_start) {
-                    sweep.apply(e, u);
-                }
-                for l in 0..lanes {
-                    sweep.stats[l].max = sweep.stats[l].max.max(u + sweep.count[l]);
-                }
-                while let Some(e) = events.next_if(|e| (e.col as usize) < seg_end) {
-                    sweep.apply(e, u);
-                }
-                if u == 0 {
-                    for l in (0..lanes).filter(|&l| sweep.count[l] > 0) {
-                        sweep.stats[l].touched += seg_end - sweep.from[l];
-                    }
+            let start = masked.iter().map(|e| e.start as usize).min().unwrap_or(0);
+            let end = masked.iter().map(|e| e.end as usize).max().unwrap_or(0);
+            let closed = records.iter().all(|r| !overlaps(&r.hull(), &(start..end)));
+            let entries = if closed {
+                masked
+            } else {
+                expanded.clear();
+                expanded.extend_from_slice(masked);
+                expanded.extend(records.iter().flat_map(masked_entries));
+                &expanded
+            };
+            sweep.fold_entries(entries, &segs, lanes);
+            if closed {
+                for record in records {
+                    record.fold(&mut bits, lanes, &segs, &mut sweep.stats);
                 }
             }
         }
@@ -754,6 +725,9 @@ impl SlicedPlanes {
         self.uniform.reset();
         for m in &mut self.masked {
             m.clear();
+        }
+        for r in &mut self.records {
+            r.clear();
         }
     }
 }
@@ -837,6 +811,17 @@ impl RowKernels for SlicedPlanes {
     }
 }
 
+/// `record`'s windows as masked entries, one per offset some lane
+/// takes.
+fn masked_entries(record: &WindowRecord) -> impl Iterator<Item = MaskedWear> + '_ {
+    record.entries().map(|(cols, mask)| MaskedWear {
+        start: cols.start as u32,
+        end: cols.end as u32,
+        mask,
+        pulses: record.pulses(),
+    })
+}
+
 /// One end of a lane-masked wear entry, as the per-lane sweep visits it.
 #[derive(Debug, Clone, Copy)]
 struct LaneEvent {
@@ -850,6 +835,8 @@ struct LaneEvent {
 
 /// Per-lane state of [`SlicedPlanes::lane_wear_stats_all`]'s sweep.
 struct LaneSweep {
+    /// The array's active lanes.
+    active: u64,
     /// Masked pulses on the current column of the current row.
     count: [u64; MAX_LANES],
     /// Where the lane's coverage of the current zero segment began.
@@ -858,15 +845,95 @@ struct LaneSweep {
     /// `total`, the peaks of uniform plus masked wear in `max`, and
     /// coverage of zero-uniform segments in `touched`.
     stats: [WearStats; MAX_LANES],
+    /// Entry starts and ends, each by column, and both merged.
+    starts: Vec<LaneEvent>,
+    ends: Vec<LaneEvent>,
+    events: Vec<LaneEvent>,
 }
 
 impl LaneSweep {
-    fn new() -> Self {
+    fn new(active: u64) -> Self {
         LaneSweep {
+            active,
             count: [0; MAX_LANES],
             from: [0; MAX_LANES],
             stats: [WearStats::default(); MAX_LANES],
+            starts: Vec::new(),
+            ends: Vec::new(),
+            events: Vec::new(),
         }
+    }
+
+    /// Folds one row's masked entries into the lanes' stats over the
+    /// row's uniform segments `segs`. Each entry adds to its lanes:
+    ///
+    /// * `total`: `pulses × len` per selected lane, added at the
+    ///   entry's start (it is additive, so no run is ever closed);
+    /// * `max`: a lane's wear changes only where one of its entries
+    ///   starts or ends or the uniform wear changes, and only a start
+    ///   or a uniform boundary can raise it, so those are the only
+    ///   columns where it is read (at equal columns ends go first);
+    /// * `touched`: the lane's own coverage, counted only inside
+    ///   segments whose uniform wear is zero.
+    ///
+    /// That costs O(entry lanes + uniform segments · lanes) per row
+    /// instead of O(lanes · cols), with no run closed per lane-event.
+    fn fold_entries(&mut self, entries: &[MaskedWear], segs: &[(usize, usize, u64)], lanes: usize) {
+        if entries.is_empty() {
+            return;
+        }
+        // Starts and ends each sorted by column (stable sorts run in
+        // linear time on the nearly ordered entries the stages push),
+        // then merged with ends first at one column.
+        self.starts.clear();
+        self.ends.clear();
+        for e in entries.iter().filter(|e| e.mask & self.active != 0) {
+            let (mask, len) = (e.mask & self.active, u64::from(e.end - e.start));
+            let event = |col, start| LaneEvent {
+                col,
+                start,
+                mask,
+                pulses: e.pulses,
+                len,
+            };
+            self.starts.push(event(e.start, true));
+            self.ends.push(event(e.end, false));
+        }
+        self.starts.sort_by_key(|e| e.col);
+        self.ends.sort_by_key(|e| e.col);
+        let mut events = std::mem::take(&mut self.events);
+        events.clear();
+        let (mut s, mut t) = (self.starts.iter().peekable(), self.ends.iter().peekable());
+        while let Some(&next) = match (s.peek(), t.peek()) {
+            (Some(x), Some(y)) if x.col < y.col => s.next(),
+            (_, Some(_)) => t.next(),
+            _ => s.next(),
+        } {
+            events.push(next);
+        }
+
+        self.count = [0; MAX_LANES];
+        let mut next = events.iter().peekable();
+        for &(seg_start, seg_end, u) in segs {
+            self.from[..lanes].fill(seg_start);
+            // Events on the segment's first column settle before every
+            // lane reads its level there.
+            while let Some(e) = next.next_if(|e| e.col as usize == seg_start) {
+                self.apply(e, u);
+            }
+            for l in 0..lanes {
+                self.stats[l].max = self.stats[l].max.max(u + self.count[l]);
+            }
+            while let Some(e) = next.next_if(|e| (e.col as usize) < seg_end) {
+                self.apply(e, u);
+            }
+            if u == 0 {
+                for l in (0..lanes).filter(|&l| self.count[l] > 0) {
+                    self.stats[l].touched += seg_end - self.from[l];
+                }
+            }
+        }
+        self.events = events;
     }
 
     /// Applies one event inside a segment of uniform wear `u`: a start

@@ -101,10 +101,6 @@ fn calls() -> Vec<(
             Box::new(|x, c| none(x.wear_region(&Region::new(0..ROWS, c), 3))),
         ),
         (
-            "wear_row_lanes_masked",
-            Box::new(|x, c| none(x.wear_row_lanes_masked(2, c, u64::MAX, 2))),
-        ),
-        (
             "nor_rows",
             Box::new(|x, c| none(x.nor_rows(&[0, 1], 2, c, false))),
         ),

@@ -27,8 +27,8 @@
 //! scratch cells hold the values and per-cell wear of `w` cell-serial
 //! shift-add iterations — while cycles are charged by the formula (see
 //! DESIGN.md §1/§4). On a fault-free row the shift-add is evaluated in
-//! closed form: the iterations' writes are recorded as wear only (on a
-//! one-lane row as one dense per-cell block), and the final values
+//! closed form: the iterations' writes are recorded as wear only (one
+//! window record per region of the row), and the final values
 //! (the product `a·b` and the last active iteration's carries) are
 //! stored once. A row with a stuck-at fault runs the cell-serial
 //! reference loop instead, so pinned reads feed back into the sums.
@@ -45,7 +45,8 @@
 //! its batches in lane words from end to end.
 
 use cim_bigint::Uint;
-use cim_crossbar::{BackendKind, Crossbar, CrossbarError, Executor, MicroOp, Region};
+use cim_crossbar::{BackendKind, Crossbar, CrossbarError, Executor, MicroOp, Region, WearWindow};
+use std::sync::Arc;
 
 /// Cells per row required for one `w`-bit in-row multiplier
 /// (paper: `12·(n/4+2)` for the stage's `w = n/4+2`-bit operands).
@@ -380,16 +381,17 @@ impl RowMultiplier {
     /// * **Wear**, pulse for pulse: the scratch reset pulses every
     ///   iteration (the reference resets before testing `b_i`), so the
     ///   scratch region takes one reset plus `w − 1` extra pulses. Each
-    ///   iteration `i` whose multiplier bit is set writes `C[0]` (at
-    ///   `j = 0` and again at `j = w`), the `C` span and the product
-    ///   window `[i, i + w + 1)`. A one-lane row adds the per-cell sum
-    ///   of those writes as one dense block over `[P, C + w)`
-    ///   ([`Crossbar::wear_row_dense`], built by `one_lane_pulses`).
-    ///   With more lanes each active iteration records its window for
-    ///   exactly the lanes with that bit set, and the carry cells take
-    ///   one entry per distinct popcount `k` of the lanes' multipliers:
-    ///   `k` pulses on `C` and `k` more on `C[0]`, for the lanes with
-    ///   that popcount ([`Crossbar::wear_row_lanes_masked`]).
+    ///   iteration `i` whose multiplier bit is set writes the product
+    ///   window `[i, i + w + 1)`, every carry cell once and `C[0]` a
+    ///   second time (at `j = 0` and again at `j = w`). Those writes
+    ///   depend only on the lanes' multiplier bits, so they go down as
+    ///   three window records over the `b` row's lane words
+    ///   ([`Crossbar::wear_row_windows`]): the P windows (stride 1,
+    ///   `w + 1` columns), `C[1..w)` (stride 0) and `C[0]` (stride 0,
+    ///   two pulses), whose hulls are disjoint. The crossbar folds each
+    ///   lane's endurance from them in closed form. The sliced backend
+    ///   takes the lane words of the `b` row masked to the batch's
+    ///   lanes, the scalar and packed backends the row's bits as lane 0.
     /// * **Values**, stored once per lane: a cell's final value is the
     ///   last write it took, so the product region takes `a·b` and the
     ///   carry-staging cells take the ripple carries of the lane's last
@@ -407,7 +409,6 @@ impl RowMultiplier {
     /// `[l · stride, (l + 1) · stride)`): on the sliced backend one
     /// 64×64 transpose per 64 columns in and out of each region, on
     /// the scalar and packed backends the row's own words as lane 0.
-    /// The window masks are the `b` row's lane words themselves.
     fn shift_add_closed_form(
         &self,
         array: &mut Crossbar,
@@ -420,54 +421,43 @@ impl RowMultiplier {
         let at = |off: usize| col_base + off * w;
         let sliced = array.backend_kind() == BackendKind::Sliced;
         let nw = w.div_ceil(64);
-        // Operands as flat per-lane limbs; on the sliced backend the `b`
-        // row's lane words stay for the window masks.
+        // Operands as flat per-lane limbs, and the `b` row as the lane
+        // words of the batch's lanes (the multiplier bit per offset).
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        let (mut a_cols, mut b_cols) = (Vec::new(), Vec::new());
-        if sliced {
-            array.read_row_lane_words(row, at(A_OFF)..at(A_OFF) + w, &mut a_cols)?;
-            lane_limbs_flat(&a_cols, &mut a);
-            array.read_row_lane_words(row, at(B_OFF)..at(B_OFF) + w, &mut b_cols)?;
-            lane_limbs_flat(&b_cols, &mut b);
+        let b_cols: Arc<[u64]> = if sliced {
+            let mut cols = Vec::new();
+            array.read_row_lane_words(row, at(A_OFF)..at(A_OFF) + w, &mut cols)?;
+            lane_limbs_flat(&cols, &mut a);
+            array.read_row_lane_words(row, at(B_OFF)..at(B_OFF) + w, &mut cols)?;
+            lane_limbs_flat(&cols, &mut b);
+            let active = u64::MAX >> (64 - lanes);
+            cols.iter().map(|m| m & active).collect()
         } else {
             array.read_row_words(row, at(A_OFF)..at(A_OFF) + w, &mut a)?;
             array.read_row_words(row, at(B_OFF)..at(B_OFF) + w, &mut b)?;
-        }
+            (0..w).map(|i| b[i / 64] >> (i % 64) & 1).collect()
+        };
         let b_of = |l: usize| &b[l * nw..][..nw];
 
         let scratch = Region::new(row..row + 1, at(S_OFF)..at(S_OFF) + w);
         array.reset_region(&scratch)?;
         array.wear_region(&scratch, w as u64 - 1)?;
-        let written = if lanes == 1 {
-            let pulses = one_lane_pulses(b_of(0), w);
-            if !pulses.is_empty() {
-                array.wear_row_dense(row, at(P_OFF), &pulses)?;
-            }
-            u64::from(!pulses.is_empty())
-        } else {
-            let active = u64::MAX >> (64 - lanes);
-            for (i, &m) in b_cols.iter().enumerate().filter(|&(_, &m)| m & active != 0) {
-                let window = at(P_OFF) + i..at(P_OFF) + i + w + 1;
-                array.wear_row_lanes_masked(row, window, m & active, 1)?;
-            }
-            // (popcount of b, lanes with that popcount).
-            let mut groups: Vec<(u64, u64)> = Vec::new();
-            for l in 0..lanes {
-                let k: u64 = b_of(l)
-                    .iter()
-                    .map(|word| u64::from(word.count_ones()))
-                    .sum();
-                match groups.iter_mut().find(|g| g.0 == k) {
-                    Some(g) => g.1 |= 1 << l,
-                    None => groups.push((k, 1 << l)),
-                }
-            }
-            for &(k, m) in groups.iter().filter(|g| g.0 > 0) {
-                array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + 1, m, k)?;
-                array.wear_row_lanes_masked(row, at(C_OFF)..at(C_OFF) + w, m, k)?;
-            }
-            b_cols.iter().fold(0, |any, &m| any | m) & active
+        let window = |col, len, stride, pulses| WearWindow {
+            col,
+            len,
+            stride,
+            pulses,
         };
+        let written = b_cols.iter().fold(0, |any, &m| any | m);
+        array.wear_row_windows(
+            row,
+            b_cols,
+            &[
+                window(at(P_OFF), w + 1, 1, 1),
+                window(at(C_OFF) + 1, w - 1, 0, 1),
+                window(at(C_OFF), 1, 0, 2),
+            ],
+        )?;
 
         // Per written lane: the product (2·nw limbs) and the C cells'
         // values (nw limbs), from the carries into each bit of the last
@@ -531,45 +521,6 @@ impl RowMultiplier {
         let mut array = Crossbar::new(1, self.required_cols())?;
         self.run_in(&mut array, 0, 0, a, b)
     }
-}
-
-/// The per-cell wear pulses the shift-add's iteration writes leave on
-/// `[P, C + w)` of a one-lane row whose `w`-bit multiplier is `b`:
-/// product cell `P + j` takes one pulse from every active iteration
-/// `i` whose window `[i, i + w]` holds `j`, every carry cell one per
-/// active iteration, and `C[0]` a second one (written at `j = 0` and
-/// again at `j = w`). Empty when `b = 0`: no iteration writes. The set
-/// bits of `b` are found word by word and the windows summed through a
-/// difference array, so this is `O(w + popcount b)`.
-fn one_lane_pulses(b: &[u64], w: usize) -> Vec<u64> {
-    let active: u64 = b.iter().map(|word| u64::from(word.count_ones())).sum();
-    if active == 0 {
-        return Vec::new();
-    }
-    let mut pulses = vec![0u64; 3 * w];
-    let (window, carry) = pulses.split_at_mut(2 * w);
-    // Window starts add one, ends subtract one; the prefix sums are
-    // the counts. Wrapping arithmetic lets an end entry dip below zero
-    // before the starts ahead of it are summed in.
-    for (k, &word) in b.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let i = k * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            window[i] = window[i].wrapping_add(1);
-            if let Some(end) = window.get_mut(i + w + 1) {
-                *end = end.wrapping_sub(1);
-            }
-        }
-    }
-    let mut level = 0u64;
-    for p in window.iter_mut() {
-        level = level.wrapping_add(*p);
-        *p = level;
-    }
-    carry.fill(active);
-    carry[0] += active;
-    pulses
 }
 
 /// Refuses a batch of more lanes than `array` carries.

@@ -259,6 +259,12 @@ impl JsonValue {
 /// Strictly parses `s` as one JSON value (with optional surrounding
 /// whitespace).
 ///
+/// A `\uD8xx\uDCxx` UTF-16 surrogate pair in a string decodes as its
+/// one scalar value (`"\ud83d\ude00"` is 😀). A lone surrogate, high
+/// or low, cannot be held in a Rust `String`; it decodes as U+FFFD
+/// and the parse goes on, so foreign input that JavaScript's
+/// `JSON.stringify` wrote still reads.
+///
 /// # Errors
 ///
 /// Returns a message with a byte offset on the first syntax error.
@@ -414,19 +420,7 @@ impl Parser<'_> {
                         Some(b'n') => '\n',
                         Some(b'r') => '\r',
                         Some(b't') => '\t',
-                        Some(b'u') => {
-                            let hex = self.src.as_bytes().get(self.pos + 1..self.pos + 5);
-                            if !hex.is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) {
-                                return Err(format!("bad \\u escape at byte {}", self.pos + 1));
-                            }
-                            let code =
-                                u32::from_str_radix(&self.src[self.pos + 1..self.pos + 5], 16)
-                                    .expect("four hex digits");
-                            self.pos += 4;
-                            // Surrogates are not expected in our own
-                            // output; map them to the replacement char.
-                            char::from_u32(code).unwrap_or('\u{fffd}')
-                        }
+                        Some(b'u') => self.unicode_escape()?,
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     };
                     out.push(unescaped);
@@ -441,6 +435,35 @@ impl Parser<'_> {
                     self.pos += c.len_utf8();
                 }
             }
+        }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` is at `pos`, leaving `pos`
+    /// on its last hex digit. A high surrogate followed by a `\u`
+    /// escape of a low surrogate decodes as the pair's one scalar and
+    /// consumes both; a lone surrogate of either kind decodes as
+    /// U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = self.hex4(self.pos + 1)?;
+        self.pos += 4;
+        if (0xD800..0xDC00).contains(&code) && self.src[self.pos + 1..].starts_with("\\u") {
+            let low = self.hex4(self.pos + 3)?;
+            if (0xDC00..0xE000).contains(&low) {
+                self.pos += 6;
+                let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(scalar).expect("a surrogate pair is a scalar"));
+            }
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    /// The four hex digits at byte `at` as a code unit.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        match self.src.as_bytes().get(at..at + 4) {
+            Some(h) if h.iter().all(u8::is_ascii_hexdigit) => {
+                Ok(u32::from_str_radix(&self.src[at..at + 4], 16).expect("four hex digits"))
+            }
+            _ => Err(format!("bad \\u escape at byte {at}")),
         }
     }
 
@@ -591,5 +614,22 @@ mod tests {
         let v = parse(r#""\u0041\u00e9\/\t""#).unwrap();
         assert_eq!(v.as_str(), Some("Aé/\t"));
         assert_eq!(parse("\"é\"").unwrap().as_str(), Some("é"));
+    }
+
+    /// A UTF-16 surrogate pair decodes as its one scalar; a lone high
+    /// or low surrogate decodes as U+FFFD and leaves what follows it
+    /// intact, an escape included.
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_are_replaced() {
+        let text = |s: &str| parse(s).unwrap().as_str().unwrap().to_string();
+        assert_eq!(text(r#""\ud83d\ude00""#), "\u{1f600}");
+        assert_eq!(text(r#""x\uD83D\uDE00y""#), "x\u{1f600}y");
+        assert_eq!(text(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(text(r#""\ud83dx""#), "\u{fffd}x");
+        assert_eq!(text(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert_eq!(text(r#""\ud83d\ud83d\ude00""#), "\u{fffd}\u{1f600}");
+        assert_eq!(text(r#""\ude00""#), "\u{fffd}");
+        assert_eq!(text(r#""\ude00\ud83d""#), "\u{fffd}\u{fffd}");
+        assert!(parse(r#""\ud83d\u12""#).is_err());
     }
 }
